@@ -9,6 +9,9 @@ against a direct enumeration.
 
 Linear-form averages reduce to the span of the system before enumerating
 (cost p^(n*rank) instead of p^(n*k)) and factor across connected components.
+Monte-Carlo Gowers norms are linear-form averages over the cube system
+x + omega.y with parity conjugations, estimated by the sampler in
+linear_form_average.
 """
 
 from __future__ import annotations
@@ -22,15 +25,8 @@ import numpy as np
 from .config import check_budget, resolve_workers
 from .errors import ValidationError
 from .field import digit_table, place_values, space_size
-from .linalg import (
-    coordinates_in_basis,
-    extend_to_basis,
-    greedy_row_basis,
-    in_span,
-    nullspace,
-    rank as mat_rank,
-)
-from .linear_forms import FlaggedSystem, LinearSystem, connected_components
+from .linalg import in_span, span_coordinates
+from .linear_forms import FlaggedSystem, LinearSystem, connected_components, cube_system
 from .polynomials import Polynomial, monomials_up_to
 from .rng import as_rng
 from .tables import FunctionTable
@@ -112,6 +108,8 @@ def gowers_norm(
         cost = space_size(p, n) ** (k + 1) if k > 2 else space_size(p, n)
         check_budget(cost, budget, f"exact U^{k} norm")
         power = _u_power(f.values, p, n, k)
+        if not math.isfinite(power):
+            raise ValidationError(f"U^{k} power is not finite; the table values overflow")
         assert power >= -1e-12, "box average must be real and nonnegative"
         power = max(power, 0.0)
         return GowersReport(
@@ -120,36 +118,17 @@ def gowers_norm(
         )
     if mode != "mc":
         raise ValidationError(f"unknown mode {mode!r}")
-    if samples is None or samples < 1:
-        raise ValidationError("mc mode needs samples >= 1")
-    rng = as_rng(0 if seed is None else seed)
-    x = rng.integers(0, p, size=(samples, n))
-    ys = rng.integers(0, p, size=(k, samples, n))
-    places = place_values(p, n)
-    prod = np.ones(samples, dtype=np.complex128)
-    for mask in range(2**k):
-        pt = x.copy()
-        bits = 0
-        for i in range(k):
-            if mask >> i & 1:
-                pt = pt + ys[i]
-                bits += 1
-        idx = (pt % p) @ places
-        term = f.values[idx]
-        if (k - bits) % 2:
-            term = np.conj(term)
-        prod = prod * term
-    mean = prod.mean()
-    power = max(float(mean.real), 0.0)
-    se_mean = math.sqrt(
-        max(0.0, float((np.abs(prod) ** 2).mean()) - abs(mean) ** 2) / samples
+    conjugations = [(k - bin(mask).count("1")) % 2 for mask in range(2**k)]
+    rep = linear_form_average(
+        f, cube_system(p, k), conjugations, mode="mc", samples=samples, seed=seed
     )
+    power = max(rep.value.real, 0.0)
     value = power ** (1 / 2**k)
-    stderr = se_mean * value ** (1 - 2**k) / 2**k if power > 0 else None
+    stderr = rep.stderr * value ** (1 - 2**k) / 2**k if power > 0 else None
     return GowersReport(
         value=value, power=power, k=k, p=p, n=n, mode="mc",
         samples=samples, stderr=stderr if stderr is None or math.isfinite(stderr) else None,
-        seed=seed, cost=samples * 2**k,
+        seed=seed, cost=rep.cost,
     )
 
 
@@ -317,18 +296,6 @@ class AverageReport:
         return self.value
 
 
-def _reduce_to_span(system: LinearSystem) -> np.ndarray:
-    """Coefficients C (m x r) of the forms over an independent spanning
-    subset of themselves, so enumeration only runs over r point variables."""
-    arr = system.as_array()
-    basis_idx = greedy_row_basis(arr, system.p)
-    basis = arr[basis_idx]
-    return np.array(
-        [coordinates_in_basis(basis, arr[i], system.p) for i in range(system.m)],
-        dtype=np.int64,
-    )
-
-
 def _mixed_radix_digits(flat: np.ndarray, base: int, width: int) -> list[np.ndarray]:
     out = []
     rest = flat.copy()
@@ -418,7 +385,6 @@ def linear_form_average(
     seed=None,
     budget: int | None = None,
     workers: int | None = None,
-    factor_components: bool = True,
 ) -> AverageReport:
     """t_L(f) = E prod_i f_i(L_i(X)), with optional per-form conjugation.
 
@@ -434,17 +400,14 @@ def linear_form_average(
     if len(conjugations) != system.m or any(c not in (0, 1) for c in conjugations):
         raise ValidationError("conjugations must be 0/1 flags, one per form")
     mult = list(getattr(system, "multiplicities", (1,) * system.m))
+    arr = system.as_array()
 
     if mode == "exact":
-        if factor_components and system.m <= 16:
-            groups = connected_components(system)
-        else:
-            groups = [list(range(system.m))]
         value = 1.0 + 0j
         cost = 0
-        for group in groups:
-            sub = LinearSystem(p, system.k, [system.forms[i] for i in group])
-            C = _reduce_to_span(sub)
+        for group in connected_components(system):
+            # coordinates over a spanning subset: enumerate r point variables
+            C = span_coordinates(arr[group], p)[1]
             r = C.shape[1]
             cost += space_size(p, n) ** r
             check_budget(cost, budget, "linear form average")
@@ -466,20 +429,22 @@ def linear_form_average(
     places = place_values(p, n)
     xs = rng.integers(0, p, size=(system.k, samples, n))
     acc = np.ones(samples, dtype=np.complex128)
-    arr = system.as_array()
     for i in range(system.m):
         pt = np.zeros((samples, n), dtype=np.int64)
         for j in range(system.k):
             c = int(arr[i, j])
-            if c:
+            if c == 1:
+                pt += xs[j]
+            elif c:
                 pt += c * xs[j]
-        idx = (pt % p) @ places
+        idx = np.remainder(pt, p, out=pt) @ places
         vals = tables[i].values[idx]
         if conjugations[i]:
             vals = np.conj(vals)
         if mult[i] != 1:
             vals = vals ** mult[i]
-        acc *= vals
+        # not in place: numpy rounds a one-element in-place product differently
+        acc = acc * vals
     mean = acc.mean()
     se = math.sqrt(
         max(0.0, float((np.abs(acc) ** 2).mean()) - abs(mean) ** 2) / samples
@@ -536,12 +501,12 @@ def exponential_average(
         else:
             raise ValidationError("n is required for raw value arrays")
     vals = _integer_values(f, p, n)
-    # e_p(beta * f) tables per form, then an ordinary product average
-    tables = [
-        FunctionTable(p, n, np.exp(2j * np.pi * ((b * vals) % p) / p)) for b in beta
-    ]
+    # e_p(b * f) table per distinct exponent, then an ordinary product average
+    phases = {
+        b: FunctionTable(p, n, np.exp(2j * np.pi * ((b * vals) % p) / p)) for b in set(beta)
+    }
     return linear_form_average(
-        tables, system, mode=mode, samples=samples, seed=seed,
+        [phases[b] for b in beta], system, mode=mode, samples=samples, seed=seed,
         budget=budget, workers=workers,
     )
 
@@ -572,14 +537,9 @@ def flagged_average(
         value = linear_form_average(f, system, budget=budget, workers=workers).value
         return FunctionTable(p, n, np.full(N, value, dtype=np.complex128))
     # basis of span(forms) with the flag first: conditioning pins Z_1
-    stacked = np.vstack([flag.reshape(1, -1), arr]) % p
-    basis_idx = greedy_row_basis(stacked, p)
+    basis_idx, C = span_coordinates(np.vstack([flag, arr]), p)
     assert basis_idx[0] == 0, "flag is nonzero, so it leads the basis"
-    basis = stacked[basis_idx]
-    C = np.array(
-        [coordinates_in_basis(basis, arr[i], p) for i in range(system.m)],
-        dtype=np.int64,
-    )
+    C = C[1:]
     r = C.shape[1]
     check_budget(N**r, budget, "flagged average")
     out = np.empty(N, dtype=np.complex128)

@@ -6,8 +6,12 @@ the sha256 of every input file, the seed, the computation mode, and a
 tolerance block, and contain no timestamps, so identical invocations produce
 byte-identical output.
 
-Exit codes: 0 success; 2 validation error; 64 unknown command; 65 malformed
-input file; 66 budget exceeded (rerun with --mc N to estimate instead).
+Exit codes: 0 success; 2 validation error (including a result that is not a
+finite number); 64 unknown command; 65 malformed input file (including
+non-finite table values); 66 budget exceeded (rerun with --mc N to estimate
+instead); 70 internal error, such as a rejection-sampling loop hitting its
+retry cap.  Apart from argparse usage errors, every failure writes one JSON
+object to stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import sys
 import numpy as np
 
 from .analysis import fourier_transform, gowers_norm, linear_form_average
-from .errors import BudgetExceededError, FormatError, ValidationError
+from .errors import BudgetExceededError, FormatError, FpuniformError, ValidationError
 from .factors import decompose
 from .field import digit_table
 from .linear_forms import (
@@ -184,10 +188,12 @@ def _to_csv(report: dict) -> str:
 
 
 def _write_output(report: dict, args) -> None:
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError("the result is not finite; rescale the input") from exc
     if args.format == "csv":
         text = _to_csv(report)
-    else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -325,7 +331,7 @@ def _cmd_decompose(args) -> dict:
         table,
         args.degree,
         args.delta,
-        rank_floor=args.rank_floor,
+        rank_floor=None if args.rank_floor is None else lambda _: args.rank_floor,
         homogeneous_only=args.homogeneous,
         budget=args.budget,
     )
@@ -552,7 +558,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.handler(args)
+        with np.errstate(all="ignore"):  # overflow surfaces as a non-finite result
+            report = args.handler(args)
         report["seed"] = getattr(args, "seed", None)
         _write_output(report, args)
     except FormatError as exc:
@@ -572,6 +579,9 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         _diag({"type": "validation", "error": str(exc)})
         return 2
+    except FpuniformError as exc:
+        _diag({"type": "internal", "error": str(exc)})
+        return 70
     return 0
 
 

@@ -2,7 +2,9 @@
 
 Everything here is a plain module-level constant or a tiny helper; operations
 take an optional ``budget=`` argument that falls back to the environment and
-then to the default.
+then to the default.  The caps bound the searches that are still exhaustive
+(partitions, isomorphisms, polynomial rank); connected components are found
+in polynomial time and have no cap.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ PARTITION_SEARCH_CAP = 12
 
 #: are_isomorphic reports "undecided" above this many forms.
 ISOMORPHISM_SEARCH_CAP = 10
-
-#: connected_components enumerates subsets exhaustively up to this many forms.
-COMPONENT_SEARCH_CAP = 16
 
 #: Exhaustive polynomial-rank search caps.
 RANK_POINT_CAP = 64

@@ -107,23 +107,16 @@ def spans_intersect_trivially(rows_a, rows_b, p: int) -> bool:
     return rank(np.vstack([a, b]), p) == ra + rb
 
 
-def greedy_row_basis(rows, p: int) -> list[int]:
-    """Indices of the first maximal independent subset of ``rows`` (in order)."""
-    rows = _as_mat(rows, p)
-    picked: list[int] = []
-    current = np.zeros((0, rows.shape[1]), dtype=np.int64)
-    for i in range(rows.shape[0]):
-        cand = np.vstack([current, rows[i : i + 1]])
-        if rank(cand, p) == len(picked) + 1:
-            picked.append(i)
-            current = cand
-    return picked
+def span_coordinates(rows, p: int) -> tuple[list[int], np.ndarray]:
+    """Greedy basis of the row span and every row's coordinates in it.
 
-
-def coordinates_in_basis(basis_rows, v, p: int):
-    """Coefficients c with c @ basis_rows = v, or None when v is outside."""
-    basis_rows = _as_mat(basis_rows, p)
-    return solve(basis_rows.T, v, p)
+    Returns (basis_idx, C): basis_idx lists the first maximal independent
+    subset of ``rows`` in order, and C (m x r) satisfies C @ rows[basis_idx]
+    = rows.  One reduction of rows.T gives both: its pivot columns are the
+    greedy basis and its reduced columns are the coordinates.
+    """
+    red, pivots = row_reduce(_as_mat(rows, p).T, p)
+    return pivots, np.ascontiguousarray(red[: len(pivots)].T)
 
 
 def extend_to_basis(rows, p: int, dim: int) -> np.ndarray:

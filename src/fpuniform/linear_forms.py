@@ -13,24 +13,17 @@ from itertools import permutations
 
 import numpy as np
 
-from .config import (
-    COMPONENT_SEARCH_CAP,
-    ISOMORPHISM_SEARCH_CAP,
-    PARTITION_SEARCH_CAP,
-    check_budget,
-)
+from .config import ISOMORPHISM_SEARCH_CAP, PARTITION_SEARCH_CAP, check_budget
 from .errors import FormatError, ValidationError
 from .field import validate_prime
 from .linalg import (
-    coordinates_in_basis,
     extend_to_basis,
-    greedy_row_basis,
     in_span,
     inverse,
     rank as mat_rank,
     nullspace,
     solve,
-    spans_intersect_trivially,
+    span_coordinates,
 )
 
 Form = tuple[int, ...]
@@ -198,6 +191,16 @@ def arithmetic_progression_system(p: int, length: int) -> LinearSystem:
     if length < 1:
         raise ValidationError("length must be >= 1")
     return LinearSystem(p, 2, [(1, i % p) for i in range(length)])
+
+
+def cube_system(p: int, k: int) -> LinearSystem:
+    """The Gowers cube x + omega.y, omega in {0,1}^k, as the forms (1, omega)
+    on F_p^(k+1); omega runs in bit order (bit i of the index is omega_i)."""
+    if k < 1:
+        raise ValidationError("cube systems need k >= 1")
+    return LinearSystem(
+        p, k + 1, [(1, *(mask >> i & 1 for i in range(k))) for mask in range(2**k)]
+    )
 
 
 def form_degree(system: LinearSystem, target) -> int:
@@ -395,9 +398,7 @@ def are_isomorphic(a: LinearSystem, b: LinearSystem) -> IsomorphismReport:
         return IsomorphismReport(decided=False, isomorphic=None)
     p = a.p
     arr_a, arr_b = a.as_array(), b.as_array()
-    basis_idx = greedy_row_basis(arr_a, p)
-    basis = arr_a[basis_idx]
-    coords = [coordinates_in_basis(basis, arr_a[i], p) for i in range(a.m)]
+    basis_idx, coords = span_coordinates(arr_a, p)
     deg_a, deg_b = a.degrees(), b.degrees()
     b_index = {f: i for i, f in enumerate(b.forms)}
     candidates = [
@@ -434,31 +435,31 @@ def are_isomorphic(a: LinearSystem, b: LinearSystem) -> IsomorphismReport:
 
 
 def connected_components(system: LinearSystem) -> list[list[int]]:
-    """Partition of form indices into connected components.
+    """Partition of form indices into connected components, each sorted and
+    listed by smallest index.
 
     A split is a proper subset whose span meets the span of the rest only
-    at zero; components are what survives recursive splitting.  Pairwise
-    checks are not enough (three forms can be pairwise entangled only
-    through their joint span), so subsets are enumerated exhaustively.
+    at zero; components are what survives recursive splitting.  These are
+    the components of the forms' matroid, and the fundamental circuits of
+    any one basis already connect them (Krogdahl, Discrete Math. 1977): a
+    form outside the basis is joined to the basis forms its coordinates use.
     """
-    if system.m > COMPONENT_SEARCH_CAP:
-        raise ValidationError(
-            f"component search supports at most {COMPONENT_SEARCH_CAP} forms"
-        )
-    arr = system.as_array()
-    p = system.p
+    basis_idx, C = span_coordinates(system.as_array(), system.p)
+    parent = list(range(system.m))
 
-    def split(indices: list[int]) -> list[list[int]]:
-        if len(indices) <= 1:
-            return [indices]
-        for bits in range(1, 1 << (len(indices) - 1)):
-            left = [indices[i] for i in range(len(indices)) if bits >> i & 1]
-            right = [i for i in indices if i not in left]
-            if spans_intersect_trivially(arr[left], arr[right], p):
-                return split(left) + split(right)
-        return [indices]
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-    return split(list(range(system.m)))
+    for i, coords in enumerate(C):
+        for j in np.flatnonzero(coords):
+            parent[find(basis_idx[j])] = find(i)
+    groups: dict[int, list[int]] = {}
+    for i in range(system.m):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
 
 def flagged_product(f0: FlaggedSystem, f1: FlaggedSystem) -> FlaggedSystem:
@@ -520,8 +521,8 @@ def build_high_rank_flag(p: int, d: int) -> FlaggedSystem:
     2(2^(d-1) - 1) while every member keeps degree at least 2^(d-1).
 
     Members are {0} x F_p^(d-1) union {1} x {0,1}^(d-1), minus the origin and
-    the flag itself.  Degenerate dimensions (the system disconnects for d = 2
-    at these small primes) and oversized systems are rejected.
+    the flag itself, so m = p^(d-1) + 2^(d-1) - 2.  Degenerate dimensions (the
+    system disconnects for d = 2 at these small primes) are rejected.
     """
     validate_prime(p)
     if p > 3:
@@ -529,10 +530,6 @@ def build_high_rank_flag(p: int, d: int) -> FlaggedSystem:
     if not 2 <= d <= 4:
         raise ValidationError("supported dimensions are 2 <= d <= 4")
     m = p ** (d - 1) + 2 ** (d - 1) - 2
-    if m > COMPONENT_SEARCH_CAP:
-        raise ValidationError(
-            f"construction needs {m} forms, above the component search cap"
-        )
     flag = (1,) + (0,) * (d - 1)
     members: list[Form] = []
     from .field import enumerate_vectors

@@ -39,6 +39,8 @@ class FunctionTable:
             )
         if codomain == "real" and arr.imag.any():
             raise ValidationError("real codomain requires zero imaginary parts")
+        if not np.isfinite(arr).all():
+            raise ValidationError("table values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)

@@ -33,8 +33,8 @@ from .field import (
     space_size,
     validate_dims,
 )
-from .linalg import coordinates_in_basis, greedy_row_basis
-from .linear_forms import LinearSystem, are_isomorphic, connected_components
+from .linalg import span_coordinates
+from .linear_forms import LinearSystem, are_isomorphic, connected_components, cube_system
 from .rng import as_rng
 from .tables import FunctionTable
 
@@ -444,14 +444,9 @@ def extract_linear_form_profile(spec: TesterSpec, n: int) -> list[ProfileEntry]:
     for pts, prob in spec.base_support:
         if pts.shape[1] != n:
             raise ValidationError("support points live in a different dimension")
-        diffs = (pts - pts[0]) % p
-        basis_idx = greedy_row_basis(diffs, p)
-        basis = diffs[basis_idx]
-        r = len(basis)
-        forms = []
-        for i in range(q):
-            lam = coordinates_in_basis(basis, diffs[i], p) if r else []
-            forms.append((1, *[int(v) for v in lam]))
+        _, lam = span_coordinates(pts - pts[0], p)
+        r = lam.shape[1]
+        forms = [(1, *(int(v) for v in row)) for row in lam]
         distinct = sorted(set(forms))
         positions = {form: j for j, form in enumerate(distinct)}
         merged = {}
@@ -515,34 +510,14 @@ def uniformity_test(
     threshold: float = 0.5,
 ) -> UniformityReport:
     """Estimate ‖e_p(f)‖_{U^{d+1}}^{2^{d+1}} for field-valued f from random
-    parallelepipeds; each sample reads the table at exactly 2^{d+1} points."""
+    parallelepipeds: the exponential average over cube_system(p, d+1) with
+    exponents (-1)^(d+1-|omega|), so each sample reads 2^{d+1} points."""
     if d < 1:
         raise ValidationError("degree must be >= 1")
-    if samples < 1:
-        raise ValidationError("need samples >= 1")
-    p, n = f.p, f.n
-    vals = _integer_values(f, p, n)
     k = d + 1
-    rng = as_rng(0 if seed is None else seed)
-    x = rng.integers(0, p, size=(samples, n))
-    ys = rng.integers(0, p, size=(k, samples, n))
-    places = place_values(p, n)
-    acc = np.zeros(samples, dtype=np.int64)
-    queried = 0
-    for mask in range(2**k):
-        pt = x.copy()
-        bits = 0
-        for i in range(k):
-            if mask >> i & 1:
-                bits += 1
-                pt += ys[i]
-        sign = 1 if bits % 2 == k % 2 else -1
-        acc += sign * vals[(pt % p) @ places]
-        queried += samples
-    z = np.exp(2j * np.pi * (acc % p) / p)
-    mean = z.mean()
-    estimate = float(mean.real)
-    se = float(np.sqrt(max(0.0, float((np.abs(z - mean) ** 2).mean())) / samples))
+    beta = [(-1) ** (k - bin(mask).count("1")) for mask in range(2**k)]
+    rep = exponential_average(f, cube_system(f.p, k), beta, mode="mc", samples=samples, seed=seed)
+    estimate = float(rep.value.real)
     return UniformityReport(
         estimate=estimate,
         accept=estimate >= threshold,
@@ -550,9 +525,9 @@ def uniformity_test(
         d=d,
         samples=samples,
         seed=seed,
-        queries_per_sample=queried // samples,
-        points_queried=queried,
-        stderr=se,
+        queries_per_sample=2**k,
+        points_queried=samples * 2**k,
+        stderr=rep.stderr,
     )
 
 

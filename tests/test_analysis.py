@@ -29,6 +29,7 @@ from fpuniform.linear_forms import (
     FlaggedSystem,
     LinearSystem,
     arithmetic_progression_system,
+    cube_system,
 )
 from fpuniform.polynomials import Polynomial
 from fpuniform.tables import (
@@ -314,8 +315,7 @@ def test_average_component_factoring_consistent():
     system = LinearSystem(2, 2, [(1, 0), (0, 1)])
     f = random_unit_table(2, 3, seed=8)
     fast = complex(linear_form_average(f, system))
-    slow = complex(linear_form_average(f, system, factor_components=False))
-    assert fast == pytest.approx(slow, abs=1e-12)
+    assert fast == pytest.approx(t_direct([f, f], system), abs=1e-12)
     assert fast == pytest.approx(f.mean() ** 2, abs=1e-12)
 
 
@@ -330,10 +330,11 @@ def test_average_gcs_bound():
 
 
 def test_average_budget():
+    # {x, y, z, x+y+z} is connected, so its honest cost is 2^(12 * 3)
     f = FunctionTable.constant(2, 12, 1.0)
-    system = LinearSystem(2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    system = LinearSystem(2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     with pytest.raises(BudgetExceededError):
-        linear_form_average(f, system, factor_components=False)
+        linear_form_average(f, system)
 
 
 def test_average_mc_tracks_exact():
@@ -342,6 +343,20 @@ def test_average_mc_tracks_exact():
     exact = complex(linear_form_average(f, system))
     rep = linear_form_average(f, system, mode="mc", samples=3000, seed=11)
     assert abs(complex(rep) - exact) < 5 * rep.stderr
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (5, 1)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gowers_mc_is_cube_system_average(p, n, k):
+    f = random_unit_table(p, n, seed=p + k)
+    conj = [(k - bin(mask).count("1")) % 2 for mask in range(2**k)]
+    for samples in (1, 257):
+        rep = gowers_norm(f, k, mode="mc", samples=samples, seed=9)
+        avg = linear_form_average(
+            f, cube_system(p, k), conj, mode="mc", samples=samples, seed=9
+        )
+        assert rep.power == max(avg.value.real, 0.0)
+        assert rep.cost == avg.cost == samples * 2**k
 
 
 def test_average_validation():

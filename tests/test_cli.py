@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from fpuniform import cli
 from fpuniform.cli import main
+from fpuniform.errors import RetryLimitError
 from fpuniform.linear_forms import (
     FlaggedSystem,
     LinearSystem,
@@ -185,6 +187,16 @@ def test_decompose_command(files, capsys):
     assert rep["mode"] == "exact"
 
 
+def test_decompose_rank_floor(files, capsys):
+    rc, out, err = run(
+        ["decompose", "--table", files["f24"], "--degree", "2", "--delta", "0.25",
+         "--rank-floor", "1"],
+        capsys,
+    )
+    assert rc == 0, err
+    assert json.loads(out)["rank_floor"] == 1
+
+
 def test_rank_command(files, capsys):
     rc, out, _ = run(["rank", "--polys", files["poly"]], capsys)
     assert rc == 0
@@ -288,6 +300,39 @@ def test_validation_exit_2(files, capsys):
         capsys,
     )
     assert rc == 2 and "exclusive" in err
+
+
+def test_non_finite_table_exit_65(files, capsys):
+    path = files["tmp"] / "nan.json"
+    obj = FunctionTable.constant(2, 2, 1.0).to_json_dict()
+    obj["values"][1] = float("nan")
+    path.write_text(json.dumps(obj))
+    rc, out, err = run(["gowers", "--table", str(path), "--k", "2"], capsys)
+    assert rc == 65 and out == ""
+    assert json.loads(err)["pointer"] == "/values"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gowers", "--k", "1"], ["gowers", "--k", "3"], ["gowers", "--k", "2", "--mc", "10"],
+     ["fourier"]],
+)
+def test_non_finite_result_exit_2(files, capsys, argv):
+    path = files["tmp"] / "huge.json"
+    path.write_text(json.dumps(FunctionTable.constant(2, 2, 1e308).to_json_dict()))
+    rc, out, err = run(argv[:1] + ["--table", str(path)] + argv[1:], capsys)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["type"] == "validation"  # stderr is one JSON object
+
+
+def test_retry_limit_exit_70(files, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RetryLimitError("no invertible draw in 1000 attempts")
+
+    monkeypatch.setattr(cli, "gowers_norm", broken)
+    rc, out, err = run(["gowers", "--table", files["phase"], "--k", "2"], capsys)
+    assert rc == 70 and out == ""
+    assert json.loads(err)["type"] == "internal"
 
 
 def test_budget_exceeded_exit_66(files, capsys):

@@ -109,21 +109,25 @@ def test_spans_intersect_trivially():
     assert not linalg.spans_intersect_trivially(a, c, 2)
 
 
-def test_greedy_row_basis_prefers_earlier_rows():
+def test_span_coordinates_prefers_earlier_rows():
     rows = [[1, 1], [2, 2], [0, 1]]
-    assert linalg.greedy_row_basis(rows, 3) == [0, 2]
+    basis_idx, C = linalg.span_coordinates(rows, 3)
+    assert basis_idx == [0, 2]
+    assert C.tolist() == [[1, 0], [2, 0], [0, 1]]
 
 
 @given(st.sampled_from([2, 3]), st.data())
 @settings(max_examples=100, deadline=None)
-def test_coordinates_in_basis_reconstruct(p, data):
+def test_span_coordinates_reconstruct(p, data):
     m = _random_matrix(draw=None, data=data, p=p)
-    basis_idx = linalg.greedy_row_basis(m, p)
+    basis_idx, C = linalg.span_coordinates(m, p)
     basis = m[basis_idx]
-    for row in m:
-        coords = linalg.coordinates_in_basis(basis, row, p)
-        assert coords is not None
-        assert np.array_equal((coords @ basis) % p, row % p)
+    # greedy: a row joins the basis exactly when it raises the rank so far
+    ranks = [0] + [_brute_rank(m[: i + 1], p) for i in range(len(m))]
+    greedy = [i for i in range(len(m)) if ranks[i + 1] > ranks[i]]
+    assert basis_idx == greedy
+    assert C.shape == (len(m), len(basis_idx))
+    assert np.array_equal((C @ basis) % p, m % p)
 
 
 def test_extend_to_basis():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpuniform.errors import FormatError, ValidationError
-from fpuniform.linalg import in_span, rank as mat_rank
+from fpuniform.linalg import in_span, rank as mat_rank, spans_intersect_trivially
 from fpuniform.linear_forms import (
     FlaggedSystem,
     LinearSystem,
@@ -254,11 +254,43 @@ def test_connected_components_singletons():
     assert connected_components(system) == [[0], [1], [2]]
 
 
-def test_connected_components_cap():
+def test_connected_components_seventeen_forms():
+    # the first 16 forms span {1} x F_2^4 and are connected; (1,1,0,0,0,0)
+    # is the only form using the fifth coordinate, so it stands alone
     forms = [(1,) + tuple(int(b) for b in format(i, "05b")) for i in range(17)]
-    system = LinearSystem(2, 6, forms)  # construction is fine at m = 17
-    with pytest.raises(ValidationError):
-        connected_components(system)
+    system = LinearSystem(2, 6, forms)
+    assert connected_components(system) == [list(range(16)), [16]]
+
+
+def _exhaustive_components(system):
+    """Recursive splitting over every subset: the definition of components."""
+    arr = system.as_array()
+
+    def split(indices):
+        for bits in range(1, 1 << (len(indices) - 1)):
+            left = [indices[i] for i in range(len(indices)) if bits >> i & 1]
+            right = [i for i in indices if i not in left]
+            if spans_intersect_trivially(arr[left], arr[right], system.p):
+                return split(left) + split(right)
+        return [indices]
+
+    return sorted(split(list(range(system.m))))
+
+
+@given(st.sampled_from([2, 3, 5]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_connected_components_match_exhaustive_split(p, data):
+    k = data.draw(st.integers(1, 4))
+    forms = data.draw(
+        st.lists(
+            st.tuples(*[st.integers(0, p - 1)] * k).filter(any),
+            min_size=1,
+            max_size=9,
+            unique=True,
+        )
+    )
+    system = LinearSystem(p, k, forms)
+    assert connected_components(system) == _exhaustive_components(system)
 
 
 def test_flagged_system_validation():
@@ -341,7 +373,7 @@ def test_high_rank_flag_2_3_golden():
 
 @pytest.mark.parametrize(
     "p,d,m,flag_deg",
-    [(2, 3, 6, 6), (2, 4, 14, 14), (3, 3, 11, 6)],
+    [(2, 3, 6, 6), (2, 4, 14, 14), (3, 3, 11, 6), (3, 4, 33, 14)],
 )
 def test_high_rank_flag_degree_guarantees(p, d, m, flag_deg):
     fs = build_high_rank_flag(p, d)
@@ -355,7 +387,7 @@ def test_high_rank_flag_degree_guarantees(p, d, m, flag_deg):
     assert fs.flag_in_span()
 
 
-@pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (3, 4), (5, 3), (2, 5)])
+@pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (5, 3), (2, 5)])
 def test_high_rank_flag_rejections(p, d):
     with pytest.raises(ValidationError):
         build_high_rank_flag(p, d)
