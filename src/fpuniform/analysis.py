@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
-from .config import check_budget, resolve_workers
+from .config import check_budget
 from .errors import ValidationError
 from .field import digit_table, place_values, space_size
 from .linalg import in_span, span_coordinates
 from .linear_forms import FlaggedSystem, LinearSystem, connected_components, cube_system
-from .polynomials import Polynomial, monomials_up_to
+from .polynomials import Polynomial, coefficient_block, monomial_values, monomials_up_to
 from .rng import as_rng
 from .tables import FunctionTable
 
@@ -118,10 +117,9 @@ def gowers_norm(
         )
     if mode != "mc":
         raise ValidationError(f"unknown mode {mode!r}")
+    cube = cube_system(p, k, budget)
     conjugations = [(k - bin(mask).count("1")) % 2 for mask in range(2**k)]
-    rep = linear_form_average(
-        f, cube_system(p, k), conjugations, mode="mc", samples=samples, seed=seed
-    )
+    rep = linear_form_average(f, cube, conjugations, mode="mc", samples=samples, seed=seed)
     power = max(rep.value.real, 0.0)
     value = power ** (1 / 2**k)
     stderr = rep.stderr * value ** (1 - 2**k) / 2**k if power > 0 else None
@@ -150,11 +148,6 @@ class CorrelationReport:
         return self.value
 
 
-def _phase_rows(p: int, n: int, coeff_block: np.ndarray, mon_values: np.ndarray) -> np.ndarray:
-    vals = (coeff_block @ mon_values.T) % p
-    return np.exp(2j * np.pi * vals / p)
-
-
 def correlation_with_family(
     f: FunctionTable,
     degree: int | None = None,
@@ -167,9 +160,11 @@ def correlation_with_family(
     """sup over the family of |<f, e_p(g)>|.
 
     With `degree` the family is every polynomial of that degree or less
-    (constants are skipped — they only rotate the inner product).  Degree one
-    goes through the Fourier transform; an explicit `polys` list is averaged
-    exactly or sampled in mc mode, giving a certified lower bound.
+    (constants are skipped — they only rotate the inner product), searched as
+    its part of degree >= 2 followed by one Fourier transform over the linear
+    part, at cost p^(#monomials of degree 2..d) * p^n points.  An explicit
+    `polys` list is averaged exactly or sampled in mc mode, giving a certified
+    lower bound.
     """
     p, n = f.p, f.n
     N = space_size(p, n)
@@ -225,57 +220,36 @@ def correlation_with_family(
     if degree > n * (p - 1):
         # reduced exponents stay below p coordinatewise, so total degree caps out
         raise ValidationError(f"no degree-{degree} monomials exist on F_{p}^{n}")
-    if degree == 1:
-        hat = fourier_transform(f)
-        alpha = int(np.argmax(np.abs(hat)))
-        exps = digit_table(p, n)[alpha]
-        terms = {}
-        for i, c in enumerate(exps):
-            if c:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = int(c)
-        best = Polynomial(p, n, terms)
-        return CorrelationReport(
-            value=float(np.abs(hat).max()), best=best, degree=1,
-            mode="exact", family_size=p**n,
-        )
-    monos = [e for e in monomials_up_to(p, n, degree) if any(e)]
-    family = p ** len(monos)
-    check_budget(family * N, budget, "polynomial phase family")
-    mon_values = np.ones((N, len(monos)), dtype=np.int64)
+    # best = Q + L with Q the part of degree >= 2: enumerate Q, and one FFT of
+    # f * e_p(-Q) scores every linear part L at once.  Exact ties go to the
+    # least coefficient vector over the sorted monomials, the order in which
+    # the family is listed.
+    upper = [e for e in monomials_up_to(p, n, degree) if sum(e) >= 2]
+    monos = upper + [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    order = sorted(range(len(monos)), key=monos.__getitem__)
+    count = p ** len(upper)
+    check_budget(count * N, budget, "polynomial phase family")
     pts = digit_table(p, n)
-    for j, exps in enumerate(monos):
-        col = np.ones(N, dtype=np.int64)
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                col = (col * pts[:, i]) % p
-        mon_values[:, j] = col
-    best_val, best_coeffs = -1.0, None
-    fconj = np.conj(f.values)
-    block = max(1, _CHUNK // max(N, 1))
-    coeff_iter = iter_product(range(p), repeat=len(monos))
-    done = False
-    while not done:
-        rows = []
-        for _ in range(block):
-            nxt = next(coeff_iter, None)
-            if nxt is None:
-                done = True
-                break
-            rows.append(nxt)
-        if not rows:
-            break
-        coeff_block = np.array(rows, dtype=np.int64)
-        phases = _phase_rows(p, n, coeff_block, mon_values)
-        scores = np.abs(phases @ fconj) / N
-        j = int(np.argmax(scores))
-        if scores[j] > best_val:
-            best_val = float(scores[j])
-            best_coeffs = rows[j]
-    best = Polynomial.from_coefficients(p, n, monos, best_coeffs)
+    upper_values = monomial_values(p, pts, upper)
+    twisted = np.exp(-2j * np.pi * np.arange(p) / p)[:, None] * f.values
+    block = max(1, _CHUNK // N)
+    best_val, best_key = -1.0, None
+    for lo in range(0, count, block):
+        coeffs = coefficient_block(p, len(upper), lo, min(lo + block, count))
+        rows = twisted[(coeffs @ upper_values.T) % p, np.arange(N)]
+        hat = np.fft.fftn(rows.reshape((len(rows),) + (p,) * n), axes=tuple(range(1, n + 1)))
+        scores = np.abs(hat.reshape(len(rows), N)) / N
+        top = float(scores.max())
+        if top < best_val:
+            continue
+        q, alpha = np.nonzero(scores == top)
+        keys = np.hstack([coeffs[q], pts[alpha]])[:, order]
+        if top == best_val:
+            keys = np.vstack([keys, best_key])
+        best_val, best_key = top, keys[np.lexsort(keys.T[::-1])[0]]
+    best = Polynomial.from_coefficients(p, n, sorted(monos), best_key)
     return CorrelationReport(
-        value=best_val, best=best, degree=degree, mode="exact", family_size=family,
+        value=best_val, best=best, degree=degree, mode="exact", family_size=p ** len(monos),
     )
 
 
@@ -313,7 +287,6 @@ def _product_mean(
     p: int,
     n: int,
     fixed_first: int | None = None,
-    workers: int | None = None,
 ) -> complex:
     """Mean over assignments Z_1..Z_r in F_p^n of prod_i t_i(sum_j C_ij Z_j),
     each factor raised to powers[i] and conjugated per conj_flags[i].
@@ -346,16 +319,10 @@ def _product_mean(
             acc *= vals
         return complex(acc.sum())
 
-    bounds = list(range(0, total_assignments, _CHUNK)) + [total_assignments]
-    pieces = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-    workers = resolve_workers(workers)
-    if workers > 1 and len(pieces) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            total = sum(pool.map(lambda ab: chunk_sum(*ab), pieces))
-    else:
-        total = sum(chunk_sum(lo, hi) for lo, hi in pieces)
+    total = sum(
+        chunk_sum(lo, min(lo + _CHUNK, total_assignments))
+        for lo in range(0, total_assignments, _CHUNK)
+    )
     return total / total_assignments
 
 
@@ -384,7 +351,6 @@ def linear_form_average(
     samples: int | None = None,
     seed=None,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> AverageReport:
     """t_L(f) = E prod_i f_i(L_i(X)), with optional per-form conjugation.
 
@@ -415,10 +381,7 @@ def linear_form_average(
                 [tables[i].values for i in group],
                 [mult[i] for i in group],
                 [bool(conjugations[i]) for i in group],
-                C,
-                p,
-                n,
-                workers=workers,
+                C, p, n,
             )
         return AverageReport(value=value, mode="exact", system=system, cost=cost)
     if mode != "mc":
@@ -483,7 +446,6 @@ def exponential_average(
     samples: int | None = None,
     seed=None,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> AverageReport:
     """t*(f) = E e_p(sum_i beta_i f(L_i(X))) for an F_p-valued f.
 
@@ -506,8 +468,7 @@ def exponential_average(
         b: FunctionTable(p, n, np.exp(2j * np.pi * ((b * vals) % p) / p)) for b in set(beta)
     }
     return linear_form_average(
-        [phases[b] for b in beta], system, mode=mode, samples=samples, seed=seed,
-        budget=budget, workers=workers,
+        [phases[b] for b in beta], system, mode=mode, samples=samples, seed=seed, budget=budget
     )
 
 
@@ -518,7 +479,6 @@ def flagged_average(
     f: FunctionTable,
     system: FlaggedSystem,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> FunctionTable:
     """The conditional average x -> E[prod_i f(L_i(X))^mult_i | flag(X) = x].
 
@@ -534,7 +494,7 @@ def flagged_average(
     arr = system.as_array()
     flag = np.array(system.flag, dtype=np.int64)
     if not in_span(arr, flag, p):
-        value = linear_form_average(f, system, budget=budget, workers=workers).value
+        value = linear_form_average(f, system, budget=budget).value
         return FunctionTable(p, n, np.full(N, value, dtype=np.complex128))
     # basis of span(forms) with the flag first: conditioning pins Z_1
     basis_idx, C = span_coordinates(np.vstack([flag, arr]), p)
@@ -547,8 +507,7 @@ def flagged_average(
     conj_flags = [False] * system.m
     for x in range(N):
         out[x] = _product_mean(
-            [f.values] * system.m, mult, conj_flags, C, p, n,
-            fixed_first=x, workers=workers,
+            [f.values] * system.m, mult, conj_flags, C, p, n, fixed_first=x
         )
     return FunctionTable(p, n, out)
 
@@ -557,7 +516,6 @@ def boundary_function(
     f: FunctionTable,
     system: LinearSystem,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> FunctionTable:
     """Sum over forms of the conditional average of the others given that
     form: the gradient of t_L at f, in the sense that
@@ -570,5 +528,5 @@ def boundary_function(
             total += 1.0  # empty product conditions to the constant one
             continue
         flagged = FlaggedSystem(p, system.k, rest.forms, removed)
-        total += flagged_average(f, flagged, budget=budget, workers=workers).values
+        total += flagged_average(f, flagged, budget=budget).values
     return FunctionTable(p, n, total)

@@ -365,7 +365,8 @@ def _cmd_test(args) -> dict:
     table, table_meta = _load_table(args.table)
     if args.action == "uniformity":
         rep = uniformity_test(
-            table, args.degree, args.samples, seed=args.seed, threshold=args.threshold
+            table, args.degree, args.samples, seed=args.seed, threshold=args.threshold,
+            budget=args.budget,
         )
         return {
             "command": "test",

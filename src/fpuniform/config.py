@@ -1,4 +1,4 @@
-"""Global knobs: enumeration budget, search caps, worker count.
+"""Global knobs: enumeration budget and search caps.
 
 Everything here is a plain module-level constant or a tiny helper; operations
 take an optional ``budget=`` argument that falls back to the environment and
@@ -39,7 +39,6 @@ DECOMPOSE_ROUND_CAP = 64
 RETRY_CAP = 1000
 
 _BUDGET_ENV = "FPUNIFORM_BUDGET"
-_WORKERS_ENV = "FPUNIFORM_WORKERS"
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -50,15 +49,6 @@ def resolve_budget(budget: int | None = None) -> int:
     if env is not None:
         return int(env)
     return DEFAULT_BUDGET
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(_WORKERS_ENV)
-    if env is not None:
-        return max(1, int(env))
-    return 1
 
 
 def check_budget(cost: int, budget: int | None = None, what: str = "enumeration") -> int:

@@ -10,7 +10,6 @@ until its Gowers norm drops below the target (or a round cap trips).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .analysis import gowers_norm, correlation_with_family
 from .config import DECOMPOSE_ROUND_CAP, RANK_RMAX_CAP, check_budget
 from .errors import FormatError, ValidationError
 from .field import place_values, space_size, validate_dims
-from .polynomials import Polynomial, monomials_up_to
+from .polynomials import Polynomial, coefficient_block, monomials_up_to
 from .polyrank import polynomial_rank
 from .tables import FunctionTable
 
@@ -221,9 +220,11 @@ def _homogeneous_family(p: int, n: int, d: int, budget) -> list[Polynomial]:
         monos = monomials_up_to(p, n, j, exactly=True)
         count = p ** len(monos)
         check_budget(count * N, budget, "homogeneous phase family")
-        for coeffs in iter_product(range(p), repeat=len(monos)):
-            if any(coeffs):
-                out.append(Polynomial.from_coefficients(p, n, monos, coeffs))
+        # row 0 of the block is the zero polynomial
+        out.extend(
+            Polynomial.from_coefficients(p, n, monos, coeffs)
+            for coeffs in coefficient_block(p, len(monos), 1, count)
+        )
     return out
 
 

@@ -193,11 +193,13 @@ def arithmetic_progression_system(p: int, length: int) -> LinearSystem:
     return LinearSystem(p, 2, [(1, i % p) for i in range(length)])
 
 
-def cube_system(p: int, k: int) -> LinearSystem:
+def cube_system(p: int, k: int, budget: int | None = None) -> LinearSystem:
     """The Gowers cube x + omega.y, omega in {0,1}^k, as the forms (1, omega)
-    on F_p^(k+1); omega runs in bit order (bit i of the index is omega_i)."""
+    on F_p^(k+1); omega runs in bit order (bit i of the index is omega_i).
+    Its 2^k forms are charged against the budget before any is built."""
     if k < 1:
         raise ValidationError("cube systems need k >= 1")
+    check_budget(2**k, budget, f"cube system of dimension {k}")
     return LinearSystem(
         p, k + 1, [(1, *(mask >> i & 1 for i in range(k))) for mask in range(2**k)]
     )

@@ -40,6 +40,16 @@ def _power_table(p: int) -> np.ndarray:
     return out
 
 
+def _monomial_column(points: np.ndarray, exps: Exponents, p: int) -> np.ndarray:
+    # prod_i x_i^e_i mod p on reduced (m, n) points, one factor at a time
+    pw = _power_table(p)
+    t = np.ones(len(points), dtype=np.int64)
+    for i, e in enumerate(exps):
+        if e:
+            t = (t * pw[points[:, i], e]) % p
+    return t
+
+
 class Polynomial:
     """Immutable polynomial; ``terms`` maps exponent tuples to coefficients."""
 
@@ -166,28 +176,14 @@ class Polynomial:
 
     def value_table(self, budget: int | None = None) -> np.ndarray:
         """Values on all of F_p^n in enumeration order."""
-        pts = digit_table(self.p, self.n, budget)
-        pw = _power_table(self.p)
-        vals = np.zeros(len(pts), dtype=np.int64)
-        for exps, c in self.terms.items():
-            t = np.full(len(pts), c, dtype=np.int64)
-            for i, e in enumerate(exps):
-                if e:
-                    t = (t * pw[pts[:, i], e]) % self.p
-            vals = (vals + t) % self.p
-        return vals
+        return self.values_at(digit_table(self.p, self.n, budget))
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (m, n) array of points."""
         pts = np.asarray(points, dtype=np.int64) % self.p
-        pw = _power_table(self.p)
         vals = np.zeros(len(pts), dtype=np.int64)
         for exps, c in self.terms.items():
-            t = np.full(len(pts), c, dtype=np.int64)
-            for i, e in enumerate(exps):
-                if e:
-                    t = (t * pw[pts[:, i], e]) % self.p
-            vals = (vals + t) % self.p
+            vals = (vals + c * _monomial_column(pts, exps, self.p)) % self.p
         return vals
 
     # -- derivatives ---------------------------------------------------------
@@ -321,6 +317,29 @@ def monomials_up_to(p: int, n: int, d: int, exactly: bool = False) -> list[Expon
     if exactly:
         out = [e for e in out if sum(e) == d]
     return sorted(out)
+
+
+def coefficient_block(p: int, m: int, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of F_p^m in ``itertools.product`` order (last
+    coordinate fastest), as an (hi - lo, m) array computed per block."""
+    rest = np.arange(lo, hi, dtype=np.int64)
+    out = np.empty((len(rest), m), dtype=np.int64)
+    for i in range(m - 1, -1, -1):
+        out[:, i] = rest % p
+        rest //= p
+    return out
+
+
+def monomial_values(p: int, points: np.ndarray, monos) -> np.ndarray:
+    """The (points x monomials) table of each monomial's value at each point.
+
+    A coefficient block times its transpose, mod p, gives the value tables
+    of every polynomial in the block."""
+    pts = np.asarray(points, dtype=np.int64) % p
+    out = np.empty((len(pts), len(monos)), dtype=np.int64)
+    for j, exps in enumerate(monos):
+        out[:, j] = _monomial_column(pts, exps, p)
+    return out
 
 
 def family_size(p: int, n: int, d: int) -> int:

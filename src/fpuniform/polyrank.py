@@ -27,8 +27,9 @@ from .config import (
     RANK_TUPLE_CAP,
 )
 from .errors import ValidationError
+from .field import digit_table
 from .linalg import nullspace, rank as mat_rank, row_reduce, solve
-from .polynomials import Polynomial, monomials_up_to
+from .polynomials import Polynomial, coefficient_block, monomial_values, monomials_up_to
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,10 @@ class RankReport:
         raise ValidationError(f"rank > {r} undecided (verified up to {self.refuted_up_to})")
 
 
+#: Candidates per block when building conflict masks.
+_BLOCK = 4096
+
+
 class _SearchSpaceExceeded(Exception):
     pass
 
@@ -82,29 +87,29 @@ def _support_degree(polys: list[Polynomial], alpha) -> int:
 
 
 def _conflict_masks(P: Polynomial, dmax: int):
-    """All candidates Q in Poly_dmax with, per candidate, the bitmask of
-    conflict pairs of P (points where P differs) that Q fails to separate."""
+    """The monomials of Poly_dmax and, per candidate Q in ``itertools.product``
+    order of its coefficients, the bitmask of conflict pairs of P (points
+    where P differs) that Q fails to separate."""
     p, n = P.p, P.n
     N = p**n
     if N > RANK_POINT_CAP:
         raise _SearchSpaceExceeded(f"p^n = {N} > {RANK_POINT_CAP}")
     vals = P.value_table()
-    pairs = [(i, j) for i in range(N) for j in range(i + 1, N) if vals[i] != vals[j]]
+    I, J = np.triu_indices(N, 1)
+    conflict = vals[I] != vals[J]
+    I, J = I[conflict], J[conflict]
     monos = monomials_up_to(p, n, dmax)
-    if p ** len(monos) > RANK_FAMILY_CAP:
-        raise _SearchSpaceExceeded(f"|Poly_{dmax}| = {p ** len(monos)} too large")
-    candidates: list[Polynomial] = []
+    count = p ** len(monos)
+    if count > RANK_FAMILY_CAP:
+        raise _SearchSpaceExceeded(f"|Poly_{dmax}| = {count} too large")
+    mon_values = monomial_values(p, digit_table(p, n), monos)
     masks: list[int] = []
-    for coeffs in product(range(p), repeat=len(monos)):
-        Q = Polynomial.from_coefficients(p, n, monos, coeffs)
-        qv = Q.value_table()
-        m = 0
-        for k, (i, j) in enumerate(pairs):
-            if qv[i] == qv[j]:
-                m |= 1 << k
-        candidates.append(Q)
-        masks.append(m)
-    return candidates, masks
+    for lo in range(0, count, _BLOCK):
+        coeffs = coefficient_block(p, len(monos), lo, min(lo + _BLOCK, count))
+        tables = (coeffs @ mon_values.T % p).astype(np.uint8)  # p <= 251
+        packed = np.packbits(tables[:, I] == tables[:, J], axis=1, bitorder="little")
+        masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return monos, masks
 
 
 def _certificate_from_tuple(
@@ -129,9 +134,14 @@ def _expressible_exhaustive(P: Polynomial, r: int, dmax: int):
         return None
     if r > RANK_RMAX_CAP:
         raise _SearchSpaceExceeded(f"r = {r} > {RANK_RMAX_CAP}")
-    candidates, masks = _conflict_masks(P, dmax)
-    if len(candidates) ** r > RANK_TUPLE_CAP:
+    monos, masks = _conflict_masks(P, dmax)
+    if len(masks) ** r > RANK_TUPLE_CAP:
         raise _SearchSpaceExceeded("tuple space too large")
+
+    def candidates(*idx: int) -> tuple[Polynomial, ...]:
+        rows = (coefficient_block(P.p, len(monos), i, i + 1)[0] for i in idx)
+        return tuple(Polynomial.from_coefficients(P.p, P.n, monos, c) for c in rows)
+
     # identical masks are interchangeable; keep one representative each
     reps: list[tuple[int, int]] = []
     seen: set[int] = set()
@@ -142,16 +152,16 @@ def _expressible_exhaustive(P: Polynomial, r: int, dmax: int):
     if r == 1:
         for m, i in reps:
             if m == 0:
-                return (candidates[i],)
+                return candidates(i)
         return None
     for a in range(len(reps)):
         ma, ia = reps[a]
         if ma == 0:
-            return (candidates[ia], candidates[ia])
+            return candidates(ia, ia)
         for b in range(a, len(reps)):
             mb, ib = reps[b]
             if ma & mb == 0:
-                return (candidates[ia], candidates[ib])
+                return candidates(ia, ib)
     return None
 
 

@@ -33,8 +33,9 @@ from .field import (
     space_size,
     validate_dims,
 )
-from .linalg import span_coordinates
+from .linalg import solve, span_coordinates
 from .linear_forms import LinearSystem, are_isomorphic, connected_components, cube_system
+from .polynomials import coefficient_block, family_size, monomial_values, monomials_up_to
 from .rng import as_rng
 from .tables import FunctionTable
 
@@ -508,6 +509,7 @@ def uniformity_test(
     samples: int,
     seed=None,
     threshold: float = 0.5,
+    budget: int | None = None,
 ) -> UniformityReport:
     """Estimate ‖e_p(f)‖_{U^{d+1}}^{2^{d+1}} for field-valued f from random
     parallelepipeds: the exponential average over cube_system(p, d+1) with
@@ -515,8 +517,9 @@ def uniformity_test(
     if d < 1:
         raise ValidationError("degree must be >= 1")
     k = d + 1
+    cube = cube_system(f.p, k, budget)
     beta = [(-1) ** (k - bin(mask).count("1")) for mask in range(2**k)]
-    rep = exponential_average(f, cube_system(f.p, k), beta, mode="mc", samples=samples, seed=seed)
+    rep = exponential_average(f, cube, beta, mode="mc", samples=samples, seed=seed)
     estimate = float(rep.value.real)
     return UniformityReport(
         estimate=estimate,
@@ -610,36 +613,21 @@ class DualFamily:
 
 def poly_dual_family(p: int, d: int) -> DualFamily:
     """Poly_d as a dual family: all degree-<=d polynomial value tables."""
-    from itertools import product as iter_product
-
-    from .polynomials import Polynomial, family_size, monomials_up_to
 
     def generator(n):
         monos = monomials_up_to(p, n, d)
-        check_budget(p ** len(monos), None, "polynomial family enumeration")
-        out = []
-        for coeffs in iter_product(range(p), repeat=len(monos)):
-            poly = Polynomial.from_coefficients(p, n, monos, coeffs)
-            out.append(FunctionTable(p, n, poly.value_table(), codomain="real"))
-        return out
+        count = p ** len(monos)
+        check_budget(count, None, "polynomial family enumeration")
+        mon_values = monomial_values(p, digit_table(p, n), monos)
+        tables = coefficient_block(p, len(monos), 0, count) @ mon_values.T % p
+        return [FunctionTable(p, n, row, codomain="real") for row in tables]
 
     def contains(table):
         # every function is a unique reduced-exponent polynomial; interpolate
         # and read its degree off the nonzero coefficients
         vals = _integer_values(table, table.p, table.n)
-        from .linalg import solve as gf_solve
-
-        n = table.n
-        monos = monomials_up_to(p, n, n * (p - 1))
-        pts = digit_table(p, n)
-        cols = np.empty((len(pts), len(monos)), dtype=np.int64)
-        for j, exps in enumerate(monos):
-            col = np.ones(len(pts), dtype=np.int64)
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    col = (col * pts[:, i]) % p
-            cols[:, j] = col
-        coeffs = gf_solve(cols, vals, p)
+        monos = monomials_up_to(p, table.n, table.n * (p - 1))
+        coeffs = solve(monomial_values(p, digit_table(p, table.n), monos), vals, p)
         if coeffs is None:
             return False
         degs = np.array([sum(e) for e in monos])

@@ -31,7 +31,7 @@ from fpuniform.linear_forms import (
     arithmetic_progression_system,
     cube_system,
 )
-from fpuniform.polynomials import Polynomial
+from fpuniform.polynomials import Polynomial, monomials_up_to
 from fpuniform.tables import (
     FunctionTable,
     character_table,
@@ -200,6 +200,16 @@ def test_inner_product():
 
 # ---------------------------------------------------------------- correlation
 
+def nonconstant_family(p, n, d):
+    """Every coefficient vector over the nonconstant monomials of degree <= d,
+    in the order the degree path lists them."""
+    monos = [e for e in monomials_up_to(p, n, d) if any(e)]
+    return [
+        Polynomial.from_coefficients(p, n, monos, coeffs)
+        for coeffs in itertools.product(range(p), repeat=len(monos))
+    ]
+
+
 def test_linear_family_recovers_character():
     chi = character_table(2, 2, (1, 0))
     rep = correlation_with_family(chi, degree=1)
@@ -216,15 +226,38 @@ def test_quadratic_family_recovers_phase():
     assert rep.family_size == 9  # nonconstant part of coefficient space, 3^2
 
 
-def test_explicit_polys_match_degree_path():
-    f = random_unit_table(2, 2, seed=6)
-    by_degree = correlation_with_family(f, degree=1)
-    all_linear = [
-        Polynomial(2, 2, {exps: c for exps, c in zip([(1, 0), (0, 1)], coeffs) if c})
-        for coeffs in itertools.product(range(2), repeat=2)
-    ]
-    by_list = correlation_with_family(f, polys=all_linear)
-    assert float(by_list) == pytest.approx(float(by_degree), abs=1e-12)
+@pytest.mark.parametrize(
+    "p, n, d, table",
+    [
+        (2, 2, 1, random_unit_table),
+        (2, 3, 2, random_unit_table),
+        (3, 2, 2, random_unit_table),
+        (3, 2, 2, random_real_table),
+        (2, 3, 3, random_unit_table),
+        (5, 1, 2, random_unit_table),
+    ],
+)
+def test_explicit_polys_match_degree_path(p, n, d, table):
+    # the degree path (enumerate degree >= 2, FFT over the linear part)
+    # against every nonconstant coefficient vector scored one by one
+    f = table(p, n, seed=6)
+    by_degree = correlation_with_family(f, degree=d)
+    family = nonconstant_family(p, n, d)
+    by_list = correlation_with_family(f, polys=family)
+    assert float(by_degree) == pytest.approx(float(by_list), abs=1e-12)
+    assert by_degree.family_size == len(family)
+    attained = abs(inner_product(f, phase_table(by_degree.best)))
+    assert attained == pytest.approx(float(by_degree), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 0), (3, 2), (3, 4), (4, 4), (4, 7)])
+def test_degree_path_breaks_exact_ties_in_listing_order(n, seed):
+    # a +-1 table on F_2^n scores exactly, with many ties; the winner is the
+    # first tied polynomial of the family's listing, as on the explicit path
+    signs = np.where(random_real_table(2, n, seed=seed).values > 0, 1.0, -1.0)
+    f = FunctionTable(2, n, signs, codomain="real")
+    by_list = correlation_with_family(f, polys=nonconstant_family(2, n, 2))
+    assert correlation_with_family(f, degree=2).best == by_list.best
 
 
 def test_inverse_u2_lower_bound():

@@ -351,6 +351,23 @@ def test_budget_exceeded_exit_66(files, capsys):
     assert rc == 0 and json.loads(out)["value"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "argv, cost",
+    [
+        (["gowers", "--k", "64", "--mc", "10"], 2**64),
+        (["test", "uniformity", "--degree", "63", "--samples", "10"], 2**64),
+        (["gowers", "--k", "4", "--mc", "10", "--budget", "8"], 16),
+        (["test", "uniformity", "--degree", "3", "--samples", "10", "--budget", "8"], 16),
+    ],
+)
+def test_cube_system_over_budget_exit_66(files, capsys, argv, cost):
+    # the 2^k cube forms are charged against the budget before any is built
+    rc, out, err = run(argv + ["--table", files["lin4"]], capsys)
+    assert rc == 66 and out == ""
+    diag = json.loads(err)
+    assert diag["type"] == "budget" and diag["cost"] == cost
+
+
 def test_missing_required_flag_exits_2(files):
     with pytest.raises(SystemExit) as exc:
         main(["gowers", "--table", files["phase"]])

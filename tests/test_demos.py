@@ -1,0 +1,30 @@
+"""Smoke test: the narrative demos run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# 02_counting_patterns.py is left out: it takes about 12 s until linear-form
+# averages are evaluated on the Fourier-dual side.
+DEMOS = [
+    "01_uniformity_norms.py",
+    "03_decomposition.py",
+    "04_property_testing.py",
+    "05_distributional_functions.py",
+]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name):
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -12,7 +13,9 @@ from fpuniform.polynomials import (
     BiasResult,
     Polynomial,
     bias,
+    coefficient_block,
     family_size,
+    monomial_values,
     monomials_up_to,
     random_polynomial,
 )
@@ -120,6 +123,28 @@ def test_value_table_matches_evaluate(P):
         assert table[idx] == P.evaluate(x)
     pts = digit_table(P.p, P.n)
     assert np.array_equal(P.values_at(pts), table)
+
+
+@pytest.mark.parametrize("p, m", [(2, 0), (2, 5), (3, 3), (5, 2)])
+def test_coefficient_block_matches_product(p, m):
+    rows = [list(r) for r in itertools.product(range(p), repeat=m)]
+    assert coefficient_block(p, m, 0, len(rows)).tolist() == rows
+    lo, hi = len(rows) // 3, 2 * len(rows) // 3 + 1
+    assert coefficient_block(p, m, lo, hi).tolist() == rows[lo:hi]
+    assert coefficient_block(p, m, lo, lo).shape == (0, m)
+
+
+@pytest.mark.parametrize("p, n, d", [(2, 3, 3), (3, 2, 4), (5, 2, 3)])
+def test_monomial_values_match_evaluate(p, n, d):
+    monos = monomials_up_to(p, n, d)
+    # unreduced coordinates are read mod p
+    pts = np.random.default_rng(p * n).integers(-2 * p, 2 * p, size=(20, n))
+    table = monomial_values(p, pts, monos)
+    assert table.shape == (20, len(monos))
+    for j, exps in enumerate(monos):
+        mono = Polynomial(p, n, {exps: 1})
+        assert table[:, j].tolist() == [mono.evaluate(x) for x in pts]
+    assert monomial_values(p, pts, []).shape == (20, 0)
 
 
 def test_homogeneous_flag():

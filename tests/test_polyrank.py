@@ -3,14 +3,17 @@ the quadratic closed form, and a brute translation-invariance scan."""
 
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpuniform.errors import ValidationError
+from fpuniform.field import enumerate_vectors
 from fpuniform.polynomials import Polynomial, monomials_up_to
 from fpuniform.polyrank import (
     RankReport,
+    _conflict_masks,
     invariance_space,
     polynomial_rank,
     quadratic_min_rank,
@@ -62,6 +65,32 @@ def check_certificate(report, polys):
     for x in enumerate_vectors(combined.p, combined.n):
         label = tuple(Q.evaluate(x) for Q in cert.arguments)
         assert cert.gamma[label] == combined.evaluate(x)
+
+
+@pytest.mark.parametrize(
+    "p, n, dmax",
+    [(2, 1, 0), (2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 1, 1), (3, 2, 1), (3, 2, 2), (3, 3, 1)],
+)
+def test_conflict_masks_match_pairwise_loop(p, n, dmax):
+    monos_P = monomials_up_to(p, n, dmax + 1)
+    coeffs = np.random.default_rng(10 * p + n).integers(0, p, size=len(monos_P))
+    P = Polynomial.from_coefficients(p, n, monos_P, coeffs)
+    points = enumerate_vectors(p, n)
+    vals = [P.evaluate(x) for x in points]
+    pairs = [
+        (i, j)
+        for i in range(len(points))
+        for j in range(i + 1, len(points))
+        if vals[i] != vals[j]
+    ]
+    monos, masks = _conflict_masks(P, dmax)
+    assert monos == monomials_up_to(p, n, dmax)
+    expected = []
+    for cs in product(range(p), repeat=len(monos)):
+        Q = Polynomial.from_coefficients(p, n, monos, cs)
+        qv = [Q.evaluate(x) for x in points]
+        expected.append(sum(1 << k for k, (i, j) in enumerate(pairs) if qv[i] == qv[j]))
+    assert masks == expected
 
 
 def test_product_rank_f2_golden():
