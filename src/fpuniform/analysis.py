@@ -1,17 +1,29 @@
 """Exact and Monte-Carlo averages: Gowers norms, correlation with polynomial
 phase families, and multilinear averages over systems of linear forms.
 
+Every Fourier transform here is one unnormalised transform over F_p^n along
+the last axis of an array: add/subtract butterflies at p = 2, an FFT over n
+axes of size p otherwise.
+
 Exact Gowers norms use the derivative recursion
     ||f||_{U^k}^{2^k} = E_y ||f(.+y) conj f||_{U^(k-1)}^{2^(k-1)}
-with |E f|^2 at the bottom and a Fourier evaluation at level two; both are
-exact rewritings of the box-average definition, which the test suite checks
-against a direct enumeration.
+unrolled to its bottom: the derivative rows for all shift tuples
+(y_1..y_{k-2}) are formed in blocks and each row's U^2 power is read off its
+transform, at cost N^(k-1) for N = p^n (N for k <= 2).  The test suite checks
+this against the box-average definition.
 
-Linear-form averages reduce to the span of the system before enumerating
-(cost p^(n*rank) instead of p^(n*k)) and factor across connected components.
-Monte-Carlo Gowers norms are linear-form averages over the cube system
-x + omega.y with parity conjugations, estimated by the sampler in
-linear_form_average.
+A linear-form average t_L = E prod_i f_i(L_i X) factors over the connected
+components of the system, and each component of m forms and rank r is
+evaluated on the cheaper of two sides.  The primal side enumerates the span,
+N^r points.  The dual side is Fourier inversion,
+    t_L = sum over {alpha : sum_i alpha_i (x) L_i = 0} of prod_i f_i^(alpha_i),
+a sum over a kernel of dimension m - r, N^(m-r) points.  Ties go to the
+primal side.  A flagged average conditions on a further form, the flag; on
+the dual side the flag's frequency indexes the kernel sums, and one more
+transform of those sums gives the conditional average at every point, at
+cost N^(m+1-r) against N^r on the primal side.  Monte-Carlo Gowers norms are
+linear-form averages over the cube system x + omega.y with parity
+conjugations, estimated by the sampler in linear_form_average.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ import numpy as np
 from .config import check_budget
 from .errors import ValidationError
 from .field import digit_table, place_values, space_size
-from .linalg import in_span, span_coordinates
+from .linalg import in_span, nullspace, rank, span_coordinates
 from .linear_forms import FlaggedSystem, LinearSystem, connected_components, cube_system
 from .polynomials import Polynomial, coefficient_block, monomial_values, monomials_up_to
 from .rng import as_rng
@@ -40,16 +52,33 @@ def inner_product(f: FunctionTable, g: FunctionTable) -> complex:
     return complex(np.vdot(g.values, f.values) / len(f.values))
 
 
+def _fp_transform(values, p: int, n: int, inverse: bool = False) -> np.ndarray:
+    """sum_x v(x) e_p(-alpha . x) along the last axis, which indexes F_p^n in
+    enumeration order; unnormalised, and with e_p(+alpha . x) when inverse."""
+    values = np.asarray(values, dtype=np.complex128)
+    if p == 2:
+        # one Walsh-Hadamard butterfly per digit; the transform is its own inverse
+        out = values
+        for j in range(n):
+            pairs = out.reshape(-1, 2, 1 << j)
+            out = np.empty_like(pairs)
+            np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
+            np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+        return out.reshape(values.shape)
+    cube = values.reshape(values.shape[:-1] + (p,) * n)
+    axes = tuple(range(-n, 0))
+    if inverse:
+        return np.fft.ifftn(cube, axes=axes, norm="forward").reshape(values.shape)
+    return np.fft.fftn(cube, axes=axes).reshape(values.shape)
+
+
 def fourier_transform(f: FunctionTable) -> np.ndarray:
     """f_hat(alpha) = E_x f(x) e_p(-alpha . x), in enumeration order of alpha."""
-    cube = f.values.reshape((f.p,) * f.n)
-    return np.fft.fftn(cube).reshape(-1) / len(f.values)
+    return _fp_transform(f.values, f.p, f.n) / len(f.values)
 
 
 def inverse_fourier(p: int, n: int, coefficients: np.ndarray) -> FunctionTable:
-    cube = np.asarray(coefficients, dtype=np.complex128).reshape((p,) * n)
-    vals = np.fft.ifftn(cube).reshape(-1) * space_size(p, n)
-    return FunctionTable(p, n, vals)
+    return FunctionTable(p, n, _fp_transform(coefficients, p, n, inverse=True))
 
 
 # -- Gowers norms ---------------------------------------------------------------
@@ -72,23 +101,46 @@ class GowersReport:
         return float(self.value)
 
 
-def _shift_perm(p: int, n: int, y_digits: np.ndarray) -> np.ndarray:
+def _mixed_radix_digits(flat: np.ndarray, base: int, width: int) -> list[np.ndarray]:
+    out = []
+    rest = flat.copy()
+    for _ in range(width):
+        out.append(rest % base)
+        rest //= base
+    return out  # least-significant first
+
+
+def _shifted_index(p: int, n: int, ys: np.ndarray) -> np.ndarray:
+    """Index of x + y for every point x (columns) and each y in ys (rows)."""
+    if p == 2:
+        return ys[:, None] ^ np.arange(1 << n)
     digits = digit_table(p, n)
-    return ((digits + y_digits) % p) @ place_values(p, n)
+    out = np.zeros((len(ys), len(digits)), dtype=np.int64)
+    for i, w in enumerate(place_values(p, n)):
+        out += (((ys[:, None] // w) + digits[:, i]) % p) * w
+    return out
 
 
 def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
+    """||f||_{U^k}^{2^k}: the mean over shift tuples (y_1..y_{k-2}) of the U^2
+    power of the derivative f_y = Delta_{y_1}...Delta_{y_{k-2}} f, taken in
+    blocks of at most _CHUNK derivative values."""
     if k == 1:
         return abs(vals.mean()) ** 2
-    if k == 2:
-        hat = np.fft.fftn(vals.reshape((p,) * n)).reshape(-1) / len(vals)
-        return float((np.abs(hat) ** 4).sum())
-    digits = digit_table(p, n)
+    N = len(vals)
+    depth = k - 2
+    count = N**depth
+    block = max(1, _CHUNK // N)
     total = 0.0
-    for y in range(len(vals)):
-        deriv = vals[_shift_perm(p, n, digits[y])] * np.conj(vals)
-        total += _u_power(deriv, p, n, k - 1)
-    return total / len(vals)
+    for lo in range(0, count, block):
+        hi = min(lo + block, count)
+        rows = np.broadcast_to(vals, (hi - lo, N))
+        for y in _mixed_radix_digits(np.arange(lo, hi), N, depth):
+            # Delta_y g(x) = g(x + y) conj g(x)
+            rows = np.take_along_axis(rows, _shifted_index(p, n, y), axis=1) * np.conj(rows)
+        hat = _fp_transform(rows, p, n)
+        total += float(np.square(hat.real**2 + hat.imag**2).sum())
+    return total / count / N**4
 
 
 def gowers_norm(
@@ -104,7 +156,7 @@ def gowers_norm(
         raise ValidationError("Gowers norms are defined for k >= 1")
     p, n = f.p, f.n
     if mode == "exact":
-        cost = space_size(p, n) ** (k + 1) if k > 2 else space_size(p, n)
+        cost = space_size(p, n) ** max(k - 1, 1)
         check_budget(cost, budget, f"exact U^{k} norm")
         power = _u_power(f.values, p, n, k)
         if not math.isfinite(power):
@@ -237,8 +289,7 @@ def correlation_with_family(
     for lo in range(0, count, block):
         coeffs = coefficient_block(p, len(upper), lo, min(lo + block, count))
         rows = twisted[(coeffs @ upper_values.T) % p, np.arange(N)]
-        hat = np.fft.fftn(rows.reshape((len(rows),) + (p,) * n), axes=tuple(range(1, n + 1)))
-        scores = np.abs(hat.reshape(len(rows), N)) / N
+        scores = np.abs(_fp_transform(rows, p, n)) / N
         top = float(scores.max())
         if top < best_val:
             continue
@@ -265,65 +316,82 @@ class AverageReport:
     stderr: float | None = None
     seed: int | None = None
     cost: int | None = None
+    path: str | None = None  # exact: "primal", "dual" or "mixed" across components; mc: "sampled"
 
     def __complex__(self) -> complex:
         return self.value
 
 
-def _mixed_radix_digits(flat: np.ndarray, base: int, width: int) -> list[np.ndarray]:
-    out = []
-    rest = flat.copy()
-    for _ in range(width):
-        out.append(rest % base)
-        rest //= base
-    return out  # least-significant first
-
-
-def _product_mean(
-    tables: list[np.ndarray],
-    powers: list[int],
-    conj_flags: list[bool],
-    C: np.ndarray,
-    p: int,
-    n: int,
-    fixed_first: int | None = None,
-) -> complex:
-    """Mean over assignments Z_1..Z_r in F_p^n of prod_i t_i(sum_j C_ij Z_j),
-    each factor raised to powers[i] and conjugated per conj_flags[i].
-    With fixed_first, Z_1 is pinned to that point index."""
-    m, r = C.shape
+def _product_sum(tables: list[np.ndarray], C: np.ndarray, p: int, n: int, key=None):
+    """Sum over assignments Z_1..Z_r in F_p^n of prod_i t_i(sum_j C_ij Z_j),
+    enumerated in blocks of _CHUNK assignments.  With a key row the sums are
+    split by the point sum_j key_j Z_j and returned as an array indexed by it."""
+    r = C.shape[1]
     N = space_size(p, n)
     digits = digit_table(p, n)
     places = place_values(p, n)
-    free = r - (1 if fixed_first is not None else 0)
-    total_assignments = N**free
+    total = 0j if key is None else np.zeros(N, dtype=np.complex128)
+    for lo in range(0, N**r, _CHUNK):
+        hi = min(lo + _CHUNK, N**r)
+        zs = _mixed_radix_digits(np.arange(lo, hi, dtype=np.int64), N, r)
 
-    def chunk_sum(lo: int, hi: int) -> complex:
-        flat = np.arange(lo, hi, dtype=np.int64)
-        zs = _mixed_radix_digits(flat, N, free)
-        if fixed_first is not None:
-            zs = [np.full(hi - lo, fixed_first, dtype=np.int64)] + zs
-        acc = np.ones(hi - lo, dtype=np.complex128)
-        for i in range(m):
+        def index(row) -> np.ndarray:
             pt = np.zeros((hi - lo, n), dtype=np.int64)
             for j in range(r):
-                c = int(C[i, j])
+                c = int(row[j])
                 if c:
                     pt += c * digits[zs[j]]
-            idx = (pt % p) @ places
-            vals = tables[i][idx]
-            if conj_flags[i]:
-                vals = np.conj(vals)
-            if powers[i] != 1:
-                vals = vals ** powers[i]
-            acc *= vals
-        return complex(acc.sum())
+            return (pt % p) @ places
 
-    total = sum(
-        chunk_sum(lo, min(lo + _CHUNK, total_assignments))
-        for lo in range(0, total_assignments, _CHUNK)
-    )
-    return total / total_assignments
+        acc = np.ones(hi - lo, dtype=np.complex128)
+        for t, row in zip(tables, C):
+            acc *= t[index(row)]
+        if key is None:
+            total += complex(acc.sum())
+        else:
+            idx = index(key)
+            total += np.bincount(idx, acc.real, N) + 1j * np.bincount(idx, acc.imag, N)
+    return total
+
+
+def _powered(values: np.ndarray, conj: bool, power: int) -> np.ndarray:
+    """The table a form contributes: its values conjugated, then raised to the
+    form's multiplicity."""
+    if conj:
+        values = np.conj(values)
+    return values if power == 1 else values**power
+
+
+def _average_on_side(tables: list[np.ndarray], forms: np.ndarray, p: int, n: int, dual: bool):
+    """E prod_i t_i(L_i X) over one system: enumerated over its span on the
+    primal side (N^r points), summed over the kernel {alpha : sum_i alpha_i (x)
+    L_i = 0} of the transforms on the dual side (N^(m-r) points)."""
+    N = space_size(p, n)
+    if dual:
+        hats = [_fp_transform(t, p, n) / N for t in tables]
+        return _product_sum(hats, nullspace(forms.T, p).T, p, n)
+    # coordinates over a spanning subset: r point variables
+    C = span_coordinates(forms, p)[1]
+    return _product_sum(tables, C, p, n) / N ** C.shape[1]
+
+
+def _flagged_on_side(
+    tables: list[np.ndarray], flag: np.ndarray, forms: np.ndarray, p: int, n: int, dual: bool
+) -> np.ndarray:
+    """x -> E[prod_i t_i(L_i X) | flag(X) = x] for a flag in the span of the
+    forms.  The primal side keys the N^r points of the span by the flag's value;
+    the dual side keys the N^(m+1-r) points of the kernel of the forms with the
+    flag by the flag's frequency, and one transform of those sums finishes."""
+    N = space_size(p, n)
+    rows = np.vstack([flag, forms])
+    if dual:
+        K = nullspace(rows.T, p).T
+        hats = [_fp_transform(t, p, n) / N for t in tables]
+        return _fp_transform(_product_sum(hats, K[1:], p, n, key=K[0]), p, n)
+    # basis of the span with the flag first: conditioning keys on Z_1
+    basis_idx, C = span_coordinates(rows, p)
+    assert basis_idx[0] == 0, "flag is nonzero, so it leads the basis"
+    return _product_sum(tables, C[1:], p, n, key=C[0]) / N ** (C.shape[1] - 1)
 
 
 def _as_table_list(f, system: LinearSystem) -> list[FunctionTable]:
@@ -354,8 +422,9 @@ def linear_form_average(
 ) -> AverageReport:
     """t_L(f) = E prod_i f_i(L_i(X)), with optional per-form conjugation.
 
-    Exact mode enumerates the span of the system (cost p^(n * rank)) and
-    multiplies independent components separately; mc mode samples X.
+    Exact mode multiplies the averages of the connected components, each
+    enumerated on its primal side (N^rank points) or its Fourier-dual side
+    (N^(forms - rank) points), whichever is cheaper; mc mode samples X.
     """
     tables = _as_table_list(f, system)
     n = tables[0].n
@@ -369,21 +438,20 @@ def linear_form_average(
     arr = system.as_array()
 
     if mode == "exact":
+        N = space_size(p, n)
         value = 1.0 + 0j
         cost = 0
+        sides = set()
         for group in connected_components(system):
-            # coordinates over a spanning subset: enumerate r point variables
-            C = span_coordinates(arr[group], p)[1]
-            r = C.shape[1]
-            cost += space_size(p, n) ** r
+            r = rank(arr[group], p)
+            dual = len(group) - r < r
+            cost += N ** min(r, len(group) - r)
             check_budget(cost, budget, "linear form average")
-            value *= _product_mean(
-                [tables[i].values for i in group],
-                [mult[i] for i in group],
-                [bool(conjugations[i]) for i in group],
-                C, p, n,
-            )
-        return AverageReport(value=value, mode="exact", system=system, cost=cost)
+            powered = [_powered(tables[i].values, conjugations[i], mult[i]) for i in group]
+            value *= _average_on_side(powered, arr[group], p, n, dual)
+            sides.add("dual" if dual else "primal")
+        path = sides.pop() if len(sides) == 1 else "mixed"
+        return AverageReport(value=value, mode="exact", system=system, cost=cost, path=path)
     if mode != "mc":
         raise ValidationError(f"unknown mode {mode!r}")
     if samples is None or samples < 1:
@@ -414,7 +482,7 @@ def linear_form_average(
     )
     return AverageReport(
         value=complex(mean), mode="mc", system=system,
-        samples=samples, stderr=se, seed=seed, cost=samples * system.m,
+        samples=samples, stderr=se, seed=seed, cost=samples * system.m, path="sampled",
     )
 
 
@@ -484,6 +552,8 @@ def flagged_average(
 
     When the flag falls outside the span of the forms the condition is
     independent of the product and the result is the constant t(f).
+    Otherwise the cheaper of the primal side (N^r points for forms of rank r)
+    and the dual side (N^(m+1-r) points) runs; ties go to the primal side.
     """
     if not isinstance(system, FlaggedSystem):
         raise ValidationError("flagged_average needs a FlaggedSystem")
@@ -496,19 +566,11 @@ def flagged_average(
     if not in_span(arr, flag, p):
         value = linear_form_average(f, system, budget=budget).value
         return FunctionTable(p, n, np.full(N, value, dtype=np.complex128))
-    # basis of span(forms) with the flag first: conditioning pins Z_1
-    basis_idx, C = span_coordinates(np.vstack([flag, arr]), p)
-    assert basis_idx[0] == 0, "flag is nonzero, so it leads the basis"
-    C = C[1:]
-    r = C.shape[1]
-    check_budget(N**r, budget, "flagged average")
-    out = np.empty(N, dtype=np.complex128)
-    mult = list(system.multiplicities)
-    conj_flags = [False] * system.m
-    for x in range(N):
-        out[x] = _product_mean(
-            [f.values] * system.m, mult, conj_flags, C, p, n, fixed_first=x
-        )
+    r = rank(arr, p)
+    dual = system.m + 1 - r < r
+    check_budget(N ** min(r, system.m + 1 - r), budget, "flagged average")
+    tables = [_powered(f.values, False, mult) for mult in system.multiplicities]
+    out = _flagged_on_side(tables, flag, arr, p, n, dual)
     return FunctionTable(p, n, out)
 
 

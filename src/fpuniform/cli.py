@@ -8,10 +8,10 @@ byte-identical output.
 
 Exit codes: 0 success; 2 validation error (including a result that is not a
 finite number); 64 unknown command; 65 malformed input file (including
-non-finite table values); 66 budget exceeded (rerun with --mc N to estimate
-instead); 70 internal error, such as a rejection-sampling loop hitting its
-retry cap.  Apart from argparse usage errors, every failure writes one JSON
-object to stderr.
+non-finite table values); 66 budget exceeded (a command that takes --mc and
+ran without it hints to rerun with --mc N); 70 internal error, such as a
+rejection-sampling loop hitting its retry cap.  Apart from argparse usage
+errors, every failure writes one JSON object to stderr.
 """
 
 from __future__ import annotations
@@ -261,6 +261,7 @@ def _cmd_average(args) -> dict:
         "samples": rep.samples,
         "stderr": rep.stderr,
         "cost": rep.cost,
+        "path": rep.path,
         "tolerance": _tolerance(rep.mode, rep.stderr),
     }
 
@@ -450,6 +451,8 @@ def _cmd_distributional(args) -> dict:
         "mode": rep.mode,
         "samples": rep.samples,
         "stderr": rep.stderr,
+        "cost": rep.cost,
+        "path": rep.path,
         "tolerance": _tolerance(rep.mode, rep.stderr),
     }
 
@@ -567,15 +570,10 @@ def main(argv=None) -> int:
         _diag({"type": "format", "error": str(exc), "pointer": exc.pointer})
         return 65
     except BudgetExceededError as exc:
-        _diag(
-            {
-                "type": "budget",
-                "error": str(exc),
-                "cost": exc.cost,
-                "budget": exc.budget,
-                "hint": "rerun with --mc N for a Monte Carlo estimate",
-            }
-        )
+        diag = {"type": "budget", "error": str(exc), "cost": exc.cost, "budget": exc.budget}
+        if "mc" in vars(args) and args.mc is None:
+            diag["hint"] = "rerun with --mc N for a Monte Carlo estimate"
+        _diag(diag)
         return 66
     except ValidationError as exc:
         _diag({"type": "validation", "error": str(exc)})

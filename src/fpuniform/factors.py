@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import gowers_norm, correlation_with_family
+from .analysis import _fp_transform, correlation_with_family, gowers_norm
 from .config import DECOMPOSE_ROUND_CAP, RANK_RMAX_CAP, check_budget
 from .errors import FormatError, ValidationError
 from .field import place_values, space_size, validate_dims
@@ -160,9 +160,7 @@ def factor_fourier(f: FunctionTable, factor: PolynomialFactor, tol: float = 1e-1
     gamma_table = np.zeros(factor.label_space, dtype=np.complex128)
     for label, idx in factor.atoms().items():
         gamma_table[label] = f.values[idx[0]]
-    C = factor.complexity
-    cube = gamma_table.reshape((factor.p,) * C) if C else gamma_table.reshape(())
-    return np.fft.fftn(cube).reshape(-1) / factor.label_space
+    return _fp_transform(gamma_table, factor.p, factor.complexity) / factor.label_space
 
 
 def reconstruct_from_factor_fourier(
@@ -174,8 +172,7 @@ def reconstruct_from_factor_fourier(
     coeffs = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     if len(coeffs) != size:
         raise ValidationError(f"expected {size} coefficients, got {len(coeffs)}")
-    cube = coeffs.reshape((factor.p,) * C) if C else coeffs.reshape(())
-    gamma_table = np.fft.ifftn(cube).reshape(-1) * size
+    gamma_table = _fp_transform(coeffs, factor.p, C, inverse=True)
     return FunctionTable(factor.p, factor.n, gamma_table[factor.labels])
 
 

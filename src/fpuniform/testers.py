@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    _fp_transform,
     _integer_values,
     boundary_function,
     exponential_average,
@@ -438,8 +439,7 @@ def extract_linear_form_profile(spec: TesterSpec, n: int) -> list[ProfileEntry]:
     if spec.base_support is None:
         raise ValidationError("cannot extract a profile from a black-box sampler")
     p, q = spec.p, spec.q
-    cube = spec.decision_table.reshape((p,) * q)
-    gamma_hat = np.fft.fftn(cube).reshape(-1) / p**q
+    gamma_hat = _fp_transform(spec.decision_table, p, q) / p**q
     betas = digit_table(p, q)
     out = []
     for pts, prob in spec.base_support:

@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpuniform import analysis
 from fpuniform.analysis import (
+    _average_on_side,
+    _flagged_on_side,
+    _fp_transform,
+    _u_power,
     boundary_function,
     correlation_with_family,
     exponential_average,
@@ -25,10 +30,12 @@ from fpuniform.analysis import (
 )
 from fpuniform.errors import BudgetExceededError, ValidationError
 from fpuniform.field import enumerate_vectors, index_of
+from fpuniform.linalg import in_span
 from fpuniform.linear_forms import (
     FlaggedSystem,
     LinearSystem,
     arithmetic_progression_system,
+    connected_components,
     cube_system,
 )
 from fpuniform.polynomials import Polynomial, monomials_up_to
@@ -143,9 +150,10 @@ def test_gowers_phase_invariance():
 
 
 def test_gowers_budget_and_validation():
-    big = FunctionTable.constant(2, 8, 1.0)
+    # exact U^k costs N^(k-1) derivative values: 2^27 here
+    big = FunctionTable.constant(2, 9, 1.0)
     with pytest.raises(BudgetExceededError):
-        gowers_norm(big, 3)
+        gowers_norm(big, 4)
     f = FunctionTable.constant(2, 1, 1.0)
     with pytest.raises(ValidationError):
         gowers_norm(f, 0)
@@ -153,6 +161,16 @@ def test_gowers_budget_and_validation():
         gowers_norm(f, 2, mode="sideways")
     with pytest.raises(ValidationError):
         gowers_norm(f, 2, mode="mc")  # samples required
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 2, 4), (2, 1, 5), (3, 1, 4), (5, 1, 3), (2, 2, 3)])
+def test_batched_u_power_matches_direct(p, n, k, monkeypatch):
+    # a small block size splits the shift tuples over several blocks, the
+    # last one partial
+    monkeypatch.setattr(analysis, "_CHUNK", 3 * p**n)
+    f = random_unit_table(p, n, seed=p * n + k)
+    got = _u_power(f.values, p, n, k) ** (1 / 2**k)
+    assert got == pytest.approx(u_norm_direct(f, k), abs=1e-10)
 
 
 def test_gowers_mc_tracks_exact():
@@ -189,6 +207,19 @@ def test_parseval_and_inversion():
         assert np.sum(np.abs(fhat) ** 2) == pytest.approx(np.mean(np.abs(f.values) ** 2), abs=1e-10)
         back = inverse_fourier(f.p, f.n, fhat)
         assert np.allclose(back.values, f.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (2, 4), (3, 0), (3, 3), (5, 2)])
+def test_fp_transform_matches_fftn(p, n):
+    rng = np.random.default_rng(p + 7 * n)
+    rows = rng.normal(size=(5, p**n)) + 1j * rng.normal(size=(5, p**n))
+    cube = rows.reshape((5,) + (p,) * n)
+    axes = tuple(range(1, n + 1))
+    want = np.fft.fftn(cube, axes=axes).reshape(5, -1)
+    assert np.allclose(_fp_transform(rows, p, n), want, atol=1e-12)
+    back = np.fft.ifftn(cube, axes=axes).reshape(5, -1) * p**n
+    assert np.allclose(_fp_transform(rows, p, n, inverse=True), back, atol=1e-12)
+    assert np.allclose(_fp_transform(rows[0], p, n), want[0], atol=1e-12)
 
 
 def test_inner_product():
@@ -363,11 +394,11 @@ def test_average_gcs_bound():
 
 
 def test_average_budget():
-    # {x, y, z, x+y+z} is connected, so its honest cost is 2^(12 * 3)
-    f = FunctionTable.constant(2, 12, 1.0)
-    system = LinearSystem(2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    # AP4 is connected with m = 4 forms of rank 2, so both its primal and its
+    # dual side cost N^2 = 5^12 points
+    f = FunctionTable.constant(5, 6, 1.0)
     with pytest.raises(BudgetExceededError):
-        linear_form_average(f, system)
+        linear_form_average(f, arithmetic_progression_system(5, 4))
 
 
 def test_average_mc_tracks_exact():
@@ -390,6 +421,100 @@ def test_gowers_mc_is_cube_system_average(p, n, k):
         )
         assert rep.power == max(avg.value.real, 0.0)
         assert rep.cost == avg.cost == samples * 2**k
+
+
+# small spaces keep the direct enumeration of (F_p^n)^k cheap
+SPACES = [(2, 1), (2, 2), (3, 1), (5, 1)]
+
+
+@st.composite
+def flagged_systems(draw):
+    p, n = draw(st.sampled_from(SPACES))
+    k = draw(st.integers(1, 3))
+    form = st.tuples(*[st.integers(0, p - 1)] * k).filter(any)
+    forms = draw(st.lists(form, min_size=1, max_size=4, unique=True))
+    flag = draw(form)
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(forms), max_size=len(forms)))
+    conj = draw(st.lists(st.integers(0, 1), min_size=len(forms), max_size=len(forms)))
+    return n, FlaggedSystem(p, k, forms, flag, mults), conj
+
+
+def _powered_tables(fs, system, conj):
+    return [
+        FunctionTable(f.p, f.n, (np.conj(f.values) if c else f.values) ** m)
+        for f, c, m in zip(fs, conj, system.multiplicities)
+    ]
+
+
+@given(flagged_systems(), st.integers(0, 1000))
+@settings(max_examples=60, deadline=None)
+def test_dual_and_primal_sides_match_direct(case, seed):
+    n, system, conj = case
+    p = system.p
+    fs = [random_unit_table(p, n, seed=seed + i) for i in range(system.m)]
+    powered = _powered_tables(fs, system, conj)
+    want = t_direct(powered, system)
+    got = complex(linear_form_average(fs, system, conjugations=conj))
+    assert got == pytest.approx(want, abs=1e-12)
+    # both sides on the whole system, on each component, and with a block
+    # size that splits the enumeration
+    tables = [t.values for t in powered]
+    arr = system.as_array()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_CHUNK", 5)
+        for dual in (False, True):
+            assert _average_on_side(tables, arr, p, n, dual) == pytest.approx(want, abs=1e-12)
+            value = 1.0
+            for group in connected_components(system):
+                sub = [tables[i] for i in group]
+                value *= _average_on_side(sub, arr[group], p, n, dual)
+            assert value == pytest.approx(want, abs=1e-12)
+
+
+@given(flagged_systems(), st.integers(0, 1000))
+@settings(max_examples=60, deadline=None)
+def test_flagged_sides_match_direct(case, seed):
+    n, system, _ = case
+    p = system.p
+    f = random_unit_table(p, n, seed=seed)
+    want = flagged_direct(f, system)
+    assert np.allclose(flagged_average(f, system).values, want, atol=1e-12)
+    arr, flag = system.as_array(), np.array(system.flag)
+    if not in_span(arr, flag, p):
+        return
+    tables = [f.values**m for m in system.multiplicities]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_CHUNK", 5)
+        for dual in (False, True):
+            got = _flagged_on_side(tables, flag, arr, p, n, dual)
+            assert np.allclose(got, want, atol=1e-12)
+
+
+def test_empty_kernel_dual_side_is_product_of_means():
+    # independent forms: m = r, so the kernel is {0} and the dual side reads
+    # each transform at alpha = 0
+    fs = [random_unit_table(3, 2, seed=s) for s in (1, 2)]
+    forms = np.array([(1, 0), (0, 1)])
+    got = _average_on_side([f.values for f in fs], forms, 3, 2, dual=True)
+    assert got == pytest.approx(fs[0].mean() * fs[1].mean(), abs=1e-12)
+
+
+def test_average_reports_side_and_cost():
+    f = random_unit_table(5, 2, seed=3)
+    rep = linear_form_average(f, arithmetic_progression_system(5, 3))
+    assert (rep.path, rep.cost) == ("dual", 25)
+    # a tie (AP4: m = 4, r = 2) runs the primal side
+    rep = linear_form_average(f, arithmetic_progression_system(5, 4))
+    assert (rep.path, rep.cost) == ("primal", 25**2)
+    # {x, y, x+y} is dual at cost N; the lone form z is dual at cost 1
+    system = LinearSystem(5, 3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    rep = linear_form_average(f, system)
+    assert (rep.path, rep.cost) == ("dual", 26)
+    # {x, 2x} ties at N and runs primal beside the dual {y, z, y+z}
+    system = LinearSystem(5, 3, [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)])
+    rep = linear_form_average(f, system)
+    assert (rep.path, rep.cost) == ("mixed", 50)
+    assert linear_form_average(f, system, mode="mc", samples=3).path == "sampled"
 
 
 def test_average_validation():

@@ -100,6 +100,8 @@ def test_average_command(files, capsys):
     rep = json.loads(out)
     assert rep["value"][1] == pytest.approx(0.0)  # real table, real average
     assert rep["mode"] == "exact" and rep["abs"] >= 0
+    # {x, y, x+y}: 3 forms of rank 2, so the dual side sums over N = 16 points
+    assert rep["path"] == "dual" and rep["cost"] == 16
     rc, out, _ = run(
         [
             "average", "--system", files["tri"], "--tables", files["f24"],
@@ -258,6 +260,7 @@ def test_distributional_command(files, capsys):
     assert rc == 0
     rep = json.loads(out)
     assert rep["beta"] == [1, 1, 1] and rep["mode"] == "exact"
+    assert rep["path"] == "dual" and rep["cost"] == 16
     assert rep["abs"] == pytest.approx(
         abs(complex(rep["value"][0], rep["value"][1]))
     )
@@ -336,15 +339,16 @@ def test_retry_limit_exit_70(files, capsys, monkeypatch):
 
 
 def test_budget_exceeded_exit_66(files, capsys):
+    # exact U^4 on F_2^4 costs 16^3 = 4096 points
     rc, _, err = run(
-        ["gowers", "--table", files["big"], "--k", "3", "--budget", "1000"], capsys
+        ["gowers", "--table", files["big"], "--k", "4", "--budget", "1000"], capsys
     )
     assert rc == 66
     diag = json.loads(err)
     assert diag["type"] == "budget" and "--mc" in diag["hint"]
     # the suggested fallback works
     rc, out, _ = run(
-        ["gowers", "--table", files["big"], "--k", "3", "--budget", "1000",
+        ["gowers", "--table", files["big"], "--k", "4", "--budget", "1000",
          "--mc", "200"],
         capsys,
     )
@@ -366,6 +370,18 @@ def test_cube_system_over_budget_exit_66(files, capsys, argv, cost):
     assert rc == 66 and out == ""
     diag = json.loads(err)
     assert diag["type"] == "budget" and diag["cost"] == cost
+
+
+def test_budget_hint_only_without_mc(files, capsys):
+    # the refused cost is the cube system's 2^64 forms, which --mc cannot avoid
+    rc, out, err = run(["gowers", "--table", files["lin4"], "--mc", "10", "--k", "64"], capsys)
+    assert rc == 66 and out == ""
+    assert "hint" not in json.loads(err)
+    rc, _, err = run(
+        ["average", "--system", files["tri"], "--tables", files["f24"], "--budget", "8"],
+        capsys,
+    )
+    assert rc == 66 and "--mc" in json.loads(err)["hint"]
 
 
 def test_missing_required_flag_exits_2(files):

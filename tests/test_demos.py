@@ -9,10 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 02_counting_patterns.py is left out: it takes about 12 s until linear-form
-# averages are evaluated on the Fourier-dual side.
 DEMOS = [
     "01_uniformity_norms.py",
+    "02_counting_patterns.py",
     "03_decomposition.py",
     "04_property_testing.py",
     "05_distributional_functions.py",
