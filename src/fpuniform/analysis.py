@@ -14,16 +14,19 @@ this against the box-average definition.
 
 A linear-form average t_L = E prod_i f_i(L_i X) factors over the connected
 components of the system, and each component of m forms and rank r is
-evaluated on the cheaper of two sides.  The primal side enumerates the span,
-N^r points.  The dual side is Fourier inversion,
+evaluated on the primal or the dual side.  The primal side enumerates the
+span, N^r points.  The dual side is Fourier inversion,
     t_L = sum over {alpha : sum_i alpha_i (x) L_i = 0} of prod_i f_i^(alpha_i),
-a sum over a kernel of dimension m - r, N^(m-r) points.  Ties go to the
-primal side.  A flagged average conditions on a further form, the flag; on
-the dual side the flag's frequency indexes the kernel sums, and one more
-transform of those sums gives the conditional average at every point, at
-cost N^(m+1-r) against N^r on the primal side.  Monte-Carlo Gowers norms are
-linear-form averages over the cube system x + omega.y with parity
-conjugations, estimated by the sampler in linear_form_average.
+a sum over a kernel of dimension m - r, N^(m-r) points after m transforms of
+N points.  The dual side runs when m - r < r; ties, and a lone form (whose
+average is its mean), go to the primal side.  A flagged average conditions on
+a further form, the flag; on the dual side the flag's frequency indexes the
+kernel sums, and one more transform of those sums gives the conditional
+average at every point, at cost N^(m+1-r) + (m+1) N against N^r on the primal
+side.  Monte-Carlo Gowers norms are linear-form averages over the cube system
+x + omega.y with parity conjugations, estimated by the sampler in
+linear_form_average.  Both the enumeration and the sampler carry points as
+indices and find every form's point with field.index_combination.
 """
 
 from __future__ import annotations
@@ -35,7 +38,14 @@ import numpy as np
 
 from .config import check_budget
 from .errors import ValidationError
-from .field import digit_table, place_values, space_size
+from .field import (
+    digit_table,
+    index_add,
+    index_combination,
+    mixed_radix_digits,
+    place_values,
+    space_size,
+)
 from .linalg import in_span, nullspace, rank, span_coordinates
 from .linear_forms import FlaggedSystem, LinearSystem, connected_components, cube_system
 from .polynomials import Polynomial, coefficient_block, monomial_values, monomials_up_to
@@ -101,26 +111,6 @@ class GowersReport:
         return float(self.value)
 
 
-def _mixed_radix_digits(flat: np.ndarray, base: int, width: int) -> list[np.ndarray]:
-    out = []
-    rest = flat.copy()
-    for _ in range(width):
-        out.append(rest % base)
-        rest //= base
-    return out  # least-significant first
-
-
-def _shifted_index(p: int, n: int, ys: np.ndarray) -> np.ndarray:
-    """Index of x + y for every point x (columns) and each y in ys (rows)."""
-    if p == 2:
-        return ys[:, None] ^ np.arange(1 << n)
-    digits = digit_table(p, n)
-    out = np.zeros((len(ys), len(digits)), dtype=np.int64)
-    for i, w in enumerate(place_values(p, n)):
-        out += (((ys[:, None] // w) + digits[:, i]) % p) * w
-    return out
-
-
 def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
     """||f||_{U^k}^{2^k}: the mean over shift tuples (y_1..y_{k-2}) of the U^2
     power of the derivative f_y = Delta_{y_1}...Delta_{y_{k-2}} f, taken in
@@ -135,9 +125,10 @@ def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
     for lo in range(0, count, block):
         hi = min(lo + block, count)
         rows = np.broadcast_to(vals, (hi - lo, N))
-        for y in _mixed_radix_digits(np.arange(lo, hi), N, depth):
+        for y in mixed_radix_digits(np.arange(lo, hi), N, depth):
             # Delta_y g(x) = g(x + y) conj g(x)
-            rows = np.take_along_axis(rows, _shifted_index(p, n, y), axis=1) * np.conj(rows)
+            shifted = index_add(p, n, y[:, None], np.arange(N))
+            rows = np.take_along_axis(rows, shifted, axis=1) * np.conj(rows)
         hat = _fp_transform(rows, p, n)
         total += float(np.square(hat.real**2 + hat.imag**2).sum())
     return total / count / N**4
@@ -328,29 +319,18 @@ def _product_sum(tables: list[np.ndarray], C: np.ndarray, p: int, n: int, key=No
     split by the point sum_j key_j Z_j and returned as an array indexed by it."""
     r = C.shape[1]
     N = space_size(p, n)
-    digits = digit_table(p, n)
-    places = place_values(p, n)
+    rows = C if key is None else np.vstack([C, key])
     total = 0j if key is None else np.zeros(N, dtype=np.complex128)
     for lo in range(0, N**r, _CHUNK):
         hi = min(lo + _CHUNK, N**r)
-        zs = _mixed_radix_digits(np.arange(lo, hi, dtype=np.int64), N, r)
-
-        def index(row) -> np.ndarray:
-            pt = np.zeros((hi - lo, n), dtype=np.int64)
-            for j in range(r):
-                c = int(row[j])
-                if c:
-                    pt += c * digits[zs[j]]
-            return (pt % p) @ places
-
+        idx = index_combination(p, n, rows, mixed_radix_digits(np.arange(lo, hi), N, r))
         acc = np.ones(hi - lo, dtype=np.complex128)
-        for t, row in zip(tables, C):
-            acc *= t[index(row)]
+        for t, i in zip(tables, idx):
+            acc *= t[i]
         if key is None:
             total += complex(acc.sum())
         else:
-            idx = index(key)
-            total += np.bincount(idx, acc.real, N) + 1j * np.bincount(idx, acc.imag, N)
+            total += np.bincount(idx[-1], acc.real, N) + 1j * np.bincount(idx[-1], acc.imag, N)
     return total
 
 
@@ -411,6 +391,20 @@ def _as_table_list(f, system: LinearSystem) -> list[FunctionTable]:
     return tables
 
 
+def _sample_indices(rng, p: int, n: int, k: int, samples: int) -> np.ndarray:
+    """(k, samples) indices of k uniform points per sample.  The digits are
+    drawn variable by variable in blocks of _CHUNK samples, the same stream as
+    one rng.integers(0, p, size=(k, samples, n)) draw, and only the indices
+    are kept."""
+    places = place_values(p, n)
+    out = np.empty((k, samples), dtype=np.int64)
+    for j in range(k):
+        for lo in range(0, samples, _CHUNK):
+            hi = min(lo + _CHUNK, samples)
+            out[j, lo:hi] = rng.integers(0, p, size=(hi - lo, n)) @ places
+    return out
+
+
 def linear_form_average(
     f,
     system: LinearSystem,
@@ -424,7 +418,8 @@ def linear_form_average(
 
     Exact mode multiplies the averages of the connected components, each
     enumerated on its primal side (N^rank points) or its Fourier-dual side
-    (N^(forms - rank) points), whichever is cheaper; mc mode samples X.
+    (N^(forms - rank) points and one transform per form), as the module
+    docstring describes; mc mode samples X.
     """
     tables = _as_table_list(f, system)
     n = tables[0].n
@@ -443,9 +438,10 @@ def linear_form_average(
         cost = 0
         sides = set()
         for group in connected_components(system):
-            r = rank(arr[group], p)
-            dual = len(group) - r < r
-            cost += N ** min(r, len(group) - r)
+            m, r = len(group), rank(arr[group], p)
+            # the dual side also pays its m transforms; a lone form is its mean
+            dual = 1 < m < 2 * r
+            cost += N ** (m - r) + m * N if dual else N**r
             check_budget(cost, budget, "linear form average")
             powered = [_powered(tables[i].values, conjugations[i], mult[i]) for i in group]
             value *= _average_on_side(powered, arr[group], p, n, dual)
@@ -456,26 +452,20 @@ def linear_form_average(
         raise ValidationError(f"unknown mode {mode!r}")
     if samples is None or samples < 1:
         raise ValidationError("mc mode needs samples >= 1")
-    rng = as_rng(0 if seed is None else seed)
-    places = place_values(p, n)
-    xs = rng.integers(0, p, size=(system.k, samples, n))
-    acc = np.ones(samples, dtype=np.complex128)
-    for i in range(system.m):
-        pt = np.zeros((samples, n), dtype=np.int64)
-        for j in range(system.k):
-            c = int(arr[i, j])
-            if c == 1:
-                pt += xs[j]
-            elif c:
-                pt += c * xs[j]
-        idx = np.remainder(pt, p, out=pt) @ places
-        vals = tables[i].values[idx]
-        if conjugations[i]:
-            vals = np.conj(vals)
-        if mult[i] != 1:
-            vals = vals ** mult[i]
-        # not in place: numpy rounds a one-element in-place product differently
-        acc = acc * vals
+    zs = _sample_indices(as_rng(0 if seed is None else seed), p, n, system.k, samples)
+    acc = np.empty(samples, dtype=np.complex128)
+    for lo in range(0, samples, _CHUNK):
+        idx = index_combination(p, n, arr, zs[:, lo : lo + _CHUNK])
+        prod = np.ones(idx.shape[1], dtype=np.complex128)
+        for i, t in enumerate(tables):
+            vals = t.values[idx[i]]
+            if conjugations[i]:
+                vals = np.conj(vals)
+            if mult[i] != 1:
+                vals = vals ** mult[i]
+            # out of place: numpy rounds an in-place complex product differently
+            prod = prod * vals
+        acc[lo : lo + _CHUNK] = prod
     mean = acc.mean()
     se = math.sqrt(
         max(0.0, float((np.abs(acc) ** 2).mean()) - abs(mean) ** 2) / samples
@@ -552,8 +542,9 @@ def flagged_average(
 
     When the flag falls outside the span of the forms the condition is
     independent of the product and the result is the constant t(f).
-    Otherwise the cheaper of the primal side (N^r points for forms of rank r)
-    and the dual side (N^(m+1-r) points) runs; ties go to the primal side.
+    Otherwise the primal side (N^r points for forms of rank r) or the dual
+    side (N^(m+1-r) points and m + 1 transforms) runs, the dual side when
+    m + 1 - r < r.
     """
     if not isinstance(system, FlaggedSystem):
         raise ValidationError("flagged_average needs a FlaggedSystem")
@@ -568,7 +559,8 @@ def flagged_average(
         return FunctionTable(p, n, np.full(N, value, dtype=np.complex128))
     r = rank(arr, p)
     dual = system.m + 1 - r < r
-    check_budget(N ** min(r, system.m + 1 - r), budget, "flagged average")
+    cost = N ** (system.m + 1 - r) + (system.m + 1) * N if dual else N**r
+    check_budget(cost, budget, "flagged average")
     tables = [_powered(f.values, False, mult) for mult in system.multiplicities]
     out = _flagged_on_side(tables, flag, arr, p, n, dual)
     return FunctionTable(p, n, out)

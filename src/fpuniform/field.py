@@ -100,23 +100,56 @@ def vector_at(p: int, n: int, index: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def mixed_radix_digits(flat: np.ndarray, base: int, width: int) -> np.ndarray:
+    """The `width` base-`base` digits of each entry of `flat`, least
+    significant first, as a (width, len(flat)) array: tuple number t of
+    [0, base)^width in enumeration order."""
+    out = np.empty((width, len(flat)), dtype=np.int64)
+    rest = flat.copy()
+    for j in range(width):
+        out[j] = rest % base
+        rest //= base
+    return out
+
+
+def index_combination(p: int, n: int, coeffs, Z) -> np.ndarray:
+    """Indices of sum_j coeffs[i, j] * Z_j, one array per coefficient row i.
+
+    coeffs is an (m, k) matrix and Z a (k, ...) array, or a sequence of k
+    arrays that broadcast together, of point indices of F_p^n; the result has
+    shape (m, ...).  At p = 2 this is the XOR of the Z_j with odd
+    coefficient; otherwise it is digit arithmetic, one digit position at a
+    time, extracting each Z_j's digit once for all rows.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.int64) % p
+    zs = [np.asarray(z, dtype=np.int64) for z in Z]
+    shape = np.broadcast_shapes(*(z.shape for z in zs)) if zs else np.shape(Z)[1:]
+    out = np.zeros((len(coeffs),) + shape, dtype=np.int64)
+    rows = [[(int(c), j) for j, c in enumerate(row) if c] for row in coeffs]
+    if p == 2:
+        for terms, o in zip(rows, out):
+            for _, j in terms:
+                o ^= zs[j]
+        return out
+    for w in place_values(p, n)[::-1].tolist():  # least significant digit first
+        digits = []
+        for j, z in enumerate(zs):
+            zs[j], d = np.divmod(z, p)
+            digits.append(d)
+        for terms, o in zip(rows, out):
+            if terms:
+                o += sum(digits[j] if c == 1 else c * digits[j] for c, j in terms) % p * w
+    return out
+
+
 def index_add(p: int, n: int, a, b):
     """Indices of x + y given index arrays of x and y (broadcasting)."""
-    if p == 2:
-        return np.bitwise_xor(a, b)
-    d = _digit_table(p, n)
-    return ((d[a] + d[b]) % p) @ place_values(p, n)
+    return index_combination(p, n, [[1, 1]], [a, b])[0]
 
 
 def index_scale(p: int, n: int, c: int, a):
     """Indices of c·x given an index array of x."""
-    c = int(c) % p
-    if c == 0:
-        return np.zeros_like(np.asarray(a))
-    if c == 1:
-        return np.asarray(a)
-    d = _digit_table(p, n)
-    return ((d[a] * c) % p) @ place_values(p, n)
+    return index_combination(p, n, [[c]], [a])[0]
 
 
 def index_neg(p: int, n: int, a):
@@ -184,29 +217,31 @@ def random_affine(p: int, n: int, seed) -> AffineMap:
     )
 
 
-def _batch_invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
-    """Which of the (count, n, n) matrices are invertible over F_p.
+def _batch_independent_mask(mats: np.ndarray, p: int) -> np.ndarray:
+    """Which of the (count, r, n) matrices, r <= n, have independent rows
+    over F_p (for r = n: which are invertible).
 
-    Runs one Gaussian elimination across the whole batch at once; dead
-    elements keep eliminating on garbage rows, which is harmless.
+    Runs one Gaussian elimination on the transposes, column by column, across
+    the whole batch at once; dead elements keep eliminating on garbage rows,
+    which is harmless.
     """
-    B = (np.asarray(mats, dtype=np.int64) % p).copy()
-    count, n = B.shape[0], B.shape[1]
+    B = (np.asarray(mats, dtype=np.int64) % p).transpose(0, 2, 1).copy()
+    count, n_rows, r = B.shape
     alive = np.ones(count, dtype=bool)
     inv_table = np.array([0] + [pow(i, p - 2, p) for i in range(1, p)], dtype=np.int64)
-    rows = np.arange(count)
-    for col in range(n):
+    batch = np.arange(count)
+    for col in range(r):
         nz = B[:, col:, col] != 0
         found = nz.any(axis=1)
         alive &= found
         piv = np.where(found, nz.argmax(axis=1), 0) + col
-        cur = B[rows, col].copy()
-        B[rows, col] = B[rows, piv]
-        B[rows, piv] = cur
+        cur = B[batch, col].copy()
+        B[batch, col] = B[batch, piv]
+        B[batch, piv] = cur
         pv = B[:, col, col].copy()
         pv[pv == 0] = 1
         B[:, col, :] = (B[:, col, :] * inv_table[pv][:, None]) % p
-        if col + 1 < n:
+        if col + 1 < n_rows:
             factor = B[:, col + 1 :, col]
             B[:, col + 1 :, :] = (
                 B[:, col + 1 :, :] - factor[:, :, None] * B[:, col, :][:, None, :]
@@ -214,42 +249,53 @@ def _batch_invertible_mask(mats: np.ndarray, p: int) -> np.ndarray:
     return alive
 
 
-def random_affine_batch(p: int, n: int, seed, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Linear parts (count, n, n) and offsets (count, n) of `count` uniform
-    members of Aff(n, F_p), drawn by batched rejection."""
+def random_independent_rows(p: int, n: int, r: int, seed, count: int) -> np.ndarray:
+    """`count` uniform linearly independent r-tuples of F_p^n as a (count, r,
+    n) array, drawn by batched rejection."""
     p, n = validate_dims(p, n)
+    if not 0 <= r <= n:
+        raise ValidationError(f"no independent {r}-tuple exists in F_{p}^{n}")
     if count < 1:
         raise ValidationError("need count >= 1")
     rng = as_rng(seed)
-    mats = np.empty((count, n, n), dtype=np.int64)
+    # a uniform r-tuple is independent with probability prod_i (1 - p^(i-n)) > 0.288
+    accept = float(np.prod([1.0 - float(p) ** (i - n) for i in range(r)]))
+    out = np.empty((count, r, n), dtype=np.int64)
     filled = 0
     for _ in range(RETRY_CAP):
         if filled == count:
             break
-        # invertible fraction is prod_i (1 - p^-i) > 0.288 for every p
         need = count - filled
-        batch = rng.integers(0, p, size=(4 * need + 8, n, n))
-        good = batch[_batch_invertible_mask(batch, p)]
+        batch = rng.integers(0, p, size=(int(need / accept) + 8, r, n))
+        good = batch[_batch_independent_mask(batch, p)]
         take = min(len(good), need)
-        mats[filled : filled + take] = good[:take]
+        out[filled : filled + take] = good[:take]
         filled += take
     if filled < count:
-        raise RetryLimitError(
-            f"could not draw {count} invertible {n}x{n} matrices over F_{p}"
-        )
+        raise RetryLimitError(f"could not draw {count} independent {r}-tuples in F_{p}^{n}")
+    return out
+
+
+def independent_tuples(p: int, n: int, r: int, block: int):
+    """Every linearly independent r-tuple of F_p^n, in enumeration order of
+    [0, p^n)^r, yielded as (r, count) index arrays: the independent members
+    of each run of `block` candidate tuples."""
+    p, n = validate_dims(p, n)
+    N, places = space_size(p, n), place_values(p, n)
+    for lo in range(0, N**r, block):
+        Z = mixed_radix_digits(np.arange(lo, min(lo + block, N**r), dtype=np.int64), N, r)
+        digits = Z[:, :, None] // places % p  # (r, count, n)
+        yield Z[:, _batch_independent_mask(digits.transpose(1, 0, 2), p)]
+
+
+def random_affine_batch(p: int, n: int, seed, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Linear parts (count, n, n) and offsets (count, n) of `count` uniform
+    members of Aff(n, F_p), drawn by batched rejection."""
+    rng = as_rng(seed)
+    mats = random_independent_rows(p, n, n, rng, count)
     offsets = rng.integers(0, p, size=(count, n))
     return mats, offsets
 
 
 def apply_map(a: AffineMap, x) -> tuple[int, ...]:
     return tuple(int(v) for v in a.apply(x))
-
-
-def all_invertible_matrices(p: int, n: int, budget: int | None = None) -> np.ndarray:
-    """All of GL(n, F_p), shape (count, n, n).  Exhaustive — small n only."""
-    p, n = validate_dims(p, n)
-    total = p ** (n * n)
-    check_budget(total, budget, f"enumeration of GL({n}, F_{p})")
-    mats = digit_table(p, n * n, budget).reshape(total, n, n)
-    keep = [i for i in range(total) if linalg.rank(mats[i], p) == n]
-    return mats[keep]

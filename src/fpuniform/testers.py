@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
+    _CHUNK,
     _fp_transform,
     _integer_values,
     boundary_function,
@@ -26,11 +27,12 @@ from .analysis import (
 from .config import check_budget
 from .errors import FormatError, ValidationError
 from .field import (
-    all_invertible_matrices,
     digit_table,
+    independent_tuples,
+    index_combination,
     place_values,
     random_affine,
-    random_affine_batch,
+    random_independent_rows,
     space_size,
     validate_dims,
 )
@@ -218,22 +220,44 @@ class TesterSpec:
     def __setattr__(self, name, value):
         raise AttributeError("TesterSpec is immutable")
 
-    def draw_queries(self, rng, n: int, count: int) -> np.ndarray:
-        """(count, q, n) array of query tuples."""
+    def support_indices(self, n: int) -> np.ndarray:
+        """(tuples, q) point indices of the base support's query tuples."""
+        stacked = np.stack([pts for pts, _ in self.base_support])
+        if stacked.shape[2] != n:
+            raise ValidationError("support points live in a different dimension")
+        return stacked @ place_values(self.p, n)
+
+    def draw_indices(self, rng, n: int, count: int) -> np.ndarray:
+        """(count, q) point indices of drawn query tuples.  A support tuple is
+        picked by its probability; a symmetrized spec then maps it by a
+        uniform affine map, i.e. to u + lambda.V (see basis_forms) for a
+        uniform point u and a uniform independent tuple V."""
         if self.sampler is not None:
             out = np.asarray(self.sampler(rng, n, count), dtype=np.int64)
-        else:
-            probs = np.array([prob for _, prob in self.base_support])
-            picks = rng.choice(len(self.base_support), size=count, p=probs)
-            stacked = np.stack([pts for pts, _ in self.base_support])
-            if stacked.shape[2] != n:
-                raise ValidationError("support points live in a different dimension")
-            out = stacked[picks]
-        if out.shape != (count, self.q, n):
-            raise ValidationError(
-                f"query sampler emitted shape {out.shape}, wanted {(count, self.q, n)}"
-            )
-        return out % self.p
+            if out.shape != (count, self.q, n):
+                raise ValidationError(
+                    f"query sampler emitted shape {out.shape}, wanted {(count, self.q, n)}"
+                )
+            return (out % self.p) @ place_values(self.p, n)
+        rows = self.support_indices(n)
+        probs = np.array([prob for _, prob in self.base_support])
+        picks = rng.choice(len(rows), size=count, p=probs)
+        if not self.symmetrized:
+            return rows[picks]
+        forms = [basis_forms(pts, self.p) for pts, _ in self.base_support]
+        width = max(f.shape[1] for f in forms)
+        V = random_independent_rows(self.p, n, width - 1, rng, count) @ place_values(self.p, n)
+        Z = np.vstack([rng.integers(0, space_size(self.p, n), size=count), V.T])
+        out = np.empty((count, self.q), dtype=np.int64)
+        for s, coeffs in enumerate(forms):
+            mask = picks == s
+            out[mask] = index_combination(self.p, n, coeffs, Z[: coeffs.shape[1], mask]).T
+        return out
+
+    def draw_queries(self, rng, n: int, count: int) -> np.ndarray:
+        """(count, q, n) array of query tuples."""
+        idx = self.draw_indices(rng, n, count)
+        return idx[..., None] // place_values(self.p, n) % self.p
 
     def decide(self, values: np.ndarray) -> np.ndarray:
         """Apply the decision map to (count, q) query values."""
@@ -241,8 +265,8 @@ class TesterSpec:
         return self.decision_table[labels]
 
     def to_json_dict(self) -> dict:
-        if self.sampler is not None or self.base_support is None:
-            raise ValidationError("procedural samplers do not serialize")
+        if self.sampler is not None or self.base_support is None or self.symmetrized:
+            raise ValidationError("procedural and symmetrized specs do not serialize")
         return {
             "schema": "fpuniform/v1",
             "kind": "tester",
@@ -281,6 +305,17 @@ class TesterSpec:
             )
         except ValidationError as exc:
             raise FormatError(str(exc)) from exc
+
+
+def basis_forms(pts: np.ndarray, p: int) -> np.ndarray:
+    """The homogeneous forms (1, lambda_i) of a query tuple x_1..x_q, as a
+    (q, r + 1) array: lambda holds the differences' coordinates over their
+    greedy basis v_1..v_r, so x_i = x_1 + sum_j lambda_ij v_j.  The map
+    x -> Mx + b sends the tuple to (M x_1 + b) + sum_j lambda_ij M v_j, and for
+    uniform invertible M and uniform b that is a uniform point plus a uniform
+    independent r-tuple."""
+    lam = span_coordinates(pts - pts[0], p)[1]
+    return np.hstack([np.ones((len(pts), 1), dtype=np.int64), lam])
 
 
 def uniformity_tester_spec(p: int, n: int, d: int, **kwargs) -> TesterSpec:
@@ -339,67 +374,55 @@ def run_tester(
     if f.p != spec.p:
         raise ValidationError("tester and table use different primes")
     n = f.n
-    places = place_values(spec.p, n)
     if mode == "exact":
         if spec.base_support is None:
             raise ValidationError("exact mode needs an explicit finite support")
+        rows = spec.support_indices(n)  # checks the dimension too
+        probs = [prob for _, prob in spec.base_support]
         if spec.symmetrized:
-            # enumerate Aff(F_p^n) = GL x translations
-            check_budget(
-                spec.p ** (n * n + n) * spec.q, budget, "affine symmetrization orbit"
+            # every image u + lambda.V: all points u, all independent tuples V
+            forms = [basis_forms(pts, spec.p) for pts, _ in spec.base_support]
+            cost = sum(space_size(spec.p, n) ** f.shape[1] for f in forms) * spec.q
+            check_budget(cost, budget, "affine symmetrization orbit")
+            acceptance = sum(
+                prob * _orbit_acceptance(spec, vals, coeffs, n)
+                for coeffs, prob in zip(forms, probs)
             )
-            mats = all_invertible_matrices(spec.p, n, budget)
-            shifts = digit_table(spec.p, n)
-            acceptance = 0.0
-            for pts, prob in spec.base_support:
-                images = np.einsum("gij,qj->gqi", mats, pts) % spec.p
-                acceptance += prob * _symmetrized_mean(spec, vals, images, shifts, places)
-            return TesterReport(acceptance=float(acceptance), trials=None, mode="exact")
-        acceptance = 0.0
-        for pts, prob in spec.base_support:
-            if pts.shape[1] != n:
-                raise ValidationError("support points live in a different dimension")
-            got = vals[pts @ places]
-            acceptance += prob * float(spec.decide(got[None, :])[0])
+        else:
+            acceptance = sum(prob * float(d) for prob, d in zip(probs, spec.decide(vals[rows])))
         return TesterReport(acceptance=float(acceptance), trials=None, mode="exact")
     if mode != "estimate":
         raise ValidationError(f"unknown mode {mode!r}")
     if trials is None or trials < 1:
         raise ValidationError("estimate mode needs trials >= 1")
     rng = as_rng(0 if seed is None else seed)
-    queries = spec.draw_queries(rng, n, trials)
-    got = vals[queries @ places]  # (trials, q)
-    decisions = spec.decide(got)
+    decisions = spec.decide(vals[spec.draw_indices(rng, n, trials)])
     acc = float(decisions.mean())
     se = float(np.sqrt(max(acc * (1 - acc), 0.0) / trials))
     return TesterReport(acceptance=acc, trials=trials, mode="estimate", seed=seed, stderr=se)
 
 
-def _symmetrized_mean(spec, vals, images, shifts, places) -> float:
-    """Mean decision over GL images x all translations of one support tuple."""
-    total = 0.0
-    base_idx = images @ places  # (G, q) — indices of M @ x_j
-    p = spec.p
-    digits = digit_table(p, shifts.shape[1])
-    for c in shifts:
-        # translating every point by c permutes indices the same way
-        perm = ((digits + c) % p) @ places
-        total += spec.decide(vals[perm[base_idx]]).mean()
-    return total / len(shifts)
+def _orbit_acceptance(spec: TesterSpec, vals: np.ndarray, coeffs: np.ndarray, n: int) -> float:
+    """Mean decision over the images u + lambda.V of one support tuple with
+    basis forms `coeffs`, over every point u and independent tuple V."""
+    N = space_size(spec.p, n)
+    u = np.arange(N)
+    total, count = 0.0, 0
+    for V in independent_tuples(spec.p, n, coeffs.shape[1] - 1, max(1, _CHUNK // N)):
+        idx = index_combination(spec.p, n, coeffs, [u, *V[:, :, None]]).reshape(spec.q, -1)
+        total += float(spec.decide(vals[idx.T]).sum())
+        count += idx.shape[1]
+    return total / count
 
 
 def symmetrize_tester(spec: TesterSpec, seed=None) -> TesterSpec:
-    """Wrap the sampler so every draw first passes through a fresh uniform
-    random invertible affine map applied to all q queries jointly."""
-    base_draw = spec.draw_queries
-
-    def sampler(rng, n, count):
-        queries = base_draw(rng, n, count)
-        mats, offsets = random_affine_batch(spec.p, n, rng, count)
-        return (
-            np.einsum("tij,tqj->tqi", mats, queries) + offsets[:, None, :]
-        ) % spec.p
-
+    """The spec that maps every drawn support tuple by a fresh uniform
+    invertible affine map, jointly on all q queries.  The image depends only
+    on where the map sends the tuple's first point and the basis of its
+    differences, so it is drawn as u + lambda.V; symmetrizing twice is
+    symmetrizing once."""
+    if spec.base_support is None:
+        raise ValidationError("symmetrization acts on a base support, not a procedural sampler")
     return TesterSpec(
         spec.p,
         spec.q,
@@ -408,10 +431,7 @@ def symmetrize_tester(spec: TesterSpec, seed=None) -> TesterSpec:
         theta_plus=spec.theta_plus,
         epsilon=spec.epsilon,
         delta=spec.delta,
-        base_support=[(pts, prob) for pts, prob in spec.base_support]
-        if spec.base_support is not None
-        else None,
-        sampler=sampler,
+        base_support=spec.base_support,
         symmetrized=True,
     )
 
@@ -445,9 +465,9 @@ def extract_linear_form_profile(spec: TesterSpec, n: int) -> list[ProfileEntry]:
     for pts, prob in spec.base_support:
         if pts.shape[1] != n:
             raise ValidationError("support points live in a different dimension")
-        _, lam = span_coordinates(pts - pts[0], p)
-        r = lam.shape[1]
-        forms = [(1, *(int(v) for v in row)) for row in lam]
+        coeffs = basis_forms(pts, p)
+        r = coeffs.shape[1] - 1
+        forms = [tuple(int(v) for v in row) for row in coeffs]
         distinct = sorted(set(forms))
         positions = {form: j for j, form in enumerate(distinct)}
         merged = {}

@@ -29,7 +29,7 @@ from fpuniform.analysis import (
     flagged_average,
 )
 from fpuniform.errors import BudgetExceededError, ValidationError
-from fpuniform.field import enumerate_vectors, index_of
+from fpuniform.field import enumerate_vectors, index_combination, index_of, place_values
 from fpuniform.linalg import in_span
 from fpuniform.linear_forms import (
     FlaggedSystem,
@@ -39,6 +39,7 @@ from fpuniform.linear_forms import (
     cube_system,
 )
 from fpuniform.polynomials import Polynomial, monomials_up_to
+from fpuniform.rng import as_rng
 from fpuniform.tables import (
     FunctionTable,
     character_table,
@@ -423,6 +424,68 @@ def test_gowers_mc_is_cube_system_average(p, n, k):
         assert rep.cost == avg.cost == samples * 2**k
 
 
+def mc_reference(tables, system, conj, samples, seed):
+    """The digit-arithmetic sampler: one (k, samples, n) digit draw, every
+    form's points summed digit by digit, reduced and read as indices.
+    Returns the estimate, its stderr, the variables' indices and the forms'."""
+    p, n = system.p, tables[0].n
+    arr, places = system.as_array(), place_values(p, n)
+    xs = as_rng(seed).integers(0, p, size=(system.k, samples, n))
+    acc = np.ones(samples, dtype=np.complex128)
+    form_idx = []
+    for i, mult in enumerate(system.multiplicities):
+        pt = np.zeros((samples, n), dtype=np.int64)
+        for j in range(system.k):
+            c = int(arr[i, j])
+            if c == 1:
+                pt += xs[j]
+            elif c:
+                pt += c * xs[j]
+        idx = np.remainder(pt, p, out=pt) @ places
+        form_idx.append(idx)
+        vals = tables[i].values[idx]
+        if conj[i]:
+            vals = np.conj(vals)
+        if mult != 1:
+            vals = vals**mult
+        acc = acc * vals
+    mean = acc.mean()
+    se = math.sqrt(max(0.0, float((np.abs(acc) ** 2).mean()) - abs(mean) ** 2) / samples)
+    return complex(mean), se, xs @ places, np.array(form_idx)
+
+
+@st.composite
+def sampled_systems(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    form = st.tuples(*[st.integers(0, p - 1)] * k).filter(any)
+    forms = draw(st.lists(form, min_size=1, max_size=5, unique=True))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(forms), max_size=len(forms)))
+    conj = draw(st.lists(st.integers(0, 1), min_size=len(forms), max_size=len(forms)))
+    return n, FlaggedSystem(p, k, forms, forms[0], mults), conj
+
+
+@given(sampled_systems(), st.sampled_from([1, 7, 23]), st.integers(0, 1000))
+@settings(max_examples=80, deadline=None)
+def test_index_sampler_matches_digit_sampler(case, samples, seed):
+    n, system, conj = case
+    p = system.p
+    fs = [random_unit_table(p, n, seed=seed + i) for i in range(system.m)]
+    want, want_se, var_idx, form_idx = mc_reference(fs, system, conj, samples, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_CHUNK", 5)  # 7 and 23 samples span several blocks
+        zs = analysis._sample_indices(as_rng(seed), p, n, system.k, samples)
+        rep = linear_form_average(fs, system, conj, mode="mc", samples=samples, seed=seed)
+    assert np.array_equal(zs, var_idx)
+    assert np.array_equal(index_combination(p, n, system.as_array(), zs), form_idx)
+    if p == 2:
+        assert (rep.value, rep.stderr) == (want, want_se)
+    else:
+        assert abs(rep.value - want) <= 1e-15 * abs(want)
+        assert abs(rep.stderr - want_se) <= 1e-15 * want_se
+
+
 # small spaces keep the direct enumeration of (F_p^n)^k cheap
 SPACES = [(2, 1), (2, 2), (3, 1), (5, 1)]
 
@@ -501,19 +564,20 @@ def test_empty_kernel_dual_side_is_product_of_means():
 
 def test_average_reports_side_and_cost():
     f = random_unit_table(5, 2, seed=3)
+    # the dual side charges its kernel, N^(m-r), and its m transforms, m N
     rep = linear_form_average(f, arithmetic_progression_system(5, 3))
-    assert (rep.path, rep.cost) == ("dual", 25)
+    assert (rep.path, rep.cost) == ("dual", 25 + 3 * 25)
     # a tie (AP4: m = 4, r = 2) runs the primal side
     rep = linear_form_average(f, arithmetic_progression_system(5, 4))
     assert (rep.path, rep.cost) == ("primal", 25**2)
-    # {x, y, x+y} is dual at cost N; the lone form z is dual at cost 1
+    # {x, y, x+y} is dual at cost 4N; the lone form z is its mean, primal at N
     system = LinearSystem(5, 3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
     rep = linear_form_average(f, system)
-    assert (rep.path, rep.cost) == ("dual", 26)
+    assert (rep.path, rep.cost) == ("mixed", 4 * 25 + 25)
     # {x, 2x} ties at N and runs primal beside the dual {y, z, y+z}
     system = LinearSystem(5, 3, [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)])
     rep = linear_form_average(f, system)
-    assert (rep.path, rep.cost) == ("mixed", 50)
+    assert (rep.path, rep.cost) == ("mixed", 25 + 4 * 25)
     assert linear_form_average(f, system, mode="mc", samples=3).path == "sampled"
 
 

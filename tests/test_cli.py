@@ -101,7 +101,8 @@ def test_average_command(files, capsys):
     assert rep["value"][1] == pytest.approx(0.0)  # real table, real average
     assert rep["mode"] == "exact" and rep["abs"] >= 0
     # {x, y, x+y}: 3 forms of rank 2, so the dual side sums over N = 16 points
-    assert rep["path"] == "dual" and rep["cost"] == 16
+    # after 3 transforms of 16 points each
+    assert rep["path"] == "dual" and rep["cost"] == 16 + 3 * 16
     rc, out, _ = run(
         [
             "average", "--system", files["tri"], "--tables", files["f24"],
@@ -260,7 +261,7 @@ def test_distributional_command(files, capsys):
     assert rc == 0
     rep = json.loads(out)
     assert rep["beta"] == [1, 1, 1] and rep["mode"] == "exact"
-    assert rep["path"] == "dual" and rep["cost"] == 16
+    assert rep["path"] == "dual" and rep["cost"] == 16 + 3 * 16
     assert rep["abs"] == pytest.approx(
         abs(complex(rep["value"][0], rep["value"][1]))
     )

@@ -159,11 +159,15 @@ def test_apply_index_matches_pointwise():
 
 
 def test_all_invertible_matrices_counts():
-    assert len(field.all_invertible_matrices(2, 2)) == 6
+    # GL(n, F_p) is the set of independent n-tuples of F_p^n
+    def count(p, n, block):
+        return sum(V.shape[1] for V in field.independent_tuples(p, n, n, block))
+
+    assert count(2, 2, 5) == 6
     # |GL(2, F_3)| = (9-1)(9-3) = 48
-    assert len(field.all_invertible_matrices(3, 2)) == 48
+    assert count(3, 2, 7) == 48
     # |GL(3, F_2)| = 168
-    assert len(field.all_invertible_matrices(2, 3)) == 168
+    assert count(2, 3, 4096) == 168
 
 
 def test_field_inverses():
@@ -175,10 +179,29 @@ def test_field_inverses():
 def test_batch_invertible_mask_matches_rank():
     for p in (2, 3, 5):
         rng = SeededRNG(100 + p)
-        mats = rng.integers(0, p, size=(200, 4, 4))
-        mask = field._batch_invertible_mask(mats, p)
-        truth = np.array([linalg.rank(m, p) == 4 for m in mats])
-        assert np.array_equal(mask, truth)
+        for r, n in ((4, 4), (1, 4), (2, 4), (3, 5), (0, 3)):
+            mats = rng.integers(0, p, size=(200, r, n))
+            if r > 1:
+                mats[:20, -1] = mats[:20, 0]  # a repeated row: dependent
+            mask = field._batch_independent_mask(mats, p)
+            truth = np.array([linalg.rank(m, p) == r if r else True for m in mats])
+            assert np.array_equal(mask, truth)
+
+
+@pytest.mark.parametrize("p,n,r", [(2, 2, 2), (2, 3, 2), (3, 2, 1), (2, 3, 0)])
+def test_random_independent_rows_are_uniform(p, n, r):
+    draws = field.random_independent_rows(p, n, r, 5, 6000)
+    assert draws.shape == (6000, r, n)
+    assert all(linalg.rank(m, p) == r for m in draws[:200] if r)
+    keys = draws.reshape(6000, -1) @ (p ** np.arange(r * n))
+    _, counts = np.unique(keys, return_counts=True)
+    # every independent r-tuple appears, each about 6000 / #tuples times
+    total = int(np.prod([p**n - p**i for i in range(r)]))
+    assert len(counts) == total
+    expect = 6000 / total
+    assert np.all(np.abs(counts - expect) <= 5 * np.sqrt(expect) + 1)
+    with pytest.raises(ValidationError):
+        field.random_independent_rows(p, n, n + 1, 5, 10)
 
 
 def test_random_affine_batch_draws_invertible_maps():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,11 @@ from scipy.stats import spearmanr
 
 from fpuniform.analysis import gowers_norm
 from fpuniform.errors import BudgetExceededError, FormatError, ValidationError
-from fpuniform.field import digit_table, random_affine, space_size
+from fpuniform.field import digit_table, place_values, random_affine, space_size
+from fpuniform.linalg import rank
 from fpuniform.linear_forms import LinearSystem, arithmetic_progression_system
 from fpuniform.polynomials import Polynomial
-from fpuniform.rng import SeededRNG
+from fpuniform.rng import SeededRNG, as_rng
 from fpuniform.tables import FunctionTable, random_real_table
 from fpuniform.testers import (
     DistributionalFunction,
@@ -328,17 +331,105 @@ def test_symmetrizing_twice_changes_nothing():
     r1 = run_tester(spec, f, trials=4000, seed=3)
     r3 = run_tester(twice, f, trials=4000, seed=5)
     assert abs(r1.acceptance - r3.acceptance) <= 3 * (r1.stderr + r3.stderr)
+    # the second symmetrization draws from the same base support
+    assert run_tester(twice, f, trials=4000, seed=3).acceptance == r1.acceptance
+
+
+def test_symmetrize_needs_a_base_support():
+    procedural = TesterSpec(
+        2, 1, [1, 0], sampler=lambda rng, n, count: np.zeros((count, 1, n), dtype=int)
+    )
+    with pytest.raises(ValidationError):
+        symmetrize_tester(procedural)
+
+
+def orbit_reference(spec, f):
+    """Acceptance averaged over every affine map x -> Mx + b of F_p^n, with
+    GL(n) found by testing the rank of every n x n matrix."""
+    p, n = spec.p, f.n
+    vals = f.values.real.astype(np.int64)
+    places = place_values(p, n)
+    mats = [
+        m for m in (np.array(e).reshape(n, n) for e in itertools.product(range(p), repeat=n * n))
+        if rank(m, p) == n
+    ]
+    total = 0.0
+    for pts, prob in spec.base_support:
+        images = np.array([(pts @ m.T + b) % p for m in mats for b in digit_table(p, n)])
+        total += prob * spec.decide(vals[images @ places]).mean()
+    return total
+
+
+def orbit_supports(p, n, rng):
+    """Query triples with repeated points, of rank 0, and of mixed ranks."""
+    a, b, c = rng.integers(0, p, size=(3, n))
+    out = [
+        [(np.array([a, a, a]), 1.0)],  # rank 0
+        [(np.array([a, b, a]), 1.0)],  # a repeated point
+        [(np.array([a, b, c]), 1.0)],
+        [(np.array([a, a, a]), 0.25), (np.array([b, c, (2 * c - b) % p]), 0.75)],
+    ]
+    if n >= 2:
+        e1, e2 = np.eye(n, dtype=np.int64)[:2]
+        out.append([(np.array([a, (a + e1) % p, (a + e2) % p]), 0.4),
+                    (np.array([b, (b + e1) % p, b]), 0.6)])  # ranks 2 and 1
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 2)])
+def test_exact_orbit_matches_gl_enumeration(p, n):
+    rng = SeededRNG(10 * p + n)
+    f = field_table(p, n, rng.integers(0, p, size=p**n))
+    for support in orbit_supports(p, n, rng):
+        decision = rng.integers(0, 2, size=p**3)
+        spec = symmetrize_tester(TesterSpec(p, 3, decision, base_support=support))
+        got = run_tester(spec, f, mode="exact").acceptance
+        assert got == pytest.approx(orbit_reference(spec, f), abs=1e-12)
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 2)])
+def test_sampled_orbit_matches_exact_orbit(p, n):
+    rng = SeededRNG(20 * p + n)
+    f = field_table(p, n, rng.integers(0, p, size=p**n))
+    for support in orbit_supports(p, n, rng):
+        decision = rng.integers(0, 2, size=p**3)
+        spec = symmetrize_tester(TesterSpec(p, 3, decision, base_support=support))
+        exact = run_tester(spec, f, mode="exact").acceptance
+        rep = run_tester(spec, f, trials=20000, seed=p + n)
+        assert abs(rep.acceptance - exact) <= 4 * rep.stderr + 1e-12
+
+
+def test_support_estimate_reads_picked_tuples():
+    # draws are support indices gathered by the picks, the same stream and
+    # queries as picking (count, q, n) point arrays
+    p, n, q = 3, 3, 4
+    rng = SeededRNG(4)
+    support = [(rng.integers(0, p, size=(q, n)), w) for w in (0.2, 0.3, 0.5)]
+    spec = TesterSpec(p, q, rng.integers(0, 2, size=p**q), base_support=support)
+    f = field_table(p, n, rng.integers(0, p, size=p**n))
+    trials = 5000
+    picks = as_rng(7).choice(3, size=trials, p=[0.2, 0.3, 0.5])
+    points = np.stack([pts for pts, _ in support])[picks]
+    assert np.array_equal(spec.draw_queries(as_rng(7), n, trials), points)
+    want = spec.decide(f.values.real.astype(np.int64)[points @ place_values(p, n)]).mean()
+    assert run_tester(spec, f, trials=trials, seed=7).acceptance == want
 
 
 def test_exact_symmetrized_orbit_average():
-    # full Aff(F_2^2) enumeration; affine-linear f is accepted always
+    # the whole orbit of F_2^2; affine-linear f is accepted always
     spec = symmetrize_tester(uniformity_tester_spec(2, 2, 1), seed=0)
     lin = poly_table(2, 2, {(1, 0): 1})
     assert run_tester(spec, lin, mode="exact").acceptance == 1.0
+    # a rank-2 tuple's orbit costs N^3 q: 2^20 points at n = 6, 2^29 at n = 9
+    assert run_tester(
+        symmetrize_tester(uniformity_tester_spec(2, 6, 1), seed=0),
+        field_table(2, 6, np.zeros(64)),
+        mode="exact",
+    ).acceptance == 1.0
     with pytest.raises(BudgetExceededError):
         run_tester(
-            symmetrize_tester(uniformity_tester_spec(2, 6, 1), seed=0),
-            field_table(2, 6, np.zeros(64)),
+            symmetrize_tester(uniformity_tester_spec(2, 9, 1), seed=0),
+            field_table(2, 9, np.zeros(512)),
             mode="exact",
         )
 
