@@ -49,7 +49,7 @@ print(f"  best degree {rep['best_degree']}, separations "
 print()
 print("== symmetrization: acceptance becomes an affine invariant ==")
 spec = uniformity_tester_spec(p, n, 1)
-sym = symmetrize_tester(spec, seed=0)
+sym = symmetrize_tester(spec)
 lin = field_table(Polynomial(p, n, {(1, 0, 0, 0, 0, 0): 1}).value_table())
 for name, f in (("linear", lin), ("quadratic", quad), ("random", rnd)):
     acc = run_tester(sym, f, trials=10000, seed=1).acceptance

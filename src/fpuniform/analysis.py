@@ -20,12 +20,15 @@ span, N^r points.  The dual side is Fourier inversion,
 a sum over a kernel of dimension m - r, N^(m-r) points after m transforms of
 N points.  The dual side runs when m - r < r; ties, and a lone form (whose
 average is its mean), go to the primal side.  A flagged average conditions on
-a further form, the flag; on the dual side the flag's frequency indexes the
-kernel sums, and one more transform of those sums gives the conditional
-average at every point, at cost N^(m+1-r) + (m+1) N against N^r on the primal
-side.  Monte-Carlo Gowers norms are linear-form averages over the cube system
-x + omega.y with parity conjugations, estimated by the sampler in
-linear_form_average.  Both the enumeration and the sampler carry points as
+a further form, the flag: it is the average of the rows [flag] + forms with
+the flag keyed, i.e. carrying no table.  The component that holds the flag
+keys its sums by the flag's value on the primal side, or by its frequency on
+the dual side, where one more transform of those sums gives the conditional
+average at every point; a flag outside the span of the forms is a component
+of its own whose keyed average is the constant 1, and the components the flag
+does not meet multiply in as constants.  Monte-Carlo Gowers norms are
+linear-form averages over the cube system x + omega.y with parity
+conjugations, estimated by the sampler in linear_form_average.  Both the enumeration and the sampler carry points as
 indices and find every form's point with field.index_combination.
 """
 
@@ -46,8 +49,8 @@ from .field import (
     place_values,
     space_size,
 )
-from .linalg import in_span, nullspace, rank, span_coordinates
-from .linear_forms import FlaggedSystem, LinearSystem, connected_components, cube_system
+from .linalg import nullspace, rank, span_coordinates
+from .linear_forms import FlaggedSystem, LinearSystem, cube_system, row_components
 from .polynomials import Polynomial, coefficient_block, monomial_values, monomials_up_to
 from .rng import as_rng
 from .tables import FunctionTable
@@ -342,36 +345,52 @@ def _powered(values: np.ndarray, conj: bool, power: int) -> np.ndarray:
     return values if power == 1 else values**power
 
 
-def _average_on_side(tables: list[np.ndarray], forms: np.ndarray, p: int, n: int, dual: bool):
+def _average_on_side(
+    tables: list[np.ndarray], rows: np.ndarray, p: int, n: int, dual: bool, keyed: bool = False
+):
     """E prod_i t_i(L_i X) over one system: enumerated over its span on the
     primal side (N^r points), summed over the kernel {alpha : sum_i alpha_i (x)
-    L_i = 0} of the transforms on the dual side (N^(m-r) points)."""
+    L_i = 0} of the transforms on the dual side (N^(m-r) points).  When keyed,
+    rows[0] is a flag with no table (the tables go with rows[1:]) and the
+    result is the array x -> E[prod_i t_i(L_i X) | flag(X) = x]: the sums are
+    keyed by the flag's value on the primal side, by its frequency on the dual
+    side, where one transform of the keyed sums finishes."""
     N = space_size(p, n)
     if dual:
         hats = [_fp_transform(t, p, n) / N for t in tables]
-        return _product_sum(hats, nullspace(forms.T, p).T, p, n)
-    # coordinates over a spanning subset: r point variables
-    C = span_coordinates(forms, p)[1]
-    return _product_sum(tables, C, p, n) / N ** C.shape[1]
-
-
-def _flagged_on_side(
-    tables: list[np.ndarray], flag: np.ndarray, forms: np.ndarray, p: int, n: int, dual: bool
-) -> np.ndarray:
-    """x -> E[prod_i t_i(L_i X) | flag(X) = x] for a flag in the span of the
-    forms.  The primal side keys the N^r points of the span by the flag's value;
-    the dual side keys the N^(m+1-r) points of the kernel of the forms with the
-    flag by the flag's frequency, and one transform of those sums finishes."""
-    N = space_size(p, n)
-    rows = np.vstack([flag, forms])
-    if dual:
         K = nullspace(rows.T, p).T
-        hats = [_fp_transform(t, p, n) / N for t in tables]
+        if not keyed:
+            return _product_sum(hats, K, p, n)
         return _fp_transform(_product_sum(hats, K[1:], p, n, key=K[0]), p, n)
-    # basis of the span with the flag first: conditioning keys on Z_1
+    # coordinates over a spanning subset: r point variables
     basis_idx, C = span_coordinates(rows, p)
+    if not keyed:
+        return _product_sum(tables, C, p, n) / N ** C.shape[1]
+    # with the flag first in the basis, conditioning keys on Z_1
     assert basis_idx[0] == 0, "flag is nonzero, so it leads the basis"
     return _product_sum(tables, C[1:], p, n, key=C[0]) / N ** (C.shape[1] - 1)
+
+
+def _exact_average(tables: list, rows: np.ndarray, p: int, n: int, budget, what: str):
+    """The product of the averages of the connected components of the rows,
+    each on its cheaper side, as (value, cost, path).  A component of m rows
+    and rank r runs on the dual side when 1 < m < 2r, at cost N^(m-r) + m N
+    (its kernel and its m transforms), and otherwise on the primal side at
+    cost N^r, a lone row being its mean; the running cost is checked against
+    the budget before each component runs.  A flag is rows[0] with table None:
+    its component is keyed and gives an array, the others give constants."""
+    N = space_size(p, n)
+    value, cost, sides = 1.0 + 0j, 0, set()
+    for group in row_components(rows, p):
+        m, r = len(group), rank(rows[group], p)
+        dual = 1 < m < 2 * r
+        cost += N ** (m - r) + m * N if dual else N**r
+        check_budget(cost, budget, what)
+        keyed = tables[group[0]] is None
+        sub = [tables[i] for i in (group[1:] if keyed else group)]
+        value *= _average_on_side(sub, rows[group], p, n, dual, keyed)
+        sides.add("dual" if dual else "primal")
+    return value, cost, sides.pop() if len(sides) == 1 else "mixed"
 
 
 def _as_table_list(f, system: LinearSystem) -> list[FunctionTable]:
@@ -433,20 +452,8 @@ def linear_form_average(
     arr = system.as_array()
 
     if mode == "exact":
-        N = space_size(p, n)
-        value = 1.0 + 0j
-        cost = 0
-        sides = set()
-        for group in connected_components(system):
-            m, r = len(group), rank(arr[group], p)
-            # the dual side also pays its m transforms; a lone form is its mean
-            dual = 1 < m < 2 * r
-            cost += N ** (m - r) + m * N if dual else N**r
-            check_budget(cost, budget, "linear form average")
-            powered = [_powered(tables[i].values, conjugations[i], mult[i]) for i in group]
-            value *= _average_on_side(powered, arr[group], p, n, dual)
-            sides.add("dual" if dual else "primal")
-        path = sides.pop() if len(sides) == 1 else "mixed"
+        powered = [_powered(t.values, c, e) for t, c, e in zip(tables, conjugations, mult)]
+        value, cost, path = _exact_average(powered, arr, p, n, budget, "linear form average")
         return AverageReport(value=value, mode="exact", system=system, cost=cost, path=path)
     if mode != "mc":
         raise ValidationError(f"unknown mode {mode!r}")
@@ -538,32 +545,19 @@ def flagged_average(
     system: FlaggedSystem,
     budget: int | None = None,
 ) -> FunctionTable:
-    """The conditional average x -> E[prod_i f(L_i(X))^mult_i | flag(X) = x].
-
-    When the flag falls outside the span of the forms the condition is
-    independent of the product and the result is the constant t(f).
-    Otherwise the primal side (N^r points for forms of rank r) or the dual
-    side (N^(m+1-r) points and m + 1 transforms) runs, the dual side when
-    m + 1 - r < r.
-    """
+    """The conditional average x -> E[prod_i f(L_i(X))^mult_i | flag(X) = x]:
+    the keyed average of the rows [flag] + forms, factored over their
+    connected components as the module docstring describes.  A flag outside
+    the span of the forms is a lone component, so the result is then the
+    constant t(f) at an extra cost of N."""
     if not isinstance(system, FlaggedSystem):
         raise ValidationError("flagged_average needs a FlaggedSystem")
     if f.p != system.p:
         raise ValidationError("table prime differs from system prime")
-    p, n = f.p, f.n
-    N = space_size(p, n)
-    arr = system.as_array()
-    flag = np.array(system.flag, dtype=np.int64)
-    if not in_span(arr, flag, p):
-        value = linear_form_average(f, system, budget=budget).value
-        return FunctionTable(p, n, np.full(N, value, dtype=np.complex128))
-    r = rank(arr, p)
-    dual = system.m + 1 - r < r
-    cost = N ** (system.m + 1 - r) + (system.m + 1) * N if dual else N**r
-    check_budget(cost, budget, "flagged average")
-    tables = [_powered(f.values, False, mult) for mult in system.multiplicities]
-    out = _flagged_on_side(tables, flag, arr, p, n, dual)
-    return FunctionTable(p, n, out)
+    rows = np.vstack([system.flag, system.as_array()])
+    tables = [None] + [_powered(f.values, False, mult) for mult in system.multiplicities]
+    value = _exact_average(tables, rows, f.p, f.n, budget, "flagged average")[0]
+    return FunctionTable(f.p, f.n, value)
 
 
 def boundary_function(

@@ -389,7 +389,7 @@ def _cmd_test(args) -> dict:
         raise ValidationError(f"test {args.action} needs --spec")
     spec, spec_meta = _load_tester(args.spec)
     if args.action == "symmetrize":
-        spec = symmetrize_tester(spec, seed=args.seed)
+        spec = symmetrize_tester(spec)
     if args.exact:
         rep = run_tester(spec, table, mode="exact", budget=args.budget)
     else:

@@ -152,10 +152,6 @@ def index_scale(p: int, n: int, c: int, a):
     return index_combination(p, n, [[c]], [a])[0]
 
 
-def index_neg(p: int, n: int, a):
-    return index_scale(p, n, p - 1, a)
-
-
 @dataclass
 class AffineMap:
     """x ↦ matrix·x + offset over F_p, with an invertible matrix."""
@@ -286,15 +282,6 @@ def independent_tuples(p: int, n: int, r: int, block: int):
         Z = mixed_radix_digits(np.arange(lo, min(lo + block, N**r), dtype=np.int64), N, r)
         digits = Z[:, :, None] // places % p  # (r, count, n)
         yield Z[:, _batch_independent_mask(digits.transpose(1, 0, 2), p)]
-
-
-def random_affine_batch(p: int, n: int, seed, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Linear parts (count, n, n) and offsets (count, n) of `count` uniform
-    members of Aff(n, F_p), drawn by batched rejection."""
-    rng = as_rng(seed)
-    mats = random_independent_rows(p, n, n, rng, count)
-    offsets = rng.integers(0, p, size=(count, n))
-    return mats, offsets
 
 
 def apply_map(a: AffineMap, x) -> tuple[int, ...]:

@@ -327,16 +327,18 @@ def tensor_power(vector, d: int, p: int) -> np.ndarray:
 def true_complexity(system: LinearSystem, budget: int | None = None) -> ComplexityReport:
     """Least d such that the (d+1)-fold tensor powers of the forms are
     linearly independent.  Valid as an invariant in the regime where the
-    partition complexity does not exceed p, so that regime is enforced.
+    partition complexity does not exceed p, so that regime is enforced; past
+    the partition search cap the m - 2 bound proves it or the call raises, and
+    the certificate then records the bound as "cs_bound".
     """
     cs = cs_complexity(system)
-    if cs.value is None or cs.value > system.p:
+    if cs.value > system.p:
+        bounded = "only bounded by " if cs.bound_only else ""
         raise ValidationError(
-            f"partition complexity {cs.value} exceeds p = {system.p}; "
+            f"partition complexity {bounded}{cs.value} exceeds p = {system.p}; "
             "the tensor criterion does not apply"
         )
-    if cs.bound_only:
-        raise ValidationError("partition complexity only bounded, not verified")
+    certificate = {"cs_bound" if cs.bound_only else "cs": cs.value}
     witness = None
     for d in range(system.m + 1):
         check_budget(system.m * system.k ** (d + 1), budget, "tensor powers")
@@ -345,7 +347,7 @@ def true_complexity(system: LinearSystem, budget: int | None = None) -> Complexi
         )
         if mat_rank(powers, system.p) == system.m:
             return ComplexityReport(
-                kind="true", value=d, certificate={"cs": cs.value}, witness=witness
+                kind="true", value=d, certificate=certificate, witness=witness
             )
         witness = nullspace(powers.T, system.p)
         witness = witness[0] if len(witness) else None
@@ -438,16 +440,22 @@ def are_isomorphic(a: LinearSystem, b: LinearSystem) -> IsomorphismReport:
 
 def connected_components(system: LinearSystem) -> list[list[int]]:
     """Partition of form indices into connected components, each sorted and
-    listed by smallest index.
+    listed by smallest index; see row_components."""
+    return row_components(system.as_array(), system.p)
+
+
+def row_components(rows: np.ndarray, p: int) -> list[list[int]]:
+    """Connected components of the nonzero rows of a matrix over F_p, which
+    may repeat, as sorted lists of row indices listed by smallest index.
 
     A split is a proper subset whose span meets the span of the rest only
     at zero; components are what survives recursive splitting.  These are
-    the components of the forms' matroid, and the fundamental circuits of
+    the components of the rows' matroid, and the fundamental circuits of
     any one basis already connect them (Krogdahl, Discrete Math. 1977): a
-    form outside the basis is joined to the basis forms its coordinates use.
+    row outside the basis is joined to the basis rows its coordinates use.
     """
-    basis_idx, C = span_coordinates(system.as_array(), system.p)
-    parent = list(range(system.m))
+    basis_idx, C = span_coordinates(rows, p)
+    parent = list(range(len(rows)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -459,7 +467,7 @@ def connected_components(system: LinearSystem) -> list[list[int]]:
         for j in np.flatnonzero(coords):
             parent[find(basis_idx[j])] = find(i)
     groups: dict[int, list[int]] = {}
-    for i in range(system.m):
+    for i in range(len(rows)):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
 

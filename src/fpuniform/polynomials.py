@@ -207,12 +207,6 @@ class Polynomial:
                     terms[sub] = (terms.get(sub, 0) + coeff) % p
         return Polynomial(p, self.n, terms)
 
-    def iterated_derivative(self, directions) -> "Polynomial":
-        out = self
-        for y in directions:
-            out = out.additive_derivative(y)
-        return out
-
     # -- rendering -----------------------------------------------------------
 
     def __repr__(self) -> str:

@@ -415,7 +415,7 @@ def _orbit_acceptance(spec: TesterSpec, vals: np.ndarray, coeffs: np.ndarray, n:
     return total / count
 
 
-def symmetrize_tester(spec: TesterSpec, seed=None) -> TesterSpec:
+def symmetrize_tester(spec: TesterSpec) -> TesterSpec:
     """The spec that maps every drawn support tuple by a fresh uniform
     invertible affine map, jointly on all q queries.  The image depends only
     on where the map sends the tuple's first point and the basis of its

@@ -368,7 +368,7 @@ def test_15_tester_separation():
     )
     gaps = []
     for seed in range(5):
-        spec = symmetrize_tester(uniformity_tester_spec(2, 8, 1), seed=seed)
+        spec = symmetrize_tester(uniformity_tester_spec(2, 8, 1))
         rnd = FunctionTable(
             2, 8, SeededRNG(8000 + seed).integers(0, 2, size=256), codomain="real"
         )

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from fpuniform import analysis
 from fpuniform.analysis import (
     _average_on_side,
-    _flagged_on_side,
     _fp_transform,
     _u_power,
     boundary_function,
@@ -30,7 +29,6 @@ from fpuniform.analysis import (
 )
 from fpuniform.errors import BudgetExceededError, ValidationError
 from fpuniform.field import enumerate_vectors, index_combination, index_of, place_values
-from fpuniform.linalg import in_span
 from fpuniform.linear_forms import (
     FlaggedSystem,
     LinearSystem,
@@ -496,7 +494,7 @@ def flagged_systems(draw):
     k = draw(st.integers(1, 3))
     form = st.tuples(*[st.integers(0, p - 1)] * k).filter(any)
     forms = draw(st.lists(form, min_size=1, max_size=4, unique=True))
-    flag = draw(form)
+    flag = draw(st.one_of(form, st.sampled_from(forms)))  # a member half the time
     mults = draw(st.lists(st.integers(1, 3), min_size=len(forms), max_size=len(forms)))
     conj = draw(st.lists(st.integers(0, 1), min_size=len(forms), max_size=len(forms)))
     return n, FlaggedSystem(p, k, forms, flag, mults), conj
@@ -542,15 +540,35 @@ def test_flagged_sides_match_direct(case, seed):
     f = random_unit_table(p, n, seed=seed)
     want = flagged_direct(f, system)
     assert np.allclose(flagged_average(f, system).values, want, atol=1e-12)
-    arr, flag = system.as_array(), np.array(system.flag)
-    if not in_span(arr, flag, p):
-        return
+    # both sides on the keyed rows [flag] + forms, whether the flag lies
+    # outside the span, equals a form or neither
+    rows = np.vstack([system.flag, system.as_array()])
     tables = [f.values**m for m in system.multiplicities]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_CHUNK", 5)
         for dual in (False, True):
-            got = _flagged_on_side(tables, flag, arr, p, n, dual)
+            got = _average_on_side(tables, rows, p, n, dual, keyed=True)
             assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 1), (5, 1)])
+def test_flagged_factors_over_components_the_flag_misses(p, n):
+    # the flag x meets only {y, x+y}; {z, w, z+w} and {u} are constants
+    forms = [(0, 1, 0, 0, 0), (1, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+             (0, 0, 0, 1, 0), (0, 0, 1, 1, 0), (0, 0, 0, 0, 1)]
+    fsys = FlaggedSystem(p, 5, forms, (1, 0, 0, 0, 0), multiplicities=(2, 1, 1, 3, 1, 1))
+    f = random_unit_table(p, n, seed=23)
+    N = p**n
+    with pytest.MonkeyPatch.context() as mp:
+        charged = []
+        mp.setattr(analysis, "check_budget", lambda cost, *_: charged.append(cost))
+        got = flagged_average(f, fsys)
+    assert np.allclose(got.values, flagged_direct(f, fsys), atol=1e-12)
+    # [x, y, x+y] and {z, w, z+w} each run dual at N + 3N; {u} is its mean at N
+    assert charged == [4 * N, 8 * N, 9 * N]
+    flagged_average(f, fsys, budget=9 * N)
+    with pytest.raises(BudgetExceededError):
+        flagged_average(f, fsys, budget=9 * N - 1)
 
 
 def test_empty_kernel_dual_side_is_product_of_means():

@@ -217,7 +217,7 @@ def test_decompose_energy_monotone():
 def test_decompose_homogeneous_only():
     rep = decompose(random_unit_table(2, 4, seed=0), 2, 0.4, homogeneous_only=True)
     assert not rep.flagged
-    assert all(q.is_homogeneous for q in rep.factor.defining)
+    assert all(q.is_homogeneous() for q in rep.factor.defining)
 
 
 def test_decompose_rank_floor_reported():

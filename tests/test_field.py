@@ -204,11 +204,9 @@ def test_random_independent_rows_are_uniform(p, n, r):
         field.random_independent_rows(p, n, n + 1, 5, 10)
 
 
-def test_random_affine_batch_draws_invertible_maps():
-    mats, offs = field.random_affine_batch(2, 5, 7, 400)
-    assert mats.shape == (400, 5, 5) and offs.shape == (400, 5)
-    assert all(linalg.rank(m, 2) == 5 for m in mats[:40])
-    again = field.random_affine_batch(2, 5, 7, 400)
-    assert np.array_equal(mats, again[0]) and np.array_equal(offs, again[1])
+def test_random_independent_rows_draw_invertible_matrices():
+    mats = field.random_independent_rows(2, 5, 5, 7, 400)
+    assert all(linalg.rank(m, 2) == 5 for m in mats)
+    assert np.array_equal(mats, field.random_independent_rows(2, 5, 5, 7, 400))
     with pytest.raises(ValidationError):
-        field.random_affine_batch(2, 5, 7, 0)
+        field.random_independent_rows(2, 5, 5, 7, 0)

@@ -138,6 +138,14 @@ def test_true_complexity_rejects_unverified_regime():
     forms = [f for f in __import__("itertools").product(range(2), repeat=4) if any(f)]
     with pytest.raises(ValidationError):
         true_complexity(LinearSystem(2, 4, forms))  # cs is bound-only at m = 15
+    with pytest.raises(ValidationError, match="only bounded"):
+        true_complexity(LinearSystem(2, 4, forms[:13]))  # its bound 11 exceeds p = 2
+
+
+def test_true_complexity_past_the_cap_when_the_bound_proves_the_regime():
+    # AP13 has m = 13 > PARTITION_SEARCH_CAP; its cs bound 11 <= p = 17
+    report = true_complexity(arithmetic_progression_system(17, 13))
+    assert (report.value, report.certificate) == (11, {"cs_bound": 11})
 
 
 def test_homogeneity_goldens():

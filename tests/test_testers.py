@@ -231,7 +231,7 @@ def test_tester_spec_json_errors():
 
 
 def test_symmetrized_spec_does_not_serialize():
-    sym = symmetrize_tester(uniformity_tester_spec(2, 2, 1), seed=0)
+    sym = symmetrize_tester(uniformity_tester_spec(2, 2, 1))
     with pytest.raises(ValidationError):
         sym.to_json_dict()
 
@@ -279,7 +279,7 @@ def test_run_tester_validation():
 
 
 def test_estimate_reports_stderr():
-    spec = symmetrize_tester(uniformity_tester_spec(2, 3, 1), seed=1)
+    spec = symmetrize_tester(uniformity_tester_spec(2, 3, 1))
     f = field_table(2, 3, SeededRNG(3).integers(0, 2, size=8))
     rep = run_tester(spec, f, trials=400, seed=7)
     assert rep.mode == "estimate" and rep.trials == 400
@@ -294,7 +294,7 @@ def test_estimate_reports_stderr():
 def test_linear_vs_random_acceptance_gap():
     # the symmetrized 4-query pattern always accepts affine-linear f, and
     # accepts a random table about half the time
-    spec = symmetrize_tester(uniformity_tester_spec(2, 5, 1), seed=1)
+    spec = symmetrize_tester(uniformity_tester_spec(2, 5, 1))
     lin = poly_table(2, 5, {(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0): 1})
     rnd = field_table(2, 5, SeededRNG(9).integers(0, 2, size=32))
     a_lin = run_tester(spec, lin, trials=2000, seed=2).acceptance
@@ -307,7 +307,7 @@ def test_linear_vs_random_acceptance_gap():
 
 def test_symmetrize_preserves_arity_and_flags():
     spec = uniformity_tester_spec(2, 3, 1)
-    sym = symmetrize_tester(spec, seed=0)
+    sym = symmetrize_tester(spec)
     assert sym.q == spec.q and sym.p == spec.p
     assert sym.symmetrized and not spec.symmetrized
     assert np.array_equal(sym.decision_table, spec.decision_table)
@@ -316,7 +316,7 @@ def test_symmetrize_preserves_arity_and_flags():
 
 
 def test_symmetrized_acceptance_is_affine_invariant():
-    spec = symmetrize_tester(uniformity_tester_spec(2, 5, 1), seed=1)
+    spec = symmetrize_tester(uniformity_tester_spec(2, 5, 1))
     f = field_table(2, 5, SeededRNG(9).integers(0, 2, size=32))
     moved = f.apply_affine(random_affine(2, 5, 77))
     r1 = run_tester(spec, f, trials=4000, seed=3)
@@ -325,8 +325,8 @@ def test_symmetrized_acceptance_is_affine_invariant():
 
 
 def test_symmetrizing_twice_changes_nothing():
-    spec = symmetrize_tester(uniformity_tester_spec(2, 5, 1), seed=1)
-    twice = symmetrize_tester(spec, seed=8)
+    spec = symmetrize_tester(uniformity_tester_spec(2, 5, 1))
+    twice = symmetrize_tester(spec)
     f = field_table(2, 5, SeededRNG(9).integers(0, 2, size=32))
     r1 = run_tester(spec, f, trials=4000, seed=3)
     r3 = run_tester(twice, f, trials=4000, seed=5)
@@ -417,18 +417,18 @@ def test_support_estimate_reads_picked_tuples():
 
 def test_exact_symmetrized_orbit_average():
     # the whole orbit of F_2^2; affine-linear f is accepted always
-    spec = symmetrize_tester(uniformity_tester_spec(2, 2, 1), seed=0)
+    spec = symmetrize_tester(uniformity_tester_spec(2, 2, 1))
     lin = poly_table(2, 2, {(1, 0): 1})
     assert run_tester(spec, lin, mode="exact").acceptance == 1.0
     # a rank-2 tuple's orbit costs N^3 q: 2^20 points at n = 6, 2^29 at n = 9
     assert run_tester(
-        symmetrize_tester(uniformity_tester_spec(2, 6, 1), seed=0),
+        symmetrize_tester(uniformity_tester_spec(2, 6, 1)),
         field_table(2, 6, np.zeros(64)),
         mode="exact",
     ).acceptance == 1.0
     with pytest.raises(BudgetExceededError):
         run_tester(
-            symmetrize_tester(uniformity_tester_spec(2, 9, 1), seed=0),
+            symmetrize_tester(uniformity_tester_spec(2, 9, 1)),
             field_table(2, 9, np.zeros(512)),
             mode="exact",
         )
@@ -477,7 +477,7 @@ def test_reconstruction_matches_exact_symmetrization_small():
     spec = uniformity_tester_spec(2, 2, 1)
     profile = extract_linear_form_profile(spec, 2)
     lin = poly_table(2, 2, {(1, 0): 1})
-    sym = symmetrize_tester(spec, seed=0)
+    sym = symmetrize_tester(spec)
     assert complex(profile_acceptance(profile, lin)) == pytest.approx(
         run_tester(sym, lin, mode="exact").acceptance
     )
@@ -565,7 +565,7 @@ def test_acceptance_ranks_like_the_exact_norm():
         fv = rng.integers(0, p, size=space_size(p, n))
         accs.append(
             run_tester(
-                symmetrize_tester(spec, seed=i),
+                symmetrize_tester(spec),
                 field_table(p, n, fv),
                 trials=16000,
                 seed=i,
