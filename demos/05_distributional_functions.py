@@ -17,11 +17,7 @@ import numpy as np
 from fpuniform.linear_forms import LinearSystem, arithmetic_progression_system
 from fpuniform.rng import SeededRNG
 from fpuniform.tables import random_real_table
-from fpuniform.testers import (
-    DistributionalFunction,
-    interior_experiment,
-    t_star,
-)
+from fpuniform.testers import DistributionalFunction, interior_experiment
 
 p, n = 2, 8
 tri = LinearSystem(2, 2, [(1, 0), (0, 1), (1, 1)])
@@ -29,7 +25,7 @@ tri = LinearSystem(2, 2, [(1, 0), (0, 1), (1, 1)])
 # lift a [0,1]-valued F to Gamma_F: mass F(x) + (1-F(x))/p at zero
 F = random_real_table(p, n, seed=0, low=0.0, high=1.0)
 gamma = DistributionalFunction.lift(F)
-target = complex(t_star(gamma, tri, (1, 1, 1))).real
+target = complex(gamma.t_star(tri, (1, 1, 1))).real
 print(f"t*(Gamma) for the triangle system over F_2^{n}: {target:.4f}")
 
 # fork a labelled substream per draw: reusing an integer seed across different
@@ -38,9 +34,7 @@ base = SeededRNG(0)
 draws = []
 for i in range(12):
     f = gamma.sample_function(base.fork(f"draw {i}"))
-    t_f = complex(
-        t_star(DistributionalFunction.from_function(f), tri, (1, 1, 1))
-    ).real
+    t_f = complex(DistributionalFunction.from_function(f).t_star(tri, (1, 1, 1))).real
     draws.append(t_f)
 draws = np.array(draws)
 print(f"t(f) over 12 sampled f: mean {draws.mean():.4f}, "
@@ -49,7 +43,7 @@ print("  the draws cluster at t*(Gamma), with root-of-space-size fluctuations")
 
 # a uniform Gamma has a_c = 0 for c != 0, so every nondegenerate average dies
 flat = DistributionalFunction.uniform(p, n)
-print(f"uniform Gamma: t* = {abs(complex(t_star(flat, tri, (1, 1, 1)))):.1e}")
+print(f"uniform Gamma: t* = {abs(complex(flat.t_star(tri, (1, 1, 1)))):.1e}")
 
 print()
 print("== interior experiment: two functionals moving independently ==")

@@ -182,120 +182,96 @@ def gowers_norm(
 @dataclass
 class CorrelationReport:
     value: float
-    best: Polynomial | None
-    degree: int | None
-    mode: str
-    family_size: int | None = None
-    samples: int | None = None
-    stderr: float | None = None
-    seed: int | None = None
+    best: Polynomial
+    degree: int
+    family_size: int
 
     def __float__(self) -> float:
         return self.value
 
 
-def correlation_with_family(
-    f: FunctionTable,
-    degree: int | None = None,
-    polys=None,
-    mode: str = "exact",
-    samples: int | None = None,
-    seed=None,
-    budget: int | None = None,
-) -> CorrelationReport:
-    """sup over the family of |<f, e_p(g)>|.
-
-    With `degree` the family is every polynomial of that degree or less
-    (constants are skipped — they only rotate the inner product), searched as
-    its part of degree >= 2 followed by one Fourier transform over the linear
-    part, at cost p^(#monomials of degree 2..d) * p^n points.  An explicit
-    `polys` list is averaged exactly or sampled in mc mode, giving a certified
-    lower bound.
-    """
-    p, n = f.p, f.n
-    N = space_size(p, n)
-    if (degree is None) == (polys is None):
-        raise ValidationError("exactly one of degree / polys is required")
-    if polys is not None:
-        polys = list(polys)
-        if not polys:
-            raise ValidationError("empty polynomial list")
-        for g in polys:
-            if (g.p, g.n) != (p, n):
-                raise ValidationError("polynomial lives on a different space")
-        if mode == "exact":
-            check_budget(len(polys) * N, budget, "explicit correlation family")
-            best_val, best_g = -1.0, None
-            for g in polys:
-                phase = np.exp(2j * np.pi * g.value_table() / p)
-                val = abs(np.vdot(phase, f.values)) / N
-                if val > best_val:
-                    best_val, best_g = val, g
-            return CorrelationReport(
-                value=float(best_val), best=best_g, degree=None,
-                mode="exact", family_size=len(polys),
-            )
-        if mode != "mc":
-            raise ValidationError(f"unknown mode {mode!r}")
-        if samples is None or samples < 1:
-            raise ValidationError("mc mode needs samples >= 1")
-        rng = as_rng(0 if seed is None else seed)
-        pts = rng.integers(0, p, size=(samples, n))
-        idx = pts @ place_values(p, n)
-        fs = f.values[idx]
-        best_val, best_g, best_se = -1.0, None, None
-        for g in polys:
-            phase = np.exp(-2j * np.pi * g.values_at(pts) / p)
-            zs = fs * phase
-            mean = zs.mean()
-            val = abs(mean)
-            if val > best_val:
-                se = math.sqrt(
-                    max(0.0, float((np.abs(zs) ** 2).mean()) - val**2) / samples
-                )
-                best_val, best_g, best_se = val, g, se
-        return CorrelationReport(
-            value=float(best_val), best=best_g, degree=None, mode="mc",
-            family_size=len(polys), samples=samples, stderr=best_se, seed=seed,
-        )
-
-    if mode != "exact":
-        raise ValidationError("degree families are enumerated exactly; pass polys for mc")
-    if degree < 1:
-        raise ValidationError("degree must be >= 1")
-    if degree > n * (p - 1):
-        # reduced exponents stay below p coordinatewise, so total degree caps out
-        raise ValidationError(f"no degree-{degree} monomials exist on F_{p}^{n}")
-    # best = Q + L with Q the part of degree >= 2: enumerate Q, and one FFT of
-    # f * e_p(-Q) scores every linear part L at once.  Exact ties go to the
-    # least coefficient vector over the sorted monomials, the order in which
-    # the family is listed.
-    upper = [e for e in monomials_up_to(p, n, degree) if sum(e) >= 2]
-    monos = upper + [tuple(int(i == j) for j in range(n)) for i in range(n)]
+def _best_in_part(twisted: np.ndarray, pts: np.ndarray, upper, free: bool, skip_zero: bool):
+    """(score, polynomial) of the first maximizer in one part of a Poly_d
+    family.  Q ranges over the coefficient vectors of the monomials `upper`, in
+    blocks; the linear part ranges over every linear form when `free`, where
+    one transform of f * e_p(-Q) scores them all, and is zero otherwise, where
+    the row sum scores Q.  Exact ties go to the least coefficient vector over
+    the sorted monomials, the order in which the part is listed; `skip_zero`
+    leaves the zero polynomial out."""
+    p = len(twisted)
+    N, n = pts.shape
+    linear = [tuple(int(i == j) for j in range(n)) for i in range(n)] if free else []
+    monos = upper + linear
     order = sorted(range(len(monos)), key=monos.__getitem__)
     count = p ** len(upper)
-    check_budget(count * N, budget, "polynomial phase family")
-    pts = digit_table(p, n)
     upper_values = monomial_values(p, pts, upper)
-    twisted = np.exp(-2j * np.pi * np.arange(p) / p)[:, None] * f.values
     block = max(1, _CHUNK // N)
     best_val, best_key = -1.0, None
     for lo in range(0, count, block):
         coeffs = coefficient_block(p, len(upper), lo, min(lo + block, count))
         rows = twisted[(coeffs @ upper_values.T) % p, np.arange(N)]
-        scores = np.abs(_fp_transform(rows, p, n)) / N
+        sums = _fp_transform(rows, p, n) if free else rows.sum(axis=1, keepdims=True)
+        scores = np.abs(sums) / N
+        if skip_zero and lo == 0:
+            scores[0, 0] = -np.inf  # the zero polynomial leads the listing
         top = float(scores.max())
         if top < best_val:
             continue
         q, alpha = np.nonzero(scores == top)
-        keys = np.hstack([coeffs[q], pts[alpha]])[:, order]
+        keys = np.hstack([coeffs[q], pts[alpha, : len(linear)]])[:, order]
         if top == best_val:
             keys = np.vstack([keys, best_key])
         best_val, best_key = top, keys[np.lexsort(keys.T[::-1])[0]]
-    best = Polynomial.from_coefficients(p, n, sorted(monos), best_key)
-    return CorrelationReport(
-        value=best_val, best=best, degree=degree, mode="exact", family_size=p ** len(monos),
-    )
+    return best_val, Polynomial.from_coefficients(p, n, sorted(monos), best_key)
+
+
+def correlation_with_family(
+    f: FunctionTable,
+    degree: int,
+    homogeneous: bool = False,
+    budget: int | None = None,
+) -> CorrelationReport:
+    """sup over a Poly_d family of |<f, e_p(g)>|, attained first by `best` in
+    the family's listing order.
+
+    The family is every polynomial of degree <= `degree` (constants are
+    skipped — they only rotate the inner product) or, when `homogeneous`,
+    every nonzero polynomial whose monomials share one total degree
+    j <= `degree`, listed by j ascending.  Both are scored in parts, each a set
+    of enumerated monomials plus a rule for the linear part (see
+    _best_in_part).  The degree family is one part: the monomials of degree
+    2..d with the linear part free.  The homogeneous family is the linear forms
+    (no enumerated monomials, linear part free) followed by one part per
+    j = 2..d (the monomials of degree exactly j, linear part zero), each
+    without its zero polynomial.  Ties across parts keep the earlier part.  The
+    cost, checked once for the family, is the sum over parts of
+    p^(#enumerated monomials) * p^n points.
+    """
+    p, n = f.p, f.n
+    N = space_size(p, n)
+    if degree < 1:
+        raise ValidationError("degree must be >= 1")
+    if degree > n * (p - 1):
+        # reduced exponents stay below p coordinatewise, so total degree caps out
+        raise ValidationError(f"no degree-{degree} monomials exist on F_{p}^{n}")
+    monos = monomials_up_to(p, n, degree)
+    if homogeneous:
+        parts = [([], True)] + [
+            ([e for e in monos if sum(e) == j], False) for j in range(2, degree + 1)
+        ]
+    else:
+        parts = [([e for e in monos if sum(e) >= 2], True)]
+    what = "homogeneous phase family" if homogeneous else "polynomial phase family"
+    check_budget(sum(p ** len(upper) for upper, _ in parts) * N, budget, what)
+    pts = digit_table(p, n)
+    twisted = np.exp(-2j * np.pi * np.arange(p) / p)[:, None] * f.values
+    best_val, best = -1.0, None
+    for upper, free in parts:
+        val, g = _best_in_part(twisted, pts, upper, free, homogeneous)
+        if val > best_val:
+            best_val, best = val, g
+    size = sum(p ** (len(upper) + n * free) - homogeneous for upper, free in parts)
+    return CorrelationReport(value=best_val, best=best, degree=degree, family_size=size)
 
 
 # -- linear form averages ----------------------------------------------------------

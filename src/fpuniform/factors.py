@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import _fp_transform, correlation_with_family, gowers_norm
-from .config import DECOMPOSE_ROUND_CAP, RANK_RMAX_CAP, check_budget
+from .config import DECOMPOSE_ROUND_CAP, RANK_RMAX_CAP
 from .errors import FormatError, ValidationError
 from .field import place_values, space_size, validate_dims
-from .polynomials import Polynomial, coefficient_block, monomials_up_to
+from .polynomials import Polynomial
 from .polyrank import polynomial_rank
 from .tables import FunctionTable
 
@@ -209,22 +209,6 @@ class DecompositionReport:
         }
 
 
-def _homogeneous_family(p: int, n: int, d: int, budget) -> list[Polynomial]:
-    """Every nonzero polynomial whose monomials share one total degree <= d."""
-    out = []
-    N = space_size(p, n)
-    for j in range(1, d + 1):
-        monos = monomials_up_to(p, n, j, exactly=True)
-        count = p ** len(monos)
-        check_budget(count * N, budget, "homogeneous phase family")
-        # row 0 of the block is the zero polynomial
-        out.extend(
-            Polynomial.from_coefficients(p, n, monos, coeffs)
-            for coeffs in coefficient_block(p, len(monos), 1, count)
-        )
-    return out
-
-
 def decompose(
     f: FunctionTable,
     d: int,
@@ -237,21 +221,23 @@ def decompose(
     """Split f = h + h' with h measurable in a degree-<=d factor, ||h'||_{U^{d+1}} <= delta.
 
     Each round finds, by exhaustive search, the degree-<=d phase most
-    correlated with the current residual and adjoins it to the factor.  If the
+    correlated with the current residual and adjoins it to the factor.  The
+    search is one correlation_with_family call per round, over Poly_d or, with
+    `homogeneous_only`, over the nonzero homogeneous polynomials of degree
+    1..d; each call is charged against `budget` for its whole family.  If the
     correlation dries up or the round cap hits first, the report comes back
-    flagged with the best norm achieved.  `rank_floor` (a map from complexity
-    to an integer) is checked against the factor's rank lower bound and
-    reported, never enforced.
+    flagged with the best norm achieved.  `delta` must be finite and >= 0.
+    `rank_floor` (a map from complexity to an integer) is checked against the
+    factor's rank lower bound and reported, never enforced.
     """
     p, n = f.p, f.n
     if d < 1:
         raise ValidationError("decomposition degree must be >= 1")
     if d > n * (p - 1):
         raise ValidationError(f"no degree-{d} monomials exist on F_{p}^{n}")
-    if delta < 0:
-        raise ValidationError("tolerance must be nonnegative")
+    if not 0 <= delta < float("inf"):
+        raise ValidationError(f"delta must be finite and >= 0, got {delta}")
     factor = PolynomialFactor(p, n, ())
-    family = _homogeneous_family(p, n, d, budget) if homogeneous_only else None
     history = []
     rounds = 0
     flagged = False
@@ -265,10 +251,7 @@ def decompose(
         if rounds >= round_cap:
             flagged = True
             break
-        if family is not None:
-            rep = correlation_with_family(residual, polys=family, budget=budget)
-        else:
-            rep = correlation_with_family(residual, degree=d, budget=budget)
+        rep = correlation_with_family(residual, d, homogeneous_only, budget=budget)
         if float(rep) < 1e-12 or rep.best in factor.defining:
             # no phase left to make progress with
             flagged = True

@@ -147,11 +147,6 @@ def index_add(p: int, n: int, a, b):
     return index_combination(p, n, [[1, 1]], [a, b])[0]
 
 
-def index_scale(p: int, n: int, c: int, a):
-    """Indices of c·x given an index array of x."""
-    return index_combination(p, n, [[c]], [a])[0]
-
-
 @dataclass
 class AffineMap:
     """x ↦ matrix·x + offset over F_p, with an invertible matrix."""

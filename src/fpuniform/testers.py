@@ -131,25 +131,6 @@ class DistributionalFunction:
         )
 
 
-# Free-function forms of the distributional operations.
-
-
-def distributional_lift(F: FunctionTable) -> DistributionalFunction:
-    return DistributionalFunction.lift(F)
-
-
-def a_c_compose(gamma: DistributionalFunction, c: int) -> FunctionTable:
-    return gamma.a_c(c)
-
-
-def sample_function(gamma: DistributionalFunction, seed) -> FunctionTable:
-    return gamma.sample_function(seed)
-
-
-def t_star(gamma: DistributionalFunction, system: LinearSystem, beta, **kwargs):
-    return gamma.t_star(system, beta, **kwargs)
-
-
 # -- tester specs ---------------------------------------------------------------
 
 
@@ -536,6 +517,8 @@ def uniformity_test(
     exponents (-1)^(d+1-|omega|), so each sample reads 2^{d+1} points."""
     if d < 1:
         raise ValidationError("degree must be >= 1")
+    if not -float("inf") < threshold < float("inf"):
+        raise ValidationError(f"threshold must be finite, got {threshold}")
     k = d + 1
     cube = cube_system(f.p, k, budget)
     beta = [(-1) ** (k - bin(mask).count("1")) for mask in range(2**k)]

@@ -240,6 +240,32 @@ def nonconstant_family(p, n, d):
     ]
 
 
+def homogeneous_family(p, n, d):
+    """Every nonzero polynomial whose monomials share one total degree j <= d,
+    j ascending, each j in coefficient order over its sorted monomials."""
+    out = []
+    for j in range(1, d + 1):
+        monos = [e for e in itertools.product(range(p), repeat=n) if sum(e) == j]
+        out.extend(
+            Polynomial.from_coefficients(p, n, monos, coeffs)
+            for coeffs in itertools.product(range(p), repeat=len(monos))
+            if any(coeffs)
+        )
+    return out
+
+
+def best_in_list(f, polys):
+    """Reference scorer: the first maximizer of |<f, e_p(g)>| in list order,
+    each g scored by its own phase table; returns (value, polynomial)."""
+    best_val, best_g = -1.0, None
+    for g in polys:
+        phase = np.exp(2j * np.pi * g.value_table() / f.p)
+        val = abs(np.vdot(phase, f.values)) / len(f.values)
+        if val > best_val:
+            best_val, best_g = val, g
+    return best_val, best_g
+
+
 def test_linear_family_recovers_character():
     chi = character_table(2, 2, (1, 0))
     rep = correlation_with_family(chi, degree=1)
@@ -273,8 +299,8 @@ def test_explicit_polys_match_degree_path(p, n, d, table):
     f = table(p, n, seed=6)
     by_degree = correlation_with_family(f, degree=d)
     family = nonconstant_family(p, n, d)
-    by_list = correlation_with_family(f, polys=family)
-    assert float(by_degree) == pytest.approx(float(by_list), abs=1e-12)
+    by_list = best_in_list(f, family)[0]
+    assert float(by_degree) == pytest.approx(by_list, abs=1e-12)
     assert by_degree.family_size == len(family)
     attained = abs(inner_product(f, phase_table(by_degree.best)))
     assert attained == pytest.approx(float(by_degree), abs=1e-12)
@@ -286,8 +312,51 @@ def test_degree_path_breaks_exact_ties_in_listing_order(n, seed):
     # first tied polynomial of the family's listing, as on the explicit path
     signs = np.where(random_real_table(2, n, seed=seed).values > 0, 1.0, -1.0)
     f = FunctionTable(2, n, signs, codomain="real")
-    by_list = correlation_with_family(f, polys=nonconstant_family(2, n, 2))
-    assert correlation_with_family(f, degree=2).best == by_list.best
+    by_list = best_in_list(f, nonconstant_family(2, n, 2))[1]
+    assert correlation_with_family(f, degree=2).best == by_list
+
+
+def mean_dominated_table(p, n, seed):
+    # the zero polynomial scores |mean| ~ 1 here, above every nonzero member
+    return FunctionTable(p, n, 1.0 + 0.1 * random_unit_table(p, n, seed=seed).values)
+
+
+@pytest.mark.parametrize(
+    "p, n, d, table",
+    [
+        (2, 3, 2, random_unit_table),
+        (2, 4, 3, random_real_table),
+        (2, 3, 2, mean_dominated_table),
+        (3, 2, 2, random_unit_table),
+        (3, 2, 3, random_real_table),
+        (3, 2, 2, mean_dominated_table),
+        (5, 1, 3, random_unit_table),
+        (5, 2, 2, random_real_table),
+        (5, 2, 2, mean_dominated_table),
+    ],
+)
+def test_homogeneous_family_matches_listing(p, n, d, table):
+    f = table(p, n, seed=3)
+    family = homogeneous_family(p, n, d)
+    rep = correlation_with_family(f, d, homogeneous=True)
+    assert float(rep) == pytest.approx(best_in_list(f, family)[0], abs=1e-12)
+    assert rep.family_size == len(family)
+    assert rep.best in family
+    attained = abs(inner_product(f, phase_table(rep.best)))
+    assert attained == pytest.approx(float(rep), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, d, seed", [(3, 2, 1), (3, 2, 3), (4, 2, 2), (4, 3, 6), (5, 2, 10)])
+def test_homogeneous_family_breaks_ties_in_listing_order(n, d, seed):
+    # +-1 tables on F_2^n score exactly; each case has maximizers of two
+    # different degrees, so the winner must come from the earlier part
+    signs = np.where(random_real_table(2, n, seed=seed).values > 0, 1.0, -1.0)
+    f = FunctionTable(2, n, signs, codomain="real")
+    family = homogeneous_family(2, n, d)
+    top, first = best_in_list(f, family)
+    tied = [g for g in family if abs(abs(inner_product(f, phase_table(g))) - top) < 1e-12]
+    assert len({g.degree for g in tied}) >= 2
+    assert correlation_with_family(f, d, homogeneous=True).best == first
 
 
 def test_inverse_u2_lower_bound():
@@ -299,33 +368,19 @@ def test_inverse_u2_lower_bound():
         assert u1 >= u2**2 - 1e-12
 
 
-def test_correlation_mc_is_lower_bound():
-    f = phase_table(Polynomial(3, 1, {(2,): 1}))
-    family = [
-        Polynomial(3, 1, {exps: c for exps, c in zip([(1,), (2,)], coeffs) if c})
-        for coeffs in itertools.product(range(3), repeat=2)
-        if any(coeffs)
-    ]
-    rep = correlation_with_family(f, polys=family, mode="mc", samples=200, seed=0)
-    assert float(rep) <= 1.0 + 5 * (rep.stderr + 1e-12)
-    assert float(rep) > 0.5
-    assert rep.best.terms == {(2,): 1}
-
-
 def test_correlation_validation():
     f = random_unit_table(3, 1, seed=0)
     with pytest.raises(ValidationError):
         correlation_with_family(f, degree=3)  # degree must stay below p
     with pytest.raises(ValidationError):
         correlation_with_family(f, degree=0)
-    with pytest.raises(ValidationError):
-        correlation_with_family(f)
-    with pytest.raises(ValidationError):
-        correlation_with_family(f, degree=1, polys=[Polynomial.zero(3, 1)])
-    with pytest.raises(ValidationError):
-        correlation_with_family(f, degree=2, mode="mc", samples=10)
     with pytest.raises(BudgetExceededError):
         correlation_with_family(random_unit_table(5, 4, seed=0), degree=3)
+    # the homogeneous family is charged as a whole: 16 points for the linear
+    # forms plus 2^6 * 16 for the quadratics, each part alone within 1030
+    with pytest.raises(BudgetExceededError) as exc:
+        correlation_with_family(random_unit_table(2, 4, seed=0), 2, homogeneous=True, budget=1030)
+    assert exc.value.cost == 1040
 
 
 # ---------------------------------------------------------------- averages

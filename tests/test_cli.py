@@ -200,6 +200,18 @@ def test_decompose_rank_floor(files, capsys):
     assert json.loads(out)["rank_floor"] == 1
 
 
+def test_decompose_homogeneous_command(files, capsys):
+    rc, out, err = run(
+        ["decompose", "--table", files["f24"], "--degree", "2", "--delta", "0.25",
+         "--homogeneous"],
+        capsys,
+    )
+    assert rc == 0, err
+    polys = json.loads(out)["polynomials"]
+    assert polys
+    assert all(Polynomial.from_text(2, 4, text).is_homogeneous() for text in polys)
+
+
 def test_rank_command(files, capsys):
     rc, out, _ = run(["rank", "--polys", files["poly"]], capsys)
     assert rc == 0
@@ -383,6 +395,38 @@ def test_budget_hint_only_without_mc(files, capsys):
         capsys,
     )
     assert rc == 66 and "--mc" in json.loads(err)["hint"]
+
+
+def test_decompose_homogeneous_over_budget_exit_66(files, capsys):
+    # on F_2^4 the homogeneous family costs 16 (linear forms) + 2^6 * 16
+    # (quadratics) = 1040 points; each part alone fits in 1030, the whole does not
+    rc, out, err = run(
+        ["decompose", "--table", files["f24"], "--degree", "2", "--delta", "0.25",
+         "--homogeneous", "--budget", "1030"],
+        capsys,
+    )
+    assert rc == 66 and out == ""
+    diag = json.loads(err)
+    assert diag["type"] == "budget" and diag["cost"] == 1040
+    assert "hint" not in diag
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["decompose", "--degree", "2", "--delta", "nan"], "delta"),
+        (["decompose", "--degree", "2", "--delta", "inf"], "delta"),
+        (["test", "uniformity", "--threshold", "nan"], "threshold"),
+        (["test", "uniformity", "--threshold", "inf"], "threshold"),
+        (["test", "uniformity", "--threshold=-inf"], "threshold"),
+    ],
+)
+def test_non_finite_parameter_exit_2(files, capsys, argv, name):
+    # the parameter is refused up front, not blamed on the table at output time
+    rc, out, err = run(argv + ["--table", files["lin4"]], capsys)
+    assert rc == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["type"] == "validation" and name in diag["error"]
 
 
 def test_missing_required_flag_exits_2(files):

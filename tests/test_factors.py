@@ -234,6 +234,9 @@ def test_decompose_validation():
         decompose(f, 5, 0.5)  # beyond the reduced-exponent degree range
     with pytest.raises(ValidationError):
         decompose(f, 2, -0.1)
+    for delta in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="delta"):
+            decompose(f, 2, delta)
 
 
 # ---------------------------------------------------------------- hybrid

@@ -66,7 +66,7 @@ def test_index_scale_matches_coordinate_scale(p, n, data):
     c = data.draw(st.integers(0, p - 1))
     vi = np.array(field.vector_at(p, n, i))
     expect = field.index_of(p, (c * vi) % p)
-    got = field.index_scale(p, n, c, np.array([i]))[0]
+    got = field.index_combination(p, n, [[c]], [np.array([i])])[0, 0]
     assert int(got) == expect
 
 

@@ -18,17 +18,13 @@ from fpuniform.testers import (
     DistributionalFunction,
     DualFamily,
     TesterSpec,
-    a_c_compose,
-    distributional_lift,
     extract_linear_form_profile,
     find_testing_degree,
     interior_experiment,
     poly_dual_family,
     profile_acceptance,
     run_tester,
-    sample_function,
     symmetrize_tester,
-    t_star,
     uniformity_test,
     uniformity_tester_spec,
 )
@@ -69,27 +65,27 @@ def test_lift_character_moment_identity():
     # a_c o Gamma_F == F pointwise for every c != 0, and exactly
     for p in (2, 3, 5):
         F = random_real_table(p, 2, seed=p, low=0.0, high=1.0)
-        gamma = distributional_lift(F)
+        gamma = DistributionalFunction.lift(F)
         for c in range(1, p):
-            back = a_c_compose(gamma, c)
+            back = gamma.a_c(c)
             assert np.abs(back.values - F.values.real).max() < 1e-12
     # c = 0 gives the constant 1
-    assert np.abs(a_c_compose(gamma, 0).values - 1.0).max() < 1e-12
+    assert np.abs(gamma.a_c(0).values - 1.0).max() < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([2, 3]), st.integers(0, 10**6))
 def test_lift_identity_property(p, seed):
     F = random_real_table(p, 1, seed=seed, low=0.0, high=1.0)
-    back = a_c_compose(distributional_lift(F), 1)
+    back = DistributionalFunction.lift(F).a_c(1)
     assert np.abs(back.values - F.values.real).max() < 1e-12
 
 
 def test_uniform_gamma_kills_averages():
     gamma = DistributionalFunction.uniform(2, 3)
     for c in (1,):
-        assert np.abs(a_c_compose(gamma, c).values).max() < 1e-12
-    val = complex(t_star(gamma, TRI, (1, 1, 0)))
+        assert np.abs(gamma.a_c(c).values).max() < 1e-12
+    val = complex(gamma.t_star(TRI, (1, 1, 0)))
     assert abs(val) < 1e-12
 
 
@@ -99,7 +95,7 @@ def test_dirac_embedding_matches_deterministic():
     gamma = DistributionalFunction.from_function(f)
     assert np.abs(gamma.table.sum(axis=1) - 1.0).max() == 0.0
     ap3 = arithmetic_progression_system(3, 3)
-    direct = complex(t_star(DistributionalFunction.from_function(f), ap3, (1, 1, 1)))
+    direct = complex(DistributionalFunction.from_function(f).t_star(ap3, (1, 1, 1)))
     # same average through the character tables by hand
     chars = [np.exp(2j * np.pi * f.values.real / 3)] * 3
     from fpuniform.analysis import linear_form_average
@@ -112,26 +108,26 @@ def test_dirac_embedding_matches_deterministic():
 
 def test_sample_function_is_field_valued_and_seeded():
     F = random_real_table(2, 3, seed=1, low=0.0, high=1.0)
-    gamma = distributional_lift(F)
-    s1 = sample_function(gamma, 5)
-    s2 = sample_function(gamma, 5)
+    gamma = DistributionalFunction.lift(F)
+    s1 = gamma.sample_function(5)
+    s2 = gamma.sample_function(5)
     assert np.array_equal(s1.values, s2.values)
     assert set(np.unique(s1.values.real)) <= {0.0, 1.0}
     # a point-mass distribution samples deterministically
-    ones = distributional_lift(field_table(2, 2, [1, 1, 1, 1]))
-    assert np.abs(sample_function(ones, 9).values).max() == 0.0
+    ones = DistributionalFunction.lift(field_table(2, 2, [1, 1, 1, 1]))
+    assert np.abs(ones.sample_function(9).values).max() == 0.0
 
 
 def test_t_star_validates_beta_length():
     gamma = DistributionalFunction.uniform(2, 2)
     with pytest.raises(ValidationError):
-        t_star(gamma, TRI, (1, 1))
+        gamma.t_star(TRI, (1, 1))
 
 
 def test_t_star_mc_tracks_exact():
-    gamma = distributional_lift(random_real_table(2, 4, seed=4, low=0.0, high=1.0))
-    exact = complex(t_star(gamma, TRI, (1, 1, 1))).real
-    mc = t_star(gamma, TRI, (1, 1, 1), mode="mc", samples=20000, seed=6)
+    gamma = DistributionalFunction.lift(random_real_table(2, 4, seed=4, low=0.0, high=1.0))
+    exact = complex(gamma.t_star(TRI, (1, 1, 1))).real
+    mc = gamma.t_star(TRI, (1, 1, 1), mode="mc", samples=20000, seed=6)
     assert abs(complex(mc).real - exact) < max(4 * mc.stderr, 1e-3)
 
 
@@ -139,14 +135,14 @@ def test_distributional_concentration_small():
     # sampled functions' averages sit within 0.1 of t*(Gamma) for almost all
     # seeds once p^n = 256
     F = random_real_table(2, 8, seed=0, low=0.0, high=1.0)
-    gamma = distributional_lift(F)
-    t_gamma = complex(t_star(gamma, TRI, (1, 1, 1))).real
+    gamma = DistributionalFunction.lift(F)
+    t_gamma = complex(gamma.t_star(TRI, (1, 1, 1))).real
     assert t_gamma == pytest.approx(0.15450333923157844, abs=1e-12)
     fails = 0
     for s in range(20):
-        f = sample_function(gamma, s)
+        f = gamma.sample_function(s)
         t_f = complex(
-            t_star(DistributionalFunction.from_function(f), TRI, (1, 1, 1))
+            DistributionalFunction.from_function(f).t_star(TRI, (1, 1, 1))
         ).real
         if abs(t_f - t_gamma) > 0.1:
             fails += 1
@@ -552,6 +548,9 @@ def test_uniformity_test_validation():
         uniformity_test(f, 0, 10)
     with pytest.raises(ValidationError):
         uniformity_test(f, 1, 0)
+    for threshold in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValidationError, match="threshold"):
+            uniformity_test(f, 1, 10, threshold=threshold)
 
 
 def test_acceptance_ranks_like_the_exact_norm():
