@@ -50,7 +50,7 @@ print()
 print("== Monte-Carlo estimates come with standard errors ==")
 exact = gowers_norm(g, 3).value
 for samples in (400, 4000, 40000):
-    rep = gowers_norm(g, 3, mode="mc", samples=samples, seed=1)
+    rep = gowers_norm(g, 3, samples=samples, seed=1)
     print(
         f"  {samples:>6} samples: {rep.value:.4f}"
         f"  (exact {exact:.4f}, stderr on the power {rep.stderr:.4f})"

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_budget
+from .config import FLOAT_TOL, check_budget
 from .errors import ValidationError
 from .field import (
     digit_table,
@@ -52,7 +52,7 @@ from .field import (
 from .linalg import nullspace, rank, span_coordinates
 from .linear_forms import FlaggedSystem, LinearSystem, cube_system, row_components
 from .polynomials import Polynomial, coefficient_block, monomial_values, monomials_up_to
-from .rng import as_rng
+from .rng import as_rng, check_count
 from .tables import FunctionTable
 
 _CHUNK = 1 << 15
@@ -140,16 +140,16 @@ def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
 def gowers_norm(
     f: FunctionTable,
     k: int,
-    mode: str = "exact",
     samples: int | None = None,
     seed=None,
     budget: int | None = None,
 ) -> GowersReport:
-    """The U^k norm of f, exactly or estimated from random parallelepipeds."""
+    """The U^k norm of f: exact when `samples` is None, otherwise estimated
+    from that many random parallelepipeds."""
     if k < 1:
         raise ValidationError("Gowers norms are defined for k >= 1")
     p, n = f.p, f.n
-    if mode == "exact":
+    if samples is None:
         cost = space_size(p, n) ** max(k - 1, 1)
         check_budget(cost, budget, f"exact U^{k} norm")
         power = _u_power(f.values, p, n, k)
@@ -161,11 +161,9 @@ def gowers_norm(
             value=power ** (1 / 2**k), power=power, k=k, p=p, n=n,
             mode="exact", cost=cost,
         )
-    if mode != "mc":
-        raise ValidationError(f"unknown mode {mode!r}")
     cube = cube_system(p, k, budget)
     conjugations = [(k - bin(mask).count("1")) % 2 for mask in range(2**k)]
-    rep = linear_form_average(f, cube, conjugations, mode="mc", samples=samples, seed=seed)
+    rep = linear_form_average(f, cube, conjugations, samples=samples, seed=seed)
     power = max(rep.value.real, 0.0)
     value = power ** (1 / 2**k)
     stderr = rep.stderr * value ** (1 - 2**k) / 2**k if power > 0 else None
@@ -191,13 +189,16 @@ class CorrelationReport:
 
 
 def _best_in_part(twisted: np.ndarray, pts: np.ndarray, upper, free: bool, skip_zero: bool):
-    """(score, polynomial) of the first maximizer in one part of a Poly_d
-    family.  Q ranges over the coefficient vectors of the monomials `upper`, in
-    blocks; the linear part ranges over every linear form when `free`, where
-    one transform of f * e_p(-Q) scores them all, and is zero otherwise, where
-    the row sum scores Q.  Exact ties go to the least coefficient vector over
-    the sorted monomials, the order in which the part is listed; `skip_zero`
-    leaves the zero polynomial out."""
+    """The (score, polynomial) pairs of one part of a Poly_d family that can
+    still win a tie, in listing order.  Q ranges over the coefficient vectors
+    of the monomials `upper`, in blocks; the linear part ranges over every
+    linear form when `free`, where one transform of f * e_p(-Q) scores them
+    all, and is zero otherwise, where the row sum scores Q.  Scores within
+    FLOAT_TOL of the part's maximum, relative to it, tie, and ties go to the
+    least coefficient vector over the sorted monomials, the order in which the
+    part is listed; `skip_zero` leaves the zero polynomial out.  A pair
+    survives only if it scores above every pair listed before it, so the
+    first survivor within tolerance of any larger maximum is its winner."""
     p = len(twisted)
     N, n = pts.shape
     linear = [tuple(int(i == j) for j in range(n)) for i in range(n)] if free else []
@@ -206,7 +207,8 @@ def _best_in_part(twisted: np.ndarray, pts: np.ndarray, upper, free: bool, skip_
     count = p ** len(upper)
     upper_values = monomial_values(p, pts, upper)
     block = max(1, _CHUNK // N)
-    best_val, best_key = -1.0, None
+    top = -1.0
+    keys, vals = np.empty((0, len(monos)), dtype=np.int64), np.empty(0)
     for lo in range(0, count, block):
         coeffs = coefficient_block(p, len(upper), lo, min(lo + block, count))
         rows = twisted[(coeffs @ upper_values.T) % p, np.arange(N)]
@@ -214,15 +216,22 @@ def _best_in_part(twisted: np.ndarray, pts: np.ndarray, upper, free: bool, skip_
         scores = np.abs(sums) / N
         if skip_zero and lo == 0:
             scores[0, 0] = -np.inf  # the zero polynomial leads the listing
-        top = float(scores.max())
-        if top < best_val:
+        block_top = float(scores.max())
+        if block_top < top * (1 - FLOAT_TOL):
             continue
-        q, alpha = np.nonzero(scores == top)
-        keys = np.hstack([coeffs[q], pts[alpha, : len(linear)]])[:, order]
-        if top == best_val:
-            keys = np.vstack([keys, best_key])
-        best_val, best_key = top, keys[np.lexsort(keys.T[::-1])[0]]
-    return best_val, Polynomial.from_coefficients(p, n, sorted(monos), best_key)
+        top = max(top, block_top)
+        q, alpha = np.nonzero(scores >= top * (1 - FLOAT_TOL))
+        keys = np.vstack([keys, np.hstack([coeffs[q], pts[alpha, : len(linear)]])[:, order]])
+        vals = np.concatenate([vals, scores[q, alpha]])
+        listed = np.lexsort(keys.T[::-1])
+        keys, vals = keys[listed], vals[listed]
+        earlier = np.maximum.accumulate(np.concatenate([[-np.inf], vals[:-1]]))
+        keep = (vals > earlier) & (vals >= top * (1 - FLOAT_TOL))
+        keys, vals = keys[keep], vals[keep]
+    return [
+        (float(v), Polynomial.from_coefficients(p, n, sorted(monos), k))
+        for k, v in zip(keys, vals)
+    ]
 
 
 def correlation_with_family(
@@ -243,9 +252,10 @@ def correlation_with_family(
     2..d with the linear part free.  The homogeneous family is the linear forms
     (no enumerated monomials, linear part free) followed by one part per
     j = 2..d (the monomials of degree exactly j, linear part zero), each
-    without its zero polynomial.  Ties across parts keep the earlier part.  The
-    cost, checked once for the family, is the sum over parts of
-    p^(#enumerated monomials) * p^n points.
+    without its zero polynomial.  Ties (scores within FLOAT_TOL of the
+    maximum, relative to it) keep the earlier part.  The cost, checked once
+    for the family, is the sum over parts of p^(#enumerated monomials) * p^n
+    points.
     """
     p, n = f.p, f.n
     N = space_size(p, n)
@@ -265,11 +275,12 @@ def correlation_with_family(
     check_budget(sum(p ** len(upper) for upper, _ in parts) * N, budget, what)
     pts = digit_table(p, n)
     twisted = np.exp(-2j * np.pi * np.arange(p) / p)[:, None] * f.values
-    best_val, best = -1.0, None
-    for upper, free in parts:
-        val, g = _best_in_part(twisted, pts, upper, free, homogeneous)
-        if val > best_val:
-            best_val, best = val, g
+    candidates = [
+        pair for upper, free in parts
+        for pair in _best_in_part(twisted, pts, upper, free, homogeneous)
+    ]
+    best_val = max(val for val, _ in candidates)
+    best = next(g for val, g in candidates if val >= best_val * (1 - FLOAT_TOL))
     size = sum(p ** (len(upper) + n * free) - homogeneous for upper, free in parts)
     return CorrelationReport(value=best_val, best=best, degree=degree, family_size=size)
 
@@ -404,17 +415,17 @@ def linear_form_average(
     f,
     system: LinearSystem,
     conjugations=None,
-    mode: str = "exact",
     samples: int | None = None,
     seed=None,
     budget: int | None = None,
 ) -> AverageReport:
     """t_L(f) = E prod_i f_i(L_i(X)), with optional per-form conjugation.
 
-    Exact mode multiplies the averages of the connected components, each
-    enumerated on its primal side (N^rank points) or its Fourier-dual side
-    (N^(forms - rank) points and one transform per form), as the module
-    docstring describes; mc mode samples X.
+    With `samples` None the average is exact: the product of the averages of
+    the connected components, each enumerated on its primal side (N^rank
+    points) or its Fourier-dual side (N^(forms - rank) points and one
+    transform per form), as the module docstring describes.  Otherwise it is
+    the mean over `samples` uniform draws of X.
     """
     tables = _as_table_list(f, system)
     n = tables[0].n
@@ -427,14 +438,11 @@ def linear_form_average(
     mult = list(getattr(system, "multiplicities", (1,) * system.m))
     arr = system.as_array()
 
-    if mode == "exact":
+    if samples is None:
         powered = [_powered(t.values, c, e) for t, c, e in zip(tables, conjugations, mult)]
         value, cost, path = _exact_average(powered, arr, p, n, budget, "linear form average")
         return AverageReport(value=value, mode="exact", system=system, cost=cost, path=path)
-    if mode != "mc":
-        raise ValidationError(f"unknown mode {mode!r}")
-    if samples is None or samples < 1:
-        raise ValidationError("mc mode needs samples >= 1")
+    check_count(samples, "samples")
     zs = _sample_indices(as_rng(0 if seed is None else seed), p, n, system.k, samples)
     acc = np.empty(samples, dtype=np.complex128)
     for lo in range(0, samples, _CHUNK):
@@ -483,7 +491,6 @@ def exponential_average(
     system: LinearSystem,
     beta,
     n: int | None = None,
-    mode: str = "exact",
     samples: int | None = None,
     seed=None,
     budget: int | None = None,
@@ -492,7 +499,8 @@ def exponential_average(
 
     Conjugation-weighted multilinear averages of the phase e_p(f) are the
     special case beta_i = +/-1: conjugating a factor flips the sign of its
-    exponent.
+    exponent.  Exact when `samples` is None, sampled otherwise, as in
+    linear_form_average.
     """
     p = system.p
     beta = [int(b) % p for b in beta]
@@ -509,7 +517,7 @@ def exponential_average(
         b: FunctionTable(p, n, np.exp(2j * np.pi * ((b * vals) % p) / p)) for b in set(beta)
     }
     return linear_form_average(
-        [phases[b] for b in beta], system, mode=mode, samples=samples, seed=seed, budget=budget
+        [phases[b] for b in beta], system, samples=samples, seed=seed, budget=budget
     )
 
 

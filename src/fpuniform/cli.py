@@ -26,6 +26,7 @@ import sys
 import numpy as np
 
 from .analysis import fourier_transform, gowers_norm, linear_form_average
+from .config import FLOAT_TOL
 from .errors import BudgetExceededError, FormatError, FpuniformError, ValidationError
 from .factors import decompose
 from .field import digit_table
@@ -83,24 +84,15 @@ def _load_json(path: str):
     return obj, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _load_table(path: str):
+def _load(parse, path: str):
+    """parse(decoded JSON) and the file's metadata.  A field of the wrong type
+    or shape surfaces from the parsers as a builtin exception; it is a
+    malformed file all the same."""
     obj, meta = _load_json(path)
-    return parse_function_table(obj), meta
-
-
-def _load_system(path: str):
-    obj, meta = _load_json(path)
-    return LinearSystem.from_json_dict(obj), meta
-
-
-def _load_poly(path: str):
-    obj, meta = _load_json(path)
-    return Polynomial.from_json_dict(obj), meta
-
-
-def _load_tester(path: str):
-    obj, meta = _load_json(path)
-    return TesterSpec.from_json_dict(obj), meta
+    try:
+        return parse(obj), meta
+    except (TypeError, ValueError, KeyError, IndexError, OverflowError) as exc:
+        raise FormatError(f"{path}: malformed input: {exc}") from exc
 
 
 # -- report plumbing ---------------------------------------------------------------
@@ -134,22 +126,20 @@ def _jsonable(x):
 
 def _tolerance(mode: str, stderr=None):
     if mode == "exact":
-        return {"kind": "float-rounding", "value": 1e-12}
+        return {"kind": "float-rounding", "value": FLOAT_TOL}
     return {
         "kind": "mc-stderr",
         "value": None if stderr is None else float(stderr),
     }
 
 
-def _mode_args(args):
-    mc = getattr(args, "mc", None)
-    if mc is not None and getattr(args, "exact", False):
+def _mc_samples(args) -> int | None:
+    """The --mc sample count, or None for an exact computation."""
+    if args.mc is not None and args.exact:
         raise ValidationError("--mc and --exact are mutually exclusive")
-    if mc is not None:
-        if mc < 1:
-            raise ValidationError("--mc needs a positive sample count")
-        return "mc", mc
-    return "exact", None
+    if args.mc is not None and args.mc < 1:
+        raise ValidationError("--mc needs a positive sample count")
+    return args.mc
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -209,10 +199,9 @@ def _diag(payload: dict) -> None:
 
 
 def _cmd_gowers(args) -> dict:
-    table, meta = _load_table(args.table)
-    mode, samples = _mode_args(args)
+    table, meta = _load(parse_function_table, args.table)
     rep = gowers_norm(
-        table, args.k, mode=mode, samples=samples, seed=args.seed, budget=args.budget
+        table, args.k, samples=_mc_samples(args), seed=args.seed, budget=args.budget
     )
     return {
         "command": "gowers",
@@ -231,10 +220,9 @@ def _cmd_gowers(args) -> dict:
 
 
 def _cmd_average(args) -> dict:
-    system, sys_meta = _load_system(args.system)
-    loaded = [_load_table(p) for p in args.tables]
+    system, sys_meta = _load(LinearSystem.from_json_dict, args.system)
+    loaded = [_load(parse_function_table, p) for p in args.tables]
     tables = [t for t, _ in loaded]
-    mode, samples = _mode_args(args)
     conjugations = (
         _parse_int_list(args.conjugations, "conjugation flags")
         if args.conjugations
@@ -244,8 +232,7 @@ def _cmd_average(args) -> dict:
         tables if len(tables) > 1 else tables[0],
         system,
         conjugations=conjugations,
-        mode=mode,
-        samples=samples,
+        samples=_mc_samples(args),
         seed=args.seed,
         budget=args.budget,
     )
@@ -267,7 +254,7 @@ def _cmd_average(args) -> dict:
 
 
 def _cmd_system(args) -> dict:
-    system, meta = _load_system(args.file)
+    system, meta = _load(LinearSystem.from_json_dict, args.file)
     report = {
         "command": "system",
         "action": args.action,
@@ -291,7 +278,7 @@ def _cmd_system(args) -> dict:
     elif args.action == "isomorphism":
         if args.other is None:
             raise ValidationError("isomorphism needs --other")
-        other, other_meta = _load_system(args.other)
+        other, other_meta = _load(LinearSystem.from_json_dict, args.other)
         report["inputs"]["other"] = other_meta
         rep = are_isomorphic(system, other)
         report.update(
@@ -302,7 +289,7 @@ def _cmd_system(args) -> dict:
     else:  # product
         if args.other is None:
             raise ValidationError("product needs --other")
-        other, other_meta = _load_system(args.other)
+        other, other_meta = _load(LinearSystem.from_json_dict, args.other)
         report["inputs"]["other"] = other_meta
         if not isinstance(system, FlaggedSystem) or not isinstance(
             other, FlaggedSystem
@@ -313,7 +300,7 @@ def _cmd_system(args) -> dict:
 
 
 def _cmd_fourier(args) -> dict:
-    table, meta = _load_table(args.table)
+    table, meta = _load(parse_function_table, args.table)
     hat = fourier_transform(table)
     return {
         "command": "fourier",
@@ -327,7 +314,7 @@ def _cmd_fourier(args) -> dict:
 
 
 def _cmd_decompose(args) -> dict:
-    table, meta = _load_table(args.table)
+    table, meta = _load(parse_function_table, args.table)
     rep = decompose(
         table,
         args.degree,
@@ -347,7 +334,7 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_rank(args) -> dict:
-    loaded = [_load_poly(p) for p in args.polys]
+    loaded = [_load(Polynomial.from_json_dict, p) for p in args.polys]
     rep = polynomial_rank([q for q, _ in loaded], r_max=args.rmax)
     return {
         "command": "rank",
@@ -363,7 +350,7 @@ def _cmd_rank(args) -> dict:
 
 
 def _cmd_test(args) -> dict:
-    table, table_meta = _load_table(args.table)
+    table, table_meta = _load(parse_function_table, args.table)
     if args.action == "uniformity":
         rep = uniformity_test(
             table, args.degree, args.samples, seed=args.seed, threshold=args.threshold,
@@ -387,15 +374,13 @@ def _cmd_test(args) -> dict:
         }
     if args.spec is None:
         raise ValidationError(f"test {args.action} needs --spec")
-    spec, spec_meta = _load_tester(args.spec)
+    spec, spec_meta = _load(TesterSpec.from_json_dict, args.spec)
     if args.action == "symmetrize":
         spec = symmetrize_tester(spec)
-    if args.exact:
-        rep = run_tester(spec, table, mode="exact", budget=args.budget)
-    else:
-        if args.trials is None:
-            raise ValidationError("estimate mode needs --trials")
-        rep = run_tester(spec, table, trials=args.trials, seed=args.seed)
+    if not args.exact and args.trials is None:
+        raise ValidationError("estimate mode needs --trials")
+    trials = None if args.exact else args.trials
+    rep = run_tester(spec, table, trials=trials, seed=args.seed, budget=args.budget)
     return {
         "command": "test",
         "action": args.action,
@@ -405,15 +390,13 @@ def _cmd_test(args) -> dict:
         "thresholds": [spec.theta_minus, spec.theta_plus],
         "symmetrized": spec.symmetrized,
         "stderr": rep.stderr,
-        "mode": "exact" if rep.mode == "exact" else "mc",
-        "tolerance": _tolerance(
-            "exact" if rep.mode == "exact" else "mc", rep.stderr
-        ),
+        "mode": rep.mode,
+        "tolerance": _tolerance(rep.mode, rep.stderr),
     }
 
 
 def _cmd_interior(args) -> dict:
-    loaded = [_load_system(p) for p in args.systems]
+    loaded = [_load(LinearSystem.from_json_dict, p) for p in args.systems]
     rep = interior_experiment(
         [s for s, _ in loaded],
         args.p,
@@ -434,13 +417,12 @@ def _cmd_interior(args) -> dict:
 
 
 def _cmd_distributional(args) -> dict:
-    table, table_meta = _load_table(args.table)
-    system, sys_meta = _load_system(args.system)
+    table, table_meta = _load(parse_function_table, args.table)
+    system, sys_meta = _load(LinearSystem.from_json_dict, args.system)
     gamma = DistributionalFunction.lift(table)
     beta = _parse_int_list(args.beta, "beta")
-    mode, samples = _mode_args(args)
     rep = gamma.t_star(
-        system, beta, mode=mode, samples=samples, seed=args.seed, budget=args.budget
+        system, beta, samples=_mc_samples(args), seed=args.seed, budget=args.budget
     )
     return {
         "command": "distributional",

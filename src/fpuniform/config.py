@@ -16,6 +16,10 @@ from .errors import BudgetExceededError
 #: Default cap on the number of points any exact enumeration may touch.
 DEFAULT_BUDGET = 2**24
 
+#: Relative float-rounding tolerance of exact results: reports declare it,
+#: and scores this close to a maximum tie with it.
+FLOAT_TOL = 1e-12
+
 #: Largest supported prime modulus.
 MAX_PRIME = 251
 

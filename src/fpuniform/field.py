@@ -37,10 +37,11 @@ def is_prime(p: int) -> bool:
 
 def validate_prime(p: int) -> int:
     p = int(p)
-    if not is_prime(p):
-        raise ValidationError(f"p = {p} is not prime")
+    # the cap comes first: trial division of a huge p takes minutes
     if p > MAX_PRIME:
         raise ValidationError(f"p = {p} exceeds the supported cap {MAX_PRIME}")
+    if not is_prime(p):
+        raise ValidationError(f"p = {p} is not prime")
     return p
 
 
@@ -54,6 +55,11 @@ def validate_dims(p: int, n: int) -> tuple[int, int]:
 
 def space_size(p: int, n: int) -> int:
     return p**n
+
+
+def is_space_size(count: int, p: int, n: int) -> bool:
+    """count == p^n, decided without building p^n for a huge n: p^n >= 2^n."""
+    return n <= count.bit_length() and count == p**n
 
 
 @lru_cache(maxsize=None)

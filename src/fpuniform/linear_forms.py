@@ -47,6 +47,8 @@ class LinearSystem:
         if k < 1:
             raise ValidationError("need at least one variable")
         clean = tuple(_normalize_form(f, p, k) for f in forms)
+        if not clean:
+            raise ValidationError("need at least one form")
         for f in clean:
             if not any(f):
                 raise ValidationError("zero form not allowed")

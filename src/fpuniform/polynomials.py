@@ -18,7 +18,7 @@ import numpy as np
 from .config import RETRY_CAP, check_budget
 from .errors import FormatError, RetryLimitError, ValidationError
 from .field import digit_table, validate_dims
-from .rng import as_rng
+from .rng import as_rng, check_count
 
 Exponents = tuple[int, ...]
 
@@ -381,29 +381,26 @@ class BiasResult:
 
 def bias(
     P: Polynomial,
-    mode: str = "exact",
     samples: int | None = None,
     seed=None,
     budget: int | None = None,
 ) -> BiasResult:
-    """|E_x e_p(P(x))|, exactly or by Monte Carlo.
+    """|E_x e_p(P(x))|: exact when `samples` is None, otherwise estimated
+    from that many uniform points.
 
     The exact path accumulates integer counts per residue class and defers
     floating point to a single magnitude computation.
     """
     p = P.p
     roots = np.exp(2j * np.pi * np.arange(p) / p)
-    if mode == "exact":
+    if samples is None:
         check_budget(p**P.n, budget, "exact bias")
         counts = np.bincount(P.value_table(budget), minlength=p)
         value = abs(np.dot(counts, roots)) / p**P.n
         return BiasResult(float(value), "exact")
-    if mode == "mc":
-        if samples is None or samples < 1:
-            raise ValidationError("mc mode needs samples >= 1")
-        rng = as_rng(0 if seed is None else seed)
-        pts = rng.integers(0, p, size=(samples, P.n))
-        z = roots[P.values_at(pts)].mean()
-        stderr = math.sqrt(max(0.0, 1.0 - abs(z) ** 2) / samples)
-        return BiasResult(abs(z), "mc", samples=samples, stderr=stderr, seed=seed)
-    raise ValidationError(f"unknown mode {mode!r}")
+    check_count(samples, "samples")
+    rng = as_rng(0 if seed is None else seed)
+    pts = rng.integers(0, p, size=(samples, P.n))
+    z = roots[P.values_at(pts)].mean()
+    stderr = math.sqrt(max(0.0, 1.0 - abs(z) ** 2) / samples)
+    return BiasResult(abs(z), "mc", samples=samples, stderr=stderr, seed=seed)

@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def derive_seed(seed: int, label: str) -> int:
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
@@ -43,6 +45,13 @@ class SeededRNG:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SeededRNG(seed={self.seed})"
+
+
+def check_count(count: int, name: str) -> int:
+    """A Monte Carlo sample or trial count, which must be at least 1."""
+    if count < 1:
+        raise ValidationError(f"{name} must be >= 1 for a Monte Carlo estimate, got {count}")
+    return count
 
 
 def as_rng(seed_or_rng) -> SeededRNG:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import check_budget
 from .errors import FormatError, ValidationError
-from .field import AffineMap, digit_table, place_values, space_size, validate_dims
+from .field import AffineMap, digit_table, is_space_size, place_values, space_size, validate_dims
 from .polynomials import Polynomial
 from .rng import as_rng
 
@@ -33,10 +33,8 @@ class FunctionTable:
         if codomain not in CODOMAINS:
             raise ValidationError(f"codomain must be one of {CODOMAINS}")
         arr = np.asarray(values, dtype=np.complex128).reshape(-1).copy()
-        if arr.shape != (space_size(p, n),):
-            raise ValidationError(
-                f"expected {space_size(p, n)} values for p={p}, n={n}, got {arr.shape[0]}"
-            )
+        if not is_space_size(arr.size, p, n):
+            raise ValidationError(f"expected p^n values for p={p}, n={n}, got {arr.size}")
         if codomain == "real" and arr.imag.any():
             raise ValidationError("real codomain requires zero imaginary parts")
         if not np.isfinite(arr).all():

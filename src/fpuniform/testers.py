@@ -30,6 +30,7 @@ from .field import (
     digit_table,
     independent_tuples,
     index_combination,
+    is_space_size,
     place_values,
     random_affine,
     random_independent_rows,
@@ -39,7 +40,7 @@ from .field import (
 from .linalg import solve, span_coordinates
 from .linear_forms import LinearSystem, are_isomorphic, connected_components, cube_system
 from .polynomials import coefficient_block, family_size, monomial_values, monomials_up_to
-from .rng import as_rng
+from .rng import as_rng, check_count
 from .tables import FunctionTable
 
 
@@ -116,19 +117,17 @@ class DistributionalFunction:
         self,
         system: LinearSystem,
         beta,
-        mode: str = "exact",
         samples: int | None = None,
         seed=None,
         budget: int | None = None,
     ):
-        """E prod_i (a_{beta_i} o Gamma)(L_i(X)) — the distributional average."""
+        """E prod_i (a_{beta_i} o Gamma)(L_i(X)) — the distributional average,
+        exact when `samples` is None and sampled otherwise."""
         beta = [int(b) % self.p for b in beta]
         if len(beta) != system.m:
             raise ValidationError("beta length must match the number of forms")
         tables = [self.a_c(b) for b in beta]
-        return linear_form_average(
-            tables, system, mode=mode, samples=samples, seed=seed, budget=budget
-        )
+        return linear_form_average(tables, system, samples=samples, seed=seed, budget=budget)
 
 
 # -- tester specs ---------------------------------------------------------------
@@ -141,7 +140,7 @@ class TesterSpec:
 
     __slots__ = (
         "p", "q", "decision_table", "theta_minus", "theta_plus",
-        "epsilon", "delta", "base_support", "sampler", "symmetrized",
+        "epsilon", "delta", "base_support", "symmetrized",
     )
 
     def __init__(
@@ -154,14 +153,13 @@ class TesterSpec:
         epsilon: float | None = None,
         delta: float | None = None,
         base_support=None,
-        sampler=None,
         symmetrized: bool = False,
     ):
         if q < 1:
             raise ValidationError("need at least one query")
         decision = np.asarray(decision_table, dtype=float).reshape(-1)
-        if decision.shape != (p**q,):
-            raise ValidationError(f"decision table must have p^q = {p ** q} entries")
+        if not is_space_size(decision.size, p, q):
+            raise ValidationError(f"decision table must have p^q entries, p = {p} and q = {q}")
         if not np.isin(decision, (0.0, 1.0)).all():
             raise ValidationError("decision table entries must be 0 or 1")
         if not (0.0 <= theta_minus < theta_plus <= 1.0):
@@ -170,22 +168,20 @@ class TesterSpec:
             raise ValidationError("epsilon and delta come together")
         if epsilon is not None and not (0.0 < delta < epsilon):
             raise ValidationError("need 0 < delta < epsilon")
-        if base_support is None and sampler is None:
-            raise ValidationError("need a base_support or a sampler")
-        support = None
-        if base_support is not None:
-            support = []
-            total = 0.0
-            for points, prob in base_support:
-                pts = np.asarray(points, dtype=np.int64) % p
-                if pts.ndim != 2 or pts.shape[0] != q:
-                    raise ValidationError("support point must hold q query vectors")
-                if prob < 0:
-                    raise ValidationError("negative support probability")
-                support.append((pts, float(prob)))
-                total += prob
-            if abs(total - 1.0) > 1e-12:
-                raise ValidationError("support probabilities must sum to 1")
+        if base_support is None:
+            raise ValidationError("need a base_support")
+        support = []
+        total = 0.0
+        for points, prob in base_support:
+            pts = np.asarray(points, dtype=np.int64) % p
+            if pts.ndim != 2 or pts.shape[0] != q:
+                raise ValidationError("support point must hold q query vectors")
+            if not prob >= 0:
+                raise ValidationError(f"support probability {prob} is not >= 0")
+            support.append((pts, float(prob)))
+            total += prob
+        if abs(total - 1.0) > 1e-12:
+            raise ValidationError("support probabilities must sum to 1")
         decision.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -195,7 +191,6 @@ class TesterSpec:
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "base_support", support)
-        object.__setattr__(self, "sampler", sampler)
         object.__setattr__(self, "symmetrized", bool(symmetrized))
 
     def __setattr__(self, name, value):
@@ -213,13 +208,6 @@ class TesterSpec:
         picked by its probability; a symmetrized spec then maps it by a
         uniform affine map, i.e. to u + lambda.V (see basis_forms) for a
         uniform point u and a uniform independent tuple V."""
-        if self.sampler is not None:
-            out = np.asarray(self.sampler(rng, n, count), dtype=np.int64)
-            if out.shape != (count, self.q, n):
-                raise ValidationError(
-                    f"query sampler emitted shape {out.shape}, wanted {(count, self.q, n)}"
-                )
-            return (out % self.p) @ place_values(self.p, n)
         rows = self.support_indices(n)
         probs = np.array([prob for _, prob in self.base_support])
         picks = rng.choice(len(rows), size=count, p=probs)
@@ -246,8 +234,8 @@ class TesterSpec:
         return self.decision_table[labels]
 
     def to_json_dict(self) -> dict:
-        if self.sampler is not None or self.base_support is None or self.symmetrized:
-            raise ValidationError("procedural and symmetrized specs do not serialize")
+        if self.symmetrized:
+            raise ValidationError("symmetrized specs do not serialize")
         return {
             "schema": "fpuniform/v1",
             "kind": "tester",
@@ -347,17 +335,16 @@ def run_tester(
     f: FunctionTable,
     trials: int | None = None,
     seed=None,
-    mode: str = "estimate",
     budget: int | None = None,
 ) -> TesterReport:
-    """Acceptance probability of the decision map on f's query values."""
+    """Acceptance probability of the decision map on f's query values: exact
+    over the support (and, when symmetrized, every affine image of it) when
+    `trials` is None, otherwise the mean over that many drawn query tuples."""
     vals = _integer_values(f, f.p, f.n)
     if f.p != spec.p:
         raise ValidationError("tester and table use different primes")
     n = f.n
-    if mode == "exact":
-        if spec.base_support is None:
-            raise ValidationError("exact mode needs an explicit finite support")
+    if trials is None:
         rows = spec.support_indices(n)  # checks the dimension too
         probs = [prob for _, prob in spec.base_support]
         if spec.symmetrized:
@@ -372,15 +359,12 @@ def run_tester(
         else:
             acceptance = sum(prob * float(d) for prob, d in zip(probs, spec.decide(vals[rows])))
         return TesterReport(acceptance=float(acceptance), trials=None, mode="exact")
-    if mode != "estimate":
-        raise ValidationError(f"unknown mode {mode!r}")
-    if trials is None or trials < 1:
-        raise ValidationError("estimate mode needs trials >= 1")
+    check_count(trials, "trials")
     rng = as_rng(0 if seed is None else seed)
     decisions = spec.decide(vals[spec.draw_indices(rng, n, trials)])
     acc = float(decisions.mean())
     se = float(np.sqrt(max(acc * (1 - acc), 0.0) / trials))
-    return TesterReport(acceptance=acc, trials=trials, mode="estimate", seed=seed, stderr=se)
+    return TesterReport(acceptance=acc, trials=trials, mode="mc", seed=seed, stderr=se)
 
 
 def _orbit_acceptance(spec: TesterSpec, vals: np.ndarray, coeffs: np.ndarray, n: int) -> float:
@@ -402,8 +386,6 @@ def symmetrize_tester(spec: TesterSpec) -> TesterSpec:
     on where the map sends the tuple's first point and the basis of its
     differences, so it is drawn as u + lambda.V; symmetrizing twice is
     symmetrizing once."""
-    if spec.base_support is None:
-        raise ValidationError("symmetrization acts on a base support, not a procedural sampler")
     return TesterSpec(
         spec.p,
         spec.q,
@@ -437,8 +419,6 @@ def extract_linear_form_profile(spec: TesterSpec, n: int) -> list[ProfileEntry]:
     F_p^q ride along, so that sum of gamma_hat(beta) * t*_{L, beta} over the
     support reconstructs the symmetrized acceptance up to O(p^{-n} q^2).
     """
-    if spec.base_support is None:
-        raise ValidationError("cannot extract a profile from a black-box sampler")
     p, q = spec.p, spec.q
     gamma_hat = _fp_transform(spec.decision_table, p, q) / p**q
     betas = digit_table(p, q)
@@ -515,6 +495,7 @@ def uniformity_test(
     """Estimate ‖e_p(f)‖_{U^{d+1}}^{2^{d+1}} for field-valued f from random
     parallelepipeds: the exponential average over cube_system(p, d+1) with
     exponents (-1)^(d+1-|omega|), so each sample reads 2^{d+1} points."""
+    check_count(samples, "samples")
     if d < 1:
         raise ValidationError("degree must be >= 1")
     if not -float("inf") < threshold < float("inf"):
@@ -522,7 +503,7 @@ def uniformity_test(
     k = d + 1
     cube = cube_system(f.p, k, budget)
     beta = [(-1) ** (k - bin(mask).count("1")) for mask in range(2**k)]
-    rep = exponential_average(f, cube, beta, mode="mc", samples=samples, seed=seed)
+    rep = exponential_average(f, cube, beta, samples=samples, seed=seed)
     estimate = float(rep.value.real)
     return UniformityReport(
         estimate=estimate,
@@ -689,6 +670,10 @@ def interior_experiment(
     systems = list(systems)
     if not systems:
         raise ValidationError("need at least one system")
+    check_count(trials, "trials")
+    p, n = validate_dims(p, n)
+    N = space_size(p, n)
+    check_budget(N, budget, "interior experiment table")
     # Hypothesis gate.  Averages factor over connected components, and a power
     # t -> t^r is a diffeomorphism of (0,1), so a system whose components are
     # all isomorphic to one connected system acts as that system.  Anything
@@ -724,7 +709,6 @@ def interior_experiment(
                     f"via {iso.mapping}"
                 )
     rng = as_rng(0 if seed is None else seed)
-    N = space_size(p, n)
     best = None
     for t in range(1, trials + 1):
         f = FunctionTable(

@@ -344,11 +344,11 @@ def test_14_monte_carlo_calibration():
     good_norm = 0
     good_avg = 0
     for seed in range(100):
-        mc_n = gowers_norm(phase, 2, mode="mc", samples=N, seed=seed).value
+        mc_n = gowers_norm(phase, 2, samples=N, seed=seed).value
         if abs(mc_n - exact_norm) <= bound:
             good_norm += 1
         mc_a = complex(
-            linear_form_average(tri3, TRI2, mode="mc", samples=N, seed=seed)
+            linear_form_average(tri3, TRI2, samples=N, seed=seed)
         )
         if abs(mc_a - exact_avg) <= bound:
             good_avg += 1

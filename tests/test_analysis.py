@@ -27,6 +27,7 @@ from fpuniform.analysis import (
     linear_form_average,
     flagged_average,
 )
+from fpuniform.config import FLOAT_TOL
 from fpuniform.errors import BudgetExceededError, ValidationError
 from fpuniform.field import enumerate_vectors, index_combination, index_of, place_values
 from fpuniform.linear_forms import (
@@ -156,10 +157,9 @@ def test_gowers_budget_and_validation():
     f = FunctionTable.constant(2, 1, 1.0)
     with pytest.raises(ValidationError):
         gowers_norm(f, 0)
-    with pytest.raises(ValidationError):
-        gowers_norm(f, 2, mode="sideways")
-    with pytest.raises(ValidationError):
-        gowers_norm(f, 2, mode="mc")  # samples required
+    for samples in (0, -1):
+        with pytest.raises(ValidationError, match="samples"):
+            gowers_norm(f, 2, samples=samples)
 
 
 @pytest.mark.parametrize("p,n,k", [(2, 2, 4), (2, 1, 5), (3, 1, 4), (5, 1, 3), (2, 2, 3)])
@@ -175,16 +175,16 @@ def test_batched_u_power_matches_direct(p, n, k, monkeypatch):
 def test_gowers_mc_tracks_exact():
     f = random_unit_table(2, 4, seed=5)
     exact = float(gowers_norm(f, 2))
-    rep = gowers_norm(f, 2, mode="mc", samples=4000, seed=5)
+    rep = gowers_norm(f, 2, samples=4000, seed=5)
     assert rep.stderr is not None and rep.stderr > 0
     assert abs(float(rep) - exact) < 5 * rep.stderr
-    again = gowers_norm(f, 2, mode="mc", samples=4000, seed=5)
+    again = gowers_norm(f, 2, samples=4000, seed=5)
     assert float(rep) == float(again)
 
 
 def test_gowers_mc_large_instance_runs():
     f = random_unit_table(2, 8, seed=1)
-    rep = gowers_norm(f, 3, mode="mc", samples=500, seed=2)
+    rep = gowers_norm(f, 3, samples=500, seed=2)
     assert 0 <= float(rep) <= 1.2
 
 
@@ -314,6 +314,24 @@ def test_degree_path_breaks_exact_ties_in_listing_order(n, seed):
     f = FunctionTable(2, n, signs, codomain="real")
     by_list = best_in_list(f, nonconstant_family(2, n, 2))[1]
     assert correlation_with_family(f, degree=2).best == by_list
+
+
+@pytest.mark.parametrize("p, n, d", [(3, 2, 2), (3, 3, 2), (5, 2, 2)])
+def test_degree_path_ties_within_float_tolerance(p, n, d):
+    # for a real table g and -g score the same in exact arithmetic, and
+    # summation order alone separates them; scores within FLOAT_TOL of the
+    # maximum, relative to it, tie, and the first in listing order wins
+    monos = [e for e in monomials_up_to(p, n, d) if any(e)]
+    coeffs = np.array(list(itertools.product(range(p), repeat=len(monos))))
+    pts = np.array(list(itertools.product(range(p), repeat=n)))
+    values = coeffs @ np.prod(pts[:, None, :] ** np.array(monos), axis=2).T % p
+    phases = np.exp(2j * np.pi * values / p)
+    for seed in range(20):
+        f = random_real_table(p, n, seed=seed)
+        scores = np.abs(phases.conj() @ f.values) / len(f.values)
+        first = np.flatnonzero(scores >= scores.max() * (1 - FLOAT_TOL))[0]
+        best = Polynomial.from_coefficients(p, n, monos, coeffs[first])
+        assert correlation_with_family(f, degree=d).best == best
 
 
 def mean_dominated_table(p, n, seed):
@@ -459,7 +477,7 @@ def test_average_mc_tracks_exact():
     system = LinearSystem(2, 2, [(1, 0), (0, 1), (1, 1)])
     f = random_unit_table(2, 4, seed=11)
     exact = complex(linear_form_average(f, system))
-    rep = linear_form_average(f, system, mode="mc", samples=3000, seed=11)
+    rep = linear_form_average(f, system, samples=3000, seed=11)
     assert abs(complex(rep) - exact) < 5 * rep.stderr
 
 
@@ -469,9 +487,9 @@ def test_gowers_mc_is_cube_system_average(p, n, k):
     f = random_unit_table(p, n, seed=p + k)
     conj = [(k - bin(mask).count("1")) % 2 for mask in range(2**k)]
     for samples in (1, 257):
-        rep = gowers_norm(f, k, mode="mc", samples=samples, seed=9)
+        rep = gowers_norm(f, k, samples=samples, seed=9)
         avg = linear_form_average(
-            f, cube_system(p, k), conj, mode="mc", samples=samples, seed=9
+            f, cube_system(p, k), conj, samples=samples, seed=9
         )
         assert rep.power == max(avg.value.real, 0.0)
         assert rep.cost == avg.cost == samples * 2**k
@@ -529,7 +547,7 @@ def test_index_sampler_matches_digit_sampler(case, samples, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_CHUNK", 5)  # 7 and 23 samples span several blocks
         zs = analysis._sample_indices(as_rng(seed), p, n, system.k, samples)
-        rep = linear_form_average(fs, system, conj, mode="mc", samples=samples, seed=seed)
+        rep = linear_form_average(fs, system, conj, samples=samples, seed=seed)
     assert np.array_equal(zs, var_idx)
     assert np.array_equal(index_combination(p, n, system.as_array(), zs), form_idx)
     if p == 2:
@@ -651,7 +669,7 @@ def test_average_reports_side_and_cost():
     system = LinearSystem(5, 3, [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)])
     rep = linear_form_average(f, system)
     assert (rep.path, rep.cost) == ("mixed", 25 + 4 * 25)
-    assert linear_form_average(f, system, mode="mc", samples=3).path == "sampled"
+    assert linear_form_average(f, system, samples=3).path == "sampled"
 
 
 def test_average_validation():

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fpuniform import cli
 from fpuniform.cli import main
@@ -262,6 +264,14 @@ def test_interior_command(files, capsys):
     assert rep["independent"] and rep["trials_run"] == 1
     assert rep["min_singular_value"] == pytest.approx(0.004854778246066949)
     assert len(rep["witness"]) == 27
+    rc, out, err = run(
+        ["interior", "--systems", files["ap3"], "--p", "3", "--n", "3", "--trials", "0"],
+        capsys,
+    )
+    assert rc == 2 and out == "" and "trials" in json.loads(err)["error"]
+    # 3^40 table values are refused before any is drawn
+    rc, out, err = run(["interior", "--systems", files["ap3"], "--p", "3", "--n", "40"], capsys)
+    assert rc == 66 and json.loads(err)["cost"] == 3**40
 
 
 def test_distributional_command(files, capsys):
@@ -433,3 +443,90 @@ def test_missing_required_flag_exits_2(files):
     with pytest.raises(SystemExit) as exc:
         main(["gowers", "--table", files["phase"]])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------- malformed input fields
+
+VALID_INPUTS = {
+    "table": FunctionTable(2, 2, [0.0, 1.0, 1.0, 0.0], codomain="real").to_json_dict(),
+    "system": LinearSystem(2, 2, [(1, 0), (0, 1), (1, 1)]).to_json_dict(),
+    "flagged": FlaggedSystem(2, 2, [(1, 0), (0, 1)], (1, 1)).to_json_dict(),
+    "poly": Polynomial(2, 2, {(1, 1): 1}).to_json_dict(),
+    "spec": {
+        **uniformity_tester_spec(2, 2, 1).to_json_dict(), "epsilon": 0.5, "delta": 0.25,
+    },
+}
+
+# each kind's input goes to the command in place of INPUT; `valid.json` is
+# the valid table, field-valued so that testers can read it
+COMMANDS = {
+    "table": ["gowers", "--table", "INPUT", "--k", "2"],
+    "system": ["average", "--system", "INPUT", "--tables", "valid.json"],
+    "flagged": ["average", "--system", "INPUT", "--tables", "valid.json"],
+    "poly": ["rank", "--polys", "INPUT"],
+    "spec": ["test", "generic", "--table", "valid.json", "--spec", "INPUT", "--exact"],
+}
+
+
+def run_with_field(tmp_path, capsys, kind, path, value):
+    """Run kind's command on its valid input with the field at `path` (a
+    tuple of keys and indices) replaced by `value`."""
+    obj = json.loads(json.dumps(VALID_INPUTS[kind]))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    (tmp_path / "input.json").write_text(json.dumps(obj))
+    (tmp_path / "valid.json").write_text(json.dumps(VALID_INPUTS["table"]))
+    paths = {"INPUT": str(tmp_path / "input.json"), "valid.json": str(tmp_path / "valid.json")}
+    argv = [paths.get(a, a) for a in COMMANDS[kind]]
+    return run(argv + ["--budget", "4096"], capsys)
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    [
+        ("table", ("p",), "x"),
+        ("table", ("p",), None),
+        ("system", ("k",), "a"),
+        ("system", ("forms",), None),
+        ("system", ("forms",), [[1, [0]]]),
+        ("system", ("forms",), []),
+        ("flagged", ("flag",), "x"),
+        ("flagged", ("multiplicities",), 3),
+        ("flagged", ("multiplicities",), ["a"]),
+        ("poly", ("p",), "a"),
+        ("poly", ("n",), "a"),
+        ("spec", ("q",), "a"),
+        ("spec", ("thresholds",), [0]),
+        ("spec", ("support", 0, "points"), "ab"),
+        ("spec", ("support", 0, "prob"), "a"),
+        ("spec", ("decision_table",), ["a", "b"]),
+        ("spec", ("epsilon",), "a"),
+    ],
+)
+def test_wrong_field_type_exit_65(tmp_path, capsys, kind, path, value):
+    rc, out, err = run_with_field(tmp_path, capsys, kind, path, value)
+    assert rc == 65 and out == ""
+    assert json.loads(err)["type"] == "format"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@given(data=st.data())
+@settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_any_field_value_keeps_the_exit_code_contract(tmp_path, capsys, data):
+    kind = data.draw(st.sampled_from(sorted(VALID_INPUTS)))
+    key = data.draw(st.sampled_from(sorted(VALID_INPUTS[kind])))
+    rc, _, err = run_with_field(tmp_path, capsys, kind, (key,), data.draw(JSON_VALUES))
+    assert rc in (0, 2, 64, 65, 66, 70)
+    for line in err.splitlines():
+        assert isinstance(json.loads(line), dict)

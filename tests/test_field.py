@@ -34,6 +34,8 @@ def test_prime_validation():
         field.validate_prime(1)
     with pytest.raises(ValidationError):
         field.validate_prime(257)  # prime but above the cap
+    with pytest.raises(ValidationError, match="cap"):
+        field.validate_prime(2**61 - 1)  # the cap answers before minutes of trial division
     assert field.validate_prime(251) == 251
 
 

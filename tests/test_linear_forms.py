@@ -30,6 +30,8 @@ def test_system_validation():
     with pytest.raises(ValidationError):
         LinearSystem(2, 0, [])
     with pytest.raises(ValidationError):
+        LinearSystem(2, 2, [])
+    with pytest.raises(ValidationError):
         LinearSystem(2, 2, [(1, 0, 1)])
 
 

@@ -217,7 +217,7 @@ def test_bias_invariant_under_constants(P):
 def test_bias_mc_tracks_exact():
     P = Polynomial(3, 3, {(1, 1, 0): 1, (0, 0, 2): 2})
     exact = float(bias(P))
-    est = bias(P, mode="mc", samples=20000, seed=7)
+    est = bias(P, samples=20000, seed=7)
     assert isinstance(est, BiasResult)
     assert est.stderr is not None
     assert abs(est.value - exact) < 5 * est.stderr + 1e-3
@@ -225,8 +225,8 @@ def test_bias_mc_tracks_exact():
 
 def test_bias_mc_needs_samples():
     P = Polynomial(2, 2, {(1, 1): 1})
-    with pytest.raises(ValidationError):
-        bias(P, mode="mc")
+    with pytest.raises(ValidationError, match="samples"):
+        bias(P, samples=0)
 
 
 def test_random_polynomial_exact_degree():

@@ -27,6 +27,8 @@ def test_construction_validation():
     with pytest.raises(ValidationError):
         FunctionTable(2, 2, [1, 2, 3])  # wrong length
     with pytest.raises(ValidationError):
+        FunctionTable(2, 10**10, [1, 2, 3, 4])  # refused without building 2^(10^10)
+    with pytest.raises(ValidationError):
         FunctionTable(2, 2, [1, 2, 3, 4], codomain="integer")
     with pytest.raises(ValidationError):
         FunctionTable(2, 1, [1j, 0], codomain="real")

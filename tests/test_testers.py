@@ -127,7 +127,7 @@ def test_t_star_validates_beta_length():
 def test_t_star_mc_tracks_exact():
     gamma = DistributionalFunction.lift(random_real_table(2, 4, seed=4, low=0.0, high=1.0))
     exact = complex(gamma.t_star(TRI, (1, 1, 1))).real
-    mc = gamma.t_star(TRI, (1, 1, 1), mode="mc", samples=20000, seed=6)
+    mc = gamma.t_star(TRI, (1, 1, 1), samples=20000, seed=6)
     assert abs(complex(mc).real - exact) < max(4 * mc.stderr, 1e-3)
 
 
@@ -157,6 +157,8 @@ def test_tester_spec_validation():
     with pytest.raises(ValidationError):
         TesterSpec(2, 2, [1, 0, 1])  # needs p^q = 4 entries
     with pytest.raises(ValidationError):
+        TesterSpec(2, 10**10, [1, 0], base_support=[(np.zeros((1, 2)), 1.0)])
+    with pytest.raises(ValidationError):
         TesterSpec(2, 1, [1, 2], base_support=[(np.zeros((1, 2)), 1.0)])
     with pytest.raises(ValidationError):
         TesterSpec(2, 1, [1, 0], theta_minus=0.5, theta_plus=0.5,
@@ -167,7 +169,7 @@ def test_tester_spec_validation():
         TesterSpec(2, 1, [1, 0], epsilon=0.2, delta=0.3,
                    base_support=[(np.zeros((1, 2)), 1.0)])
     with pytest.raises(ValidationError):
-        TesterSpec(2, 1, [1, 0])  # no support, no sampler
+        TesterSpec(2, 1, [1, 0])  # no support
     with pytest.raises(ValidationError):
         TesterSpec(2, 1, [1, 0], base_support=[(np.zeros((1, 2)), 0.5)])
     with pytest.raises(ValidationError):
@@ -241,7 +243,7 @@ def test_trivial_decisions():
     f = field_table(2, 2, [0, 1, 1, 0])
     assert run_tester(always, f, trials=50, seed=0).acceptance == 1.0
     assert run_tester(never, f, trials=50, seed=0).acceptance == 0.0
-    assert run_tester(always, f, mode="exact").acceptance == 1.0
+    assert run_tester(always, f).acceptance == 1.0
 
 
 def test_exact_mode_reads_the_support():
@@ -249,9 +251,9 @@ def test_exact_mode_reads_the_support():
     lin = poly_table(2, 2, {(1, 0): 1})
     quad = poly_table(2, 2, {(1, 1): 1})
     # the standard parallelepiped's alternating sum vanishes on degree <= 1
-    assert run_tester(spec, lin, mode="exact").acceptance == 1.0
-    assert run_tester(spec, quad, mode="exact").acceptance == 0.0
-    rep = run_tester(spec, lin, mode="exact")
+    assert run_tester(spec, lin).acceptance == 1.0
+    assert run_tester(spec, quad).acceptance == 0.0
+    rep = run_tester(spec, lin)
     assert rep.mode == "exact" and rep.trials is None
 
 
@@ -260,25 +262,19 @@ def test_run_tester_validation():
     f = field_table(2, 2, [0, 1, 1, 0])
     with pytest.raises(ValidationError):
         run_tester(spec, field_table(3, 1, [0, 1, 2]), trials=5)
-    with pytest.raises(ValidationError):
-        run_tester(spec, f, trials=5, mode="sideways")
-    with pytest.raises(ValidationError):
-        run_tester(spec, f, mode="estimate")  # needs trials
-    bad_arity = TesterSpec(2, 2, [1, 0, 0, 1], sampler=lambda rng, n, count: np.zeros((count, 3, n), dtype=int))
-    with pytest.raises(ValidationError):
-        run_tester(bad_arity, f, trials=5, seed=0)
-    with pytest.raises(ValidationError):
-        run_tester(bad_arity, f, mode="exact")  # no finite support
+    for trials in (0, -3):
+        with pytest.raises(ValidationError, match="trials"):
+            run_tester(spec, f, trials=trials)
     # support living in the wrong dimension
     with pytest.raises(ValidationError):
-        run_tester(spec, field_table(2, 3, np.zeros(8)), mode="exact")
+        run_tester(spec, field_table(2, 3, np.zeros(8)))
 
 
 def test_estimate_reports_stderr():
     spec = symmetrize_tester(uniformity_tester_spec(2, 3, 1))
     f = field_table(2, 3, SeededRNG(3).integers(0, 2, size=8))
     rep = run_tester(spec, f, trials=400, seed=7)
-    assert rep.mode == "estimate" and rep.trials == 400
+    assert rep.mode == "mc" and rep.trials == 400
     assert 0.0 <= rep.acceptance <= 1.0
     assert rep.stderr == pytest.approx(
         np.sqrt(rep.acceptance * (1 - rep.acceptance) / 400)
@@ -331,14 +327,6 @@ def test_symmetrizing_twice_changes_nothing():
     assert run_tester(twice, f, trials=4000, seed=3).acceptance == r1.acceptance
 
 
-def test_symmetrize_needs_a_base_support():
-    procedural = TesterSpec(
-        2, 1, [1, 0], sampler=lambda rng, n, count: np.zeros((count, 1, n), dtype=int)
-    )
-    with pytest.raises(ValidationError):
-        symmetrize_tester(procedural)
-
-
 def orbit_reference(spec, f):
     """Acceptance averaged over every affine map x -> Mx + b of F_p^n, with
     GL(n) found by testing the rank of every n x n matrix."""
@@ -379,7 +367,7 @@ def test_exact_orbit_matches_gl_enumeration(p, n):
     for support in orbit_supports(p, n, rng):
         decision = rng.integers(0, 2, size=p**3)
         spec = symmetrize_tester(TesterSpec(p, 3, decision, base_support=support))
-        got = run_tester(spec, f, mode="exact").acceptance
+        got = run_tester(spec, f).acceptance
         assert got == pytest.approx(orbit_reference(spec, f), abs=1e-12)
 
 
@@ -390,7 +378,7 @@ def test_sampled_orbit_matches_exact_orbit(p, n):
     for support in orbit_supports(p, n, rng):
         decision = rng.integers(0, 2, size=p**3)
         spec = symmetrize_tester(TesterSpec(p, 3, decision, base_support=support))
-        exact = run_tester(spec, f, mode="exact").acceptance
+        exact = run_tester(spec, f).acceptance
         rep = run_tester(spec, f, trials=20000, seed=p + n)
         assert abs(rep.acceptance - exact) <= 4 * rep.stderr + 1e-12
 
@@ -415,18 +403,16 @@ def test_exact_symmetrized_orbit_average():
     # the whole orbit of F_2^2; affine-linear f is accepted always
     spec = symmetrize_tester(uniformity_tester_spec(2, 2, 1))
     lin = poly_table(2, 2, {(1, 0): 1})
-    assert run_tester(spec, lin, mode="exact").acceptance == 1.0
+    assert run_tester(spec, lin).acceptance == 1.0
     # a rank-2 tuple's orbit costs N^3 q: 2^20 points at n = 6, 2^29 at n = 9
     assert run_tester(
         symmetrize_tester(uniformity_tester_spec(2, 6, 1)),
         field_table(2, 6, np.zeros(64)),
-        mode="exact",
     ).acceptance == 1.0
     with pytest.raises(BudgetExceededError):
         run_tester(
             symmetrize_tester(uniformity_tester_spec(2, 9, 1)),
             field_table(2, 9, np.zeros(512)),
-            mode="exact",
         )
 
 
@@ -463,23 +449,17 @@ def test_profile_merges_repeated_queries():
     assert entry.merged_beta[(1, 0)] == (1,)
 
 
-def test_profile_requires_finite_support():
-    sym = TesterSpec(2, 1, [1, 0], sampler=lambda rng, n, count: np.zeros((count, 1, n), dtype=int))
-    with pytest.raises(ValidationError):
-        extract_linear_form_profile(sym, 2)
-
-
 def test_reconstruction_matches_exact_symmetrization_small():
     spec = uniformity_tester_spec(2, 2, 1)
     profile = extract_linear_form_profile(spec, 2)
     lin = poly_table(2, 2, {(1, 0): 1})
     sym = symmetrize_tester(spec)
     assert complex(profile_acceptance(profile, lin)) == pytest.approx(
-        run_tester(sym, lin, mode="exact").acceptance
+        run_tester(sym, lin).acceptance
     )
     rnd = field_table(2, 2, SeededRNG(5).integers(0, 2, size=4))
     recon = complex(profile_acceptance(profile, rnd))
-    exact = run_tester(sym, rnd, mode="exact").acceptance
+    exact = run_tester(sym, rnd).acceptance
     assert recon.real == pytest.approx(0.625) and exact == 0.0
     assert abs(recon - exact) <= 2 ** (-2) * spec.q**2  # vacuous but honest
 
@@ -671,6 +651,13 @@ def test_interior_validation_and_threshold():
         interior_experiment([], 2, 2)
     with pytest.raises(ValidationError):
         interior_experiment([LinearSystem(3, 1, [(1,)])], 2, 2)
+    for trials in (0, -2):
+        with pytest.raises(ValidationError, match="trials"):
+            interior_experiment([LinearSystem(2, 1, [(1,)])], 2, 2, trials=trials)
+    # the 2^40-point table is charged against the budget before it is drawn
+    with pytest.raises(BudgetExceededError) as exc:
+        interior_experiment([LinearSystem(2, 1, [(1,)])], 2, 40)
+    assert exc.value.cost == 2**40
     rep = interior_experiment(
         [LinearSystem(2, 1, [(1,)])], 2, 2, trials=3, seed=1, threshold=2.0
     )
