@@ -28,14 +28,16 @@ average at every point; a flag outside the span of the forms is a component
 of its own whose keyed average is the constant 1, and the components the flag
 does not meet multiply in as constants.  Monte-Carlo Gowers norms are
 linear-form averages over the cube system x + omega.y with parity
-conjugations, estimated by the sampler in linear_form_average.  Both the enumeration and the sampler carry points as
-indices and find every form's point with field.index_combination.
+conjugations, estimated in blocks by linear_form_average through rng.mc_mean.
+Both the enumeration and the sampler carry points as indices and find every
+form's point with field.index_combination.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -52,10 +54,8 @@ from .field import (
 from .linalg import nullspace, rank, span_coordinates
 from .linear_forms import FlaggedSystem, LinearSystem, cube_system, row_components
 from .polynomials import Polynomial, coefficient_block, monomial_values, monomials_up_to
-from .rng import as_rng, check_count
+from .rng import _CHUNK, mc_mean
 from .tables import FunctionTable
-
-_CHUNK = 1 << 15
 
 
 def inner_product(f: FunctionTable, g: FunctionTable) -> complex:
@@ -397,20 +397,6 @@ def _as_table_list(f, system: LinearSystem) -> list[FunctionTable]:
     return tables
 
 
-def _sample_indices(rng, p: int, n: int, k: int, samples: int) -> np.ndarray:
-    """(k, samples) indices of k uniform points per sample.  The digits are
-    drawn variable by variable in blocks of _CHUNK samples, the same stream as
-    one rng.integers(0, p, size=(k, samples, n)) draw, and only the indices
-    are kept."""
-    places = place_values(p, n)
-    out = np.empty((k, samples), dtype=np.int64)
-    for j in range(k):
-        for lo in range(0, samples, _CHUNK):
-            hi = min(lo + _CHUNK, samples)
-            out[j, lo:hi] = rng.integers(0, p, size=(hi - lo, n)) @ places
-    return out
-
-
 def linear_form_average(
     f,
     system: LinearSystem,
@@ -425,7 +411,7 @@ def linear_form_average(
     the connected components, each enumerated on its primal side (N^rank
     points) or its Fourier-dual side (N^(forms - rank) points and one
     transform per form), as the module docstring describes.  Otherwise it is
-    the mean over `samples` uniform draws of X.
+    the mean over `samples` uniform draws of X and its stderr (rng.mc_mean).
     """
     tables = _as_table_list(f, system)
     n = tables[0].n
@@ -437,30 +423,22 @@ def linear_form_average(
         raise ValidationError("conjugations must be 0/1 flags, one per form")
     mult = list(getattr(system, "multiplicities", (1,) * system.m))
     arr = system.as_array()
-
+    # forms that share a table, a conjugation and a multiplicity share one array
+    shared = cache(lambda t, c, e: _powered(t.values, c, e))
+    powered = [shared(t, c, e) for t, c, e in zip(tables, conjugations, mult)]
     if samples is None:
-        powered = [_powered(t.values, c, e) for t, c, e in zip(tables, conjugations, mult)]
         value, cost, path = _exact_average(powered, arr, p, n, budget, "linear form average")
         return AverageReport(value=value, mode="exact", system=system, cost=cost, path=path)
-    check_count(samples, "samples")
-    zs = _sample_indices(as_rng(0 if seed is None else seed), p, n, system.k, samples)
-    acc = np.empty(samples, dtype=np.complex128)
-    for lo in range(0, samples, _CHUNK):
-        idx = index_combination(p, n, arr, zs[:, lo : lo + _CHUNK])
-        prod = np.ones(idx.shape[1], dtype=np.complex128)
-        for i, t in enumerate(tables):
-            vals = t.values[idx[i]]
-            if conjugations[i]:
-                vals = np.conj(vals)
-            if mult[i] != 1:
-                vals = vals ** mult[i]
+
+    def draw(rng, size):
+        zs = rng.integers(0, p, size=(system.k, size, n)) @ place_values(p, n)
+        prod = np.ones(size, dtype=np.complex128)
+        for t, idx in zip(powered, index_combination(p, n, arr, zs)):
             # out of place: numpy rounds an in-place complex product differently
-            prod = prod * vals
-        acc[lo : lo + _CHUNK] = prod
-    mean = acc.mean()
-    se = math.sqrt(
-        max(0.0, float((np.abs(acc) ** 2).mean()) - abs(mean) ** 2) / samples
-    )
+            prod = prod * t[idx]
+        return prod
+
+    mean, se = mc_mean(draw, samples, seed, "samples")
     return AverageReport(
         value=complex(mean), mode="mc", system=system,
         samples=samples, stderr=se, seed=seed, cost=samples * system.m, path="sampled",
@@ -468,34 +446,31 @@ def linear_form_average(
 
 
 def _integer_values(f, p: int, n: int) -> np.ndarray:
+    """The values mod p of a Polynomial or an integer-valued FunctionTable on
+    F_p^n."""
+    if not isinstance(f, (Polynomial, FunctionTable)):
+        raise ValidationError("expected a Polynomial or a FunctionTable")
+    if (f.p, f.n) != (p, n):
+        raise ValidationError("function lives on a different space")
     if isinstance(f, Polynomial):
-        if (f.p, f.n) != (p, n):
-            raise ValidationError("polynomial lives on a different space")
         return f.value_table()
-    if isinstance(f, FunctionTable):
-        if (f.p, f.n) != (p, n):
-            raise ValidationError("table lives on a different space")
-        real = f.values.real
-        rounded = np.rint(real)
-        if f.values.imag.any() or np.abs(real - rounded).max() > 1e-9:
-            raise ValidationError("expected integer-valued table")
-        return rounded.astype(np.int64) % p
-    arr = np.asarray(f)
-    if arr.shape != (space_size(p, n),):
-        raise ValidationError("value array has wrong length")
-    return arr.astype(np.int64) % p
+    real = f.values.real
+    rounded = np.rint(real)
+    if f.values.imag.any() or np.abs(real - rounded).max() > 1e-9:
+        raise ValidationError("expected integer-valued table")
+    return rounded.astype(np.int64) % p
 
 
 def exponential_average(
     f,
     system: LinearSystem,
     beta,
-    n: int | None = None,
     samples: int | None = None,
     seed=None,
     budget: int | None = None,
 ) -> AverageReport:
-    """t*(f) = E e_p(sum_i beta_i f(L_i(X))) for an F_p-valued f.
+    """t*(f) = E e_p(sum_i beta_i f(L_i(X))) for an F_p-valued f, a Polynomial
+    or an integer-valued FunctionTable.
 
     Conjugation-weighted multilinear averages of the phase e_p(f) are the
     special case beta_i = +/-1: conjugating a factor flips the sign of its
@@ -506,11 +481,7 @@ def exponential_average(
     beta = [int(b) % p for b in beta]
     if len(beta) != system.m:
         raise ValidationError("need one exponent per form")
-    if n is None:
-        if isinstance(f, (Polynomial, FunctionTable)):
-            n = f.n
-        else:
-            raise ValidationError("n is required for raw value arrays")
+    n = getattr(f, "n", None)
     vals = _integer_values(f, p, n)
     # e_p(b * f) table per distinct exponent, then an ordinary product average
     phases = {

@@ -319,7 +319,7 @@ def _cmd_decompose(args) -> dict:
         table,
         args.degree,
         args.delta,
-        rank_floor=None if args.rank_floor is None else lambda _: args.rank_floor,
+        rank_floor=args.rank_floor,
         homogeneous_only=args.homogeneous,
         budget=args.budget,
     )

@@ -29,6 +29,14 @@ class FormatError(FpuniformError):
         super().__init__(message)
 
 
+def parse_at(pointer: str, build, *args):
+    """build(*args), with a ValidationError raised as a FormatError at `pointer`."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise FormatError(str(exc), pointer=pointer) from exc
+
+
 class BudgetExceededError(FpuniformError):
     """An exact enumeration would exceed the configured point budget."""
 

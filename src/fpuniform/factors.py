@@ -213,7 +213,7 @@ def decompose(
     f: FunctionTable,
     d: int,
     delta: float,
-    rank_floor=None,
+    rank_floor: int | None = None,
     homogeneous_only: bool = False,
     round_cap: int = DECOMPOSE_ROUND_CAP,
     budget: int | None = None,
@@ -227,8 +227,8 @@ def decompose(
     1..d; each call is charged against `budget` for its whole family.  If the
     correlation dries up or the round cap hits first, the report comes back
     flagged with the best norm achieved.  `delta` must be finite and >= 0.
-    `rank_floor` (a map from complexity to an integer) is checked against the
-    factor's rank lower bound and reported, never enforced.
+    `rank_floor` is checked against the factor's rank lower bound and
+    reported, never enforced.
     """
     p, n = f.p, f.n
     if d < 1:
@@ -262,10 +262,9 @@ def decompose(
             break
         factor = refined
         rounds += 1
-    floor = None
+    floor = None if rank_floor is None or not factor.complexity else int(rank_floor)
     meets = None
-    if rank_floor is not None and factor.complexity:
-        floor = int(rank_floor(factor.complexity))
+    if floor is not None:
         if floor <= 0:
             meets = True
         else:

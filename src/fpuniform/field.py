@@ -49,8 +49,16 @@ def validate_dims(p: int, n: int) -> tuple[int, int]:
     p = validate_prime(p)
     n = int(n)
     if n < 1:
-        raise ValidationError(f"n = {n} must be at least 1")
+        raise ValidationError(f"dimension {n} must be at least 1")
     return p, n
+
+
+def int_tuple(values, what: str) -> tuple[int, ...]:
+    """The integers of a list; a string is refused, not read digit by digit."""
+    values = tuple(values)
+    if any(isinstance(v, str) for v in values):
+        raise ValidationError(f"{what} must be a list of integers")
+    return tuple(int(v) for v in values)
 
 
 def space_size(p: int, n: int) -> int:

@@ -14,8 +14,8 @@ from itertools import permutations
 import numpy as np
 
 from .config import ISOMORPHISM_SEARCH_CAP, PARTITION_SEARCH_CAP, check_budget
-from .errors import FormatError, ValidationError
-from .field import validate_prime
+from .errors import FormatError, ValidationError, parse_at
+from .field import int_tuple, validate_dims, validate_prime
 from .linalg import (
     extend_to_basis,
     in_span,
@@ -30,7 +30,7 @@ Form = tuple[int, ...]
 
 
 def _normalize_form(form, p: int, k: int) -> Form:
-    out = tuple(int(v) % p for v in form)
+    out = tuple(v % p for v in int_tuple(form, "a form"))
     if len(out) != k:
         raise ValidationError(f"form {form} has arity {len(out)}, expected {k}")
     return out
@@ -42,10 +42,7 @@ class LinearSystem:
     __slots__ = ("p", "k", "forms")
 
     def __init__(self, p: int, k: int, forms):
-        validate_prime(p)
-        k = int(k)
-        if k < 1:
-            raise ValidationError("need at least one variable")
+        p, k = validate_dims(p, k)
         clean = tuple(_normalize_form(f, p, k) for f in forms)
         if not clean:
             raise ValidationError("need at least one form")
@@ -113,12 +110,12 @@ class LinearSystem:
             p, k, forms = obj["p"], obj["k"], obj["forms"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"linear system JSON missing field: {exc}") from exc
+        p = parse_at("/p", validate_prime, p)
+        k = parse_at("/k", validate_dims, p, k)[1]
         if "flag" in obj:
-            return FlaggedSystem.from_json_dict(obj)
-        try:
-            return cls(p, k, forms)
-        except ValidationError as exc:
-            raise FormatError(str(exc), pointer="/forms") from exc
+            flag, mult = obj["flag"], obj.get("multiplicities")
+            return parse_at("/forms", FlaggedSystem, p, k, forms, flag, mult)
+        return parse_at("/forms", cls, p, k, forms)
 
 
 class FlaggedSystem(LinearSystem):
@@ -137,7 +134,7 @@ class FlaggedSystem(LinearSystem):
             raise ValidationError("flag must be nonzero")
         if multiplicities is None:
             multiplicities = (1,) * len(self.forms)
-        multiplicities = tuple(int(v) for v in multiplicities)
+        multiplicities = int_tuple(multiplicities, "multiplicities")
         if len(multiplicities) != len(self.forms):
             raise ValidationError("one multiplicity per form required")
         if any(v < 1 for v in multiplicities):
@@ -175,17 +172,6 @@ class FlaggedSystem(LinearSystem):
         obj["flag"] = list(self.flag)
         obj["multiplicities"] = list(self.multiplicities)
         return obj
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "FlaggedSystem":
-        try:
-            p, k, forms, flag = obj["p"], obj["k"], obj["forms"], obj["flag"]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"flagged system JSON missing field: {exc}") from exc
-        try:
-            return cls(p, k, forms, flag, obj.get("multiplicities"))
-        except ValidationError as exc:
-            raise FormatError(str(exc), pointer="/forms") from exc
 
 
 def arithmetic_progression_system(p: int, length: int) -> LinearSystem:

@@ -16,9 +16,9 @@ from itertools import product
 import numpy as np
 
 from .config import RETRY_CAP, check_budget
-from .errors import FormatError, RetryLimitError, ValidationError
-from .field import digit_table, validate_dims
-from .rng import as_rng, check_count
+from .errors import FormatError, RetryLimitError, ValidationError, parse_at
+from .field import digit_table, int_tuple, validate_dims, validate_prime
+from .rng import as_rng, mc_mean
 
 Exponents = tuple[int, ...]
 
@@ -275,20 +275,19 @@ class Polynomial:
             raw = obj["terms"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"polynomial JSON missing field: {exc}") from exc
+        p = parse_at("/p", validate_prime, p)
+        n = parse_at("/n", validate_dims, p, n)[1]
         terms: dict[Exponents, int] = {}
         for i, t in enumerate(raw):
             try:
-                exps = tuple(int(e) for e in t["exps"])
+                exps = int_tuple(t["exps"], "exps")
                 coeff = int(t["coeff"])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 raise FormatError(
                     f"bad term: {exc}", pointer=f"/terms/{i}"
                 ) from exc
             terms[exps] = terms.get(exps, 0) + coeff
-        try:
-            return cls(p, n, terms)
-        except ValidationError as exc:
-            raise FormatError(str(exc), pointer="/terms") from exc
+        return parse_at("/terms", cls, p, n, terms)
 
 
 def monomials_up_to(p: int, n: int, d: int, exactly: bool = False) -> list[Exponents]:
@@ -386,7 +385,7 @@ def bias(
     budget: int | None = None,
 ) -> BiasResult:
     """|E_x e_p(P(x))|: exact when `samples` is None, otherwise estimated
-    from that many uniform points.
+    from that many uniform points by rng.mc_mean, with its standard error.
 
     The exact path accumulates integer counts per residue class and defers
     floating point to a single magnitude computation.
@@ -398,9 +397,8 @@ def bias(
         counts = np.bincount(P.value_table(budget), minlength=p)
         value = abs(np.dot(counts, roots)) / p**P.n
         return BiasResult(float(value), "exact")
-    check_count(samples, "samples")
-    rng = as_rng(0 if seed is None else seed)
-    pts = rng.integers(0, p, size=(samples, P.n))
-    z = roots[P.values_at(pts)].mean()
-    stderr = math.sqrt(max(0.0, 1.0 - abs(z) ** 2) / samples)
-    return BiasResult(abs(z), "mc", samples=samples, stderr=stderr, seed=seed)
+    z, stderr = mc_mean(
+        lambda rng, size: roots[P.values_at(rng.integers(0, p, size=(size, P.n)))],
+        samples, seed, "samples",
+    )
+    return BiasResult(float(abs(z)), "mc", samples=samples, stderr=stderr, seed=seed)

@@ -47,6 +47,10 @@ class SeededRNG:
         return f"SeededRNG(seed={self.seed})"
 
 
+#: Points per block of every enumeration, and draws per block of mc_mean.
+_CHUNK = 1 << 15
+
+
 def check_count(count: int, name: str) -> int:
     """A Monte Carlo sample or trial count, which must be at least 1."""
     if count < 1:
@@ -59,3 +63,22 @@ def as_rng(seed_or_rng) -> SeededRNG:
     if isinstance(seed_or_rng, SeededRNG):
         return seed_or_rng
     return SeededRNG(int(seed_or_rng))
+
+
+def mc_mean(draw, count: int, seed, name: str):
+    """(mean, stderr) of `count` draws, taken by draw(rng, size) from the stream
+    of `seed` in blocks of at most _CHUNK and not kept.  The mean is the sum of
+    the block sums over the count.  Each block's M2, about its mean x_0 +
+    mean(x - x_0) (exact for equal draws), merges into the total by the pairwise
+    rule of Chan, Golub and LeVeque (1979); the stderr is sqrt(M2 / count) / sqrt(count)."""
+    check_count(count, name)
+    rng = as_rng(0 if seed is None else seed)
+    total, mean, m2 = 0.0, 0.0, 0.0
+    for lo in range(0, count, _CHUNK):
+        x = draw(rng, min(_CHUNK, count - lo))
+        total += x.sum()
+        block = x[0] + (x - x[0]).mean()
+        dev, delta, share = x - block, block - mean, len(x) / (lo + len(x))
+        m2 += float(np.vdot(dev, dev).real) + abs(delta) ** 2 * lo * share
+        mean += delta * share
+    return total / count, float((m2 / count) ** 0.5 / count**0.5)

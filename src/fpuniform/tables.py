@@ -15,8 +15,10 @@ import json
 import numpy as np
 
 from .config import check_budget
-from .errors import FormatError, ValidationError
-from .field import AffineMap, digit_table, is_space_size, place_values, space_size, validate_dims
+from .errors import FormatError, ValidationError, parse_at
+from .field import (
+    AffineMap, digit_table, is_space_size, place_values, space_size, validate_dims, validate_prime,
+)
 from .polynomials import Polynomial
 from .rng import as_rng
 
@@ -231,15 +233,14 @@ def parse_function_table(source) -> FunctionTable:
     codomain = obj.get("codomain", "complex")
     if codomain not in CODOMAINS:
         raise FormatError(f"codomain must be one of {CODOMAINS}", pointer="/codomain")
+    p = parse_at("/p", validate_prime, obj["p"])
+    n = parse_at("/n", validate_dims, p, obj["n"])[1]
     if not isinstance(obj["values"], list):
         raise FormatError("values must be an array", pointer="/values")
     values = [
         _parse_value(entry, f"/values/{i}") for i, entry in enumerate(obj["values"])
     ]
-    try:
-        return FunctionTable(obj["p"], obj["n"], values, codomain)
-    except ValidationError as exc:
-        raise FormatError(str(exc), pointer="/values") from exc
+    return parse_at("/values", FunctionTable, p, n, values, codomain)
 
 
 def parse_function_table_csv(text: str, p: int, n: int) -> FunctionTable:

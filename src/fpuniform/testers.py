@@ -17,15 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import (
-    _CHUNK,
     _fp_transform,
     _integer_values,
     boundary_function,
     exponential_average,
     linear_form_average,
 )
-from .config import check_budget
-from .errors import FormatError, ValidationError
+from .config import check_budget, resolve_budget
+from .errors import FormatError, ValidationError, parse_at
 from .field import (
     digit_table,
     independent_tuples,
@@ -36,11 +35,12 @@ from .field import (
     random_independent_rows,
     space_size,
     validate_dims,
+    validate_prime,
 )
 from .linalg import solve, span_coordinates
 from .linear_forms import LinearSystem, are_isomorphic, connected_components, cube_system
 from .polynomials import coefficient_block, family_size, monomial_values, monomials_up_to
-from .rng import as_rng, check_count
+from .rng import _CHUNK, as_rng, check_count, mc_mean
 from .tables import FunctionTable
 
 
@@ -155,6 +155,7 @@ class TesterSpec:
         base_support=None,
         symmetrized: bool = False,
     ):
+        p = validate_prime(p)
         if q < 1:
             raise ValidationError("need at least one query")
         decision = np.asarray(decision_table, dtype=float).reshape(-1)
@@ -203,29 +204,33 @@ class TesterSpec:
             raise ValidationError("support points live in a different dimension")
         return stacked @ place_values(self.p, n)
 
-    def draw_indices(self, rng, n: int, count: int) -> np.ndarray:
-        """(count, q) point indices of drawn query tuples.  A support tuple is
-        picked by its probability; a symmetrized spec then maps it by a
-        uniform affine map, i.e. to u + lambda.V (see basis_forms) for a
-        uniform point u and a uniform independent tuple V."""
+    def index_sampler(self, n: int):
+        """draw(rng, count) -> (count, q) point indices of drawn query tuples.  A
+        support tuple is picked by its probability; a symmetrized spec then maps
+        it by a uniform affine map, i.e. to u + lambda.V (see basis_forms) for a
+        uniform point u and a uniform independent tuple V, drawn per call."""
         rows = self.support_indices(n)
         probs = np.array([prob for _, prob in self.base_support])
-        picks = rng.choice(len(rows), size=count, p=probs)
         if not self.symmetrized:
-            return rows[picks]
+            return lambda rng, count: rows[rng.choice(len(rows), size=count, p=probs)]
         forms = [basis_forms(pts, self.p) for pts, _ in self.base_support]
         width = max(f.shape[1] for f in forms)
-        V = random_independent_rows(self.p, n, width - 1, rng, count) @ place_values(self.p, n)
-        Z = np.vstack([rng.integers(0, space_size(self.p, n), size=count), V.T])
-        out = np.empty((count, self.q), dtype=np.int64)
-        for s, coeffs in enumerate(forms):
-            mask = picks == s
-            out[mask] = index_combination(self.p, n, coeffs, Z[: coeffs.shape[1], mask]).T
-        return out
+
+        def draw(rng, count):
+            picks = rng.choice(len(rows), size=count, p=probs)
+            V = random_independent_rows(self.p, n, width - 1, rng, count) @ place_values(self.p, n)
+            Z = np.vstack([rng.integers(0, space_size(self.p, n), size=count), V.T])
+            out = np.empty((count, self.q), dtype=np.int64)
+            for s, coeffs in enumerate(forms):
+                mask = picks == s
+                out[mask] = index_combination(self.p, n, coeffs, Z[: coeffs.shape[1], mask]).T
+            return out
+
+        return draw
 
     def draw_queries(self, rng, n: int, count: int) -> np.ndarray:
         """(count, q, n) array of query tuples."""
-        idx = self.draw_indices(rng, n, count)
+        idx = self.index_sampler(n)(rng, count)
         return idx[..., None] // place_values(self.p, n) % self.p
 
     def decide(self, values: np.ndarray) -> np.ndarray:
@@ -267,7 +272,7 @@ class TesterSpec:
         lo, hi = obj["thresholds"]
         try:
             return cls(
-                int(obj["p"]), int(obj["q"]), obj["decision_table"],
+                parse_at("/p", validate_prime, obj["p"]), int(obj["q"]), obj["decision_table"],
                 theta_minus=lo, theta_plus=hi,
                 epsilon=obj.get("epsilon"), delta=obj.get("delta"),
                 base_support=support,
@@ -339,7 +344,7 @@ def run_tester(
 ) -> TesterReport:
     """Acceptance probability of the decision map on f's query values: exact
     over the support (and, when symmetrized, every affine image of it) when
-    `trials` is None, otherwise the mean over that many drawn query tuples."""
+    `trials` is None, otherwise by rng.mc_mean over that many drawn tuples."""
     vals = _integer_values(f, f.p, f.n)
     if f.p != spec.p:
         raise ValidationError("tester and table use different primes")
@@ -359,12 +364,9 @@ def run_tester(
         else:
             acceptance = sum(prob * float(d) for prob, d in zip(probs, spec.decide(vals[rows])))
         return TesterReport(acceptance=float(acceptance), trials=None, mode="exact")
-    check_count(trials, "trials")
-    rng = as_rng(0 if seed is None else seed)
-    decisions = spec.decide(vals[spec.draw_indices(rng, n, trials)])
-    acc = float(decisions.mean())
-    se = float(np.sqrt(max(acc * (1 - acc), 0.0) / trials))
-    return TesterReport(acceptance=acc, trials=trials, mode="mc", seed=seed, stderr=se)
+    draw = spec.index_sampler(n)
+    acc, se = mc_mean(lambda rng, size: spec.decide(vals[draw(rng, size)]), trials, seed, "trials")
+    return TesterReport(acceptance=float(acc), trials=trials, mode="mc", seed=seed, stderr=se)
 
 
 def _orbit_acceptance(spec: TesterSpec, vals: np.ndarray, coeffs: np.ndarray, n: int) -> float:
@@ -672,8 +674,11 @@ def interior_experiment(
         raise ValidationError("need at least one system")
     check_count(trials, "trials")
     p, n = validate_dims(p, n)
+    # the table costs p^n >= 2^n points, so p^min(n, 2 bits) is its exact cost
+    # or, for an n past twice the budget's bit length, a refused lower bound
+    bits = resolve_budget(budget).bit_length()
+    check_budget(p ** min(n, 2 * bits), budget, "interior experiment table")
     N = space_size(p, n)
-    check_budget(N, budget, "interior experiment table")
     # Hypothesis gate.  Averages factor over connected components, and a power
     # t -> t^r is a diffeomorphism of (0,1), so a system whose components are
     # all isomorphic to one connected system acts as that system.  Anything

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -274,6 +275,18 @@ def test_interior_command(files, capsys):
     assert rc == 66 and json.loads(err)["cost"] == 3**40
 
 
+def test_interior_huge_n_refused_without_building_p_to_the_n(files, capsys):
+    # 2^(10^10) would take gigabytes to build; n alone is enough to refuse it
+    start = time.perf_counter()
+    rc, out, err = run(
+        ["interior", "--systems", files["tri"], "--p", "2", "--n", "10000000000"], capsys
+    )
+    assert time.perf_counter() - start < 2
+    assert rc == 66 and out == ""
+    diag = json.loads(err)  # one JSON object
+    assert diag["type"] == "budget" and diag["cost"] > diag["budget"]
+
+
 def test_distributional_command(files, capsys):
     rc, out, _ = run(
         ["distributional", "--table", files["F01"], "--system", files["tri"],
@@ -503,12 +516,45 @@ def run_with_field(tmp_path, capsys, kind, path, value):
         ("spec", ("support", 0, "prob"), "a"),
         ("spec", ("decision_table",), ["a", "b"]),
         ("spec", ("epsilon",), "a"),
+        # a string is not read character by character as a list of integers
+        ("system", ("forms",), ["10", "01", "11"]),
+        ("flagged", ("flag",), "10"),
+        ("flagged", ("multiplicities",), "12"),
+        ("poly", ("terms", 0, "exps"), "11"),
     ],
 )
 def test_wrong_field_type_exit_65(tmp_path, capsys, kind, path, value):
     rc, out, err = run_with_field(tmp_path, capsys, kind, path, value)
     assert rc == 65 and out == ""
     assert json.loads(err)["type"] == "format"
+
+
+HUGE = 2305843009213693951  # far above the prime cap; never trial-divided
+
+
+@pytest.mark.parametrize(
+    "kind, key, value, pointer",
+    [
+        ("table", "p", HUGE, "/p"),
+        ("table", "p", 4, "/p"),
+        ("table", "n", 0, "/n"),
+        ("table", "values", [0.0, 1.0], "/values"),
+        ("system", "p", HUGE, "/p"),
+        ("system", "k", 0, "/k"),
+        ("system", "forms", [[1, 0], [1, 0]], "/forms"),
+        ("flagged", "p", HUGE, "/p"),
+        ("flagged", "k", -1, "/k"),
+        ("poly", "p", HUGE, "/p"),
+        ("poly", "n", 0, "/n"),
+        ("spec", "p", 4, "/p"),
+        ("spec", "p", HUGE, "/p"),
+    ],
+)
+def test_format_error_points_at_its_field(tmp_path, capsys, kind, key, value, pointer):
+    rc, out, err = run_with_field(tmp_path, capsys, kind, (key,), value)
+    assert rc == 65 and out == ""
+    diag = json.loads(err)
+    assert diag["type"] == "format" and diag["pointer"] == pointer
 
 
 JSON_VALUES = st.recursive(

@@ -221,7 +221,7 @@ def test_decompose_homogeneous_only():
 
 
 def test_decompose_rank_floor_reported():
-    rep = decompose(random_unit_table(2, 4, seed=0), 2, 0.25, rank_floor=lambda C: 1)
+    rep = decompose(random_unit_table(2, 4, seed=0), 2, 0.25, rank_floor=1)
     assert rep.rank_floor == 1
     assert rep.rank_meets_floor is True
 

@@ -1,0 +1,94 @@
+"""Checks for the one Monte-Carlo estimator, rng.mc_mean, and for the
+estimates that stream through it."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fpuniform import rng as rng_module
+from fpuniform.analysis import linear_form_average
+from fpuniform.errors import ValidationError
+from fpuniform.linear_forms import LinearSystem, cube_system
+from fpuniform.polynomials import Polynomial, bias
+from fpuniform.rng import mc_mean
+from fpuniform.tables import FunctionTable, random_unit_table
+from fpuniform.testers import run_tester, uniformity_tester_spec
+
+
+def recording(draw):
+    """draw, and the list of the blocks it returned."""
+    blocks = []
+
+    def wrapped(rng, size):
+        blocks.append(draw(rng, size))
+        return blocks[-1]
+
+    return wrapped, blocks
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng, size: rng.random(size),
+        lambda rng, size: np.exp(2j * np.pi * rng.random(size)) + 0.3,
+        lambda rng, size: (rng.random(size) < 0.01).astype(float),
+    ],
+    ids=["real", "complex", "rare"],
+)
+def test_mc_mean_matches_two_pass_over_blocks(draw):
+    count = 3 * rng_module._CHUNK + 17
+    wrapped, blocks = recording(draw)
+    mean, stderr = mc_mean(wrapped, count, 5, "samples")
+    assert [len(b) for b in blocks] == [rng_module._CHUNK] * 3 + [17]
+    x = np.concatenate(blocks)
+    assert mean == sum(b.sum() for b in blocks) / count
+    assert abs(mean - x.mean()) <= 1e-12 * abs(x.mean())
+    two_pass = np.sqrt(np.mean(np.abs(x - x.mean()) ** 2) / count)
+    assert abs(stderr - two_pass) <= 1e-12 * two_pass
+    # the same seed gives the same stream
+    assert mc_mean(draw, count, 5, "samples") == (mean, stderr)
+
+
+def test_mc_mean_checks_the_count():
+    for count in (0, -2):
+        with pytest.raises(ValidationError, match="trials"):
+            mc_mean(lambda rng, size: np.ones(size), count, 0, "trials")
+
+
+def test_equal_draws_have_zero_stderr():
+    for value in (0.1, 1 / 3, np.exp(2j * np.pi / 3)):
+        count = 2 * rng_module._CHUNK + 5
+        assert mc_mean(lambda rng, size: np.full(size, value), count, 0, "n")[1] == 0.0
+
+
+@pytest.mark.parametrize("value", [0.1, 1 / 3])
+def test_constant_table_has_zero_stderr(value):
+    # every draw is the same float, so the spread is exactly 0, not ~1e-11
+    f = FunctionTable.constant(3, 2, value)
+    rep = linear_form_average(f, LinearSystem(3, 1, [(1,)]), samples=100_000, seed=1)
+    assert rep.stderr == 0.0
+    assert rep.value == pytest.approx(value, rel=1e-12)
+
+
+def peak_mb(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_estimates_hold_no_samples():
+    # a million draws each: holding them all would take 50 to 130 MB
+    million = 10**6
+    table = random_unit_table(2, 6, seed=0)
+    assert peak_mb(
+        lambda: linear_form_average(table, cube_system(2, 3), samples=million, seed=1)
+    ) < 16
+    field = FunctionTable(2, 6, np.arange(64) % 2, codomain="real")
+    spec = uniformity_tester_spec(2, 6, 2)
+    assert peak_mb(lambda: run_tester(spec, field, trials=million, seed=1)) < 16
+    P = Polynomial(3, 4, {(1, 1, 0, 0): 1, (0, 0, 2, 0): 2})
+    assert peak_mb(lambda: bias(P, samples=million, seed=1)) < 16

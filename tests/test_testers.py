@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -663,3 +664,15 @@ def test_interior_validation_and_threshold():
     )
     assert not rep.independent and rep.trials_run == 3
     assert rep.min_singular_value == pytest.approx(1.0)
+
+
+def test_interior_refuses_huge_n_without_building_p_to_the_n():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as exc:
+            interior_experiment([LinearSystem(3, 1, [(1,)])], 3, 10**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the stated cost is a lower bound on 3^(10^10), which is never built
+    assert exc.value.budget < exc.value.cost and peak < 2**20
