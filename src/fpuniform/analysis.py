@@ -2,15 +2,20 @@
 phase families, and multilinear averages over systems of linear forms.
 
 Every Fourier transform here is one unnormalised transform over F_p^n along
-the last axis of an array: add/subtract butterflies at p = 2, an FFT over n
-axes of size p otherwise.
+the last axis of an array, _fp_transform: the n digits of the index go in
+groups, and each group is one matrix product with a Kronecker power of the
+p x p DFT matrix (np.fft.fftn above p = 97).
 
 Exact Gowers norms use the derivative recursion
     ||f||_{U^k}^{2^k} = E_y ||f(.+y) conj f||_{U^(k-1)}^{2^(k-1)}
-unrolled to its bottom: the derivative rows for all shift tuples
-(y_1..y_{k-2}) are formed in blocks and each row's U^2 power is read off its
-transform, at cost N^(k-1) for N = p^n (N for k <= 2).  The test suite checks
-this against the box-average definition.
+unrolled to its bottom: the mean over shift tuples (y_1..y_{k-2}) of the U^2
+power of the derivative row, read off its transform.  The power is invariant
+under the cube's symmetries that fix the bottom face (Gowers 2001, Host-Kra
+2005): permuting the y_i and replacing y_i by -y_i.  So one sorted tuple of
+{y, -y} class representatives runs per orbit, weighted by the orbit size, at
+cost C(R + k - 3, k - 2) * max(N, k - 2) for N = p^n and R classes (R = N at
+p = 2, (N + 1) / 2 otherwise), and N for k <= 2.  The test suite checks this
+against the box-average definition.
 
 A linear-form average t_L = E prod_i f_i(L_i X) factors over the connected
 components of the system, and each component of m forms and rank r is
@@ -41,7 +46,7 @@ from functools import cache
 
 import numpy as np
 
-from .config import FLOAT_TOL, check_budget
+from .config import FLOAT_TOL, check_budget, resolve_budget
 from .errors import ValidationError
 from .field import (
     digit_table,
@@ -65,24 +70,48 @@ def inner_product(f: FunctionTable, g: FunctionTable) -> complex:
     return complex(np.vdot(g.values, f.values) / len(f.values))
 
 
+@cache
+def _dft_power(p: int, b: int, inverse: bool, inner: int = 1) -> np.ndarray:
+    """The b-fold Kronecker power of the p x p matrix e_p(-+a x) (+-1 at p = 2,
+    real), times the identity on `inner` trailing values: a symmetric matrix."""
+    ax = np.outer(np.arange(p), np.arange(p))
+    dft = 1 - 2 * ax if p == 2 else np.exp((2j if inverse else -2j) * np.pi * ax / p)
+    w = np.ones((1, 1))
+    for _ in range(b):
+        w = np.kron(w, dft)
+    return np.kron(w, np.eye(inner))
+
+
 def _fp_transform(values, p: int, n: int, inverse: bool = False) -> np.ndarray:
     """sum_x v(x) e_p(-alpha . x) along the last axis, which indexes F_p^n in
-    enumeration order; unnormalised, and with e_p(+alpha . x) when inverse."""
-    values = np.asarray(values, dtype=np.complex128)
-    if p == 2:
-        # one Walsh-Hadamard butterfly per digit; the transform is its own inverse
-        out = values
-        for j in range(n):
-            pairs = out.reshape(-1, 2, 1 << j)
-            out = np.empty_like(pairs)
-            np.add(pairs[:, 0], pairs[:, 1], out=out[:, 0])
-            np.subtract(pairs[:, 0], pairs[:, 1], out=out[:, 1])
-        return out.reshape(values.shape)
-    cube = values.reshape(values.shape[:-1] + (p,) * n)
-    axes = tuple(range(-n, 0))
-    if inverse:
-        return np.fft.ifftn(cube, axes=axes, norm="forward").reshape(values.shape)
-    return np.fft.fftn(cube, axes=axes).reshape(values.shape)
+    enumeration order; unnormalised, and with e_p(+alpha . x) when inverse.
+
+    The digits are taken in groups of b, the most with p^b <= 32, and each
+    group's transform is one matrix product with a Kronecker power of the
+    p x p DFT matrix (row-column factorisation).  At p = 2 that matrix is a
+    real Hadamard block applied to the float64 view, whose (re, im) pairs sit
+    below the lowest digit.  Above p = 97 np.fft.fftn is faster (measured with
+    single-threaded BLAS: matrices win up to p = 97, lose from p = 127)."""
+    values = np.ascontiguousarray(values, dtype=np.complex128)
+    if p > 97:
+        cube = values.reshape(values.shape[:-1] + (p,) * n)
+        axes = tuple(range(-n, 0))
+        if inverse:
+            return np.fft.ifftn(cube, axes=axes, norm="forward").reshape(values.shape)
+        return np.fft.fftn(cube, axes=axes).reshape(values.shape)
+    b = 1
+    while p ** (b + 1) <= 32:
+        b += 1
+    inner = 2 if p == 2 else 1
+    x = values.view(np.float64) if p == 2 else values
+    for j in range(0, n, b):
+        g = min(b, n - j)
+        if j == 0:  # the lowest group is one product over rows of p^g digit values
+            x = x.reshape(-1, p**g * inner) @ _dft_power(p, g, inverse, inner)
+        else:
+            x = np.matmul(_dft_power(p, g, inverse), x.reshape(-1, p**g, p**j * inner))
+    x = x.reshape(-1)  # matmul output is contiguous
+    return (x.view(np.complex128) if p == 2 else x).reshape(values.shape)
 
 
 def fourier_transform(f: FunctionTable) -> np.ndarray:
@@ -109,32 +138,97 @@ class GowersReport:
     stderr: float | None = None
     seed: int | None = None
     cost: int | None = None
+    path: str | None = None  # exact: "orbit" (k >= 3) or "direct"; mc: "sampled"
 
     def __float__(self) -> float:
         return float(self.value)
 
 
+def _orbit_count(p: int, n: int, k: int, cap: int) -> int:
+    """The number of shift tuples (y_1..y_{k-2}) that _u_power runs, one per
+    orbit: C(R + k - 3, k - 2), the multisets of k - 2 of the R classes, with
+    R = N at p = 2 and R = (N + 1) / 2 classes {y, -y} at p > 2.  It is built
+    as C(a - j + i, i) for i = 1..j, which at least doubles at every step, and
+    a partial product above `cap` is returned as it is: a lower bound, found
+    in a few dozen steps however large the count."""
+    N = space_size(p, n)
+    R = N if p == 2 else (N + 1) // 2
+    a, j = R + k - 3, min(k - 2, R - 1)
+    count = 1
+    for i in range(1, j + 1):
+        count = count * (a - j + i) // i
+        if count > cap:
+            break
+    return count
+
+
+def _sorted_tuples(R: int, d: int, block: int):
+    """The sorted d-tuples r_1 <= ... <= r_d over range(R) in lexicographic
+    order, as (d, count) arrays of at most `block` tuples, each block unranked
+    from its first rank: entry j is the largest c whose cumulated tail count
+    cum[c] does not pass the tuple's rank within the tuples that share its
+    first j entries."""
+    tails = np.ones(R, dtype=np.int64)  # sorted t-tuples over range(c, R), t = 0
+    cums = []
+    for _ in range(d):
+        cums.append(np.concatenate([[0], np.cumsum(tails)]))
+        tails = np.cumsum(tails[::-1])[::-1]
+    count = int(cums[-1][-1]) if d else 1
+    for lo in range(0, count, block):
+        rank = np.arange(lo, min(lo + block, count), dtype=np.int64)
+        low = np.zeros_like(rank)
+        out = np.empty((d, len(rank)), dtype=np.int64)
+        for j in range(d):
+            cum = cums[d - 1 - j]
+            target = cum[low] + rank
+            low = np.searchsorted(cum, target, side="right") - 1
+            rank = target - cum[low]
+            out[j] = low
+        yield out
+
+
 def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
     """||f||_{U^k}^{2^k}: the mean over shift tuples (y_1..y_{k-2}) of the U^2
-    power of the derivative f_y = Delta_{y_1}...Delta_{y_{k-2}} f, taken in
-    blocks of at most _CHUNK derivative values."""
+    power of the derivative f_y = Delta_{y_1}...Delta_{y_{k-2}} f.
+
+    That power is unchanged when the y_i are permuted, and when one y_i becomes
+    -y_i (a shift and a conjugation of f_y), so one sorted tuple of class
+    representatives runs per orbit, weighted by the orbit's size over
+    N^(k-2): the multinomial (k-2)! / prod m_c! of its repeated classes, times
+    2 for each nonzero entry at p > 2.  Tuples come in blocks of at most
+    _CHUNK derivative values; a block is sorted, so the tuples that share a
+    prefix (y_1..y_j) are a run and its derivative is formed once."""
     if k == 1:
         return abs(vals.mean()) ** 2
     N = len(vals)
-    depth = k - 2
-    count = N**depth
-    block = max(1, _CHUNK // N)
+    d = k - 2
+    x = np.arange(N)
+    # a class {y, -y} is represented by its lower index; index 0 is y = 0
+    reps = x if p == 2 else np.flatnonzero(x <= index_combination(p, n, [[-1]], [x])[0])
     total = 0.0
-    for lo in range(0, count, block):
-        hi = min(lo + block, count)
-        rows = np.broadcast_to(vals, (hi - lo, N))
-        for y in mixed_radix_digits(np.arange(lo, hi), N, depth):
+    for tuples in _sorted_tuples(len(reps), d, max(1, _CHUNK // N)):
+        count = tuples.shape[1]
+        # the orbit's share of the N^(k-2) tuples, one factor j / (m N) per
+        # entry j, where the entry is the m-th of its class in the tuple
+        weight, run = np.ones(count), np.ones(count)
+        rows, parent = vals[None, :], np.zeros(count, dtype=np.int64)
+        fresh = np.arange(count) == 0  # where a prefix (r_1..r_j) starts
+        for j, r in enumerate(tuples):
+            if j:
+                run = np.where(r == tuples[j - 1], run + 1, 1)
+            weight *= (j + 1) / (run * N)
+            if p > 2:
+                weight[r > 0] *= 2
+            fresh[1:] |= r[1:] != r[:-1]
+            starts = np.flatnonzero(fresh)
+            g = rows[parent[starts]]
             # Delta_y g(x) = g(x + y) conj g(x)
-            shifted = index_add(p, n, y[:, None], np.arange(N))
-            rows = np.take_along_axis(rows, shifted, axis=1) * np.conj(rows)
+            shifted = index_add(p, n, reps[r[starts]][:, None], x)
+            rows = np.take_along_axis(g, shifted, axis=1) * np.conj(g)
+            parent = np.cumsum(fresh) - 1
         hat = _fp_transform(rows, p, n)
-        total += float(np.square(hat.real**2 + hat.imag**2).sum())
-    return total / count / N**4
+        total += float(weight @ np.square(hat.real**2 + hat.imag**2).sum(axis=1))
+    return total / N**4
 
 
 def gowers_norm(
@@ -150,7 +244,10 @@ def gowers_norm(
         raise ValidationError("Gowers norms are defined for k >= 1")
     p, n = f.p, f.n
     if samples is None:
-        cost = space_size(p, n) ** max(k - 1, 1)
+        # per orbit tuple, N derivative values or k - 2 entries, whichever is more
+        N = space_size(p, n)
+        cap = max(resolve_budget(budget), 2**64)
+        cost = N if k <= 2 else _orbit_count(p, n, k, cap) * max(N, k - 2)
         check_budget(cost, budget, f"exact U^{k} norm")
         power = _u_power(f.values, p, n, k)
         if not math.isfinite(power):
@@ -159,7 +256,7 @@ def gowers_norm(
         power = max(power, 0.0)
         return GowersReport(
             value=power ** (1 / 2**k), power=power, k=k, p=p, n=n,
-            mode="exact", cost=cost,
+            mode="exact", cost=cost, path="orbit" if k > 2 else "direct",
         )
     cube = cube_system(p, k, budget)
     conjugations = [(k - bin(mask).count("1")) % 2 for mask in range(2**k)]
@@ -170,7 +267,7 @@ def gowers_norm(
     return GowersReport(
         value=value, power=power, k=k, p=p, n=n, mode="mc",
         samples=samples, stderr=stderr if stderr is None or math.isfinite(stderr) else None,
-        seed=seed, cost=rep.cost,
+        seed=seed, cost=rep.cost, path=rep.path,
     )
 
 

@@ -7,11 +7,12 @@ tolerance block, and contain no timestamps, so identical invocations produce
 byte-identical output.
 
 Exit codes: 0 success; 2 validation error (including a result that is not a
-finite number); 64 unknown command; 65 malformed input file (including
-non-finite table values); 66 budget exceeded (a command that takes --mc and
-ran without it hints to rerun with --mc N); 70 internal error, such as a
-rejection-sampling loop hitting its retry cap.  Apart from argparse usage
-errors, every failure writes one JSON object to stderr.
+finite number); 64 unknown command, or a --seed below 0 or a --budget below 1;
+65 malformed input file (including non-finite table values); 66 budget
+exceeded (a command that takes --mc and ran without it hints to rerun with
+--mc N); 70 internal error, such as a rejection-sampling loop hitting its
+retry cap.  Apart from argparse usage errors, every failure writes one JSON
+object to stderr.  A cost or budget above 2^64 is reported as ">2^64".
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ import numpy as np
 
 from .analysis import fourier_transform, gowers_norm, linear_form_average
 from .config import FLOAT_TOL
-from .errors import BudgetExceededError, FormatError, FpuniformError, ValidationError
+from .errors import (
+    BudgetExceededError,
+    FormatError,
+    FpuniformError,
+    ValidationError,
+    reported_count,
+)
 from .factors import decompose
 from .field import digit_table
 from .linear_forms import (
@@ -79,7 +86,7 @@ def _load_json(path: str):
     data = _read_bytes(path)
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     return obj, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
@@ -214,7 +221,8 @@ def _cmd_gowers(args) -> dict:
         "mode": rep.mode,
         "samples": rep.samples,
         "stderr": rep.stderr,
-        "cost": rep.cost,
+        "cost": reported_count(rep.cost),
+        "path": rep.path,
         "tolerance": _tolerance(rep.mode, rep.stderr),
     }
 
@@ -247,7 +255,7 @@ def _cmd_average(args) -> dict:
         "mode": rep.mode,
         "samples": rep.samples,
         "stderr": rep.stderr,
-        "cost": rep.cost,
+        "cost": reported_count(rep.cost),
         "path": rep.path,
         "tolerance": _tolerance(rep.mode, rep.stderr),
     }
@@ -433,7 +441,7 @@ def _cmd_distributional(args) -> dict:
         "mode": rep.mode,
         "samples": rep.samples,
         "stderr": rep.stderr,
-        "cost": rep.cost,
+        "cost": reported_count(rep.cost),
         "path": rep.path,
         "tolerance": _tolerance(rep.mode, rep.stderr),
     }
@@ -543,6 +551,12 @@ def main(argv=None) -> int:
         return 64
     parser = _build_parser()
     args = parser.parse_args(argv)
+    for flag, least in (("seed", 0), ("budget", 1)):
+        value = getattr(args, flag)
+        if value is not None and value < least:
+            error = f"--{flag} must be an integer >= {least}, got {value}"
+            _diag({"type": "usage", "error": error})
+            return 64
     try:
         with np.errstate(all="ignore"):  # overflow surfaces as a non-finite result
             report = args.handler(args)
@@ -552,7 +566,10 @@ def main(argv=None) -> int:
         _diag({"type": "format", "error": str(exc), "pointer": exc.pointer})
         return 65
     except BudgetExceededError as exc:
-        diag = {"type": "budget", "error": str(exc), "cost": exc.cost, "budget": exc.budget}
+        diag = {
+            "type": "budget", "error": str(exc),
+            "cost": reported_count(exc.cost), "budget": reported_count(exc.budget),
+        }
         if "mc" in vars(args) and args.mc is None:
             diag["hint"] = "rerun with --mc N for a Monte Carlo estimate"
         _diag(diag)

@@ -37,6 +37,13 @@ def parse_at(pointer: str, build, *args):
         raise FormatError(str(exc), pointer=pointer) from exc
 
 
+def reported_count(count: int | None) -> int | str | None:
+    """A cost or budget as messages and reports give it: the count itself up
+    to 2^64, and the lower bound ">2^64" above it, which also keeps a count
+    of thousands of digits from being formatted at all."""
+    return count if count is None or count <= 2**64 else ">2^64"
+
+
 class BudgetExceededError(FpuniformError):
     """An exact enumeration would exceed the configured point budget."""
 
@@ -44,8 +51,8 @@ class BudgetExceededError(FpuniformError):
         self.cost = cost
         self.budget = budget
         super().__init__(
-            f"{what} needs {cost} points but the budget is {budget}; "
-            f"raise the budget or use a Monte Carlo mode"
+            f"{what} needs {reported_count(cost)} points but the budget is "
+            f"{reported_count(budget)}; raise the budget or use a Monte Carlo mode"
         )
 
 

@@ -77,7 +77,7 @@ def place_values(p: int, n: int) -> np.ndarray:
     return v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # one (p^n, n) int64 table can take gigabytes
 def _digit_table(p: int, n: int) -> np.ndarray:
     idx = np.arange(p**n, dtype=np.int64)
     out = np.empty((p**n, n), dtype=np.int64)

@@ -59,6 +59,8 @@ class Polynomial:
         p, n = validate_dims(p, n)
         clean: dict[Exponents, int] = {}
         for exps, coeff in terms.items():
+            if isinstance(exps, str):
+                raise ValidationError(f"exponent tuple {exps!r} must be integers, not a string")
             exps = tuple(int(e) for e in exps)
             if len(exps) != n:
                 raise ValidationError(f"exponent tuple {exps} has wrong arity")

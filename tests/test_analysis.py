@@ -6,6 +6,7 @@ oracle written from the defining formulas, with no shared code paths.
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -151,7 +152,8 @@ def test_gowers_phase_invariance():
 
 
 def test_gowers_budget_and_validation():
-    # exact U^k costs N^(k-1) derivative values: 2^27 here
+    # exact U^4 costs C(N + 1, 2) * N derivative values, one row per orbit:
+    # about 6.7e7 here
     big = FunctionTable.constant(2, 9, 1.0)
     with pytest.raises(BudgetExceededError):
         gowers_norm(big, 4)
@@ -163,14 +165,66 @@ def test_gowers_budget_and_validation():
             gowers_norm(f, 2, samples=samples)
 
 
-@pytest.mark.parametrize("p,n,k", [(2, 2, 4), (2, 1, 5), (3, 1, 4), (5, 1, 3), (2, 2, 3)])
+@pytest.mark.parametrize(
+    "p,n,k",
+    [
+        (2, 2, 4), (2, 1, 5), (3, 1, 4), (5, 1, 3), (2, 2, 3),
+        (2, 2, 5), (3, 2, 3), (3, 1, 5), (5, 1, 4), (5, 1, 5),
+    ],
+)
 def test_batched_u_power_matches_direct(p, n, k, monkeypatch):
-    # a small block size splits the shift tuples over several blocks, the
-    # last one partial
-    monkeypatch.setattr(analysis, "_CHUNK", 3 * p**n)
-    f = random_unit_table(p, n, seed=p * n + k)
-    got = _u_power(f.values, p, n, k) ** (1 / 2**k)
-    assert got == pytest.approx(u_norm_direct(f, k), abs=1e-10)
+    # k = 3..5 at p = 2, 3, 5 on a complex table of varying modulus, with the
+    # orbit tuples in one block and in two blocks whose last is partial
+    rng = np.random.default_rng(100 * p + 10 * n + k)
+    f = FunctionTable(p, n, rng.normal(size=p**n) + 1j * rng.normal(size=p**n))
+    want = u_norm_direct(f, k)
+    assert _u_power(f.values, p, n, k) ** (1 / 2**k) == pytest.approx(want, rel=1e-10)
+    count = analysis._orbit_count(p, n, k, 2**64)
+    assert count >= 3
+    monkeypatch.setattr(analysis, "_CHUNK", (count // 2 + 1) * p**n)
+    assert _u_power(f.values, p, n, k) ** (1 / 2**k) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 2, 4), (2, 3, 3), (3, 2, 4), (5, 1, 5), (7, 1, 4)])
+def test_orbit_count_is_the_number_of_orbits(p, n, k):
+    # orbits of (y_1..y_{k-2}) under permutations and y_i -> -y_i, by brute force
+    N = p**n
+    neg = index_combination(p, n, [[-1]], [np.arange(N)])[0]
+    orbits = {
+        tuple(sorted(min(y, int(neg[y])) for y in ys))
+        for ys in itertools.product(range(N), repeat=k - 2)
+    }
+    assert analysis._orbit_count(p, n, k, 2**64) == len(orbits)
+    rep = gowers_norm(random_unit_table(p, n, seed=k), k)
+    assert rep.cost == N * len(orbits) and rep.path == "orbit"
+
+
+def test_gowers_huge_k_is_charged_its_entries():
+    # on F_2^1 the orbit tuples are few (k - 1 of them) but long: each is
+    # charged its k - 2 entries, so a huge k is refused at once
+    one = FunctionTable.constant(2, 1, 1.0)
+    rep = gowers_norm(one, 200)
+    assert rep.value == 1.0 and rep.cost == 199 * 198
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        gowers_norm(one, 100000)
+    with pytest.raises(BudgetExceededError):
+        gowers_norm(random_unit_table(2, 10, seed=0), 10**6)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_orbit_count_stops_above_its_cap():
+    exact = math.comb(2**10 + 97, 98)
+    assert analysis._orbit_count(2, 10, 100, 2**10000) == exact
+    bound = analysis._orbit_count(2, 10, 100, 2**64)
+    assert 2**64 < bound < exact
+
+
+def test_gowers_path_names_the_algorithm():
+    f = random_unit_table(3, 2, seed=4)
+    assert [gowers_norm(f, k).path for k in (1, 2, 3)] == ["direct", "direct", "orbit"]
+    assert [gowers_norm(f, k).cost for k in (1, 2, 3)] == [9, 9, 9 * 5]
+    assert gowers_norm(f, 3, samples=10).path == "sampled"
 
 
 def test_gowers_mc_tracks_exact():
@@ -207,6 +261,41 @@ def test_parseval_and_inversion():
         assert np.sum(np.abs(fhat) ** 2) == pytest.approx(np.mean(np.abs(f.values) ** 2), abs=1e-10)
         back = inverse_fourier(f.p, f.n, fhat)
         assert np.allclose(back.values, f.values, atol=1e-12)
+
+
+def naive_dft(rows, p, n, inverse):
+    """sum_x rows(x) e_p(-+alpha . x) by the N x N matrix of exponents alpha . x,
+    built in column blocks, with indices in enumeration order."""
+    digits = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64)
+    digits = digits.reshape(p**n, n)
+    roots = np.exp((2j if inverse else -2j) * np.pi * np.arange(p) / p)
+    out = np.empty(rows.shape, dtype=np.complex128)
+    for lo in range(0, p**n, 128):
+        out[..., lo : lo + 128] = rows @ roots[digits @ digits[lo : lo + 128].T % p]
+    return out
+
+
+TRANSFORM_CASES = [
+    (p, n)
+    for p in (2, 3, 5, 7, 11, 13, 97, 101)
+    for n in range(6)
+    if p**n <= 2500
+] + [(2, 7), (2, 10), (3, 6)]
+
+
+@pytest.mark.parametrize("p,n", TRANSFORM_CASES)
+def test_fp_transform_matches_naive_dft(p, n):
+    # digit groups of every size, partial groups included, on both sides of
+    # the cross-over to fftn; 1-D and batched, real and complex input
+    N = p**n
+    rng = np.random.default_rng(p + 7 * n)
+    real = rng.normal(size=(3, N))
+    for rows in (real, real + 1j * rng.normal(size=(3, N))):
+        for inverse in (False, True):
+            want = naive_dft(rows, p, n, inverse)
+            scale = np.abs(want).max()
+            assert np.abs(_fp_transform(rows, p, n, inverse) - want).max() <= 1e-12 * scale
+            assert np.abs(_fp_transform(rows[1], p, n, inverse) - want[1]).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (2, 4), (3, 0), (3, 3), (5, 2)])

@@ -71,7 +71,7 @@ def test_gowers_exact_report(files, capsys):
     assert rep["value"] == pytest.approx(2 ** -0.5)
     assert rep["mode"] == "exact" and rep["samples"] is None
     assert rep["tolerance"]["kind"] == "float-rounding"
-    assert rep["seed"] == 0
+    assert rep["seed"] == 0 and rep["path"] == "direct"
     digest = hashlib.sha256(open(files["phase"], "rb").read()).hexdigest()
     assert rep["inputs"]["table"]["sha256"] == digest
 
@@ -322,6 +322,10 @@ def test_malformed_input_exit_65(files, capsys):
     bad.write_text("{nope")
     rc, _, err = run(["gowers", "--table", str(bad), "--k", "2"], capsys)
     assert rc == 65 and "JSON" in err
+    # an integer too long for Python to read from text is malformed JSON too
+    bad.write_text('{"p": ' + "9" * 5000 + "}")
+    rc, _, err = run(["gowers", "--table", str(bad), "--k", "2"], capsys)
+    assert rc == 65 and "JSON" in json.loads(err)["error"]
     rc, _, err = run(
         ["gowers", "--table", str(files["tmp"] / "absent.json"), "--k", "2"], capsys
     )
@@ -375,7 +379,7 @@ def test_retry_limit_exit_70(files, capsys, monkeypatch):
 
 
 def test_budget_exceeded_exit_66(files, capsys):
-    # exact U^4 on F_2^4 costs 16^3 = 4096 points
+    # exact U^4 on F_2^4 costs C(17, 2) * 16 = 2176 points, one row per orbit
     rc, _, err = run(
         ["gowers", "--table", files["big"], "--k", "4", "--budget", "1000"], capsys
     )
@@ -406,6 +410,49 @@ def test_cube_system_over_budget_exit_66(files, capsys, argv, cost):
     assert rc == 66 and out == ""
     diag = json.loads(err)
     assert diag["type"] == "budget" and diag["cost"] == cost
+
+
+def test_gowers_reports_its_path(files, capsys):
+    # U^3 on F_2^4 runs one shift y per orbit: C(16, 1) = 16 rows of 16 points
+    rc, out, _ = run(["gowers", "--table", files["lin4"], "--k", "3"], capsys)
+    rep = json.loads(out)
+    assert rc == 0 and rep["path"] == "orbit" and rep["cost"] == 16 * 16
+    rc, out, _ = run(["gowers", "--table", files["lin4"], "--k", "3", "--mc", "50"], capsys)
+    assert rc == 0 and json.loads(out)["path"] == "sampled"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gowers", "--k", "100000"],
+        ["test", "uniformity", "--degree", "1000000", "--samples", "10"],
+    ],
+)
+def test_huge_cost_is_a_lower_bound(files, capsys, argv):
+    # a cost of hundreds of thousands of digits is refused quickly and never
+    # formatted: messages and JSON give the bound ">2^64"
+    start = time.perf_counter()
+    rc, out, err = run(argv + ["--table", files["lin4"]], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 66 and out == ""
+    diag = json.loads(err)
+    assert diag["type"] == "budget" and diag["cost"] == ">2^64"
+    assert "needs >2^64 points" in diag["error"]
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--mc", "10", "--seed", "-1"], "--seed"),
+        (["--budget", "0"], "--budget"),
+        (["--budget", "-5"], "--budget"),
+    ],
+)
+def test_seed_and_budget_out_of_range_exit_64(files, capsys, flags, name):
+    rc, out, err = run(["gowers", "--table", files["lin4"], "--k", "3"] + flags, capsys)
+    assert rc == 64 and out == ""
+    diag = json.loads(err)
+    assert diag["type"] == "usage" and name in diag["error"]
 
 
 def test_budget_hint_only_without_mc(files, capsys):

@@ -212,3 +212,19 @@ def test_random_independent_rows_draw_invertible_matrices():
     assert np.array_equal(mats, field.random_independent_rows(2, 5, 5, 7, 400))
     with pytest.raises(ValidationError):
         field.random_independent_rows(2, 5, 5, 7, 0)
+
+
+def test_digit_table_cache_evicts_old_entries():
+    # the cache keeps a bounded number of tables: the oldest one is rebuilt
+    cache = field._digit_table
+    cache.cache_clear()
+    size = cache.cache_info().maxsize
+    assert size is not None and size < 64
+    for n in range(1, size + 2):
+        field.digit_table(2, n)
+    assert cache.cache_info().currsize == size
+    misses = cache.cache_info().misses
+    field.digit_table(2, size + 1)  # the newest is kept
+    assert cache.cache_info().misses == misses
+    field.digit_table(2, 1)  # the oldest was evicted
+    assert cache.cache_info().misses == misses + 1

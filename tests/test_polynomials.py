@@ -48,6 +48,14 @@ def test_exponent_validation():
         Polynomial(3, 2, {(1,): 1})
 
 
+def test_string_exponent_key_refused():
+    # "11" is not read digit by digit as the exponents (1, 1)
+    with pytest.raises(ValidationError, match="string"):
+        Polynomial(2, 2, {"11": 1})
+    with pytest.raises(ValidationError, match="string"):
+        Polynomial(3, 2, {(1, 0): 1, "20": 2})
+
+
 def test_immutability():
     P = Polynomial.variable(3, 2, 0)
     with pytest.raises(AttributeError):
