@@ -114,13 +114,11 @@ def _fp_transform(values, p: int, n: int, inverse: bool = False) -> np.ndarray:
     return (x.view(np.complex128) if p == 2 else x).reshape(values.shape)
 
 
-def fourier_transform(f: FunctionTable) -> np.ndarray:
-    """f_hat(alpha) = E_x f(x) e_p(-alpha . x), in enumeration order of alpha."""
+def fourier_transform(f: FunctionTable, budget: int | None = None) -> np.ndarray:
+    """f_hat(alpha) = E_x f(x) e_p(-alpha . x), in enumeration order of alpha;
+    the N transformed points are charged against the budget."""
+    check_budget(len(f.values), budget, "Fourier transform")
     return _fp_transform(f.values, f.p, f.n) / len(f.values)
-
-
-def inverse_fourier(p: int, n: int, coefficients: np.ndarray) -> FunctionTable:
-    return FunctionTable(p, n, _fp_transform(coefficients, p, n, inverse=True))
 
 
 # -- Gowers norms ---------------------------------------------------------------

@@ -288,9 +288,8 @@ def _cmd_system(args) -> dict:
             raise ValidationError("isomorphism needs --other")
         other, other_meta = _load(LinearSystem.from_json_dict, args.other)
         report["inputs"]["other"] = other_meta
-        rep = are_isomorphic(system, other)
+        rep = are_isomorphic(system, other, budget=args.budget)
         report.update(
-            decided=rep.decided,
             isomorphic=rep.isomorphic,
             mapping=None if rep.mapping is None else list(rep.mapping),
         )
@@ -309,13 +308,14 @@ def _cmd_system(args) -> dict:
 
 def _cmd_fourier(args) -> dict:
     table, meta = _load(parse_function_table, args.table)
-    hat = fourier_transform(table)
+    hat = fourier_transform(table, budget=args.budget)
     return {
         "command": "fourier",
         "inputs": {"table": meta},
         "p": table.p,
         "n": table.n,
         "coefficients": [[float(v.real), float(v.imag)] for v in hat],
+        "cost": reported_count(len(hat)),
         "mode": "exact",
         "tolerance": _tolerance("exact"),
     }

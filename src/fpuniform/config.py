@@ -1,15 +1,13 @@
 """Global knobs: enumeration budget and search caps.
 
 Everything here is a plain module-level constant or a tiny helper; operations
-take an optional ``budget=`` argument that falls back to the environment and
-then to the default.  The caps bound the searches that are still exhaustive
-(partitions, isomorphisms, polynomial rank); connected components are found
-in polynomial time and have no cap.
+take an optional ``budget=`` argument that falls back to the default.  The
+caps bound the searches that are still exhaustive (partitions, polynomial
+rank); the isomorphism search is charged against the budget instead, and
+connected components are found in polynomial time and have no cap.
 """
 
 from __future__ import annotations
-
-import os
 
 from .errors import BudgetExceededError
 
@@ -27,9 +25,6 @@ MAX_PRIME = 251
 #: and returns the m-2 upper bound flagged as bound-only.
 PARTITION_SEARCH_CAP = 12
 
-#: are_isomorphic reports "undecided" above this many forms.
-ISOMORPHISM_SEARCH_CAP = 10
-
 #: Exhaustive polynomial-rank search caps.
 RANK_POINT_CAP = 64
 RANK_RMAX_CAP = 2
@@ -42,17 +37,10 @@ DECOMPOSE_ROUND_CAP = 64
 #: Rejection-sampling retry cap (random invertible matrices and the like).
 RETRY_CAP = 1000
 
-_BUDGET_ENV = "FPUNIFORM_BUDGET"
-
 
 def resolve_budget(budget: int | None = None) -> int:
-    """Explicit argument > environment override > default."""
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get(_BUDGET_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_BUDGET
+    """The explicit budget, or the default when it is None."""
+    return DEFAULT_BUDGET if budget is None else int(budget)
 
 
 def check_budget(cost: int, budget: int | None = None, what: str = "enumeration") -> int:

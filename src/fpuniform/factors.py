@@ -163,19 +163,6 @@ def factor_fourier(f: FunctionTable, factor: PolynomialFactor, tol: float = 1e-1
     return _fp_transform(gamma_table, factor.p, factor.complexity) / factor.label_space
 
 
-def reconstruct_from_factor_fourier(
-    factor: PolynomialFactor, coefficients: np.ndarray
-) -> FunctionTable:
-    """Sum of coefficient * e_p(gamma . (P_1..P_C)) — inverts factor_fourier."""
-    C = factor.complexity
-    size = factor.label_space
-    coeffs = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
-    if len(coeffs) != size:
-        raise ValidationError(f"expected {size} coefficients, got {len(coeffs)}")
-    gamma_table = _fp_transform(coeffs, factor.p, C, inverse=True)
-    return FunctionTable(factor.p, factor.n, gamma_table[factor.labels])
-
-
 @dataclass
 class DecompositionReport:
     factor: PolynomialFactor

@@ -105,15 +105,6 @@ def index_of(p: int, vec) -> int:
     return int(v @ place_values(p, len(v)))
 
 
-def vector_at(p: int, n: int, index: int) -> tuple[int, ...]:
-    if not 0 <= index < p**n:
-        raise ValidationError(f"index {index} out of range for F_{p}^{n}")
-    out = []
-    for i in range(n):
-        out.append((index // p ** (n - 1 - i)) % p)
-    return tuple(out)
-
-
 def mixed_radix_digits(flat: np.ndarray, base: int, width: int) -> np.ndarray:
     """The `width` base-`base` digits of each entry of `flat`, least
     significant first, as a (width, len(flat)) array: tuple number t of
@@ -189,23 +180,6 @@ class AffineMap:
         """Apply to an (m, n) array of points at once."""
         pts = np.asarray(points, dtype=np.int64) % self.p
         return (pts @ self.matrix.T + self.offset) % self.p
-
-    def apply_index(self, idx):
-        """Image indices for an array of point indices."""
-        d = _digit_table(self.p, self.n)
-        return self.apply_points(d[idx]) @ place_values(self.p, self.n)
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self ∘ other, i.e. x ↦ self(other(x))."""
-        if (self.p, self.n) != (other.p, other.n):
-            raise ValidationError("cannot compose maps on different spaces")
-        m = (self.matrix @ other.matrix) % self.p
-        b = (self.matrix @ other.offset + self.offset) % self.p
-        return AffineMap(self.p, self.n, m, b)
-
-
-def identity_affine(p: int, n: int) -> AffineMap:
-    return AffineMap(p, n, np.eye(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
 
 
 def random_affine(p: int, n: int, seed) -> AffineMap:
@@ -291,7 +265,3 @@ def independent_tuples(p: int, n: int, r: int, block: int):
         Z = mixed_radix_digits(np.arange(lo, min(lo + block, N**r), dtype=np.int64), N, r)
         digits = Z[:, :, None] // places % p  # (r, count, n)
         yield Z[:, _batch_independent_mask(digits.transpose(1, 0, 2), p)]
-
-
-def apply_map(a: AffineMap, x) -> tuple[int, ...]:
-    return tuple(int(v) for v in a.apply(x))

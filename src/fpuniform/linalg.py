@@ -96,17 +96,6 @@ def in_span(rows, v, p: int) -> bool:
     return solve(rows.T, v, p) is not None
 
 
-def spans_intersect_trivially(rows_a, rows_b, p: int) -> bool:
-    """True iff span(rows_a) ∩ span(rows_b) = {0}."""
-    a = _as_mat(rows_a, p)
-    b = _as_mat(rows_b, p)
-    if a.size == 0 or b.size == 0:
-        return True
-    ra = rank(a, p)
-    rb = rank(b, p)
-    return rank(np.vstack([a, b]), p) == ra + rb
-
-
 def span_coordinates(rows, p: int) -> tuple[list[int], np.ndarray]:
     """Greedy basis of the row span and every row's coordinates in it.
 

@@ -8,12 +8,13 @@ flagged systems (where distinct forms can collide) stay well defined.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import permutations
 
 import numpy as np
 
-from .config import ISOMORPHISM_SEARCH_CAP, PARTITION_SEARCH_CAP, check_budget
+from .config import PARTITION_SEARCH_CAP, check_budget
 from .errors import FormatError, ValidationError, parse_at
 from .field import int_tuple, validate_dims, validate_prime
 from .linalg import (
@@ -22,7 +23,6 @@ from .linalg import (
     inverse,
     rank as mat_rank,
     nullspace,
-    solve,
     span_coordinates,
 )
 
@@ -93,7 +93,8 @@ class LinearSystem:
         return f"LinearSystem(p={self.p}, k={self.k}, forms={list(self.forms)})"
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(form_degree(self, f) for f in self.forms)
+        sums = _pair_sums(self)
+        return tuple(sums[f] for f in self.forms)
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,12 +142,6 @@ class FlaggedSystem(LinearSystem):
             raise ValidationError("multiplicities must be positive")
         object.__setattr__(self, "flag", flag)
         object.__setattr__(self, "multiplicities", multiplicities)
-
-    def base_system(self) -> LinearSystem:
-        return LinearSystem(self.p, self.k, self.forms)
-
-    def flag_in_span(self) -> bool:
-        return in_span(self.as_array(), np.array(self.flag, dtype=np.int64), self.p)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FlaggedSystem) and (
@@ -196,15 +191,19 @@ def cube_system(p: int, k: int, budget: int | None = None) -> LinearSystem:
 def form_degree(system: LinearSystem, target) -> int:
     """Number of ordered pairs of forms summing to the target, weighted by
     multiplicities (pairs are allowed to repeat a form)."""
+    return _pair_sums(system)[_normalize_form(target, system.p, system.k)]
+
+
+def _pair_sums(system: LinearSystem) -> Counter:
+    """The weighted count of ordered pairs of forms by their sum: one pass
+    over the m^2 pairs gives the degree of every form."""
     p = system.p
-    target = _normalize_form(target, p, system.k)
     mult = getattr(system, "multiplicities", (1,) * system.m)
-    total = 0
-    for i, x in enumerate(system.forms):
-        for j, y in enumerate(system.forms):
-            if tuple((a + b) % p for a, b in zip(x, y)) == target:
-                total += mult[i] * mult[j]
-    return total
+    sums: Counter = Counter()
+    for x, u in zip(system.forms, mult):
+        for y, v in zip(system.forms, mult):
+            sums[tuple((a + b) % p for a, b in zip(x, y))] += u * v
+    return sums
 
 
 @dataclass
@@ -342,56 +341,37 @@ def true_complexity(system: LinearSystem, budget: int | None = None) -> Complexi
     raise ValidationError("tensor powers never became independent")
 
 
-def is_homogeneous_system(system: LinearSystem) -> bool:
-    """True when some direction u has L_i(u) = 1 for every form."""
-    return _homogeneity_witness(system) is not None
-
-
-def _homogeneity_witness(system: LinearSystem):
-    ones = np.ones(system.m, dtype=np.int64)
-    return solve(system.as_array(), ones, system.p)
-
-
-def canonicalize(system: LinearSystem) -> tuple[LinearSystem, np.ndarray]:
-    """Change of variables making every form's first coefficient 1.
-
-    Returns (new system, S) with L_i' = L_i S and S invertible, S e_1 = u
-    the common direction.  Raises for non-homogeneous systems.
-    """
-    u = _homogeneity_witness(system)
-    if u is None:
-        raise ValidationError("system is not homogeneous")
-    basis = extend_to_basis(u.reshape(1, -1), system.p, system.k)
-    S = basis.T % system.p
-    arr = (system.as_array() @ S) % system.p
-    return LinearSystem(system.p, system.k, [tuple(r) for r in arr]), S
-
-
 @dataclass
 class IsomorphismReport:
-    decided: bool
-    isomorphic: bool | None
+    isomorphic: bool
     mapping: tuple[int, ...] | None = None  # index i of A -> mapping[i] of B
 
 
-def are_isomorphic(a: LinearSystem, b: LinearSystem) -> IsomorphismReport:
+def are_isomorphic(
+    a: LinearSystem, b: LinearSystem, budget: int | None = None
+) -> IsomorphismReport:
     """Form bijection extending to an invertible map between the spans.
 
-    Exhaustive over independent image tuples with degree-multiset pruning;
-    systems above the search cap come back undecided rather than wrong.
+    Exhaustive over independent image tuples with degree-multiset pruning.
+    Once the primes, form counts and span ranks agree, the search is charged
+    before it starts: m!/(m - r)! injective images of the r basis forms, times
+    the m forms mapped at each leaf.  So it decides or raises
+    BudgetExceededError.
     """
-    if a.p != b.p:
-        return IsomorphismReport(decided=True, isomorphic=False)
-    if a.m != b.m or a.span_rank() != b.span_rank():
-        return IsomorphismReport(decided=True, isomorphic=False)
-    if sorted(a.degrees()) != sorted(b.degrees()):
-        return IsomorphismReport(decided=True, isomorphic=False)
-    if a.m > ISOMORPHISM_SEARCH_CAP:
-        return IsomorphismReport(decided=False, isomorphic=None)
+    if a.p != b.p or a.m != b.m:
+        return IsomorphismReport(isomorphic=False)
+    r = a.span_rank()
+    if r != b.span_rank():
+        return IsomorphismReport(isomorphic=False)
+    check_budget(
+        math.perm(a.m, r) * a.m, budget, f"isomorphism search over {a.m} forms of rank {r}"
+    )
+    deg_a, deg_b = a.degrees(), b.degrees()
+    if sorted(deg_a) != sorted(deg_b):
+        return IsomorphismReport(isomorphic=False)
     p = a.p
     arr_a, arr_b = a.as_array(), b.as_array()
     basis_idx, coords = span_coordinates(arr_a, p)
-    deg_a, deg_b = a.degrees(), b.degrees()
     b_index = {f: i for i, f in enumerate(b.forms)}
     candidates = [
         [j for j in range(b.m) if deg_b[j] == deg_a[i]] for i in basis_idx
@@ -399,16 +379,15 @@ def are_isomorphic(a: LinearSystem, b: LinearSystem) -> IsomorphismReport:
 
     def extend(pos: int, chosen: list[int]):
         if pos == len(basis_idx):
+            # independent images make the map injective, so distinct forms
+            # land on distinct forms of b
             rows = arr_b[chosen]
             mapping = []
             for c in coords:
-                img = tuple((c @ rows) % p)
-                j = b_index.get(img)
+                j = b_index.get(tuple((c @ rows) % p))
                 if j is None:
                     return None
                 mapping.append(j)
-            if len(set(mapping)) != a.m:
-                return None
             return tuple(mapping)
         for j in candidates[pos]:
             if j in chosen:
@@ -421,9 +400,7 @@ def are_isomorphic(a: LinearSystem, b: LinearSystem) -> IsomorphismReport:
         return None
 
     mapping = extend(0, [])
-    if mapping is None:
-        return IsomorphismReport(decided=True, isomorphic=False)
-    return IsomorphismReport(decided=True, isomorphic=True, mapping=mapping)
+    return IsomorphismReport(isomorphic=mapping is not None, mapping=mapping)
 
 
 def connected_components(system: LinearSystem) -> list[list[int]]:

@@ -28,7 +28,7 @@ from .config import (
 )
 from .errors import ValidationError
 from .field import digit_table
-from .linalg import nullspace, rank as mat_rank, row_reduce, solve
+from .linalg import nullspace, row_reduce, solve
 from .polynomials import Polynomial, coefficient_block, monomial_values, monomials_up_to
 
 
@@ -166,18 +166,6 @@ def _expressible_exhaustive(P: Polynomial, r: int, dmax: int):
 
 
 # -- closed form for degree <= 2 ----------------------------------------------
-
-
-def invariance_space(P: Polynomial) -> np.ndarray:
-    """Basis (rows) of {h : P(x+h) = P(x) identically}, by brute scan over
-    directions.  Valid in any degree; quadratic-rank cross-check."""
-    from .field import enumerate_vectors
-
-    zero = Polynomial.zero(P.p, P.n)
-    rows = [h for h in enumerate_vectors(P.p, P.n) if P.additive_derivative(h) == zero]
-    arr = np.array(rows, dtype=np.int64).reshape(len(rows), P.n)
-    red, pivots = row_reduce(arr, P.p)
-    return red[: len(pivots)]
 
 
 def quadratic_min_rank(P: Polynomial) -> tuple[int, np.ndarray]:

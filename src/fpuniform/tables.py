@@ -1,5 +1,5 @@
 """Function tables: explicit maps F_p^n -> C stored on the standard
-enumeration order, plus the JSON/CSV interchange formats.
+enumeration order, and their JSON file format.
 
 Values are complex128 throughout; a table with codomain "real" additionally
 guarantees exactly-zero imaginary parts.
@@ -8,13 +8,10 @@ guarantees exactly-zero imaginary parts.
 from __future__ import annotations
 
 import cmath
-import csv
-import io
 import json
 
 import numpy as np
 
-from .config import check_budget
 from .errors import FormatError, ValidationError, parse_at
 from .field import (
     AffineMap, digit_table, is_space_size, place_values, space_size, validate_dims, validate_prime,
@@ -58,13 +55,6 @@ class FunctionTable:
         codomain = "real" if not complex(value).imag else "complex"
         return cls(p, n, vals, codomain)
 
-    @classmethod
-    def from_callable(cls, p: int, n: int, fn, codomain: str = "complex") -> "FunctionTable":
-        from .field import enumerate_vectors
-
-        vals = [fn(x) for x in enumerate_vectors(p, n)]
-        return cls(p, n, vals, codomain)
-
     def __repr__(self) -> str:
         return f"FunctionTable(p={self.p}, n={self.n}, codomain={self.codomain!r})"
 
@@ -102,9 +92,6 @@ class FunctionTable:
 
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max())
-
-    def is_one_bounded(self, tol: float = 1e-9) -> bool:
-        return self.sup_norm() <= 1 + tol
 
     # -- structure maps ---------------------------------------------------------
 
@@ -144,7 +131,7 @@ class FunctionTable:
             self.p, self.n + other.n, np.kron(self.values, other.values), codomain
         )
 
-    # -- interchange --------------------------------------------------------------
+    # -- file format --------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,18 +142,6 @@ class FunctionTable:
             "codomain": self.codomain,
             "values": [[float(v.real), float(v.imag)] for v in self.values],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([f"x{i + 1}" for i in range(self.n)] + ["re", "im"])
-        digits = digit_table(self.p, self.n)
-        for row, v in zip(digits, self.values):
-            writer.writerow([int(d) for d in row] + [repr(float(v.real)), repr(float(v.imag))])
-        return out.getvalue()
 
 
 def phase_table(P: Polynomial) -> FunctionTable:
@@ -241,38 +216,6 @@ def parse_function_table(source) -> FunctionTable:
         _parse_value(entry, f"/values/{i}") for i, entry in enumerate(obj["values"])
     ]
     return parse_at("/values", FunctionTable, p, n, values, codomain)
-
-
-def parse_function_table_csv(text: str, p: int, n: int) -> FunctionTable:
-    """Inverse of FunctionTable.to_csv for a known (p, n)."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("empty CSV") from None
-    expected = [f"x{i + 1}" for i in range(n)] + ["re", "im"]
-    if header != expected:
-        raise FormatError(f"CSV header must be {expected}")
-    check_budget(space_size(p, n), None, "table parse")
-    values = np.zeros(space_size(p, n), dtype=np.complex128)
-    seen = np.zeros(space_size(p, n), dtype=bool)
-    places = place_values(p, n)
-    for row_num, row in enumerate(reader, start=2):
-        if len(row) != n + 2:
-            raise FormatError(f"row {row_num} has {len(row)} fields, expected {n + 2}")
-        try:
-            digits = [int(v) % p for v in row[:n]]
-            value = complex(float(row[n]), float(row[n + 1]))
-        except ValueError as exc:
-            raise FormatError(f"row {row_num}: {exc}") from exc
-        idx = int(np.dot(digits, places))
-        if seen[idx]:
-            raise FormatError(f"row {row_num} repeats a point")
-        seen[idx] = True
-        values[idx] = value
-    if not seen.all():
-        raise FormatError(f"{int((~seen).sum())} points missing from CSV")
-    return FunctionTable(p, n, values)
 
 
 def dirac_table(p: int, n: int, point) -> FunctionTable:

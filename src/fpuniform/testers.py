@@ -31,15 +31,13 @@ from .field import (
     index_combination,
     is_space_size,
     place_values,
-    random_affine,
     random_independent_rows,
     space_size,
     validate_dims,
     validate_prime,
 )
-from .linalg import solve, span_coordinates
+from .linalg import span_coordinates
 from .linear_forms import LinearSystem, are_isomorphic, connected_components, cube_system
-from .polynomials import coefficient_block, family_size, monomial_values, monomials_up_to
 from .rng import _CHUNK, as_rng, check_count, mc_mean
 from .tables import FunctionTable
 
@@ -227,11 +225,6 @@ class TesterSpec:
             return out
 
         return draw
-
-    def draw_queries(self, rng, n: int, count: int) -> np.ndarray:
-        """(count, q, n) array of query tuples."""
-        idx = self.index_sampler(n)(rng, count)
-        return idx[..., None] // place_values(self.p, n) % self.p
 
     def decide(self, values: np.ndarray) -> np.ndarray:
         """Apply the decision map to (count, q) query values."""
@@ -553,84 +546,6 @@ def find_testing_degree(
     return {"best_degree": best, "separations": separations, "heuristic": True}
 
 
-# -- dual families ---------------------------------------------------------------
-
-
-@dataclass
-class DualFamily:
-    """An enumerable family per n, with spot-checkable structural flags."""
-
-    p: int
-    generator: object  # callable n -> list[FunctionTable], field-valued
-    contains: object = None  # callable FunctionTable -> bool
-    size_bound: object = None  # callable n -> int
-    affine_invariant: bool = False
-
-    def members(self, n: int):
-        out = list(self.generator(n))
-        if not out:
-            raise ValidationError("family is empty at this n")
-        return out
-
-    def check_consistency(self, n: int) -> bool:
-        """A1: members are valid field-valued tables on F_p^n, within the
-        declared size bound."""
-        got = self.members(n)
-        for g in got:
-            _integer_values(g, self.p, n)
-        if self.size_bound is not None and len(got) > self.size_bound(n):
-            return False
-        return True
-
-    def spot_check_affine_invariance(self, n: int, seed=None, rounds: int = 5) -> bool:
-        """A2 on samples: membership survives random affine substitutions."""
-        if self.contains is None:
-            raise ValidationError("no membership test supplied")
-        rng = as_rng(0 if seed is None else seed)
-        got = self.members(n)
-        for _ in range(rounds):
-            g = got[rng.integers(0, len(got))]
-            amap = random_affine(self.p, n, rng)
-            moved = g.apply_affine(amap)
-            if not self.contains(moved):
-                return False
-        return True
-
-
-def poly_dual_family(p: int, d: int) -> DualFamily:
-    """Poly_d as a dual family: all degree-<=d polynomial value tables."""
-
-    def generator(n):
-        monos = monomials_up_to(p, n, d)
-        count = p ** len(monos)
-        check_budget(count, None, "polynomial family enumeration")
-        mon_values = monomial_values(p, digit_table(p, n), monos)
-        tables = coefficient_block(p, len(monos), 0, count) @ mon_values.T % p
-        return [FunctionTable(p, n, row, codomain="real") for row in tables]
-
-    def contains(table):
-        # every function is a unique reduced-exponent polynomial; interpolate
-        # and read its degree off the nonzero coefficients
-        vals = _integer_values(table, table.p, table.n)
-        monos = monomials_up_to(p, table.n, table.n * (p - 1))
-        coeffs = solve(monomial_values(p, digit_table(p, table.n), monos), vals, p)
-        if coeffs is None:
-            return False
-        degs = np.array([sum(e) for e in monos])
-        return not np.any((coeffs % p != 0) & (degs > d))
-
-    def size_bound(n):
-        return p ** family_size(p, n, d)
-
-    return DualFamily(
-        p=p,
-        generator=generator,
-        contains=contains,
-        size_bound=size_bound,
-        affine_invariant=True,
-    )
-
-
 # -- the interior experiment ---------------------------------------------------------
 
 
@@ -665,7 +580,8 @@ def interior_experiment(
 
     Each system's connected components must be mutually isomorphic (the
     average then factors as a power of one connected representative), and the
-    representatives must be pairwise non-isomorphic; random f: F_p^n -> (0,1)
+    representatives must be pairwise non-isomorphic (each comparison is
+    charged against the budget, see are_isomorphic); random f: F_p^n -> (0,1)
     are drawn until the Gram matrix of the boundary functions has least
     eigenvalue above the threshold.
     """
@@ -692,10 +608,7 @@ def interior_experiment(
         rep_sys = sys_.subsystem(parts[0])
         for part in parts[1:]:
             other = sys_.subsystem(part)
-            iso = are_isomorphic(rep_sys, other)
-            if not iso.decided:
-                raise ValidationError("cannot verify the component structure")
-            if not iso.isomorphic:
+            if not are_isomorphic(rep_sys, other, budget=budget).isomorphic:
                 raise ValidationError(
                     f"system {sys_.forms} mixes non-isomorphic components "
                     f"{rep_sys.forms} and {other.forms}"
@@ -703,11 +616,7 @@ def interior_experiment(
         reps.append(rep_sys)
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
-            iso = are_isomorphic(reps[i], reps[j])
-            if not iso.decided:
-                raise ValidationError(
-                    f"cannot verify systems {i} and {j} are non-isomorphic"
-                )
+            iso = are_isomorphic(reps[i], reps[j], budget=budget)
             if iso.isomorphic:
                 raise ValidationError(
                     f"systems {i} and {j} reduce to isomorphic components "

@@ -25,7 +25,6 @@ from fpuniform.analysis import (
     fourier_transform,
     gowers_norm,
     inner_product,
-    inverse_fourier,
     linear_form_average,
     flagged_average,
 )
@@ -259,8 +258,17 @@ def test_parseval_and_inversion():
         f = random_unit_table(2, 3, seed=seed)
         fhat = fourier_transform(f)
         assert np.sum(np.abs(fhat) ** 2) == pytest.approx(np.mean(np.abs(f.values) ** 2), abs=1e-10)
-        back = inverse_fourier(f.p, f.n, fhat)
-        assert np.allclose(back.values, f.values, atol=1e-12)
+        # f(x) = sum_alpha f_hat(alpha) e_p(alpha . x), by the exponent matrix
+        back = naive_dft(fhat, f.p, f.n, inverse=True)
+        assert np.allclose(back, f.values, atol=1e-12)
+
+
+def test_fourier_transform_charges_its_points():
+    f = random_unit_table(5, 2, seed=1)
+    with pytest.raises(BudgetExceededError) as exc:
+        fourier_transform(f, budget=24)
+    assert (exc.value.cost, exc.value.budget) == (25, 24)
+    assert np.array_equal(fourier_transform(f, budget=25), fourier_transform(f))
 
 
 def naive_dft(rows, p, n, inverse):

@@ -52,6 +52,10 @@ def files(tmp_path):
             "flb.json", FlaggedSystem(2, 2, [(1, 0), (1, 1)], (0, 1)).to_json_dict()
         ),
         "big": put("big.json", FunctionTable.constant(2, 4, 1.0).to_json_dict()),
+        "f52": put("f52.json", random_real_table(5, 2, seed=2).to_json_dict()),
+        "quad5": put(
+            "quad5.json", LinearSystem(5, 2, [(1, 0), (0, 1), (1, 1), (1, 2)]).to_json_dict()
+        ),
         "tmp": tmp_path,
     }
 
@@ -133,7 +137,7 @@ def test_system_commands(files, capsys):
         capsys,
     )
     rep = json.loads(out)
-    assert rc == 0 and rep["decided"] and rep["isomorphic"]
+    assert rc == 0 and rep["isomorphic"] and "decided" not in rep
     rc, out, _ = run(
         ["system", "product", "--file", files["flag_a"], "--other", files["flag_b"]],
         capsys,
@@ -158,6 +162,41 @@ def test_fourier_json_and_csv(files, capsys):
     rc, out, _ = run(["fourier", "--table", files["phase"], "--format", "csv"], capsys)
     lines = out.strip().splitlines()
     assert rc == 0 and lines[0] == "a1,a2,re,im" and len(lines) == 5
+
+
+def test_fourier_budget_exit_66(files, capsys):
+    # the transform is charged its 25 points
+    rc, out, err = run(["fourier", "--table", files["f52"], "--budget", "24"], capsys)
+    assert rc == 66 and out == ""
+    diag = json.loads(err)
+    assert diag["type"] == "budget" and (diag["cost"], diag["budget"]) == (25, 24)
+    rc, out, _ = run(["fourier", "--table", files["f52"], "--budget", "25"], capsys)
+    assert rc == 0 and json.loads(out)["cost"] == 25
+
+
+def test_isomorphism_budget_exit_66(files, capsys):
+    # AP4 over F_5: 4 forms of rank 2, so the search is charged 4 * 3 * 4 = 48
+    argv = ["system", "isomorphism", "--file", files["ap4"], "--other", files["quad5"]]
+    rc, out, err = run(argv + ["--budget", "47"], capsys)
+    assert rc == 66 and out == ""
+    diag = json.loads(err)
+    assert diag["type"] == "budget" and (diag["cost"], diag["budget"]) == (48, 47)
+    rc, out, _ = run(argv + ["--budget", "48"], capsys)
+    rep = json.loads(out)
+    assert rc == 0 and rep["isomorphic"] is False and rep["mapping"] is None
+
+
+def test_interior_isomorphism_budget_exit_66(files, capsys):
+    # the 5-point table fits the budget, the check that AP4 and the other
+    # 4-form system are not isomorphic (charged 48) does not
+    argv = ["interior", "--systems", files["ap4"], files["quad5"], "--p", "5", "--n", "1"]
+    rc, out, err = run(argv + ["--budget", "47"], capsys)
+    assert rc == 66 and out == ""
+    diag = json.loads(err)
+    assert diag["type"] == "budget" and diag["cost"] == 48
+    assert "isomorphism" in diag["error"]
+    rc, out, _ = run(argv, capsys)
+    assert rc == 0 and json.loads(out)["independent"]
 
 
 def test_csv_flat_report(files, capsys):

@@ -43,8 +43,9 @@ def test_prime_validation():
 @settings(max_examples=200)
 def test_index_vector_round_trip(p, n, raw):
     idx = raw % p**n
-    vec = field.vector_at(p, n, idx)
+    vec = [idx // p ** (n - 1 - i) % p for i in range(n)]  # most significant first
     assert field.index_of(p, vec) == idx
+    assert field.digit_table(p, n)[idx].tolist() == vec
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 3), st.data())
@@ -53,8 +54,7 @@ def test_index_add_matches_coordinate_add(p, n, data):
     size = p**n
     i = data.draw(st.integers(0, size - 1))
     j = data.draw(st.integers(0, size - 1))
-    vi = np.array(field.vector_at(p, n, i))
-    vj = np.array(field.vector_at(p, n, j))
+    vi, vj = field.digit_table(p, n)[[i, j]]
     expect = field.index_of(p, (vi + vj) % p)
     got = field.index_add(p, n, np.array([i]), np.array([j]))[0]
     assert int(got) == expect
@@ -66,7 +66,7 @@ def test_index_scale_matches_coordinate_scale(p, n, data):
     size = p**n
     i = data.draw(st.integers(0, size - 1))
     c = data.draw(st.integers(0, p - 1))
-    vi = np.array(field.vector_at(p, n, i))
+    vi = field.digit_table(p, n)[i]
     expect = field.index_of(p, (c * vi) % p)
     got = field.index_combination(p, n, [[c]], [np.array([i])])[0, 0]
     assert int(got) == expect
@@ -74,12 +74,12 @@ def test_index_scale_matches_coordinate_scale(p, n, data):
 
 def test_apply_map_worked_example():
     a = field.AffineMap(3, 1, [[2]], [1])
-    assert field.apply_map(a, [2]) == (2,)  # 2*2+1 = 5 = 2 mod 3
+    assert a.apply([2]).tolist() == [2]  # 2*2+1 = 5 = 2 mod 3
 
 
 def test_apply_map_identity():
-    a = field.identity_affine(5, 3)
-    assert field.apply_map(a, [1, 4, 2]) == (1, 4, 2)
+    a = field.AffineMap(5, 3, np.eye(3, dtype=np.int64), [0, 0, 0])
+    assert a.apply([1, 4, 2]).tolist() == [1, 4, 2]
 
 
 def test_singular_matrix_rejected():
@@ -136,28 +136,27 @@ def test_random_affine_uniform_over_gl2_f2():
 def test_affine_composition(p, n, seed):
     a = field.random_affine(p, n, seed)
     b = field.random_affine(p, n, seed + 1)
-    x = np.array(field.vector_at(p, n, seed % p**n))
-    via_compose = field.apply_map(a.compose(b), x)
-    stepwise = field.apply_map(a, field.apply_map(b, x))
-    assert via_compose == stepwise
+    # x -> a(b(x)) is x -> (Ma Mb) x + (Ma ob + oa), applied to every point
+    ab = field.AffineMap(p, n, a.matrix @ b.matrix, a.matrix @ b.offset + a.offset)
+    pts = field.digit_table(p, n)
+    assert np.array_equal(ab.apply_points(pts), a.apply_points(b.apply_points(pts)))
 
 
 @given(st.sampled_from([2, 3]), st.integers(1, 3), st.integers(0, 200))
 @settings(max_examples=40)
 def test_affine_map_is_bijection(p, n, seed):
     a = field.random_affine(p, n, seed)
-    idx = np.arange(p**n)
-    images = a.apply_index(idx)
+    images = a.apply_points(field.digit_table(p, n)) @ field.place_values(p, n)
     assert sorted(int(i) for i in images) == list(range(p**n))
 
 
 def test_apply_index_matches_pointwise():
+    # the batched map on point arrays agrees with the map on each point
     a = field.random_affine(3, 2, 7)
-    idx = np.arange(9)
-    images = a.apply_index(idx)
-    for i in range(9):
-        expected = field.index_of(3, a.apply(field.vector_at(3, 2, i)))
-        assert int(images[i]) == expected
+    pts = field.digit_table(3, 2)
+    images = a.apply_points(pts)
+    for x, image in zip(pts, images):
+        assert np.array_equal(image, a.apply(x))
 
 
 def test_all_invertible_matrices_counts():

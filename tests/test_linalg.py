@@ -101,14 +101,6 @@ def test_in_span_basic():
     assert not linalg.in_span(np.zeros((0, 3)), [1, 0, 0], 2)
 
 
-def test_spans_intersect_trivially():
-    a = [[1, 0, 0]]
-    b = [[0, 1, 0], [0, 0, 1]]
-    assert linalg.spans_intersect_trivially(a, b, 2)
-    c = [[1, 1, 0], [0, 1, 0]]  # spans contain e1
-    assert not linalg.spans_intersect_trivially(a, c, 2)
-
-
 def test_span_coordinates_prefers_earlier_rows():
     rows = [[1, 1], [2, 2], [0, 1]]
     basis_idx, C = linalg.span_coordinates(rows, 3)

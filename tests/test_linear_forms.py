@@ -1,22 +1,23 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpuniform.errors import FormatError, ValidationError
-from fpuniform.linalg import in_span, rank as mat_rank, spans_intersect_trivially
+from fpuniform.errors import BudgetExceededError, FormatError, ValidationError
+from fpuniform.linalg import in_span, rank as mat_rank
 from fpuniform.linear_forms import (
     FlaggedSystem,
     LinearSystem,
     are_isomorphic,
     arithmetic_progression_system,
     build_high_rank_flag,
-    canonicalize,
     connected_components,
     cs_complexity,
     flagged_product,
     form_degree,
-    is_homogeneous_system,
     tensor_power,
     true_complexity,
 )
@@ -150,27 +151,6 @@ def test_true_complexity_past_the_cap_when_the_bound_proves_the_regime():
     assert (report.value, report.certificate) == (11, {"cs_bound": 11})
 
 
-def test_homogeneity_goldens():
-    assert is_homogeneous_system(arithmetic_progression_system(3, 3))
-    assert is_homogeneous_system(arithmetic_progression_system(5, 4))
-    assert not is_homogeneous_system(LinearSystem(2, 2, [(1, 0), (0, 1), (1, 1)]))
-    assert not is_homogeneous_system(LinearSystem(3, 2, [(1, 0), (2, 0), (0, 1)]))
-
-
-def test_canonicalize_first_coefficients():
-    system = LinearSystem(3, 2, [(2, 1), (2, 0), (2, 2)])  # u = (2, 0) works
-    assert is_homogeneous_system(system)
-    canon, S = canonicalize(system)
-    assert all(f[0] == 1 for f in canon.forms)
-    assert mat_rank(S, 3) == 2
-    assert np.array_equal((system.as_array() @ S) % 3, canon.as_array())
-
-
-def test_canonicalize_rejects_inhomogeneous():
-    with pytest.raises(ValidationError):
-        canonicalize(LinearSystem(2, 2, [(1, 0), (0, 1), (1, 1)]))
-
-
 @given(st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_homogeneous_dependencies_have_zero_coefficient_sum(seed):
@@ -185,7 +165,6 @@ def test_homogeneous_dependencies_have_zero_coefficient_sum(seed):
     m = int(rng.integers(2, min(6, len(pool) + 1)))
     picked = rng.choice(len(pool), size=m, replace=False)
     system = LinearSystem(p, k, sorted(pool[i] for i in picked))
-    assert is_homogeneous_system(system)
     from fpuniform.linalg import nullspace
 
     for dep in nullspace(system.as_array().T, p):
@@ -197,14 +176,14 @@ def test_isomorphic_to_gl_image():
     S = np.array([[1, 1], [2, 1]], dtype=np.int64)  # invertible over F_3
     image = LinearSystem(3, 2, [tuple(r) for r in (system.as_array() @ S) % 3])
     report = are_isomorphic(system, image)
-    assert report.decided and report.isomorphic
+    assert report.isomorphic
     assert report.mapping == (0, 1, 2)
 
 
 def test_isomorphism_is_reflexive():
     system = LinearSystem(2, 3, [(1, 0, 0), (0, 1, 0), (1, 1, 1)])
     report = are_isomorphic(system, system)
-    assert report.decided and report.isomorphic
+    assert report.isomorphic
 
 
 def test_non_isomorphic_golden():
@@ -213,21 +192,118 @@ def test_non_isomorphic_golden():
         arithmetic_progression_system(3, 3),
         LinearSystem(3, 2, [(1, 0), (0, 1), (1, 1)]),
     )
-    assert report.decided and not report.isomorphic
+    assert not report.isomorphic
 
 
 def test_non_isomorphic_different_span_rank():
     a = LinearSystem(2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     b = LinearSystem(2, 3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
     report = are_isomorphic(a, b)
-    assert report.decided and not report.isomorphic
+    assert not report.isomorphic
 
 
-def test_isomorphism_undecided_above_cap():
-    forms = [f for f in __import__("itertools").product(range(2), repeat=4) if any(f)][:11]
-    a = LinearSystem(2, 4, forms)
-    report = are_isomorphic(a, a)
-    assert not report.decided and report.isomorphic is None
+def _nonzero_forms(p, k):
+    return [f for f in itertools.product(range(p), repeat=k) if any(f)]
+
+
+def _permuted_image(system, S, order):
+    """The forms L_i S of a system, listed in the given order."""
+    image = (system.as_array() @ np.asarray(S, dtype=np.int64)) % system.p
+    return LinearSystem(system.p, image.shape[1], [tuple(image[i]) for i in order])
+
+
+def _is_isomorphism(a, b, sigma):
+    """Form i of a -> form sigma[i] of b extends to an invertible linear map
+    between the spans iff rank(A) = rank(B_sigma) = rank([A | B_sigma])."""
+    A, B = a.as_array(), b.as_array()[list(sigma)]
+    r = mat_rank(A, a.p)
+    return mat_rank(B, a.p) == r == mat_rank(np.hstack([A, B]), a.p)
+
+
+def test_isomorphism_decided_within_the_budget():
+    # each search is charged m!/(m - r)! * m; all three have more than the
+    # ten forms that used to come back undecided
+    shear = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+    cases = [
+        (arithmetic_progression_system(13, 12), [[3, 1], [5, 2]], 1_584),  # 12 * 11 * 12
+        (LinearSystem(2, 4, _nonzero_forms(2, 4)[:11]), shear, 87_120),  # 11 * 10 * 9 * 8 * 11
+        (LinearSystem(2, 4, _nonzero_forms(2, 4)), shear, 491_400),  # 15 * 14 * 13 * 12 * 15
+    ]
+    for a, S, charge in cases:
+        b = _permuted_image(a, S, np.random.default_rng(a.m).permutation(a.m))
+        with pytest.raises(BudgetExceededError) as exc:
+            are_isomorphic(a, b, budget=charge - 1)
+        assert (exc.value.cost, exc.value.budget) == (charge, charge - 1)
+        report = are_isomorphic(a, b)
+        assert report.isomorphic and sorted(report.mapping) == list(range(a.m))
+        assert _is_isomorphism(a, b, report.mapping)
+        assert are_isomorphic(a, b, budget=charge).mapping == report.mapping
+
+
+def test_isomorphism_refused_above_the_budget():
+    f25 = LinearSystem(2, 5, _nonzero_forms(2, 5))
+    with pytest.raises(BudgetExceededError) as exc:
+        are_isomorphic(f25, f25)
+    assert exc.value.cost == 31 * 30 * 29 * 28 * 27 * 31 == 632_068_920
+    # 10 independent forms: the old cap decided these, the charge 10! * 10
+    # exceeds the default budget 2^24
+    free = LinearSystem(2, 10, np.eye(10, dtype=np.int64))
+    with pytest.raises(BudgetExceededError) as exc:
+        are_isomorphic(free, free)
+    assert exc.value.cost == math.factorial(10) * 10 == 36_288_000
+    report = are_isomorphic(free, free, budget=2**26)
+    assert report.isomorphic and report.mapping == tuple(range(10))
+
+
+def test_isomorphism_invariants_need_no_budget():
+    # different primes, form counts or span ranks are decided without a search
+    a = LinearSystem(2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    for b in (
+        LinearSystem(3, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        LinearSystem(2, 3, [(1, 0, 0), (0, 1, 0)]),
+        LinearSystem(2, 3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
+    ):
+        assert not are_isomorphic(a, b, budget=1).isomorphic
+
+
+@st.composite
+def isomorphism_pairs(draw):
+    """A system of m <= 5 forms on F_p^k, k <= 3, and one of: a GL-image of
+    it with its forms permuted, that image with one form swapped for another
+    (mostly not isomorphic, but often with the same invariants), or another
+    system of m forms."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    k = draw(st.integers(1, 3))
+    m = draw(st.integers(1, min(5, p**k - 1)))
+    form = st.tuples(*[st.integers(0, p - 1)] * k).filter(any)
+    a = LinearSystem(p, k, draw(st.lists(form, min_size=m, max_size=m, unique=True)))
+    kind = draw(st.sampled_from(["image", "swapped", "other"]))
+    if kind == "other":
+        other = draw(st.sampled_from([j for j in (1, 2, 3) if p**j > a.m]))
+        other_form = st.tuples(*[st.integers(0, p - 1)] * other).filter(any)
+        forms = st.lists(other_form, min_size=a.m, max_size=a.m, unique=True)
+        return a, LinearSystem(p, other, draw(forms))
+    rows = st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
+    S = draw(st.lists(rows, min_size=k, max_size=k).filter(lambda S: mat_rank(S, p) == k))
+    b = _permuted_image(a, S, draw(st.permutations(range(a.m))))
+    if kind == "swapped" and a.m < p**k - 1:
+        new = draw(form.filter(lambda f: f not in b.forms))
+        b = LinearSystem(p, k, (new,) + b.forms[1:])
+    return a, b
+
+
+@given(isomorphism_pairs())
+@settings(max_examples=400, deadline=None)
+def test_isomorphism_matches_the_definition(pair):
+    a, b = pair
+    brute = any(_is_isomorphism(a, b, s) for s in itertools.permutations(range(a.m)))
+    report = are_isomorphic(a, b)
+    assert report.isomorphic == brute
+    if report.isomorphic:
+        assert sorted(report.mapping) == list(range(a.m))
+        assert _is_isomorphism(a, b, report.mapping)
+    else:
+        assert report.mapping is None
 
 
 def test_isomorphism_mapping_extends_linearly():
@@ -280,7 +356,9 @@ def _exhaustive_components(system):
         for bits in range(1, 1 << (len(indices) - 1)):
             left = [indices[i] for i in range(len(indices)) if bits >> i & 1]
             right = [i for i in indices if i not in left]
-            if spans_intersect_trivially(arr[left], arr[right], system.p):
+            # the two spans meet only at 0 iff their ranks add up
+            joint = mat_rank(arr[left + right], system.p)
+            if joint == mat_rank(arr[left], system.p) + mat_rank(arr[right], system.p):
                 return split(left) + split(right)
         return [indices]
 
@@ -311,9 +389,9 @@ def test_flagged_system_validation():
     with pytest.raises(ValidationError):
         FlaggedSystem(2, 2, [(1, 0)], (1, 0), (0,))
     fs = FlaggedSystem(2, 2, [(1, 0), (0, 1)], (1, 1))
-    assert fs.flag_in_span()
+    assert in_span(fs.as_array(), fs.flag, fs.p)
     out = FlaggedSystem(2, 3, [(1, 0, 0), (0, 1, 0)], (0, 0, 1))
-    assert not out.flag_in_span()
+    assert not in_span(out.as_array(), out.flag, out.p)
 
 
 def test_flag_need_not_be_a_member():
@@ -394,7 +472,7 @@ def test_high_rank_flag_degree_guarantees(p, d, m, flag_deg):
         assert lo <= form_degree(fs, f) <= hi
     assert len(connected_components(fs)) == 1
     assert fs.flag not in fs.forms
-    assert fs.flag_in_span()
+    assert in_span(fs.as_array(), fs.flag, fs.p)
 
 
 @pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (5, 3), (2, 5)])
@@ -432,7 +510,6 @@ def test_flagged_not_equal_to_plain():
     flagged = FlaggedSystem(2, 2, [(1, 0), (0, 1)], (1, 0))
     assert plain != flagged
     assert flagged != plain
-    assert flagged.base_system() == plain
 
 
 def test_without():

@@ -15,7 +15,6 @@ from fpuniform.tables import (
     dirac_table,
     exponential,
     parse_function_table,
-    parse_function_table_csv,
     phase_table,
     random_real_table,
     random_sign_table,
@@ -46,7 +45,8 @@ def test_constant_and_callable():
     f = FunctionTable.constant(3, 1, 0.5)
     assert f.codomain == "real"
     assert f.mean() == 0.5
-    g = FunctionTable.from_callable(2, 2, lambda x: x[0] + 2 * x[1])
+    # values follow the enumeration order of the points
+    g = FunctionTable(2, 2, [x[0] + 2 * x[1] for x in enumerate_vectors(2, 2)])
     assert g.values.tolist() == [0, 2, 1, 3]
 
 
@@ -60,8 +60,6 @@ def test_pointwise_algebra():
     h = FunctionTable(2, 1, [1j, 1 - 1j])
     assert h.conjugate().values.tolist() == [-1j, 1 + 1j]
     assert math.isclose(h.sup_norm(), math.sqrt(2))
-    assert not h.is_one_bounded()
-    assert f.is_one_bounded(tol=1.1)
 
 
 def test_shift_golden():
@@ -152,11 +150,15 @@ def test_exponential():
     assert exponential(3, 5) == exponential(3, 2)
 
 
+def to_json(f):
+    return json.dumps(f.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+
 def test_json_round_trip_byte_identical():
     f = random_unit_table(2, 2, seed=7)
-    text = f.to_json()
+    text = to_json(f)
     g = parse_function_table(text)
-    assert g.to_json() == text
+    assert to_json(g) == text
     assert np.array_equal(f.values, g.values)
 
 
@@ -208,27 +210,8 @@ def test_json_rejects_garbage():
     assert "/codomain" in str(exc.value)
 
 
-def test_csv_round_trip():
-    f = random_unit_table(3, 2, seed=5)
-    text = f.to_csv()
-    g = parse_function_table_csv(text, 3, 2)
-    assert np.allclose(f.values, g.values)
-
-
-def test_csv_errors():
-    f = FunctionTable.constant(2, 1, 1.0)
-    text = f.to_csv()
-    with pytest.raises(FormatError):
-        parse_function_table_csv(text, 2, 2)  # wrong header for n=2
-    lines = text.splitlines()
-    with pytest.raises(FormatError):
-        parse_function_table_csv("\n".join(lines[:2]) + "\n", 2, 1)  # missing row
-    with pytest.raises(FormatError):
-        parse_function_table_csv("\n".join(lines + [lines[1]]) + "\n", 2, 1)  # repeat
-
-
 @given(st.integers(0, 1000))
 @settings(max_examples=20, deadline=None)
 def test_json_round_trip_random(seed):
     f = random_real_table(2, 2, seed=seed)
-    assert np.array_equal(parse_function_table(f.to_json()).values, f.values)
+    assert np.array_equal(parse_function_table(to_json(f)).values, f.values)

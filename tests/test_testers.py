@@ -17,12 +17,10 @@ from fpuniform.rng import SeededRNG, as_rng
 from fpuniform.tables import FunctionTable, random_real_table
 from fpuniform.testers import (
     DistributionalFunction,
-    DualFamily,
     TesterSpec,
     extract_linear_form_profile,
     find_testing_degree,
     interior_experiment,
-    poly_dual_family,
     profile_acceptance,
     run_tester,
     symmetrize_tester,
@@ -304,8 +302,8 @@ def test_symmetrize_preserves_arity_and_flags():
     assert sym.q == spec.q and sym.p == spec.p
     assert sym.symmetrized and not spec.symmetrized
     assert np.array_equal(sym.decision_table, spec.decision_table)
-    qs = sym.draw_queries(SeededRNG(2), 3, 11)
-    assert qs.shape == (11, 4, 3)
+    qs = sym.index_sampler(3)(SeededRNG(2), 11)
+    assert qs.shape == (11, 4) and qs.min() >= 0 and qs.max() < 2**3
 
 
 def test_symmetrized_acceptance_is_affine_invariant():
@@ -395,7 +393,8 @@ def test_support_estimate_reads_picked_tuples():
     trials = 5000
     picks = as_rng(7).choice(3, size=trials, p=[0.2, 0.3, 0.5])
     points = np.stack([pts for pts, _ in support])[picks]
-    assert np.array_equal(spec.draw_queries(as_rng(7), n, trials), points)
+    drawn = spec.index_sampler(n)(as_rng(7), trials)
+    assert np.array_equal(drawn, points @ place_values(p, n))
     want = spec.decide(f.values.real.astype(np.int64)[points @ place_values(p, n)]).mean()
     assert run_tester(spec, f, trials=trials, seed=7).acceptance == want
 
@@ -565,38 +564,6 @@ def test_find_testing_degree_prefers_the_right_degree():
     assert res == find_testing_degree([quad], 2, 4, 2, samples=2000, seed=0)
     with pytest.raises(ValidationError):
         find_testing_degree([], 2, 4, 2)
-
-
-# ---------------------------------------------------------- dual families
-
-def test_poly_dual_family_members_and_bound():
-    fam = poly_dual_family(2, 1)
-    members = fam.members(2)
-    assert len(members) == 8  # 2^(1 + n) affine-linear tables
-    assert fam.size_bound(2) == 2**8
-    assert fam.check_consistency(2)
-    assert fam.affine_invariant
-
-
-def test_poly_dual_family_membership():
-    fam = poly_dual_family(2, 1)
-    assert fam.contains(poly_table(2, 2, {(1, 0): 1, (0, 0): 1}))
-    assert not fam.contains(poly_table(2, 2, {(1, 1): 1}))
-    assert fam.spot_check_affine_invariance(2, seed=0)
-
-
-def test_dual_family_flags():
-    small = DualFamily(
-        p=2,
-        generator=lambda n: [field_table(2, n, np.zeros(2**n))] * 3,
-        size_bound=lambda n: 2,
-    )
-    assert not small.check_consistency(1)  # three members, bound two
-    with pytest.raises(ValidationError):
-        small.spot_check_affine_invariance(1)  # no membership test
-    empty = DualFamily(p=2, generator=lambda n: [])
-    with pytest.raises(ValidationError):
-        empty.members(1)
 
 
 # ---------------------------------------------------------- interior experiment
