@@ -343,14 +343,13 @@ def _cmd_decompose(args) -> dict:
 
 def _cmd_rank(args) -> dict:
     loaded = [_load(Polynomial.from_json_dict, p) for p in args.polys]
-    rep = polynomial_rank([q for q, _ in loaded], r_max=args.rmax)
+    rep = polynomial_rank([q for q, _ in loaded], r_max=args.rmax, budget=args.budget)
     return {
         "command": "rank",
         "inputs": {"polynomials": [meta for _, meta in loaded]},
         "kind": rep.kind,
         "value": rep.value,
         "refuted_up_to": rep.refuted_up_to,
-        "checks": {str(r): bool(v) for r, v in sorted(rep.checks.items())},
         "certificate": _jsonable(rep.certificate),
         "mode": "exact",
         "tolerance": {"kind": "integer-exact", "value": 0},

@@ -1,9 +1,9 @@
-"""Global knobs: enumeration budget and search caps.
+"""Global knobs: enumeration budget and the one remaining search cap.
 
 Everything here is a plain module-level constant or a tiny helper; operations
-take an optional ``budget=`` argument that falls back to the default.  The
-caps bound the searches that are still exhaustive (partitions, polynomial
-rank); the isomorphism search is charged against the budget instead, and
+take an optional ``budget=`` argument that falls back to the default.  Only
+the partition search still stops at a cap; the isomorphism and
+polynomial-rank searches are charged against the budget instead, and
 connected components are found in polynomial time and have no cap.
 """
 
@@ -24,12 +24,6 @@ MAX_PRIME = 251
 #: cs_complexity gives up on the exact partition search above this many forms
 #: and returns the m-2 upper bound flagged as bound-only.
 PARTITION_SEARCH_CAP = 12
-
-#: Exhaustive polynomial-rank search caps.
-RANK_POINT_CAP = 64
-RANK_RMAX_CAP = 2
-RANK_FAMILY_CAP = 2**18
-RANK_TUPLE_CAP = 2**22
 
 #: Round cap for the energy-increment decomposition loop.
 DECOMPOSE_ROUND_CAP = 64

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import _fp_transform, correlation_with_family, gowers_norm
-from .config import DECOMPOSE_ROUND_CAP, RANK_RMAX_CAP
+from .config import DECOMPOSE_ROUND_CAP
 from .errors import FormatError, ValidationError
 from .field import place_values, space_size, validate_dims
 from .polynomials import Polynomial
@@ -85,11 +85,11 @@ class PolynomialFactor:
                 return False
         return True
 
-    def rank(self, r_max: int = RANK_RMAX_CAP):
+    def rank(self, r_max: int = 2, budget: int | None = None):
         """Rank of the defining set, delegated to the polynomial-rank search."""
         if not self.defining:
             raise ValidationError("the empty factor has no defining polynomials")
-        return polynomial_rank(self.defining, r_max=r_max)
+        return polynomial_rank(self.defining, r_max=r_max, budget=budget)
 
     def __eq__(self, other):
         return (
@@ -214,8 +214,9 @@ def decompose(
     1..d; each call is charged against `budget` for its whole family.  If the
     correlation dries up or the round cap hits first, the report comes back
     flagged with the best norm achieved.  `delta` must be finite and >= 0.
-    `rank_floor` is checked against the factor's rank lower bound and
-    reported, never enforced.
+    `rank_floor` is checked against the factor's rank, by a search charged
+    against `budget` too, and reported (None when the budget leaves it
+    undecided), never enforced.
     """
     p, n = f.p, f.n
     if d < 1:
@@ -256,9 +257,9 @@ def decompose(
             meets = True
         else:
             try:
-                meets = factor.rank(r_max=floor - 1).rank_exceeds(floor - 1)
+                meets = factor.rank(r_max=floor - 1, budget=budget).rank_exceeds(floor - 1)
             except ValidationError:
-                meets = None  # rank search exhausted before deciding
+                meets = None  # the budget ended the rank search before deciding
     return DecompositionReport(
         factor=factor,
         projection=h,

@@ -11,25 +11,30 @@ Two decision routes, kept deliberately separate:
   the AND of its masks is zero);
 * a closed form for degree <= 2 via the translation-invariance subspace
   H = {h : P(x+h) = P(x) for all x}; min r equals codim H.
+
+The search is charged against the enumeration budget as it goes; a charge
+the budget refuses ends it with a lower bound instead of a value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
+from math import comb
 
 import numpy as np
 
-from .config import (
-    RANK_FAMILY_CAP,
-    RANK_POINT_CAP,
-    RANK_RMAX_CAP,
-    RANK_TUPLE_CAP,
-)
+from .config import resolve_budget
 from .errors import ValidationError
 from .field import digit_table
 from .linalg import nullspace, row_reduce, solve
-from .polynomials import Polynomial, coefficient_block, monomial_values, monomials_up_to
+from .polynomials import (
+    Polynomial,
+    coefficient_block,
+    family_size,
+    monomial_values,
+    monomials_up_to,
+)
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,6 @@ class RankReport:
     kind: str  # "exact-exhaustive" | "quadratic-closed-form" | "lower-bound-only"
     refuted_up_to: int  # rank > r verified for every 0 <= r <= this
     value: int | None  # exact rank when determined
-    checks: dict[int, bool] = field(default_factory=dict)  # r -> (rank > r)
     certificate: RankCertificate | None = None
 
     def rank_exceeds(self, r: int) -> bool:
@@ -58,12 +62,9 @@ class RankReport:
         raise ValidationError(f"rank > {r} undecided (verified up to {self.refuted_up_to})")
 
 
-#: Candidates per block when building conflict masks.
+#: Candidates per block when building conflict masks; a block compares at
+#: most 4096 · c pairs, which the masks' charge already bounds.
 _BLOCK = 4096
-
-
-class _SearchSpaceExceeded(Exception):
-    pass
 
 
 def _nonzero_alphas(p: int, t: int):
@@ -86,83 +87,73 @@ def _support_degree(polys: list[Polynomial], alpha) -> int:
     return max(P.degree for a, P in zip(alpha, polys) if a)
 
 
+def _mask_charge(P: Polynomial, dmax: int) -> int:
+    """p^M · (N + c) for the conflict masks of P against Poly_dmax: M
+    monomials, N points, and c conflict pairs counted from P's value
+    histogram before any pair is listed."""
+    N = P.p**P.n
+    counts = np.bincount(P.value_table(), minlength=P.p)
+    conflicts = (N * N - sum(int(k) ** 2 for k in counts)) // 2
+    return family_size(P.p, P.n, dmax) * (N + conflicts)
+
+
 def _conflict_masks(P: Polynomial, dmax: int):
     """The monomials of Poly_dmax and, per candidate Q in ``itertools.product``
-    order of its coefficients, the bitmask of conflict pairs of P (points
-    where P differs) that Q fails to separate."""
+    order of its coefficients, the conflict pairs of P (points where P
+    differs, in ``np.triu_indices`` order) that Q fails to separate: one row
+    of ceil(c/64) little-endian uint64 words per candidate, pair k at bit k."""
     p, n = P.p, P.n
-    N = p**n
-    if N > RANK_POINT_CAP:
-        raise _SearchSpaceExceeded(f"p^n = {N} > {RANK_POINT_CAP}")
     vals = P.value_table()
-    I, J = np.triu_indices(N, 1)
+    I, J = np.triu_indices(p**n, 1)
     conflict = vals[I] != vals[J]
     I, J = I[conflict], J[conflict]
     monos = monomials_up_to(p, n, dmax)
     count = p ** len(monos)
-    if count > RANK_FAMILY_CAP:
-        raise _SearchSpaceExceeded(f"|Poly_{dmax}| = {count} too large")
     mon_values = monomial_values(p, digit_table(p, n), monos)
-    masks: list[int] = []
+    masks = np.zeros((count, -(-len(I) // 64)), dtype="<u8")
+    as_bytes = masks.view(np.uint8)
     for lo in range(0, count, _BLOCK):
-        coeffs = coefficient_block(p, len(monos), lo, min(lo + _BLOCK, count))
+        hi = min(lo + _BLOCK, count)
+        coeffs = coefficient_block(p, len(monos), lo, hi)
         tables = (coeffs @ mon_values.T % p).astype(np.uint8)  # p <= 251
         packed = np.packbits(tables[:, I] == tables[:, J], axis=1, bitorder="little")
-        masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+        as_bytes[lo:hi, : packed.shape[1]] = packed
     return monos, masks
+
+
+def _first_disjoint_tuple(masks: np.ndarray, r: int) -> tuple[int, ...] | None:
+    """The lexicographically first nondecreasing r-tuple of rows whose masks
+    AND to zero, or None.  The last index of each prefix is found by one AND
+    over every row it may take."""
+
+    def extend(acc: np.ndarray, lo: int, depth: int):
+        if depth == 1:
+            hit = np.flatnonzero(~(masks[lo:] & acc).any(axis=1))
+            return (lo + int(hit[0]),) if len(hit) else None
+        for i in range(lo, len(masks)):
+            rest = extend(acc & masks[i], i, depth - 1)
+            if rest is not None:
+                return (i, *rest)
+        return None
+
+    return extend(np.full(masks.shape[1], ~np.uint64(0), dtype=masks.dtype), 0, r)
 
 
 def _certificate_from_tuple(
     P: Polynomial, alpha, Qs: tuple[Polynomial, ...]
 ) -> RankCertificate:
+    """The certificate for P = Gamma(Qs): Gamma maps each joint value of the
+    arguments, in the order the labels first occur, to P's value there."""
     vals = P.value_table()
-    qvals = [Q.value_table() for Q in Qs]
-    gamma: dict[tuple[int, ...], int] = {}
-    for idx in range(len(vals)):
-        label = tuple(int(qv[idx]) for qv in qvals)
-        prev = gamma.setdefault(label, int(vals[idx]))
-        assert prev == int(vals[idx]), "separation of conflict pairs violated"
+    labels = np.stack([Q.value_table() for Q in Qs], axis=1)
+    uniq, first, inverse = np.unique(
+        labels, axis=0, return_index=True, return_inverse=True
+    )
+    assert (vals[first][inverse.ravel()] == vals).all(), "separation of conflict pairs violated"
+    gamma = {
+        tuple(int(v) for v in uniq[k]): int(vals[first[k]]) for k in np.argsort(first)
+    }
     return RankCertificate(tuple(alpha), tuple(Qs), gamma)
-
-
-def _expressible_exhaustive(P: Polynomial, r: int, dmax: int):
-    """Arguments (Q_1..Q_r) from Poly_dmax that P factors through, or None.
-    Raises _SearchSpaceExceeded past the desk-scale caps."""
-    if P.is_constant():
-        return ()
-    if r == 0 or dmax < 0:
-        return None
-    if r > RANK_RMAX_CAP:
-        raise _SearchSpaceExceeded(f"r = {r} > {RANK_RMAX_CAP}")
-    monos, masks = _conflict_masks(P, dmax)
-    if len(masks) ** r > RANK_TUPLE_CAP:
-        raise _SearchSpaceExceeded("tuple space too large")
-
-    def candidates(*idx: int) -> tuple[Polynomial, ...]:
-        rows = (coefficient_block(P.p, len(monos), i, i + 1)[0] for i in idx)
-        return tuple(Polynomial.from_coefficients(P.p, P.n, monos, c) for c in rows)
-
-    # identical masks are interchangeable; keep one representative each
-    reps: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for i, m in enumerate(masks):
-        if m not in seen:
-            seen.add(m)
-            reps.append((m, i))
-    if r == 1:
-        for m, i in reps:
-            if m == 0:
-                return candidates(i)
-        return None
-    for a in range(len(reps)):
-        ma, ia = reps[a]
-        if ma == 0:
-            return candidates(ia, ia)
-        for b in range(a, len(reps)):
-            mb, ib = reps[b]
-            if ma & mb == 0:
-                return candidates(ia, ib)
-    return None
 
 
 # -- closed form for degree <= 2 ----------------------------------------------
@@ -213,23 +204,12 @@ def quadratic_min_rank(P: Polynomial) -> tuple[int, np.ndarray]:
     return len(forms), forms % 2
 
 
-def _linear_form_polys(p: int, n: int, forms: np.ndarray) -> tuple[Polynomial, ...]:
-    out = []
-    for row in forms:
-        terms = {}
-        for i, c in enumerate(row):
-            if c % p:
-                exps = [0] * n
-                exps[i] = 1
-                terms[tuple(exps)] = int(c)
-        out.append(Polynomial(p, n, terms))
-    return tuple(out)
-
-
 # -- public entry --------------------------------------------------------------
 
 
-def polynomial_rank(polys, r_max: int = RANK_RMAX_CAP, method: str = "auto") -> RankReport:
+def polynomial_rank(
+    polys, r_max: int = 2, method: str = "auto", budget: int | None = None
+) -> RankReport:
     """Rank report for a polynomial or a collection of polynomials.
 
     Verifies rank > r for r = 0, 1, ... in turn, stopping when a
@@ -237,8 +217,13 @@ def polynomial_rank(polys, r_max: int = RANK_RMAX_CAP, method: str = "auto") -> 
     exhausted.  With method="auto", combinations of support degree 2 are
     decided in closed form and everything else by exhaustive search;
     method="exhaustive" forces the search route throughout (the two routes
-    are cross-checked in the test suite, not merged).  Past the search caps
-    the report degrades to lower-bound-only rather than guessing.
+    are cross-checked in the test suite, not merged).
+
+    The work is charged against `budget` as a running total: each searched
+    combination's conflict masks once (see `_mask_charge`), C(R + r - 1, r)
+    · ceil(c/64) for its search at rank r over R distinct masks of c bits,
+    and N · (r + 1) for a certificate.  A refused search charge ends the
+    report at lower-bound-only; a refused certificate leaves it None.
     """
     if isinstance(polys, Polynomial):
         polys = [polys]
@@ -258,74 +243,75 @@ def polynomial_rank(polys, r_max: int = RANK_RMAX_CAP, method: str = "auto") -> 
         (alpha, _combine(polys, alpha), _support_degree(polys, alpha))
         for alpha in _nonzero_alphas(p, len(polys))
     ]
+    for alpha, P_alpha, _ in combos:
+        if P_alpha.is_constant():
+            cert = RankCertificate(tuple(alpha), (), {(): P_alpha.evaluate((0,) * n)})
+            return RankReport("exact-exhaustive", -1, 0, cert)
+    # a nonconstant affine combination is never a function of degree-0
+    # arguments, so only the others can end the search
+    live = [c for c in combos if c[2] >= 2]
+    if not live:
+        return RankReport("exact-exhaustive", r_max, None)
+    # closed-form combinations: min rank and the linear forms achieving it
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    closed = {}
+    for i, (_, P_alpha, d) in enumerate(live):
+        if d == 2 and method == "auto":
+            min_r, forms = quadratic_min_rank(P_alpha)
+            closed[i] = min_r, tuple(Polynomial.from_coefficients(p, n, units, f) for f in forms)
+    limit, spent = resolve_budget(budget), 0
 
-    used_closed_form = False
-    checks: dict[int, bool] = {}
-    for r in range(r_max + 1):
-        for alpha, P_alpha, d in combos:
-            if P_alpha.is_constant():
-                checks[r] = False
-                return RankReport(
-                    kind="exact-exhaustive",
-                    refuted_up_to=r - 1,
-                    value=0,
-                    checks=checks,
-                    certificate=RankCertificate(
-                        tuple(alpha), (), {(): P_alpha.evaluate((0,) * n)}
-                    ),
-                )
-            if d == 1:
-                # nonconstant affine combination: functions of degree-0
-                # arguments are constants, so no r ever suffices
-                continue
-            if d == 2 and method == "auto":
-                used_closed_form = True
-                min_r, forms = quadratic_min_rank(P_alpha)
+    def charge(cost: int) -> bool:
+        nonlocal spent
+        if spent + cost > limit:
+            return False
+        spent += cost
+        return True
+
+    def certified(alpha, P_alpha, args) -> RankCertificate | None:
+        if not charge(p**n * (len(args) + 1)):
+            return None
+        return _certificate_from_tuple(P_alpha, alpha, args)
+
+    # every live combination decomposes through its n coordinates, so the
+    # loop returns by r = n however large r_max is
+    searches: dict[int, tuple] = {}
+    for r in range(1, r_max + 1):
+        for i, (alpha, P_alpha, d) in enumerate(live):
+            if i in closed:
+                min_r, args = closed[i]
                 if min_r <= r:
-                    checks[r] = False
-                    cert = None
-                    if p**n <= RANK_POINT_CAP:
-                        cert = _certificate_from_tuple(
-                            P_alpha, alpha, _linear_form_polys(p, n, forms)
-                        )
-                    return RankReport(
-                        kind="quadratic-closed-form",
-                        refuted_up_to=r - 1,
-                        value=min_r,
-                        checks=checks,
-                        certificate=cert,
-                    )
+                    cert = certified(alpha, P_alpha, args)
+                    return RankReport("quadratic-closed-form", r - 1, min_r, cert)
                 continue
-            try:
-                found = _expressible_exhaustive(P_alpha, r, d - 1)
-            except _SearchSpaceExceeded:
-                return RankReport(
-                    kind="lower-bound-only",
-                    refuted_up_to=r - 1,
-                    value=None,
-                    checks=checks,
-                )
+            if i not in searches:
+                if not charge(_mask_charge(P_alpha, d - 1)):
+                    return RankReport("lower-bound-only", r - 1, None)
+                monos, masks = _conflict_masks(P_alpha, d - 1)
+                # identical masks are interchangeable; keep the first of each
+                first = np.sort(np.unique(masks, axis=0, return_index=True)[1])
+                searches[i] = monos, first, masks[first]
+            monos, first, reps = searches[i]
+            if not charge(comb(len(reps) + r - 1, r) * reps.shape[1]):
+                return RankReport("lower-bound-only", r - 1, None)
+            found = _first_disjoint_tuple(reps, r)
             if found is not None:
-                checks[r] = False
-                return RankReport(
-                    kind="exact-exhaustive",
-                    refuted_up_to=r - 1,
-                    value=r,
-                    checks=checks,
-                    certificate=_certificate_from_tuple(P_alpha, alpha, found),
+                args = tuple(
+                    Polynomial.from_coefficients(
+                        p, n, monos, coefficient_block(p, len(monos), first[j], first[j] + 1)[0]
+                    )
+                    for j in found
                 )
-        checks[r] = True
+                cert = certified(alpha, P_alpha, args)
+                return RankReport("exact-exhaustive", r - 1, r, cert)
 
     # every r <= r_max refuted; quadratic combinations still pin the value
     # when no harder combination is in play
-    exact = None
-    quads = [Pa for _, Pa, d in combos if d == 2]
-    if method == "auto" and quads and all(d <= 2 for _, _, d in combos):
-        exact = min(quadratic_min_rank(Pa)[0] for Pa in quads)
-        used_closed_form = True
-    return RankReport(
-        kind="quadratic-closed-form" if used_closed_form else "exact-exhaustive",
-        refuted_up_to=r_max,
-        value=exact,
-        checks=checks,
-    )
+    if closed and len(closed) == len(live):
+        i = min(closed, key=lambda j: closed[j][0])
+        alpha, P_alpha, _ = live[i]
+        min_r, args = closed[i]
+        cert = certified(alpha, P_alpha, args)
+        return RankReport("quadratic-closed-form", r_max, min_r, cert)
+    kind = "quadratic-closed-form" if closed else "exact-exhaustive"
+    return RankReport(kind, r_max, None)

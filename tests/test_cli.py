@@ -259,7 +259,49 @@ def test_rank_command(files, capsys):
     assert rc == 0
     rep = json.loads(out)
     assert rep["value"] == 3 and rep["kind"] == "quadratic-closed-form"
-    assert rep["checks"] == {"0": True, "1": True, "2": True}
+    assert rep["refuted_up_to"] == 2 and "checks" not in rep
+
+
+def test_rank_budget_ends_the_search(files, capsys):
+    # x1x2x3 on F_2^4 (rank 2): its r = 1 conflict masks are charged
+    # 2^11 · (16 + 28) = 90,112 for 11 monomials of degree <= 2 and 28
+    # conflict pairs
+    cubic = Polynomial(2, 4, {(1, 1, 1, 0): 1})
+    path = files["tmp"] / "cubic.json"
+    path.write_text(json.dumps(cubic.to_json_dict()))
+    argv = ["rank", "--polys", str(path)]
+    rc, out, err = run(argv + ["--budget", "90111"], capsys)
+    assert rc == 0, err
+    rep = json.loads(out)
+    assert (rep["kind"], rep["value"], rep["refuted_up_to"]) == ("lower-bound-only", None, 0)
+    rc, out, err = run(argv, capsys)
+    assert rc == 0, err
+    rep = json.loads(out)
+    assert (rep["kind"], rep["value"], rep["refuted_up_to"]) == ("exact-exhaustive", 2, 1)
+    assert rep["certificate"] is not None
+
+
+@pytest.mark.parametrize("huge", [10**7, 10**9])
+def test_huge_rmax_and_rank_floor_on_affine_input(files, capsys, huge):
+    x1 = Polynomial.variable(2, 4, 0)
+    poly = files["tmp"] / "x1.json"
+    poly.write_text(json.dumps(x1.to_json_dict()))
+    table = files["tmp"] / "x1-phase.json"
+    table.write_text(json.dumps(phase_table(x1).to_json_dict()))
+    start = time.perf_counter()
+    rc, out, err = run(["rank", "--polys", str(poly), "--rmax", str(huge)], capsys)
+    assert rc == 0, err
+    rep = json.loads(out)
+    assert (rep["value"], rep["refuted_up_to"]) == (None, huge)
+    rc, out, err = run(
+        ["decompose", "--table", str(table), "--degree", "1", "--delta", "0.1",
+         "--rank-floor", str(huge)],
+        capsys,
+    )
+    assert rc == 0, err
+    rep = json.loads(out)
+    assert rep["polynomials"] and (rep["rank_floor"], rep["rank_meets_floor"]) == (huge, True)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_test_commands(files, capsys):

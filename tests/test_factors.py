@@ -224,6 +224,12 @@ def test_decompose_rank_floor_reported():
     rep = decompose(random_unit_table(2, 4, seed=0), 2, 0.25, rank_floor=1)
     assert rep.rank_floor == 1
     assert rep.rank_meets_floor is True
+    # the rank check shares the budget: x1x2x3 + x4 fits the degree-3 search
+    # but not its r = 1 conflict masks (2^11 · (16 + 64) = 163,840 points)
+    cubic = phase_table(Polynomial(2, 4, {(1, 1, 1, 0): 1, (0, 0, 0, 1): 1}))
+    rep = decompose(cubic, 3, 0.1, rank_floor=2, budget=163839)
+    assert rep.complexity == 1 and rep.rank_meets_floor is None
+    assert decompose(cubic, 3, 0.1, rank_floor=2).rank_meets_floor is True
 
 
 def test_decompose_validation():

@@ -2,6 +2,7 @@
 the quadratic closed form, and a brute translation-invariance scan."""
 
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -92,8 +93,10 @@ def test_conflict_masks_match_pairwise_loop(p, n, dmax):
         for j in range(i + 1, len(points))
         if vals[i] != vals[j]
     ]
-    monos, masks = _conflict_masks(P, dmax)
+    monos, packed = _conflict_masks(P, dmax)
     assert monos == monomials_up_to(p, n, dmax)
+    assert packed.shape[1] == -(-len(pairs) // 64)
+    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
     expected = []
     for cs in product(range(p), repeat=len(monos)):
         Q = Polynomial.from_coefficients(p, n, monos, cs)
@@ -102,21 +105,28 @@ def test_conflict_masks_match_pairwise_loop(p, n, dmax):
     assert masks == expected
 
 
+# x1x2 on F_2^2 and x1x2 + x3x4 on F_2^4 are nondegenerate: full rank
+FULL_RANK_F2 = [
+    (Polynomial(2, 2, {(1, 1): 1}), 2),
+    (Polynomial(2, 4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1}), 4),
+]
+
+
 def test_product_rank_f2_golden():
-    P = Polynomial(2, 2, {(1, 1): 1})
-    report = polynomial_rank(P, r_max=2)
-    assert report.kind == "quadratic-closed-form"
-    assert report.value == 2
-    assert report.checks == {0: True, 1: True, 2: False}
-    check_certificate(report, [P])
+    for P, rank in FULL_RANK_F2:
+        report = polynomial_rank(P, r_max=rank)
+        assert report.kind == "quadratic-closed-form"
+        assert report.value == rank
+        assert report.refuted_up_to == rank - 1
+        check_certificate(report, [P])
 
 
 def test_product_rank_f2_exhaustive_route_agrees():
-    P = Polynomial(2, 2, {(1, 1): 1})
-    report = polynomial_rank(P, r_max=2, method="exhaustive")
-    assert report.kind == "exact-exhaustive"
-    assert report.value == 2
-    check_certificate(report, [P])
+    for P, rank in FULL_RANK_F2:
+        report = polynomial_rank(P, r_max=rank, method="exhaustive")
+        assert report.kind == "exact-exhaustive"
+        assert report.value == rank
+        check_certificate(report, [P])
 
 
 def test_product_rank_f3_golden():
@@ -151,8 +161,13 @@ def test_kernel_correction_case_f2():
     assert oracle_min_rank(P, 1, 3) == 3
     report = polynomial_rank(P, r_max=2)
     assert report.value == 3
-    assert report.checks == {0: True, 1: True, 2: True}
+    assert report.refuted_up_to == 2
     assert report.rank_exceeds(2)
+    check_certificate(report, [P])
+    # the search route confirms a rank above 2 once r_max lets it
+    report = polynomial_rank(P, r_max=3, method="exhaustive")
+    assert (report.kind, report.value, report.refuted_up_to) == ("exact-exhaustive", 3, 2)
+    check_certificate(report, [P])
 
 
 def test_cubic_product_rank_golden():
@@ -163,6 +178,39 @@ def test_cubic_product_rank_golden():
     assert report.value == 2
     check_certificate(report, [P])
     assert oracle_min_rank(P, 2, 2) == 2
+
+
+def test_cubic_certificate_follows_the_search_order():
+    # the first nondecreasing pair of distinct masks, each mask standing for
+    # its first candidate in coefficient order, and Gamma listed in the order
+    # its labels first occur among the points
+    P = Polynomial(2, 4, {
+        (0, 0, 0, 0): 1, (0, 0, 0, 1): 1, (0, 0, 1, 0): 1, (1, 0, 0, 1): 1, (1, 0, 1, 0): 1,
+        (1, 0, 1, 1): 1, (1, 1, 0, 0): 1, (1, 1, 0, 1): 1, (1, 1, 1, 0): 1,
+    })
+    report = polynomial_rank(P, r_max=2)
+    assert (report.kind, report.value) == ("exact-exhaustive", 2)
+    cert = report.certificate
+    assert [Q.to_text() for Q in cert.arguments] == [
+        "1*x1*x4 + 1*x1*x3", "1*x4 + 1*x3 + 1*x1*x3 + 1*x1*x2"
+    ]
+    assert list(cert.gamma.items()) == [((0, 0), 1), ((0, 1), 0), ((1, 1), 1), ((1, 0), 1)]
+    check_certificate(report, [P])
+
+
+def test_quadratic_certificate_past_64_points():
+    rng = np.random.default_rng(8)
+    monos = monomials_up_to(2, 8, 2)
+    P = Polynomial.from_coefficients(2, 8, monos, rng.integers(0, 2, size=len(monos)))
+    report = polynomial_rank(P, r_max=2)
+    assert report.kind == "quadratic-closed-form"
+    assert report.value == quadratic_min_rank(P)[0] > 2
+    check_certificate(report, [P])
+    # the certificate costs N · (r + 1) points and is left out past the budget
+    charge = 256 * (report.value + 1)
+    assert polynomial_rank(P, r_max=2, budget=charge).certificate == report.certificate
+    bare = polynomial_rank(P, r_max=2, budget=charge - 1)
+    assert (bare.value, bare.certificate) == (report.value, None)
 
 
 @st.composite
@@ -199,6 +247,8 @@ def test_closed_form_matches_exhaustive_oracle(P):
         assert r > 2
     else:
         assert r == brute
+    # every drawn space has n <= 3, so the search decides the rank at r_max = 3
+    assert polynomial_rank(P, r_max=3, method="exhaustive").value == r
 
 
 def test_set_rank_detects_expressible_combination():
@@ -214,7 +264,7 @@ def test_set_rank_of_independent_products():
     A = Polynomial(2, 4, {(1, 1, 0, 0): 1})
     B = Polynomial(2, 4, {(0, 0, 1, 1): 1})
     report = polynomial_rank([A, B], r_max=1)
-    assert report.checks == {0: True, 1: True}
+    assert report.refuted_up_to == 1
     assert report.value == 2  # every combination is a rank-2 quadratic
 
 
@@ -236,15 +286,47 @@ def test_linear_poly_never_expressible():
     assert report.rank_exceeds(2)
     with pytest.raises(ValidationError):
         report.rank_exceeds(3)
+    # affine combinations refute every r at once, with no charge
+    pair = [Polynomial(2, 3, {(1, 0, 0): 1, (0, 1, 0): 1}), Polynomial.variable(2, 3, 2)]
+    report = polynomial_rank(pair, r_max=10**12, budget=1)
+    assert (report.value, report.refuted_up_to) == (None, 10**12)
 
 
-def test_lower_bound_only_past_caps():
-    # r = 3 exceeds the tuple cap for the exhaustive route
+def test_lower_bound_only_past_the_budget():
+    # x1x2x3 + x1 on F_2^3 has rank 2.  Its search charges 2^7 · (8 + 15) =
+    # 2944 for the masks (7 monomials of degree <= 2, 15 conflict pairs),
+    # then C(64 + r - 1, r) over its 64 distinct one-word masks at rank r,
+    # and 8 · 3 for the certificate.
     P = Polynomial(2, 3, {(1, 1, 1): 1, (1, 0, 0): 1})
-    report = polynomial_rank(P, r_max=5, method="exhaustive")
-    if report.value is None:
-        assert report.kind == "lower-bound-only"
-        assert report.refuted_up_to >= 1
+    masks, r1, r2, cert = 2944, 64, 2080, 24
+    for budget, refuted in ((masks - 1, 0), (masks + r1 - 1, 0), (masks + r1 + r2 - 1, 1)):
+        report = polynomial_rank(P, r_max=5, method="exhaustive", budget=budget)
+        assert (report.kind, report.value, report.certificate) == ("lower-bound-only", None, None)
+        assert report.refuted_up_to == refuted, budget
+        assert report.rank_exceeds(refuted)
+        with pytest.raises(ValidationError):
+            report.rank_exceeds(refuted + 1)
+    report = polynomial_rank(P, r_max=5, method="exhaustive", budget=masks + r1 + r2)
+    assert (report.kind, report.value, report.certificate) == ("exact-exhaustive", 2, None)
+    report = polynomial_rank(P, r_max=5, method="exhaustive", budget=masks + r1 + r2 + cert)
+    assert report.value == 2
+    check_certificate(report, [P])
+
+
+def test_search_charge_counts_mask_words():
+    # x1x2 + x3x4 + x5 on F_2^5 has rank 5 and 16 · 16 = 256 conflict pairs,
+    # so 4 words per mask: 2^6 · (32 + 256) = 18,432 for the masks, then
+    # C(32 + r - 1, r) · 4 at rank r over its 32 distinct masks
+    P = Polynomial(2, 5, {(1, 1, 0, 0, 0): 1, (0, 0, 1, 1, 0): 1, (0, 0, 0, 0, 1): 1})
+    spent = 18432
+    for r in range(1, 6):
+        search = comb(32 + r - 1, r) * 4
+        report = polynomial_rank(P, r_max=5, method="exhaustive", budget=spent + search - 1)
+        assert (report.kind, report.refuted_up_to) == ("lower-bound-only", r - 1)
+        spent += search
+    report = polynomial_rank(P, r_max=5, method="exhaustive", budget=spent + 32 * 6)
+    assert (report.kind, report.value, report.refuted_up_to) == ("exact-exhaustive", 5, 4)
+    check_certificate(report, [P])
 
 
 def test_rank_validation():
