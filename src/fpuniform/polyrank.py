@@ -87,29 +87,27 @@ def _support_degree(polys: list[Polynomial], alpha) -> int:
     return max(P.degree for a, P in zip(alpha, polys) if a)
 
 
-def _mask_charge(P: Polynomial, dmax: int) -> int:
-    """p^M · (N + c) for the conflict masks of P against Poly_dmax: M
-    monomials, N points, and c conflict pairs counted from P's value
-    histogram before any pair is listed."""
-    N = P.p**P.n
-    counts = np.bincount(P.value_table(), minlength=P.p)
+def _mask_charge(vals: np.ndarray, p: int, size: int) -> int:
+    """size · (N + c) for the conflict masks of a function with values
+    `vals` on N points against `size` candidates: c conflict pairs counted
+    from the value histogram before any pair is listed."""
+    N = len(vals)
+    counts = np.bincount(vals, minlength=p)
     conflicts = (N * N - sum(int(k) ** 2 for k in counts)) // 2
-    return family_size(P.p, P.n, dmax) * (N + conflicts)
+    return size * (N + conflicts)
 
 
-def _conflict_masks(P: Polynomial, dmax: int):
+def _conflict_masks(vals: np.ndarray, p: int, n: int, dmax: int, budget: int):
     """The monomials of Poly_dmax and, per candidate Q in ``itertools.product``
-    order of its coefficients, the conflict pairs of P (points where P
+    order of its coefficients, the conflict pairs of `vals` (points where it
     differs, in ``np.triu_indices`` order) that Q fails to separate: one row
     of ceil(c/64) little-endian uint64 words per candidate, pair k at bit k."""
-    p, n = P.p, P.n
-    vals = P.value_table()
     I, J = np.triu_indices(p**n, 1)
     conflict = vals[I] != vals[J]
     I, J = I[conflict], J[conflict]
     monos = monomials_up_to(p, n, dmax)
     count = p ** len(monos)
-    mon_values = monomial_values(p, digit_table(p, n), monos)
+    mon_values = monomial_values(p, digit_table(p, n, budget), monos)
     masks = np.zeros((count, -(-len(I) // 64)), dtype="<u8")
     as_bytes = masks.view(np.uint8)
     for lo in range(0, count, _BLOCK):
@@ -140,12 +138,12 @@ def _first_disjoint_tuple(masks: np.ndarray, r: int) -> tuple[int, ...] | None:
 
 
 def _certificate_from_tuple(
-    P: Polynomial, alpha, Qs: tuple[Polynomial, ...]
+    P: Polynomial, alpha, Qs: tuple[Polynomial, ...], budget: int
 ) -> RankCertificate:
     """The certificate for P = Gamma(Qs): Gamma maps each joint value of the
     arguments, in the order the labels first occur, to P's value there."""
-    vals = P.value_table()
-    labels = np.stack([Q.value_table() for Q in Qs], axis=1)
+    vals = P.value_table(budget)
+    labels = np.stack([Q.value_table(budget) for Q in Qs], axis=1)
     uniq, first, inverse = np.unique(
         labels, axis=0, return_index=True, return_inverse=True
     )
@@ -271,7 +269,7 @@ def polynomial_rank(
     def certified(alpha, P_alpha, args) -> RankCertificate | None:
         if not charge(p**n * (len(args) + 1)):
             return None
-        return _certificate_from_tuple(P_alpha, alpha, args)
+        return _certificate_from_tuple(P_alpha, alpha, args, limit)
 
     # every live combination decomposes through its n coordinates, so the
     # loop returns by r = n however large r_max is
@@ -285,9 +283,16 @@ def polynomial_rank(
                     return RankReport("quadratic-closed-form", r - 1, min_r, cert)
                 continue
             if i not in searches:
-                if not charge(_mask_charge(P_alpha, d - 1)):
+                # N per candidate bounds the mask charge from below, so a space
+                # too large for what is left is refused before P is evaluated
+                # on it (and before the family is listed, when N alone is)
+                N = p**n
+                if spent + N > limit or spent + (size := family_size(p, n, d - 1)) * N > limit:
                     return RankReport("lower-bound-only", r - 1, None)
-                monos, masks = _conflict_masks(P_alpha, d - 1)
+                vals = P_alpha.value_table(limit)
+                if not charge(_mask_charge(vals, p, size)):
+                    return RankReport("lower-bound-only", r - 1, None)
+                monos, masks = _conflict_masks(vals, p, n, d - 1, limit)
                 # identical masks are interchangeable; keep the first of each
                 first = np.sort(np.unique(masks, axis=0, return_index=True)[1])
                 searches[i] = monos, first, masks[first]

@@ -281,6 +281,19 @@ def test_rank_budget_ends_the_search(files, capsys):
     assert rep["certificate"] is not None
 
 
+def test_rank_on_a_space_past_the_budget(files, capsys):
+    # x1x2x3 on F_2^25: the r = 1 masks are refused before the space is
+    # enumerated, at the default budget and at a larger explicit one
+    cubic = Polynomial(2, 25, {(1, 1, 1) + (0,) * 22: 1})
+    path = files["tmp"] / "cubic25.json"
+    path.write_text(json.dumps(cubic.to_json_dict()))
+    for extra in ([], ["--budget", str(2**40)]):
+        rc, out, err = run(["rank", "--polys", str(path)] + extra, capsys)
+        assert rc == 0, err
+        rep = json.loads(out)
+        assert (rep["kind"], rep["value"], rep["refuted_up_to"]) == ("lower-bound-only", None, 0)
+
+
 @pytest.mark.parametrize("huge", [10**7, 10**9])
 def test_huge_rmax_and_rank_floor_on_affine_input(files, capsys, huge):
     x1 = Polynomial.variable(2, 4, 0)

@@ -93,7 +93,7 @@ def test_conflict_masks_match_pairwise_loop(p, n, dmax):
         for j in range(i + 1, len(points))
         if vals[i] != vals[j]
     ]
-    monos, packed = _conflict_masks(P, dmax)
+    monos, packed = _conflict_masks(P.value_table(), p, n, dmax, None)
     assert monos == monomials_up_to(p, n, dmax)
     assert packed.shape[1] == -(-len(pairs) // 64)
     masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
@@ -311,6 +311,36 @@ def test_lower_bound_only_past_the_budget():
     report = polynomial_rank(P, r_max=5, method="exhaustive", budget=masks + r1 + r2 + cert)
     assert report.value == 2
     check_certificate(report, [P])
+
+
+def test_space_past_the_budget_is_refused_before_evaluation(monkeypatch):
+    # x1x2x3 on F_2^25: the masks cost at least 2^326 · 2^25, so any budget
+    # refuses them without a digit table of the space being built
+    P = Polynomial(2, 25, {(1, 1, 1) + (0,) * 22: 1})
+
+    def no_table(*args):
+        raise AssertionError("the space was enumerated")
+
+    monkeypatch.setattr("fpuniform.polyrank.digit_table", no_table)
+    monkeypatch.setattr("fpuniform.polynomials.digit_table", no_table)
+    for budget in (None, 2**60):
+        report = polynomial_rank(P, budget=budget)
+        assert (report.kind, report.value, report.refuted_up_to) == ("lower-bound-only", None, 0)
+
+
+def test_explicit_budget_bounds_the_evaluation(monkeypatch):
+    # with a default budget below N, an explicit budget still lets the masks
+    # and the certificates evaluate on the space
+    monkeypatch.setattr("fpuniform.config.DEFAULT_BUDGET", 8)
+    cubic = Polynomial(2, 4, {(1, 1, 1, 0): 1})
+    quad = Polynomial(2, 4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1})
+    cubic_report = polynomial_rank(cubic, budget=10**6)
+    quad_report = polynomial_rank(quad, r_max=4, budget=10**6)
+    monkeypatch.undo()  # the replay below enumerates at the default budget
+    assert (cubic_report.kind, cubic_report.value) == ("exact-exhaustive", 2)
+    check_certificate(cubic_report, [cubic])
+    assert (quad_report.kind, quad_report.value) == ("quadratic-closed-form", 4)
+    check_certificate(quad_report, [quad])
 
 
 def test_search_charge_counts_mask_words():
