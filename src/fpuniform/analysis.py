@@ -53,7 +53,6 @@ from .field import (
     index_add,
     index_combination,
     mixed_radix_digits,
-    place_values,
     space_size,
 )
 from .linalg import nullspace, rank, span_coordinates
@@ -258,7 +257,7 @@ def gowers_norm(
         )
     cube = cube_system(p, k, budget)
     conjugations = [(k - bin(mask).count("1")) % 2 for mask in range(2**k)]
-    rep = linear_form_average(f, cube, conjugations, samples=samples, seed=seed)
+    rep = linear_form_average(f, cube, conjugations, samples=samples, seed=seed, budget=budget)
     power = max(rep.value.real, 0.0)
     value = power ** (1 / 2**k)
     stderr = rep.stderr * value ** (1 - 2**k) / 2**k if power > 0 else None
@@ -506,7 +505,9 @@ def linear_form_average(
     the connected components, each enumerated on its primal side (N^rank
     points) or its Fourier-dual side (N^(forms - rank) points and one
     transform per form), as the module docstring describes.  Otherwise it is
-    the mean over `samples` uniform draws of X and its stderr (rng.mc_mean).
+    the mean over `samples` uniform draws of X and its stderr (rng.mc_mean):
+    each variable is one uniform point index, and samples * m points are
+    charged against the budget before the first draw.
     """
     tables = _as_table_list(f, system)
     n = tables[0].n
@@ -526,14 +527,14 @@ def linear_form_average(
         return AverageReport(value=value, mode="exact", system=system, cost=cost, path=path)
 
     def draw(rng, size):
-        zs = rng.integers(0, p, size=(system.k, size, n)) @ place_values(p, n)
+        zs = rng.integers(0, space_size(p, n), size=(system.k, size))
         prod = np.ones(size, dtype=np.complex128)
         for t, idx in zip(powered, index_combination(p, n, arr, zs)):
             # out of place: numpy rounds an in-place complex product differently
             prod = prod * t[idx]
         return prod
 
-    mean, se = mc_mean(draw, samples, seed, "samples")
+    mean, se = mc_mean(draw, samples, seed, "samples", system.m, budget)
     return AverageReport(
         value=complex(mean), mode="mc", system=system,
         samples=samples, stderr=se, seed=seed, cost=samples * system.m, path="sampled",

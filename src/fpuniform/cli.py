@@ -9,10 +9,11 @@ byte-identical output.
 Exit codes: 0 success; 2 validation error (including a result that is not a
 finite number); 64 unknown command, or a --seed below 0 or a --budget below 1;
 65 malformed input file (including non-finite table values); 66 budget
-exceeded (a command that takes --mc and ran without it hints to rerun with
---mc N); 70 internal error, such as a rejection-sampling loop hitting its
-retry cap.  Apart from argparse usage errors, every failure writes one JSON
-object to stderr.  A cost or budget above 2^64 is reported as ">2^64".
+exceeded by an exact cost or a sample count (a command that takes --mc and
+ran without it hints to rerun with --mc N); 70 internal error, such as a
+rejection-sampling loop hitting its retry cap.  Apart from argparse usage
+errors, every failure writes one JSON object to stderr.  A cost or budget
+above 2^64 is reported as ">2^64".
 """
 
 from __future__ import annotations
@@ -451,7 +452,7 @@ def _cmd_distributional(args) -> dict:
 
 def _add_common(sub) -> None:
     sub.add_argument("--seed", type=int, default=0, help="RNG seed (recorded in output)")
-    sub.add_argument("--budget", type=int, default=None, help="max enumeration points")
+    sub.add_argument("--budget", type=int, default=None, help="max points enumerated or sampled")
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -52,7 +52,7 @@ class BudgetExceededError(FpuniformError):
         self.budget = budget
         super().__init__(
             f"{what} needs {reported_count(cost)} points but the budget is "
-            f"{reported_count(budget)}; raise the budget or use a Monte Carlo mode"
+            f"{reported_count(budget)}"
         )
 
 

@@ -228,9 +228,27 @@ def _batch_independent_mask(mats: np.ndarray, p: int) -> np.ndarray:
     return alive
 
 
+#: Candidate tuples per sub-block of the independence filter: the digits of
+#: one sub-block are a (2^11, r, n) array.
+_FILTER_BLOCK = 1 << 11
+
+
+def _independent_columns(Z: np.ndarray, p: int, n: int) -> np.ndarray:
+    """The columns of the (r, count) index array Z whose r points of F_p^n are
+    linearly independent, in order; the digits are expanded and eliminated
+    one sub-block of _FILTER_BLOCK candidates at a time."""
+    places = place_values(p, n)
+    keep = np.empty(Z.shape[1], dtype=bool)
+    for lo in range(0, Z.shape[1], _FILTER_BLOCK):
+        digits = Z[:, lo : lo + _FILTER_BLOCK, None] // places % p  # (r, size, n)
+        keep[lo : lo + _FILTER_BLOCK] = _batch_independent_mask(digits.transpose(1, 0, 2), p)
+    return Z[:, keep]
+
+
 def random_independent_rows(p: int, n: int, r: int, seed, count: int) -> np.ndarray:
-    """`count` uniform linearly independent r-tuples of F_p^n as a (count, r,
-    n) array, drawn by batched rejection."""
+    """`count` uniform linearly independent r-tuples of F_p^n as an (r, count)
+    array of point indices, drawn by batched rejection: r uniform indices per
+    candidate, of which the independent tuples are kept."""
     p, n = validate_dims(p, n)
     if not 0 <= r <= n:
         raise ValidationError(f"no independent {r}-tuple exists in F_{p}^{n}")
@@ -239,16 +257,17 @@ def random_independent_rows(p: int, n: int, r: int, seed, count: int) -> np.ndar
     rng = as_rng(seed)
     # a uniform r-tuple is independent with probability prod_i (1 - p^(i-n)) > 0.288
     accept = float(np.prod([1.0 - float(p) ** (i - n) for i in range(r)]))
-    out = np.empty((count, r, n), dtype=np.int64)
+    out = np.empty((r, count), dtype=np.int64)
     filled = 0
     for _ in range(RETRY_CAP):
         if filled == count:
             break
         need = count - filled
-        batch = rng.integers(0, p, size=(int(need / accept) + 8, r, n))
-        good = batch[_batch_independent_mask(batch, p)]
-        take = min(len(good), need)
-        out[filled : filled + take] = good[:take]
+        good = _independent_columns(
+            rng.integers(0, space_size(p, n), size=(r, int(need / accept) + 8)), p, n
+        )
+        take = min(good.shape[1], need)
+        out[:, filled : filled + take] = good[:, :take]
         filled += take
     if filled < count:
         raise RetryLimitError(f"could not draw {count} independent {r}-tuples in F_{p}^{n}")
@@ -260,8 +279,7 @@ def independent_tuples(p: int, n: int, r: int, block: int):
     [0, p^n)^r, yielded as (r, count) index arrays: the independent members
     of each run of `block` candidate tuples."""
     p, n = validate_dims(p, n)
-    N, places = space_size(p, n), place_values(p, n)
+    N = space_size(p, n)
     for lo in range(0, N**r, block):
         Z = mixed_radix_digits(np.arange(lo, min(lo + block, N**r), dtype=np.int64), N, r)
-        digits = Z[:, :, None] // places % p  # (r, count, n)
-        yield Z[:, _batch_independent_mask(digits.transpose(1, 0, 2), p)]
+        yield _independent_columns(Z, p, n)

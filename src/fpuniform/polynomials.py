@@ -401,6 +401,6 @@ def bias(
         return BiasResult(float(value), "exact")
     z, stderr = mc_mean(
         lambda rng, size: roots[P.values_at(rng.integers(0, p, size=(size, P.n)))],
-        samples, seed, "samples",
+        samples, seed, "samples", 1, budget,
     )
     return BiasResult(float(abs(z)), "mc", samples=samples, stderr=stderr, seed=seed)

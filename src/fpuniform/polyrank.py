@@ -120,16 +120,18 @@ def _conflict_masks(vals: np.ndarray, p: int, n: int, dmax: int, budget: int):
 
 
 def _first_disjoint_tuple(masks: np.ndarray, r: int) -> tuple[int, ...] | None:
-    """The lexicographically first nondecreasing r-tuple of rows whose masks
-    AND to zero, or None.  The last index of each prefix is found by one AND
-    over every row it may take."""
+    """The lexicographically first strictly increasing r-tuple of rows whose
+    masks AND to zero, or None.  A tuple that repeats a row ANDs to the
+    product of a shorter tuple, which the search at r - 1 already tried, so
+    only distinct rows are combined.  The last index of each prefix is found
+    by one AND over every row it may take."""
 
     def extend(acc: np.ndarray, lo: int, depth: int):
         if depth == 1:
             hit = np.flatnonzero(~(masks[lo:] & acc).any(axis=1))
             return (lo + int(hit[0]),) if len(hit) else None
         for i in range(lo, len(masks)):
-            rest = extend(acc & masks[i], i, depth - 1)
+            rest = extend(acc & masks[i], i + 1, depth - 1)
             if rest is not None:
                 return (i, *rest)
         return None
@@ -218,8 +220,8 @@ def polynomial_rank(
     are cross-checked in the test suite, not merged).
 
     The work is charged against `budget` as a running total: each searched
-    combination's conflict masks once (see `_mask_charge`), C(R + r - 1, r)
-    · ceil(c/64) for its search at rank r over R distinct masks of c bits,
+    combination's conflict masks once (see `_mask_charge`), C(R, r) ·
+    ceil(c/64) for its search at rank r over R distinct masks of c bits,
     and N · (r + 1) for a certificate.  A refused search charge ends the
     report at lower-bound-only; a refused certificate leaves it None.
     """
@@ -297,7 +299,7 @@ def polynomial_rank(
                 first = np.sort(np.unique(masks, axis=0, return_index=True)[1])
                 searches[i] = monos, first, masks[first]
             monos, first, reps = searches[i]
-            if not charge(comb(len(reps) + r - 1, r) * reps.shape[1]):
+            if not charge(comb(len(reps), r) * reps.shape[1]):
                 return RankReport("lower-bound-only", r - 1, None)
             found = _first_disjoint_tuple(reps, r)
             if found is not None:

@@ -12,6 +12,7 @@ import hashlib
 
 import numpy as np
 
+from .config import check_budget
 from .errors import ValidationError
 
 
@@ -65,13 +66,16 @@ def as_rng(seed_or_rng) -> SeededRNG:
     return SeededRNG(int(seed_or_rng))
 
 
-def mc_mean(draw, count: int, seed, name: str):
+def mc_mean(draw, count: int, seed, name: str, points: int, budget: int | None = None):
     """(mean, stderr) of `count` draws, taken by draw(rng, size) from the stream
-    of `seed` in blocks of at most _CHUNK and not kept.  The mean is the sum of
-    the block sums over the count.  Each block's M2, about its mean x_0 +
-    mean(x - x_0) (exact for equal draws), merges into the total by the pairwise
-    rule of Chan, Golub and LeVeque (1979); the stderr is sqrt(M2 / count) / sqrt(count)."""
+    of `seed` in blocks of at most _CHUNK and not kept.  Each draw reads
+    `points` points, and count * points is checked against the budget before
+    the first draw.  The mean is the sum of the block sums over the count.
+    Each block's M2, about its mean x_0 + mean(x - x_0) (exact for equal
+    draws), merges into the total by the pairwise rule of Chan, Golub and
+    LeVeque (1979); the stderr is sqrt(M2 / count) / sqrt(count)."""
     check_count(count, name)
+    check_budget(count * points, budget, f"Monte Carlo estimate over its {name}")
     rng = as_rng(0 if seed is None else seed)
     total, mean, m2 = 0.0, 0.0, 0.0
     for lo in range(0, count, _CHUNK):

@@ -216,8 +216,8 @@ class TesterSpec:
 
         def draw(rng, count):
             picks = rng.choice(len(rows), size=count, p=probs)
-            V = random_independent_rows(self.p, n, width - 1, rng, count) @ place_values(self.p, n)
-            Z = np.vstack([rng.integers(0, space_size(self.p, n), size=count), V.T])
+            V = random_independent_rows(self.p, n, width - 1, rng, count)
+            Z = np.vstack([rng.integers(0, space_size(self.p, n), size=count), V])
             out = np.empty((count, self.q), dtype=np.int64)
             for s, coeffs in enumerate(forms):
                 mask = picks == s
@@ -337,7 +337,8 @@ def run_tester(
 ) -> TesterReport:
     """Acceptance probability of the decision map on f's query values: exact
     over the support (and, when symmetrized, every affine image of it) when
-    `trials` is None, otherwise by rng.mc_mean over that many drawn tuples."""
+    `trials` is None, otherwise by rng.mc_mean over that many drawn tuples,
+    whose trials * q query points are charged against the budget first."""
     vals = _integer_values(f, f.p, f.n)
     if f.p != spec.p:
         raise ValidationError("tester and table use different primes")
@@ -358,7 +359,9 @@ def run_tester(
             acceptance = sum(prob * float(d) for prob, d in zip(probs, spec.decide(vals[rows])))
         return TesterReport(acceptance=float(acceptance), trials=None, mode="exact")
     draw = spec.index_sampler(n)
-    acc, se = mc_mean(lambda rng, size: spec.decide(vals[draw(rng, size)]), trials, seed, "trials")
+    acc, se = mc_mean(
+        lambda rng, size: spec.decide(vals[draw(rng, size)]), trials, seed, "trials", spec.q, budget
+    )
     return TesterReport(acceptance=float(acc), trials=trials, mode="mc", seed=seed, stderr=se)
 
 
@@ -498,7 +501,7 @@ def uniformity_test(
     k = d + 1
     cube = cube_system(f.p, k, budget)
     beta = [(-1) ** (k - bin(mask).count("1")) for mask in range(2**k)]
-    rep = exponential_average(f, cube, beta, samples=samples, seed=seed)
+    rep = exponential_average(f, cube, beta, samples=samples, seed=seed, budget=budget)
     estimate = float(rep.value.real)
     return UniformityReport(
         estimate=estimate,

@@ -594,11 +594,12 @@ def test_gowers_mc_is_cube_system_average(p, n, k):
 
 
 def mc_reference(tables, system, conj, samples, seed, chunk):
-    """The digit-arithmetic sampler: per block of `chunk` samples one
-    (k, size, n) digit draw, every form's points summed digit by digit,
-    reduced and read as indices, and its values gathered from the conjugated
-    and powered tables.  Returns the sum of the block sums over the count, the
-    plain two-pass stderr, the variables' indices and the forms'."""
+    """The digit-arithmetic sampler: per block of `chunk` samples one (k, size)
+    draw of uniform point indices, expanded to their digits; every form's
+    points summed digit by digit, reduced and read as indices, and its values
+    gathered from the conjugated and powered tables.  Returns the sum of the
+    block sums over the count, the plain two-pass stderr, the variables'
+    indices and the forms'."""
     p, n = system.p, tables[0].n
     arr, places = system.as_array(), place_values(p, n)
     powered = [
@@ -608,7 +609,9 @@ def mc_reference(tables, system, conj, samples, seed, chunk):
     rng = as_rng(seed)
     blocks, var_idx, form_idx = [], [], []
     for lo in range(0, samples, chunk):
-        xs = rng.integers(0, p, size=(system.k, min(chunk, samples - lo), n))
+        zs = rng.integers(0, p**n, size=(system.k, min(chunk, samples - lo)))
+        xs = zs[:, :, None] // places % p
+        assert np.array_equal(xs @ places, zs)
         acc = np.ones(xs.shape[1], dtype=np.complex128)
         idxs = []
         for i in range(system.m):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fpuniform import cli
 from fpuniform.cli import main
-from fpuniform.errors import RetryLimitError
+from fpuniform.errors import RetryLimitError, reported_count
 from fpuniform.linear_forms import (
     FlaggedSystem,
     LinearSystem,
@@ -480,13 +480,23 @@ def test_budget_exceeded_exit_66(files, capsys):
     assert rc == 66
     diag = json.loads(err)
     assert diag["type"] == "budget" and "--mc" in diag["hint"]
-    # the suggested fallback works
+    # the suggested fallback works within the same budget: 50 samples of the
+    # 16 cube forms are 800 points, while 200 samples (3200 points) are refused
     rc, out, _ = run(
+        ["gowers", "--table", files["big"], "--k", "4", "--budget", "1000",
+         "--mc", "50"],
+        capsys,
+    )
+    assert rc == 0 and json.loads(out)["value"] == pytest.approx(1.0)
+    assert json.loads(out)["cost"] == 800
+    rc, out, err = run(
         ["gowers", "--table", files["big"], "--k", "4", "--budget", "1000",
          "--mc", "200"],
         capsys,
     )
-    assert rc == 0 and json.loads(out)["value"] == pytest.approx(1.0)
+    assert rc == 66 and out == ""
+    diag = json.loads(err)
+    assert diag["cost"] == 3200 and "hint" not in diag
 
 
 @pytest.mark.parametrize(
@@ -504,6 +514,41 @@ def test_cube_system_over_budget_exit_66(files, capsys, argv, cost):
     assert rc == 66 and out == ""
     diag = json.loads(err)
     assert diag["type"] == "budget" and diag["cost"] == cost
+
+
+@pytest.mark.parametrize(
+    "argv, per_draw",
+    [
+        (["gowers", "--k", "4", "--mc"], 16),
+        (["average", "--system", "tri", "--mc"], 3),
+        (["distributional", "--system", "tri", "--beta", "1,1,1", "--mc"], 3),
+        (["test", "uniformity", "--degree", "2", "--samples"], 8),
+        (["test", "generic", "--spec", "spec12", "--trials"], 4),
+        (["test", "symmetrize", "--spec", "spec12", "--trials"], 4),
+    ],
+)
+def test_sample_count_is_charged_before_drawing(files, capsys, argv, per_draw):
+    # samples (or trials) times the points each reads are checked against the
+    # budget before the first draw, so a huge count exits 66 at once on a
+    # 4,096-point table, and the hint never suggests the --mc already given
+    tmp = files["tmp"]
+    path = tmp / "t12.json"
+    path.write_text(json.dumps(FunctionTable(2, 12, np.arange(4096) % 2, "real").to_json_dict()))
+    (tmp / "spec12.json").write_text(json.dumps(uniformity_tester_spec(2, 12, 1).to_json_dict()))
+    files = {**files, "spec12": str(tmp / "spec12.json")}
+    argv = [files.get(a, a) for a in argv]
+    # 10^5 draws fit the default budget, so only the explicit one refuses them
+    refused = ((10**22, []), (10**8, ["--budget", "1000"]), (10**5, ["--budget", "1000"]))
+    for count, budget in refused:
+        start = time.perf_counter()
+        rc, out, err = run(argv + [str(count), "--table", str(path)] + budget, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert rc == 66 and out == ""
+        diag = json.loads(err)
+        assert diag["type"] == "budget" and "hint" not in diag
+        assert diag["cost"] == reported_count(count * per_draw)
+    rc, out, _ = run(argv + ["250", "--table", str(path), "--budget", str(250 * per_draw)], capsys)
+    assert rc == 0
 
 
 def test_gowers_reports_its_path(files, capsys):

@@ -192,9 +192,11 @@ def test_batch_invertible_mask_matches_rank():
 @pytest.mark.parametrize("p,n,r", [(2, 2, 2), (2, 3, 2), (3, 2, 1), (2, 3, 0)])
 def test_random_independent_rows_are_uniform(p, n, r):
     draws = field.random_independent_rows(p, n, r, 5, 6000)
-    assert draws.shape == (6000, r, n)
-    assert all(linalg.rank(m, p) == r for m in draws[:200] if r)
-    keys = draws.reshape(6000, -1) @ (p ** np.arange(r * n))
+    assert draws.shape == (r, 6000)
+    assert draws.dtype == np.int64 and (draws >= 0).all() and (draws < p**n).all()
+    tuples = field.digit_table(p, n)[draws].transpose(1, 0, 2)  # (6000, r, n)
+    assert all(linalg.rank(m, p) == r for m in tuples[:200] if r)
+    keys = np.ravel_multi_index(tuple(draws), (p**n,) * r) if r else np.zeros(6000)
     _, counts = np.unique(keys, return_counts=True)
     # every independent r-tuple appears, each about 6000 / #tuples times
     total = int(np.prod([p**n - p**i for i in range(r)]))
@@ -206,11 +208,32 @@ def test_random_independent_rows_are_uniform(p, n, r):
 
 
 def test_random_independent_rows_draw_invertible_matrices():
-    mats = field.random_independent_rows(2, 5, 5, 7, 400)
+    idx = field.random_independent_rows(2, 5, 5, 7, 400)
+    assert idx.shape == (5, 400)
+    mats = field.digit_table(2, 5)[idx].transpose(1, 0, 2)
     assert all(linalg.rank(m, 2) == 5 for m in mats)
-    assert np.array_equal(mats, field.random_independent_rows(2, 5, 5, 7, 400))
+    assert np.array_equal(idx, field.random_independent_rows(2, 5, 5, 7, 400))
     with pytest.raises(ValidationError):
         field.random_independent_rows(2, 5, 5, 7, 0)
+
+
+def test_independence_filter_runs_in_bounded_sub_blocks(monkeypatch):
+    # a filter over more candidates than one sub-block keeps exactly the
+    # independent columns, in order, eliminating at most one sub-block at once
+    seen = []
+    mask = field._batch_independent_mask
+
+    def recorded(mats, p):
+        seen.append(len(mats))
+        return mask(mats, p)
+
+    monkeypatch.setattr(field, "_batch_independent_mask", recorded)
+    Z = SeededRNG(3).integers(0, 9, size=(2, 3 * field._FILTER_BLOCK + 5))
+    kept = field._independent_columns(Z, 3, 2)
+    assert max(seen) == field._FILTER_BLOCK and sum(seen) == Z.shape[1]
+    pts = field.digit_table(3, 2)
+    want = [j for j in range(Z.shape[1]) if linalg.rank(pts[Z[:, j]], 3) == 2]
+    assert np.array_equal(kept, Z[:, want])
 
 
 def test_digit_table_cache_evicts_old_entries():

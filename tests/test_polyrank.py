@@ -16,6 +16,7 @@ from fpuniform.polynomials import Polynomial, monomials_up_to
 from fpuniform.polyrank import (
     RankReport,
     _conflict_masks,
+    _first_disjoint_tuple,
     polynomial_rank,
     quadratic_min_rank,
 )
@@ -180,8 +181,19 @@ def test_cubic_product_rank_golden():
     assert oracle_min_rank(P, 2, 2) == 2
 
 
+def test_tuple_search_combines_distinct_masks():
+    # a repeated mask ANDs to a product the r - 1 search already tried, so
+    # only strictly increasing tuples are scanned, even where a repeat would
+    # AND to zero
+    masks = np.array([[0], [6], [1], [3]], dtype="<u8")
+    assert _first_disjoint_tuple(masks, 2) == (0, 1)
+    assert _first_disjoint_tuple(masks[:1], 2) is None
+    assert _first_disjoint_tuple(masks[1:], 3) == (0, 1, 2)
+    assert _first_disjoint_tuple(masks[1:], 4) is None
+
+
 def test_cubic_certificate_follows_the_search_order():
-    # the first nondecreasing pair of distinct masks, each mask standing for
+    # the first strictly increasing pair of distinct masks, each mask standing for
     # its first candidate in coefficient order, and Gamma listed in the order
     # its labels first occur among the points
     P = Polynomial(2, 4, {
@@ -295,10 +307,10 @@ def test_linear_poly_never_expressible():
 def test_lower_bound_only_past_the_budget():
     # x1x2x3 + x1 on F_2^3 has rank 2.  Its search charges 2^7 · (8 + 15) =
     # 2944 for the masks (7 monomials of degree <= 2, 15 conflict pairs),
-    # then C(64 + r - 1, r) over its 64 distinct one-word masks at rank r,
-    # and 8 · 3 for the certificate.
+    # then C(64, r) over its 64 distinct one-word masks at rank r, and 8 · 3
+    # for the certificate.
     P = Polynomial(2, 3, {(1, 1, 1): 1, (1, 0, 0): 1})
-    masks, r1, r2, cert = 2944, 64, 2080, 24
+    masks, r1, r2, cert = 2944, 64, 2016, 24
     for budget, refuted in ((masks - 1, 0), (masks + r1 - 1, 0), (masks + r1 + r2 - 1, 1)):
         report = polynomial_rank(P, r_max=5, method="exhaustive", budget=budget)
         assert (report.kind, report.value, report.certificate) == ("lower-bound-only", None, None)
@@ -346,11 +358,11 @@ def test_explicit_budget_bounds_the_evaluation(monkeypatch):
 def test_search_charge_counts_mask_words():
     # x1x2 + x3x4 + x5 on F_2^5 has rank 5 and 16 · 16 = 256 conflict pairs,
     # so 4 words per mask: 2^6 · (32 + 256) = 18,432 for the masks, then
-    # C(32 + r - 1, r) · 4 at rank r over its 32 distinct masks
+    # C(32, r) · 4 at rank r over its 32 distinct masks
     P = Polynomial(2, 5, {(1, 1, 0, 0, 0): 1, (0, 0, 1, 1, 0): 1, (0, 0, 0, 0, 1): 1})
     spent = 18432
     for r in range(1, 6):
-        search = comb(32 + r - 1, r) * 4
+        search = comb(32, r) * 4
         report = polynomial_rank(P, r_max=5, method="exhaustive", budget=spent + search - 1)
         assert (report.kind, report.refuted_up_to) == ("lower-bound-only", r - 1)
         spent += search

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from fpuniform import rng as rng_module
-from fpuniform.analysis import linear_form_average
-from fpuniform.errors import ValidationError
+from fpuniform.analysis import gowers_norm, linear_form_average
+from fpuniform.errors import BudgetExceededError, ValidationError
 from fpuniform.linear_forms import LinearSystem, cube_system
 from fpuniform.polynomials import Polynomial, bias
 from fpuniform.rng import mc_mean
 from fpuniform.tables import FunctionTable, random_unit_table
-from fpuniform.testers import run_tester, uniformity_tester_spec
+from fpuniform.testers import run_tester, symmetrize_tester, uniformity_tester_spec
 
 
 def recording(draw):
@@ -39,7 +39,7 @@ def recording(draw):
 def test_mc_mean_matches_two_pass_over_blocks(draw):
     count = 3 * rng_module._CHUNK + 17
     wrapped, blocks = recording(draw)
-    mean, stderr = mc_mean(wrapped, count, 5, "samples")
+    mean, stderr = mc_mean(wrapped, count, 5, "samples", 1)
     assert [len(b) for b in blocks] == [rng_module._CHUNK] * 3 + [17]
     x = np.concatenate(blocks)
     assert mean == sum(b.sum() for b in blocks) / count
@@ -47,19 +47,31 @@ def test_mc_mean_matches_two_pass_over_blocks(draw):
     two_pass = np.sqrt(np.mean(np.abs(x - x.mean()) ** 2) / count)
     assert abs(stderr - two_pass) <= 1e-12 * two_pass
     # the same seed gives the same stream
-    assert mc_mean(draw, count, 5, "samples") == (mean, stderr)
+    assert mc_mean(draw, count, 5, "samples", 1) == (mean, stderr)
 
 
 def test_mc_mean_checks_the_count():
     for count in (0, -2):
         with pytest.raises(ValidationError, match="trials"):
-            mc_mean(lambda rng, size: np.ones(size), count, 0, "trials")
+            mc_mean(lambda rng, size: np.ones(size), count, 0, "trials", 1)
+
+
+def test_mc_mean_charges_the_draws_before_the_first():
+    # count * points is checked against the budget before draw is called
+    def never(rng, size):
+        raise AssertionError("drew past the budget")
+
+    for count, points, budget in ((10, 3, 29), (10**22, 1, None), (1, 2**71, 2**70)):
+        with pytest.raises(BudgetExceededError) as exc:
+            mc_mean(never, count, 0, "samples", points, budget)
+        assert exc.value.cost == count * points
+    assert mc_mean(lambda rng, size: np.ones(size), 10, 0, "samples", 3, 30) == (1.0, 0.0)
 
 
 def test_equal_draws_have_zero_stderr():
     for value in (0.1, 1 / 3, np.exp(2j * np.pi / 3)):
         count = 2 * rng_module._CHUNK + 5
-        assert mc_mean(lambda rng, size: np.full(size, value), count, 0, "n")[1] == 0.0
+        assert mc_mean(lambda rng, size: np.full(size, value), count, 0, "n", 1)[1] == 0.0
 
 
 @pytest.mark.parametrize("value", [0.1, 1 / 3])
@@ -92,3 +104,15 @@ def test_sampled_estimates_hold_no_samples():
     assert peak_mb(lambda: run_tester(spec, field, trials=million, seed=1)) < 16
     P = Polynomial(3, 4, {(1, 1, 0, 0): 1, (0, 0, 2, 0): 2})
     assert peak_mb(lambda: bias(P, samples=million, seed=1)) < 16
+
+
+def test_one_block_draws_indices_not_digits():
+    # one block of 2^15 draws: a (k, size, n) digit draw would take 16 MB for
+    # U^4 on F_2^12, and the (count, r, n) candidates of the symmetrized
+    # degree-2 tester on F_2^10 38 MB
+    block = rng_module._CHUNK
+    table = random_unit_table(2, 12, seed=0)
+    assert peak_mb(lambda: gowers_norm(table, 4, samples=block, seed=1)) <= 8
+    bits = FunctionTable(2, 10, np.arange(1024) % 3 % 2, codomain="real")
+    spec = symmetrize_tester(uniformity_tester_spec(2, 10, 2))
+    assert peak_mb(lambda: run_tester(spec, bits, trials=block, seed=1)) <= 10
