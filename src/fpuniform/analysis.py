@@ -201,7 +201,7 @@ def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
     d = k - 2
     x = np.arange(N)
     # a class {y, -y} is represented by its lower index; index 0 is y = 0
-    reps = x if p == 2 else np.flatnonzero(x <= index_combination(p, n, [[-1]], [x])[0])
+    reps = x if p == 2 else np.flatnonzero(x <= next(index_combination(p, n, [[-1]], [x])))
     total = 0.0
     for tuples in _sorted_tuples(len(reps), d, max(1, _CHUNK // N)):
         count = tuples.shape[1]
@@ -403,18 +403,19 @@ def _product_sum(tables: list[np.ndarray], C: np.ndarray, p: int, n: int, key=No
     split by the point sum_j key_j Z_j and returned as an array indexed by it."""
     r = C.shape[1]
     N = space_size(p, n)
-    rows = C if key is None else np.vstack([C, key])
+    rows = C if key is None else np.vstack([key, C])
     total = 0j if key is None else np.zeros(N, dtype=np.complex128)
     for lo in range(0, N**r, _CHUNK):
         hi = min(lo + _CHUNK, N**r)
         idx = index_combination(p, n, rows, mixed_radix_digits(np.arange(lo, hi), N, r))
+        keyed = None if key is None else next(idx)
         acc = np.ones(hi - lo, dtype=np.complex128)
         for t, i in zip(tables, idx):
             acc *= t[i]
         if key is None:
             total += complex(acc.sum())
         else:
-            total += np.bincount(idx[-1], acc.real, N) + 1j * np.bincount(idx[-1], acc.imag, N)
+            total += np.bincount(keyed, acc.real, N) + 1j * np.bincount(keyed, acc.imag, N)
     return total
 
 
@@ -507,7 +508,12 @@ def linear_form_average(
     transform per form), as the module docstring describes.  Otherwise it is
     the mean over `samples` uniform draws of X and its stderr (rng.mc_mean):
     each variable is one uniform point index, and samples * m points are
-    charged against the budget before the first draw.
+    charged against the budget before the first draw.  The variables are drawn
+    sample-major, so a seeded estimate draws the same points whatever the
+    block size.  Each form's values multiply in as its index row arrives: at
+    p = 2 a draw keeps the k variable rows, one form row, its values and the
+    product live, at p > 2 the m form rows of the shared digit pass, and
+    that is the width that sizes the blocks.
     """
     tables = _as_table_list(f, system)
     n = tables[0].n
@@ -527,14 +533,16 @@ def linear_form_average(
         return AverageReport(value=value, mode="exact", system=system, cost=cost, path=path)
 
     def draw(rng, size):
-        zs = rng.integers(0, space_size(p, n), size=(system.k, size))
+        # contiguous variable rows: XOR on strided rows takes twice as long
+        zs = np.ascontiguousarray(rng.integers(0, space_size(p, n), size=(size, system.k)).T)
         prod = np.ones(size, dtype=np.complex128)
         for t, idx in zip(powered, index_combination(p, n, arr, zs)):
             # out of place: numpy rounds an in-place complex product differently
             prod = prod * t[idx]
         return prod
 
-    mean, se = mc_mean(draw, samples, seed, "samples", system.m, budget)
+    width = system.k + 3 if p == 2 else system.m
+    mean, se = mc_mean(draw, samples, seed, "samples", system.m, budget, width)
     return AverageReport(
         value=complex(mean), mode="mc", system=system,
         samples=samples, stderr=se, seed=seed, cost=samples * system.m, path="sampled",

@@ -27,7 +27,6 @@ import sys
 
 import numpy as np
 
-from .analysis import fourier_transform, gowers_norm, linear_form_average
 from .config import FLOAT_TOL
 from .errors import (
     BudgetExceededError,
@@ -36,28 +35,7 @@ from .errors import (
     ValidationError,
     reported_count,
 )
-from .factors import decompose
 from .field import digit_table
-from .linear_forms import (
-    FlaggedSystem,
-    LinearSystem,
-    are_isomorphic,
-    connected_components,
-    cs_complexity,
-    flagged_product,
-    true_complexity,
-)
-from .polynomials import Polynomial
-from .polyrank import polynomial_rank
-from .tables import parse_function_table
-from .testers import (
-    DistributionalFunction,
-    TesterSpec,
-    interior_experiment,
-    run_tester,
-    symmetrize_tester,
-    uniformity_test,
-)
 
 _COMMANDS = (
     "gowers",
@@ -121,7 +99,7 @@ def _jsonable(x):
         return float(x)
     if isinstance(x, (np.bool_,)):
         return bool(x)
-    if isinstance(x, Polynomial):
+    if hasattr(x, "to_text"):  # a Polynomial
         return x.to_text()
     if hasattr(x, "to_json_dict"):
         return _jsonable(x.to_json_dict())
@@ -204,9 +182,16 @@ def _diag(payload: dict) -> None:
 
 
 # -- command handlers ---------------------------------------------------------------
+#
+# Each handler imports the modules it uses, so a command loads only those: a
+# `fourier`, `gowers` or `average` run does not import testers, factors or
+# polyrank.
 
 
 def _cmd_gowers(args) -> dict:
+    from .analysis import gowers_norm
+    from .tables import parse_function_table
+
     table, meta = _load(parse_function_table, args.table)
     rep = gowers_norm(
         table, args.k, samples=_mc_samples(args), seed=args.seed, budget=args.budget
@@ -229,6 +214,10 @@ def _cmd_gowers(args) -> dict:
 
 
 def _cmd_average(args) -> dict:
+    from .analysis import linear_form_average
+    from .linear_forms import LinearSystem
+    from .tables import parse_function_table
+
     system, sys_meta = _load(LinearSystem.from_json_dict, args.system)
     loaded = [_load(parse_function_table, p) for p in args.tables]
     tables = [t for t, _ in loaded]
@@ -263,6 +252,16 @@ def _cmd_average(args) -> dict:
 
 
 def _cmd_system(args) -> dict:
+    from .linear_forms import (
+        FlaggedSystem,
+        LinearSystem,
+        are_isomorphic,
+        connected_components,
+        cs_complexity,
+        flagged_product,
+        true_complexity,
+    )
+
     system, meta = _load(LinearSystem.from_json_dict, args.file)
     report = {
         "command": "system",
@@ -308,6 +307,9 @@ def _cmd_system(args) -> dict:
 
 
 def _cmd_fourier(args) -> dict:
+    from .analysis import fourier_transform
+    from .tables import parse_function_table
+
     table, meta = _load(parse_function_table, args.table)
     hat = fourier_transform(table, budget=args.budget)
     return {
@@ -323,6 +325,9 @@ def _cmd_fourier(args) -> dict:
 
 
 def _cmd_decompose(args) -> dict:
+    from .factors import decompose
+    from .tables import parse_function_table
+
     table, meta = _load(parse_function_table, args.table)
     rep = decompose(
         table,
@@ -343,6 +348,9 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_rank(args) -> dict:
+    from .polynomials import Polynomial
+    from .polyrank import polynomial_rank
+
     loaded = [_load(Polynomial.from_json_dict, p) for p in args.polys]
     rep = polynomial_rank([q for q, _ in loaded], r_max=args.rmax, budget=args.budget)
     return {
@@ -358,6 +366,9 @@ def _cmd_rank(args) -> dict:
 
 
 def _cmd_test(args) -> dict:
+    from .tables import parse_function_table
+    from .testers import TesterSpec, run_tester, symmetrize_tester, uniformity_test
+
     table, table_meta = _load(parse_function_table, args.table)
     if args.action == "uniformity":
         rep = uniformity_test(
@@ -404,6 +415,9 @@ def _cmd_test(args) -> dict:
 
 
 def _cmd_interior(args) -> dict:
+    from .linear_forms import LinearSystem
+    from .testers import interior_experiment
+
     loaded = [_load(LinearSystem.from_json_dict, p) for p in args.systems]
     rep = interior_experiment(
         [s for s, _ in loaded],
@@ -425,6 +439,10 @@ def _cmd_interior(args) -> dict:
 
 
 def _cmd_distributional(args) -> dict:
+    from .linear_forms import LinearSystem
+    from .tables import parse_function_table
+    from .testers import DistributionalFunction
+
     table, table_meta = _load(parse_function_table, args.table)
     system, sys_meta = _load(LinearSystem.from_json_dict, args.system)
     gamma = DistributionalFunction.lift(table)

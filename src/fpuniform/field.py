@@ -15,7 +15,7 @@ import numpy as np
 from . import linalg
 from .config import MAX_PRIME, RETRY_CAP, check_budget
 from .errors import RetryLimitError, ValidationError
-from .rng import as_rng
+from .rng import _CHUNK, as_rng
 
 _SMALL_PRIMES = {2, 3, 5, 7}
 
@@ -117,39 +117,66 @@ def mixed_radix_digits(flat: np.ndarray, base: int, width: int) -> np.ndarray:
     return out
 
 
-def index_combination(p: int, n: int, coeffs, Z) -> np.ndarray:
-    """Indices of sum_j coeffs[i, j] * Z_j, one array per coefficient row i.
+def index_combination(p: int, n: int, coeffs, Z):
+    """Indices of sum_j coeffs[i, j] * Z_j, one array per coefficient row i,
+    as an iterator over the rows.
 
     coeffs is an (m, k) matrix and Z a (k, ...) array, or a sequence of k
-    arrays that broadcast together, of point indices of F_p^n; the result has
-    shape (m, ...).  At p = 2 this is the XOR of the Z_j with odd
-    coefficient; otherwise it is digit arithmetic, one digit position at a
-    time, extracting each Z_j's digit once for all rows.
+    arrays that broadcast together, of point indices of F_p^n; every row has
+    their broadcast shape.  At p = 2 a row is the XOR of the Z_j with odd
+    coefficient, formed when it is asked for, so a caller that takes the rows
+    one at a time holds one row, not m.  Otherwise it is digit arithmetic, one
+    digit position at a time, extracting each Z_j's digit once for all rows,
+    so every row is formed before the first is returned.  A row's digit sum s
+    is at most top = (p - 1) * (its coefficient sum), and (s mod p) times the
+    place value is read from a table of top + 1 entries when that is at most
+    _CHUNK long: a gather in place of an integer division, which halves the
+    time of this arithmetic at p = 3.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64) % p
     zs = [np.asarray(z, dtype=np.int64) for z in Z]
     shape = np.broadcast_shapes(*(z.shape for z in zs)) if zs else np.shape(Z)[1:]
-    out = np.zeros((len(coeffs),) + shape, dtype=np.int64)
     rows = [[(int(c), j) for j, c in enumerate(row) if c] for row in coeffs]
     if p == 2:
-        for terms, o in zip(rows, out):
-            for _, j in terms:
-                o ^= zs[j]
-        return out
+        return _xor_rows(rows, zs, shape)
+    return iter(_digit_rows(p, n, rows, zs, shape))
+
+
+def _xor_rows(rows, zs: list, shape):
+    """The rows of index_combination at p = 2, each formed when asked for."""
+    for terms in rows:
+        o = np.zeros(shape, dtype=np.int64)
+        for _, j in terms:
+            o ^= zs[j]
+        yield o
+
+
+def _digit_rows(p: int, n: int, rows, zs: list, shape) -> np.ndarray:
+    """The rows of index_combination at p > 2, as one (m, ...) array; `rows`
+    lists each row's nonzero (coefficient, variable) terms."""
+    out = np.zeros((len(rows),) + shape, dtype=np.int64)
+    top = (p - 1) * max((sum(c for c, _ in terms) for terms in rows), default=0)
+    residues = np.arange(top + 1) % p if top <= _CHUNK else None
+    s = np.empty(shape, dtype=np.int64)  # one row's digit sum, reused
     for w in place_values(p, n)[::-1].tolist():  # least significant digit first
         digits = []
         for j, z in enumerate(zs):
             zs[j], d = np.divmod(z, p)
             digits.append(d)
+        weighted = None if residues is None else residues * w
         for terms, o in zip(rows, out):
             if terms:
-                o += sum(digits[j] if c == 1 else c * digits[j] for c, j in terms) % p * w
+                (c, j), *rest = terms
+                np.multiply(digits[j], c, out=s)
+                for c, j in rest:
+                    s += digits[j] if c == 1 else c * digits[j]
+                o += s % p * w if weighted is None else weighted[s]
     return out
 
 
 def index_add(p: int, n: int, a, b):
     """Indices of x + y given index arrays of x and y (broadcasting)."""
-    return index_combination(p, n, [[1, 1]], [a, b])[0]
+    return next(index_combination(p, n, [[1, 1]], [a, b]))
 
 
 @dataclass
@@ -228,20 +255,17 @@ def _batch_independent_mask(mats: np.ndarray, p: int) -> np.ndarray:
     return alive
 
 
-#: Candidate tuples per sub-block of the independence filter: the digits of
-#: one sub-block are a (2^11, r, n) array.
-_FILTER_BLOCK = 1 << 11
-
-
 def _independent_columns(Z: np.ndarray, p: int, n: int) -> np.ndarray:
     """The columns of the (r, count) index array Z whose r points of F_p^n are
     linearly independent, in order; the digits are expanded and eliminated
-    one sub-block of _FILTER_BLOCK candidates at a time."""
+    one sub-block of _CHUNK // (r n) candidates at a time, so a sub-block's
+    (r, size, n) digits hold about _CHUNK values."""
     places = place_values(p, n)
+    step = max(1, _CHUNK // max(1, Z.shape[0] * n))
     keep = np.empty(Z.shape[1], dtype=bool)
-    for lo in range(0, Z.shape[1], _FILTER_BLOCK):
-        digits = Z[:, lo : lo + _FILTER_BLOCK, None] // places % p  # (r, size, n)
-        keep[lo : lo + _FILTER_BLOCK] = _batch_independent_mask(digits.transpose(1, 0, 2), p)
+    for lo in range(0, Z.shape[1], step):
+        digits = Z[:, lo : lo + step, None] // places % p  # (r, size, n)
+        keep[lo : lo + step] = _batch_independent_mask(digits.transpose(1, 0, 2), p)
     return Z[:, keep]
 
 

@@ -388,6 +388,8 @@ def bias(
 ) -> BiasResult:
     """|E_x e_p(P(x))|: exact when `samples` is None, otherwise estimated
     from that many uniform points by rng.mc_mean, with its standard error.
+    A draw keeps its n digits and the copy that values_at reduces, so blocks
+    are sized by a width of 2n, and the digits are drawn sample-major.
 
     The exact path accumulates integer counts per residue class and defers
     floating point to a single magnitude computation.
@@ -401,6 +403,6 @@ def bias(
         return BiasResult(float(value), "exact")
     z, stderr = mc_mean(
         lambda rng, size: roots[P.values_at(rng.integers(0, p, size=(size, P.n)))],
-        samples, seed, "samples", 1, budget,
+        samples, seed, "samples", 1, budget, 2 * P.n,
     )
     return BiasResult(float(abs(z)), "mc", samples=samples, stderr=stderr, seed=seed)

@@ -48,7 +48,10 @@ class SeededRNG:
         return f"SeededRNG(seed={self.seed})"
 
 
-#: Points per block of every enumeration, and draws per block of mc_mean.
+#: Points per block of every enumeration, and block-length arrays per block of
+#: mc_mean: a block of draws that each keep `width` such arrays live holds
+#: _CHUNK // width draws, so one block holds about _CHUNK values whatever the
+#: draw.
 _CHUNK = 1 << 15
 
 
@@ -66,20 +69,25 @@ def as_rng(seed_or_rng) -> SeededRNG:
     return SeededRNG(int(seed_or_rng))
 
 
-def mc_mean(draw, count: int, seed, name: str, points: int, budget: int | None = None):
+def mc_mean(
+    draw, count: int, seed, name: str, points: int, budget: int | None = None, width: int = 1
+):
     """(mean, stderr) of `count` draws, taken by draw(rng, size) from the stream
-    of `seed` in blocks of at most _CHUNK and not kept.  Each draw reads
-    `points` points, and count * points is checked against the budget before
-    the first draw.  The mean is the sum of the block sums over the count.
-    Each block's M2, about its mean x_0 + mean(x - x_0) (exact for equal
-    draws), merges into the total by the pairwise rule of Chan, Golub and
-    LeVeque (1979); the stderr is sqrt(M2 / count) / sqrt(count)."""
+    of `seed` in blocks of at most max(1, _CHUNK // width) draws and not kept,
+    where `width` is the number of block-length arrays that one draw keeps
+    live.  Each draw reads `points` points, and count * points is checked
+    against the budget before the first draw.  The mean is the sum of the
+    block sums over the count.  Each block's M2, about its mean
+    x_0 + mean(x - x_0) (exact for equal draws), merges into the total by the
+    pairwise rule of Chan, Golub and LeVeque (1979); the stderr is
+    sqrt(M2 / count) / sqrt(count)."""
     check_count(count, name)
     check_budget(count * points, budget, f"Monte Carlo estimate over its {name}")
     rng = as_rng(0 if seed is None else seed)
+    step = max(1, _CHUNK // width)
     total, mean, m2 = 0.0, 0.0, 0.0
-    for lo in range(0, count, _CHUNK):
-        x = draw(rng, min(_CHUNK, count - lo))
+    for lo in range(0, count, step):
+        x = draw(rng, min(step, count - lo))
         total += x.sum()
         block = x[0] + (x - x[0]).mean()
         dev, delta, share = x - block, block - mean, len(x) / (lo + len(x))

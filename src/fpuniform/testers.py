@@ -203,28 +203,35 @@ class TesterSpec:
         return stacked @ place_values(self.p, n)
 
     def index_sampler(self, n: int):
-        """draw(rng, count) -> (count, q) point indices of drawn query tuples.  A
-        support tuple is picked by its probability; a symmetrized spec then maps
-        it by a uniform affine map, i.e. to u + lambda.V (see basis_forms) for a
-        uniform point u and a uniform independent tuple V, drawn per call."""
+        """(draw, width): draw(rng, count) -> (count, q) point indices of drawn
+        query tuples, and the number of block-length arrays that a tester draw
+        keeps live, 4q: the q query indices, their values, their residues and
+        the sampler's own temporaries.  A support tuple is picked by its
+        probability; a symmetrized spec then maps it by a uniform affine map,
+        i.e. to u + lambda.V (see basis_forms) for a uniform point u and a
+        uniform independent tuple V, drawn per call."""
         rows = self.support_indices(n)
         probs = np.array([prob for _, prob in self.base_support])
+        width = 4 * self.q
         if not self.symmetrized:
-            return lambda rng, count: rows[rng.choice(len(rows), size=count, p=probs)]
+            return lambda rng, count: rows[rng.choice(len(rows), size=count, p=probs)], width
         forms = [basis_forms(pts, self.p) for pts, _ in self.base_support]
-        width = max(f.shape[1] for f in forms)
+        r = max(f.shape[1] for f in forms) - 1
 
         def draw(rng, count):
             picks = rng.choice(len(rows), size=count, p=probs)
-            V = random_independent_rows(self.p, n, width - 1, rng, count)
+            V = random_independent_rows(self.p, n, r, rng, count)
             Z = np.vstack([rng.integers(0, space_size(self.p, n), size=count), V])
             out = np.empty((count, self.q), dtype=np.int64)
             for s, coeffs in enumerate(forms):
                 mask = picks == s
-                out[mask] = index_combination(self.p, n, coeffs, Z[: coeffs.shape[1], mask]).T
+                for i, idx in enumerate(
+                    index_combination(self.p, n, coeffs, Z[: coeffs.shape[1], mask])
+                ):
+                    out[mask, i] = idx
             return out
 
-        return draw
+        return draw, width
 
     def decide(self, values: np.ndarray) -> np.ndarray:
         """Apply the decision map to (count, q) query values."""
@@ -358,9 +365,10 @@ def run_tester(
         else:
             acceptance = sum(prob * float(d) for prob, d in zip(probs, spec.decide(vals[rows])))
         return TesterReport(acceptance=float(acceptance), trials=None, mode="exact")
-    draw = spec.index_sampler(n)
+    draw, width = spec.index_sampler(n)
     acc, se = mc_mean(
-        lambda rng, size: spec.decide(vals[draw(rng, size)]), trials, seed, "trials", spec.q, budget
+        lambda rng, size: spec.decide(vals[draw(rng, size)]),
+        trials, seed, "trials", spec.q, budget, width,
     )
     return TesterReport(acceptance=float(acc), trials=trials, mode="mc", seed=seed, stderr=se)
 
@@ -372,7 +380,8 @@ def _orbit_acceptance(spec: TesterSpec, vals: np.ndarray, coeffs: np.ndarray, n:
     u = np.arange(N)
     total, count = 0.0, 0
     for V in independent_tuples(spec.p, n, coeffs.shape[1] - 1, max(1, _CHUNK // N)):
-        idx = index_combination(spec.p, n, coeffs, [u, *V[:, :, None]]).reshape(spec.q, -1)
+        rows = index_combination(spec.p, n, coeffs, [u, *V[:, :, None]])
+        idx = np.stack(list(rows)).reshape(spec.q, -1)
         total += float(spec.decide(vals[idx.T]).sum())
         count += idx.shape[1]
     return total / count

@@ -188,7 +188,7 @@ def test_batched_u_power_matches_direct(p, n, k, monkeypatch):
 def test_orbit_count_is_the_number_of_orbits(p, n, k):
     # orbits of (y_1..y_{k-2}) under permutations and y_i -> -y_i, by brute force
     N = p**n
-    neg = index_combination(p, n, [[-1]], [np.arange(N)])[0]
+    neg = next(index_combination(p, n, [[-1]], [np.arange(N)]))
     orbits = {
         tuple(sorted(min(y, int(neg[y])) for y in ys))
         for ys in itertools.product(range(N), repeat=k - 2)
@@ -593,13 +593,14 @@ def test_gowers_mc_is_cube_system_average(p, n, k):
         assert rep.cost == avg.cost == samples * 2**k
 
 
-def mc_reference(tables, system, conj, samples, seed, chunk):
-    """The digit-arithmetic sampler: per block of `chunk` samples one (k, size)
-    draw of uniform point indices, expanded to their digits; every form's
-    points summed digit by digit, reduced and read as indices, and its values
-    gathered from the conjugated and powered tables.  Returns the sum of the
-    block sums over the count, the plain two-pass stderr, the variables'
-    indices and the forms'."""
+def mc_reference(tables, system, conj, samples, seed, step):
+    """The digit-arithmetic sampler: per block of `step` samples one
+    sample-major (size, k) draw of uniform point indices, expanded to their
+    digits; every form's points summed digit by digit, reduced and read as
+    indices, and its values gathered from the conjugated and powered tables.
+    Returns the sum of the block sums over the count, the two-pass stderr
+    about the shifted mean x_0 + mean(x - x_0) (exactly 0 when every draw is
+    equal, as in rng.mc_mean), the variables' indices and the forms'."""
     p, n = system.p, tables[0].n
     arr, places = system.as_array(), place_values(p, n)
     powered = [
@@ -608,8 +609,8 @@ def mc_reference(tables, system, conj, samples, seed, chunk):
     ]
     rng = as_rng(seed)
     blocks, var_idx, form_idx = [], [], []
-    for lo in range(0, samples, chunk):
-        zs = rng.integers(0, p**n, size=(system.k, min(chunk, samples - lo)))
+    for lo in range(0, samples, step):
+        zs = rng.integers(0, p**n, size=(min(step, samples - lo), system.k)).T
         xs = zs[:, :, None] // places % p
         assert np.array_equal(xs @ places, zs)
         acc = np.ones(xs.shape[1], dtype=np.complex128)
@@ -625,7 +626,8 @@ def mc_reference(tables, system, conj, samples, seed, chunk):
         form_idx.append(np.array(idxs))
     draws = np.concatenate(blocks)
     mean = sum(block.sum() for block in blocks) / samples
-    se = math.sqrt(np.mean(np.abs(draws - draws.mean()) ** 2) / samples)
+    centre = draws[0] + (draws - draws[0]).mean()
+    se = math.sqrt(np.mean(np.abs(draws - centre) ** 2) / samples)
     return complex(mean), se, np.hstack(var_idx), np.hstack(form_idx)
 
 
@@ -647,17 +649,21 @@ def test_index_sampler_matches_digit_sampler(case, samples, seed):
     n, system, conj = case
     p = system.p
     fs = [random_unit_table(p, n, seed=seed + i) for i in range(system.m)]
-    want, want_se, var_idx, form_idx = mc_reference(fs, system, conj, samples, seed, 5)
+    # a block holds _CHUNK // width draws: at p = 2 a draw keeps the k
+    # variable rows and three more, at p > 2 the m form rows
+    step = max(1, 5 // (system.k + 3 if p == 2 else system.m))
+    want, want_se, var_idx, form_idx = mc_reference(fs, system, conj, samples, seed, step)
     seen = []
 
     def recorded(*args):
-        seen.append((args[-1], index_combination(*args)))
+        seen.append((args[-1], np.stack(list(index_combination(*args)))))
         return seen[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng_module, "_CHUNK", 5)  # 7 and 23 samples span several blocks
         mp.setattr(analysis, "index_combination", recorded)
         rep = linear_form_average(fs, system, conj, samples=samples, seed=seed)
+    assert len(seen) == -(-samples // step)
     assert np.array_equal(np.hstack([zs for zs, _ in seen]), var_idx)
     assert np.array_equal(np.hstack([idx for _, idx in seen]), form_idx)
     if p == 2:
@@ -665,6 +671,37 @@ def test_index_sampler_matches_digit_sampler(case, samples, seed):
     else:
         assert abs(rep.value - want) <= 1e-15 * abs(want)
     assert abs(rep.stderr - want_se) <= 1e-12 * want_se
+
+
+@pytest.mark.parametrize(
+    "p,n,system",
+    [(2, 5, cube_system(2, 3)), (5, 2, arithmetic_progression_system(5, 4)),
+     (3, 2, cube_system(3, 2))],
+    ids=["U3-F2", "AP4-F5", "U2-F3"],
+)
+def test_seeded_average_does_not_depend_on_the_block_size(p, n, system):
+    # the variables are drawn sample-major, so blocks of one draw and blocks
+    # of 2^15 // width draws take the same points from the stream; on
+    # densities with values in [1/2, 1] the sums see no cancellation, so only
+    # their order of summation separates the two estimates
+    fs = [random_real_table(p, n, seed=i, low=0.5, high=1.0) for i in range(system.m)]
+    runs = []
+    for chunk in (5, rng_module._CHUNK):
+        seen = []
+
+        def recorded(*args):
+            seen.append(args[-1])
+            return index_combination(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rng_module, "_CHUNK", chunk)
+            mp.setattr(analysis, "index_combination", recorded)
+            rep = linear_form_average(fs, system, samples=300, seed=4)
+        runs.append((len(seen), np.hstack(seen), rep.value))
+    (many, zs, value), (one, zs_default, value_default) = runs
+    assert many == -(-300 // max(1, 5 // (system.k + 3 if p == 2 else system.m))) and one == 1
+    assert np.array_equal(zs, zs_default)
+    assert abs(value - value_default) <= 1e-15 * abs(value_default)
 
 
 # small spaces keep the direct enumeration of (F_p^n)^k cheap

@@ -1,13 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fpuniform import cli
 from fpuniform.cli import main
 from fpuniform.errors import RetryLimitError, reported_count
 from fpuniform.linear_forms import (
@@ -18,6 +21,8 @@ from fpuniform.linear_forms import (
 from fpuniform.polynomials import Polynomial
 from fpuniform.tables import FunctionTable, phase_table, random_real_table
 from fpuniform.testers import uniformity_tester_spec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -466,10 +471,34 @@ def test_retry_limit_exit_70(files, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RetryLimitError("no invertible draw in 1000 attempts")
 
-    monkeypatch.setattr(cli, "gowers_norm", broken)
+    monkeypatch.setattr("fpuniform.analysis.gowers_norm", broken)
     rc, out, err = run(["gowers", "--table", files["phase"], "--k", "2"], capsys)
     assert rc == 70 and out == ""
     assert json.loads(err)["type"] == "internal"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fourier", "--table", "{phase}"],
+     ["gowers", "--table", "{phase}", "--k", "3", "--mc", "50"],
+     ["average", "--system", "{tri}", "--tables", "{f24}"]],
+    ids=["fourier", "gowers", "average"],
+)
+def test_analysis_commands_do_not_import_testers_factors_or_polyrank(files, argv):
+    # each handler imports what it uses; a fresh interpreter shows what loaded
+    script = (
+        "import sys\n"
+        "from fpuniform.cli import main\n"
+        f"assert main({[a.format(**files) for a in argv]!r}) == 0\n"
+        "loaded = {'testers', 'factors', 'polyrank'} & {m.split('.')[-1] for m in sys.modules}\n"
+        "sys.stderr.write(repr(sorted(loaded)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "[]"
 
 
 def test_budget_exceeded_exit_66(files, capsys):

@@ -68,8 +68,27 @@ def test_index_scale_matches_coordinate_scale(p, n, data):
     c = data.draw(st.integers(0, p - 1))
     vi = field.digit_table(p, n)[i]
     expect = field.index_of(p, (c * vi) % p)
-    got = field.index_combination(p, n, [[c]], [np.array([i])])[0, 0]
+    got = next(field.index_combination(p, n, [[c]], [np.array([i])]))[0]
     assert int(got) == expect
+
+
+@given(st.sampled_from([(2, 3), (3, 2), (5, 2), (251, 1)]), st.data())
+@settings(max_examples=100)
+def test_index_combination_rows_match_coordinate_arithmetic(space, data):
+    # at p = 251 a row whose coefficients sum past 131 has digit sums beyond
+    # the _CHUNK-entry residue table, and takes integer division instead
+    p, n = space
+    k = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 4))
+    coeffs = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k, max_size=k),
+                                min_size=m, max_size=m))
+    Z = np.array(data.draw(st.lists(st.lists(st.integers(0, p**n - 1), min_size=6, max_size=6),
+                                    min_size=k, max_size=k)))
+    pts = field.digit_table(p, n)
+    want = [(np.asarray(row) @ pts[Z].transpose(1, 0, 2)) % p @ field.place_values(p, n)
+            for row in coeffs]
+    got = list(field.index_combination(p, n, coeffs, Z))
+    assert len(got) == m and all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_apply_map_worked_example():
@@ -219,7 +238,8 @@ def test_random_independent_rows_draw_invertible_matrices():
 
 def test_independence_filter_runs_in_bounded_sub_blocks(monkeypatch):
     # a filter over more candidates than one sub-block keeps exactly the
-    # independent columns, in order, eliminating at most one sub-block at once
+    # independent columns, in order, eliminating at most one sub-block of
+    # _CHUNK // (r n) candidates at once
     seen = []
     mask = field._batch_independent_mask
 
@@ -228,9 +248,11 @@ def test_independence_filter_runs_in_bounded_sub_blocks(monkeypatch):
         return mask(mats, p)
 
     monkeypatch.setattr(field, "_batch_independent_mask", recorded)
-    Z = SeededRNG(3).integers(0, 9, size=(2, 3 * field._FILTER_BLOCK + 5))
+    monkeypatch.setattr(field, "_CHUNK", 1 << 13)
+    block = field._CHUNK // (2 * 2)  # r = 2 points of F_3^2
+    Z = SeededRNG(3).integers(0, 9, size=(2, 3 * block + 5))
     kept = field._independent_columns(Z, 3, 2)
-    assert max(seen) == field._FILTER_BLOCK and sum(seen) == Z.shape[1]
+    assert max(seen) == block and sum(seen) == Z.shape[1]
     pts = field.digit_table(3, 2)
     want = [j for j in range(Z.shape[1]) if linalg.rank(pts[Z[:, j]], 3) == 2]
     assert np.array_equal(kept, Z[:, want])

@@ -107,7 +107,7 @@ def test_sampled_estimates_hold_no_samples():
 
 
 def test_one_block_draws_indices_not_digits():
-    # one block of 2^15 draws: a (k, size, n) digit draw would take 16 MB for
+    # 2^15 draws: one (k, size, n) digit draw of them would take 16 MB for
     # U^4 on F_2^12, and the (count, r, n) candidates of the symmetrized
     # degree-2 tester on F_2^10 38 MB
     block = rng_module._CHUNK
@@ -116,3 +116,38 @@ def test_one_block_draws_indices_not_digits():
     bits = FunctionTable(2, 10, np.arange(1024) % 3 % 2, codomain="real")
     spec = symmetrize_tester(uniformity_tester_spec(2, 10, 2))
     assert peak_mb(lambda: run_tester(spec, bits, trials=block, seed=1)) <= 10
+
+
+def _u8_on_f2_6():
+    return gowers_norm(random_unit_table(2, 6, seed=0), 8, samples=20_000, seed=1)
+
+
+def _u4_on_f2_12():
+    return gowers_norm(random_unit_table(2, 12, seed=0), 4, samples=2**15, seed=1)
+
+
+def _symmetrized_degree_2_on_f2_10():
+    bits = FunctionTable(2, 10, np.arange(1024) % 3 % 2, codomain="real")
+    spec = symmetrize_tester(uniformity_tester_spec(2, 10, 2))
+    return run_tester(spec, bits, trials=2**15, seed=1)
+
+
+@pytest.mark.parametrize(
+    "call,limit",
+    [(_u8_on_f2_6, 2), (_u4_on_f2_12, 2), (_symmetrized_degree_2_on_f2_10, 3)],
+    ids=["U8-F2^6", "U4-F2^12", "symmetrized-d2-F2^10"],
+)
+def test_block_memory_does_not_grow_with_the_forms(call, limit):
+    # a block holds _CHUNK // width draws, and at p = 2 a draw multiplies each
+    # form in as its index row arrives; one block of 2^15 draws held an
+    # (m, block) index matrix: 41 MB for U^8 (256 forms), 6.3 MB for U^4 on
+    # F_2^12 and 7.0 MB for the symmetrized degree-2 tester
+    assert peak_mb(call) <= limit
+
+
+def test_bias_blocks_are_sized_by_the_dimension():
+    # a block of 2^15 points of F_2^200 took 101.7 MB; blocks of 2^15 // 2n
+    # points draw the same sample-major stream, so the estimate is unchanged
+    P = Polynomial.from_text(2, 200, "x1*x2")
+    assert peak_mb(lambda: bias(P, samples=2**15, seed=1)) <= 4
+    assert bias(P, samples=2**15, seed=1).value == 0.49053955078125

@@ -302,7 +302,7 @@ def test_symmetrize_preserves_arity_and_flags():
     assert sym.q == spec.q and sym.p == spec.p
     assert sym.symmetrized and not spec.symmetrized
     assert np.array_equal(sym.decision_table, spec.decision_table)
-    qs = sym.index_sampler(3)(SeededRNG(2), 11)
+    qs = sym.index_sampler(3)[0](SeededRNG(2), 11)
     assert qs.shape == (11, 4) and qs.min() >= 0 and qs.max() < 2**3
 
 
@@ -393,7 +393,7 @@ def test_support_estimate_reads_picked_tuples():
     trials = 5000
     picks = as_rng(7).choice(3, size=trials, p=[0.2, 0.3, 0.5])
     points = np.stack([pts for pts, _ in support])[picks]
-    drawn = spec.index_sampler(n)(as_rng(7), trials)
+    drawn = spec.index_sampler(n)[0](as_rng(7), trials)
     assert np.array_equal(drawn, points @ place_values(p, n))
     want = spec.decide(f.values.real.astype(np.int64)[points @ place_values(p, n)]).mean()
     assert run_tester(spec, f, trials=trials, seed=7).acceptance == want
