@@ -194,9 +194,17 @@ def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
     N^(k-2): the multinomial (k-2)! / prod m_c! of its repeated classes, times
     2 for each nonzero entry at p > 2.  Tuples come in blocks of at most
     _CHUNK derivative values; a block is sorted, so the tuples that share a
-    prefix (y_1..y_j) are a run and its derivative is formed once."""
+    prefix (y_1..y_j) are a run and its derivative is formed once.
+
+    A derivative row of depth j is a product of 2^j values, so its rounding
+    compounds to about 2^j ulp.  When every value has modulus 1 to FLOAT_TOL,
+    rows from the depth where that could pass FLOAT_TOL on are divided by
+    their modulus; they would otherwise overflow at large k, although the
+    power is at most 1."""
     if k == 1:
         return abs(vals.mean()) ** 2
+    unit = bool(np.all(np.abs(np.abs(vals) - 1) <= FLOAT_TOL))
+    phase_depth = math.log2(FLOAT_TOL / np.finfo(float).eps) if unit else math.inf
     N = len(vals)
     d = k - 2
     x = np.arange(N)
@@ -222,6 +230,8 @@ def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
             # Delta_y g(x) = g(x + y) conj g(x)
             shifted = index_add(p, n, reps[r[starts]][:, None], x)
             rows = np.take_along_axis(g, shifted, axis=1) * np.conj(g)
+            if j + 1 >= phase_depth:
+                rows /= np.abs(rows)
             parent = np.cumsum(fresh) - 1
         hat = _fp_transform(rows, p, n)
         total += float(weight @ np.square(hat.real**2 + hat.imag**2).sum(axis=1))

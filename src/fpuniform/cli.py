@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import sys
@@ -36,6 +35,7 @@ from .errors import (
     reported_count,
 )
 from .field import digit_table
+from .rng import sha256
 
 _COMMANDS = (
     "gowers",
@@ -67,7 +67,7 @@ def _load_json(path: str):
         obj = json.loads(data)
     except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return obj, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+    return obj, {"path": path, "sha256": sha256(data).hexdigest()}
 
 
 def _load(parse, path: str):

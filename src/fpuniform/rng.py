@@ -8,16 +8,24 @@ streams stable under code reordering (unlike sequential spawning).
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from .config import check_budget
 from .errors import ValidationError
 
+# SHA-256 from the interpreter's built-in module, with the same digests as the
+# OpenSSL one; importing OpenSSL's libcrypto costs every process about 3.6 MB.
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 def derive_seed(seed: int, label: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    digest = sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
 
 

@@ -212,6 +212,21 @@ def test_gowers_huge_k_is_charged_its_entries():
     assert time.perf_counter() - start < 1.0
 
 
+def test_gowers_unit_table_at_large_k_is_finite():
+    # a derivative row of depth j is a product of 2^j unit values, whose
+    # rounding compounded into "U^200 power is not finite" while U^60 was 1.0
+    f = random_unit_table(2, 1, seed=1)
+    assert abs(gowers_norm(f, 200).value - 1) <= 1e-9
+    # U^k stays nondecreasing and at most 1 across the depth where rows are
+    # divided by their modulus (13), and a quadratic phase keeps U^k = 1
+    g = random_unit_table(3, 1, seed=2)
+    values = [gowers_norm(g, k).value for k in range(10, 20)]
+    assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+    assert values[-1] <= 1 + 1e-12
+    quad = phase_table(Polynomial(3, 2, {(1, 1): 1, (2, 0): 2}))
+    assert abs(gowers_norm(quad, 16).value - 1) <= 1e-9
+
+
 def test_orbit_count_stops_above_its_cap():
     exact = math.comb(2**10 + 97, 98)
     assert analysis._orbit_count(2, 10, 100, 2**10000) == exact

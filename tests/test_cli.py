@@ -407,6 +407,29 @@ def test_distributional_command(files, capsys):
     assert rc == 2 and "beta" in err
 
 
+@pytest.mark.parametrize(
+    "beta,code",
+    [("nan,1,1", 2), ("inf,1,1", 2), ("1e400,1,1", 2), ("1.5,1,1", 2), ("1,1", 2),
+     ("1,,1", 2), ("-1,-1,-1", 0), ("0,0,0", 0), (",".join([str(10**35)] * 3), 0), ("2,2,2", 0)],
+    ids=["nan", "inf", "1e400", "1.5", "length", "empty-entry", "negative", "zero",
+         "1e35", "two"],
+)
+def test_distributional_beta_exit_codes(files, capsys, beta, code):
+    # beta is a list of integers, one per form of {x, y, x+y}: a float, a
+    # non-finite or a missing entry exits 2 with one JSON diagnostic, and any
+    # integer, however large or negative, is accepted
+    rc, out, err = run(
+        ["distributional", "--table", files["F01"], "--system", files["tri"],
+         f"--beta={beta}"],
+        capsys,
+    )
+    assert rc == code
+    if code:
+        assert out == "" and json.loads(err)["type"] == "validation"
+    else:
+        assert err == "" and len(json.loads(out)["beta"]) == 3
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_unknown_command_exit_64(capsys):
@@ -477,6 +500,24 @@ def test_retry_limit_exit_70(files, capsys, monkeypatch):
     assert json.loads(err)["type"] == "internal"
 
 
+def loaded_modules(files, argv, names) -> list[str]:
+    """The modules among `names` (last dotted part) that a fresh interpreter
+    has loaded after running the command `argv`."""
+    script = (
+        "import json, sys\n"
+        "from fpuniform.cli import main\n"
+        f"assert main({[a.format(**files) for a in argv]!r}) == 0\n"
+        f"loaded = {set(names)!r} & {{m.split('.')[-1] for m in sys.modules}}\n"
+        "sys.stderr.write(json.dumps(sorted(loaded)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stderr)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["fourier", "--table", "{phase}"],
@@ -485,20 +526,35 @@ def test_retry_limit_exit_70(files, capsys, monkeypatch):
     ids=["fourier", "gowers", "average"],
 )
 def test_analysis_commands_do_not_import_testers_factors_or_polyrank(files, argv):
-    # each handler imports what it uses; a fresh interpreter shows what loaded
-    script = (
-        "import sys\n"
-        "from fpuniform.cli import main\n"
-        f"assert main({[a.format(**files) for a in argv]!r}) == 0\n"
-        "loaded = {'testers', 'factors', 'polyrank'} & {m.split('.')[-1] for m in sys.modules}\n"
-        "sys.stderr.write(repr(sorted(loaded)))\n"
+    # each handler imports what it uses
+    assert loaded_modules(files, argv, ["testers", "factors", "polyrank"]) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fourier", "--table", "{phase}"],
+     ["gowers", "--table", "{phase}", "--k", "3"],
+     ["average", "--system", "{tri}", "--tables", "{f24}"],
+     ["system", "components", "--file", "{tri}"],
+     ["rank", "--polys", "{poly}"],
+     ["decompose", "--table", "{f24}", "--degree", "1", "--delta", "0.5"]],
+    ids=["fourier", "gowers", "average", "components", "rank", "decompose"],
+)
+def test_exact_commands_do_not_load_openssl(files, argv):
+    # input digests use the interpreter's SHA-256, so `_hashlib` (OpenSSL's
+    # libcrypto) never loads
+    assert loaded_modules(files, argv, ["_hashlib"]) == []
+
+
+def test_sampled_command_digests_its_inputs(files, capsys):
+    rc, out, _ = run(
+        ["average", "--system", files["tri"], "--tables", files["f24"], "--mc", "50"], capsys
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stderr == "[]"
+    assert rc == 0
+    inputs = json.loads(out)["inputs"]
+    for meta in [inputs["system"], *inputs["tables"]]:
+        with open(meta["path"], "rb") as fh:
+            assert meta["sha256"] == hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_budget_exceeded_exit_66(files, capsys):

@@ -1,4 +1,5 @@
-"""Every module-level import in the package binds a name that the module uses."""
+"""Every module-level import in the package binds a name that the module uses,
+and no import anywhere in the package loads OpenSSL through hashlib."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,57 @@ def test_unused_imports_finds_what_it_should():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def openssl_imports(source: str) -> list[int]:
+    """The lines of `source` that import hashlib or _hashlib, at module level
+    or inside a function; both load OpenSSL's
+    libcrypto.  `from hashlib import sha256` in an `except ImportError`
+    handler is exempt: it runs only where the built-in SHA-256 is missing."""
+    tree = ast.parse(source)
+    fallback = {
+        id(node)
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler)
+        and isinstance(handler.type, ast.Name) and handler.type.id == "ImportError"
+        for node in handler.body
+        if isinstance(node, ast.ImportFrom) and node.module == "hashlib"
+        and [a.name for a in node.names] == ["sha256"]
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level and id(node) not in fallback:
+            modules = [node.module]
+        else:
+            continue
+        if any(m.split(".")[0] in ("hashlib", "_hashlib") for m in modules):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_openssl_imports_finds_what_it_should():
+    source = (
+        "import hashlib\n"  # 1
+        "import os, _hashlib as h\n"  # 2
+        "try:\n"
+        "    from _sha256 import sha256\n"
+        "except ImportError:\n"
+        "    from hashlib import sha256\n"  # exempt: the built-in's fallback
+        "def f():\n"
+        "    from hashlib import md5\n"  # 8
+        "    import hashlib.x\n"  # 9
+        "    from .hashlib import g\n"  # a module of the package
+        "    return md5, g\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    from hashlib import sha256, md5\n"  # 15: more than the fallback
+    )
+    assert openssl_imports(source) == [1, 2, 8, 9, 15]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_loads_openssl(path):
+    assert openssl_imports(path.read_text()) == []

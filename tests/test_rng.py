@@ -1,7 +1,13 @@
-"""Checks for the one Monte-Carlo estimator, rng.mc_mean, and for the
-estimates that stream through it."""
+"""Checks for the one Monte-Carlo estimator, rng.mc_mean, for the
+estimates that stream through it, and for the SHA-256 that seeds and input
+digests use."""
 
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +17,45 @@ from fpuniform.analysis import gowers_norm, linear_form_average
 from fpuniform.errors import BudgetExceededError, ValidationError
 from fpuniform.linear_forms import LinearSystem, cube_system
 from fpuniform.polynomials import Polynomial, bias
-from fpuniform.rng import mc_mean
+from fpuniform.rng import derive_seed, mc_mean
 from fpuniform.tables import FunctionTable, random_unit_table
 from fpuniform.testers import run_tester, symmetrize_tester, uniformity_tester_spec
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MESSAGES = [b"", b"fpuniform", bytes(range(256)) * 8192]  # the last is 2 MB
+
+
+@pytest.mark.parametrize("data", MESSAGES, ids=["empty", "short", "2MB"])
+def test_sha256_matches_hashlib(data):
+    assert rng_module.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_derive_seed_is_pinned():
+    # the seeds of every forked stream; these values predate the built-in SHA-256
+    assert derive_seed(0, "a") == 16685818722191274909
+    assert derive_seed(1, "symmetrize") == 17358853399832236772
+    assert derive_seed(12345, "tester:3") == 9720763483820469703
+    assert derive_seed(2**63, "") == 16363936737018677631
+
+
+def test_sha256_falls_back_to_hashlib():
+    # with both built-in modules blocked, the shim imports hashlib's sha256,
+    # which gives the built-in's digests and seeds
+    want = [rng_module.sha256(data).hexdigest() for data in MESSAGES]
+    script = (
+        "import hashlib, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from fpuniform import rng\n"
+        "assert rng.sha256 is hashlib.sha256\n"
+        "messages = [b'', b'fpuniform', bytes(range(256)) * 8192]\n"
+        f"assert [rng.sha256(data).hexdigest() for data in messages] == {want!r}\n"
+        "assert rng.derive_seed(0, 'a') == 16685818722191274909\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def recording(draw):
