@@ -57,12 +57,9 @@ for name, f in (("linear", lin), ("quadratic", quad), ("random", rnd)):
 print("  linear functions pass always; anything uniform passes about half the time")
 
 # acceptance really is invariant: precompose f with a random affine bijection
-from fpuniform.field import enumerate_vectors, index_of, random_affine
+from fpuniform.field import random_affine
 
-amap = random_affine(p, n, seed=11)
-pts = enumerate_vectors(p, n)
-moved = (pts @ amap.matrix.T + amap.offset) % p
-twisted = field_table(rnd.values.real[[index_of(p, v) for v in moved]])
+twisted = rnd.apply_affine(random_affine(p, n, seed=11))
 a0 = run_tester(sym, rnd, trials=20000, seed=3).acceptance
 a1 = run_tester(sym, twisted, trials=20000, seed=3).acceptance
 print(f"  acceptance of f vs f o affine: {a0:.3f} vs {a1:.3f} (equal up to sampling noise)")

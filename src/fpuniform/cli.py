@@ -550,7 +550,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("distributional", help="t* average of a lifted [0,1] table")
     sub.add_argument("--table", required=True)
     sub.add_argument("--system", required=True)
-    sub.add_argument("--beta", required=True, help="comma-separated entries, one per form")
+    sub.add_argument("--beta", required=True, help="comma-separated entries, one per form "
+                     "(a list led by a negative entry is passed as --beta=-1,2,3)")
     sub.add_argument("--mc", type=int, default=None, metavar="N")
     sub.add_argument("--exact", action="store_true")
     _add_common(sub)

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _fp_transform, correlation_with_family, gowers_norm
+from .analysis import correlation_with_family, gowers_norm
 from .config import DECOMPOSE_ROUND_CAP
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 from .field import place_values, space_size, validate_dims
 from .polynomials import Polynomial
 from .polyrank import polynomial_rank
@@ -65,25 +65,8 @@ class PolynomialFactor:
     def atom_count(self) -> int:
         return len(np.unique(self.labels))
 
-    def atoms(self) -> dict[int, np.ndarray]:
-        """Label -> point indices, only for nonempty atoms."""
-        order = np.argsort(self.labels, kind="stable")
-        sorted_labels = self.labels[order]
-        cuts = np.flatnonzero(np.diff(sorted_labels)) + 1
-        groups = np.split(order, cuts)
-        return {int(self.labels[g[0]]): g for g in groups}
-
     def extend(self, poly: Polynomial) -> "PolynomialFactor":
         return PolynomialFactor(self.p, self.n, self.defining + (poly,))
-
-    def is_measurable(self, f: FunctionTable, tol: float = 1e-12) -> bool:
-        if (f.p, f.n) != (self.p, self.n):
-            raise ValidationError("table lives on a different space")
-        for idx in self.atoms().values():
-            vals = f.values[idx]
-            if np.abs(vals - vals[0]).max() > tol:
-                return False
-        return True
 
     def rank(self, r_max: int = 2, budget: int | None = None):
         """Rank of the defining set, delegated to the polynomial-rank search."""
@@ -114,24 +97,6 @@ class PolynomialFactor:
             "polynomials": [q.to_json_dict() for q in self.defining],
         }
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "PolynomialFactor":
-        try:
-            p, n = obj["p"], obj["n"]
-            raw = obj["polynomials"]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"factor JSON missing field: {exc}") from exc
-        polys = []
-        for i, entry in enumerate(raw):
-            try:
-                polys.append(Polynomial.from_json_dict(entry))
-            except FormatError as exc:
-                raise FormatError(str(exc), pointer=f"/polynomials/{i}") from exc
-        try:
-            return cls(p, n, polys)
-        except ValidationError as exc:
-            raise FormatError(str(exc), pointer="/polynomials") from exc
-
 
 def conditional_expectation(f: FunctionTable, factor: PolynomialFactor) -> FunctionTable:
     """E(f|B): replace every value by the mean over its atom."""
@@ -146,21 +111,6 @@ def conditional_expectation(f: FunctionTable, factor: PolynomialFactor) -> Funct
     if f.codomain == "real":
         return FunctionTable(f.p, f.n, vals.real, codomain="real")
     return FunctionTable(f.p, f.n, vals)
-
-
-def factor_fourier(f: FunctionTable, factor: PolynomialFactor, tol: float = 1e-12) -> np.ndarray:
-    """Fourier coefficients of the atom-value map over the label group F_p^C.
-
-    A B-measurable f is Gamma(P_1(x), ..., P_C(x)) for some Gamma on F_p^C;
-    this returns Gamma-hat in enumeration order of gamma, with empty atoms
-    reading as value 0.
-    """
-    if not factor.is_measurable(f, tol=tol):
-        raise ValidationError("function is not constant on the atoms")
-    gamma_table = np.zeros(factor.label_space, dtype=np.complex128)
-    for label, idx in factor.atoms().items():
-        gamma_table[label] = f.values[idx[0]]
-    return _fp_transform(gamma_table, factor.p, factor.complexity) / factor.label_space
 
 
 @dataclass
@@ -202,7 +152,6 @@ def decompose(
     delta: float,
     rank_floor: int | None = None,
     homogeneous_only: bool = False,
-    round_cap: int = DECOMPOSE_ROUND_CAP,
     budget: int | None = None,
 ) -> DecompositionReport:
     """Split f = h + h' with h measurable in a degree-<=d factor, ||h'||_{U^{d+1}} <= delta.
@@ -212,8 +161,8 @@ def decompose(
     search is one correlation_with_family call per round, over Poly_d or, with
     `homogeneous_only`, over the nonzero homogeneous polynomials of degree
     1..d; each call is charged against `budget` for its whole family.  If the
-    correlation dries up or the round cap hits first, the report comes back
-    flagged with the best norm achieved.  `delta` must be finite and >= 0.
+    correlation dries up or `DECOMPOSE_ROUND_CAP` rounds run first, the
+    report comes back flagged with the best norm achieved.  `delta` must be finite and >= 0.
     `rank_floor` is checked against the factor's rank, by a search charged
     against `budget` too, and reported (None when the budget leaves it
     undecided), never enforced.
@@ -236,7 +185,7 @@ def decompose(
         history.append(norm)
         if norm <= delta:
             break
-        if rounds >= round_cap:
+        if rounds >= DECOMPOSE_ROUND_CAP:
             flagged = True
             break
         rep = correlation_with_family(residual, d, homogeneous_only, budget=budget)
@@ -273,37 +222,3 @@ def decompose(
         rank_floor=floor,
         rank_meets_floor=meets,
     )
-
-
-def hybrid_substitute(
-    g: FunctionTable,
-    factor: PolynomialFactor,
-    other: PolynomialFactor,
-    tol: float = 1e-12,
-) -> FunctionTable:
-    """Rewrite g = Gamma(P_1..P_C) as Gamma(Q_1..Q_C) over the second factor.
-
-    The two factors must have equal complexity and matching per-index degrees;
-    g must be constant on the first factor's atoms.  Labels of the second
-    factor that the first never realizes read as 0.
-    """
-    if (g.p, g.n) != (factor.p, factor.n):
-        raise ValidationError("table and factor live on different spaces")
-    if factor.p != other.p:
-        raise ValidationError("factors live over different fields")
-    if factor.complexity != other.complexity:
-        raise ValidationError("factors have different complexity")
-    for i, (a, b) in enumerate(zip(factor.defining, other.defining)):
-        if a.degree != b.degree:
-            raise ValidationError(
-                f"degree mismatch at position {i}: {a.degree} vs {b.degree}"
-            )
-    if not factor.is_measurable(g, tol=tol):
-        raise ValidationError("function is not constant on the atoms")
-    gamma_table = np.zeros(factor.label_space, dtype=np.complex128)
-    for label, idx in factor.atoms().items():
-        gamma_table[label] = g.values[idx[0]]
-    vals = gamma_table[other.labels]
-    if g.codomain == "real":
-        return FunctionTable(other.p, other.n, vals.real, codomain="real")
-    return FunctionTable(other.p, other.n, vals)

@@ -197,17 +197,6 @@ class AffineMap:
         if linalg.rank(self.matrix, self.p) != self.n:
             raise ValidationError("affine map matrix is singular")
 
-    def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.int64).reshape(-1) % self.p
-        if x.shape != (self.n,):
-            raise ValidationError("point dimension mismatch")
-        return (self.matrix @ x + self.offset) % self.p
-
-    def apply_points(self, points: np.ndarray) -> np.ndarray:
-        """Apply to an (m, n) array of points at once."""
-        pts = np.asarray(points, dtype=np.int64) % self.p
-        return (pts @ self.matrix.T + self.offset) % self.p
-
 
 def random_affine(p: int, n: int, seed) -> AffineMap:
     """Uniform member of Aff(n, F_p) by rejection on the linear part."""

@@ -188,12 +188,6 @@ def cube_system(p: int, k: int, budget: int | None = None) -> LinearSystem:
     )
 
 
-def form_degree(system: LinearSystem, target) -> int:
-    """Number of ordered pairs of forms summing to the target, weighted by
-    multiplicities (pairs are allowed to repeat a form)."""
-    return _pair_sums(system)[_normalize_form(target, system.p, system.k)]
-
-
 def _pair_sums(system: LinearSystem) -> Counter:
     """The weighted count of ordered pairs of forms by their sum: one pass
     over the m^2 pairs gives the degree of every form."""

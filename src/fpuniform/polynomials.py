@@ -7,18 +7,16 @@ reduces exponents through x^p = x.  Degree of the zero polynomial is -1.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
-from .config import RETRY_CAP, check_budget
-from .errors import FormatError, RetryLimitError, ValidationError, parse_at
+from .config import check_budget
+from .errors import FormatError, ValidationError, parse_at
 from .field import digit_table, int_tuple, validate_dims, validate_prime
-from .rng import as_rng, mc_mean
+from .rng import mc_mean
 
 Exponents = tuple[int, ...]
 
@@ -188,27 +186,6 @@ class Polynomial:
             vals = (vals + c * _monomial_column(pts, exps, self.p)) % self.p
         return vals
 
-    # -- derivatives ---------------------------------------------------------
-
-    def additive_derivative(self, y) -> "Polynomial":
-        """Δ_y P = P(x + y) − P(x).  Total degree always drops."""
-        y = tuple(int(v) % self.p for v in y)
-        if len(y) != self.n:
-            raise ValidationError("direction dimension mismatch")
-        p = self.p
-        terms: dict[Exponents, int] = {}
-        for exps, c in self.terms.items():
-            ranges = [range(e + 1) for e in exps]
-            for sub in product(*ranges):
-                if sub == exps:
-                    continue  # cancels against −P(x)
-                coeff = c
-                for yi, e, a in zip(y, exps, sub):
-                    coeff = coeff * math.comb(e, a) * pow(yi, e - a, p) % p
-                if coeff:
-                    terms[sub] = (terms.get(sub, 0) + coeff) % p
-        return Polynomial(p, self.n, terms)
-
     # -- rendering -----------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -340,32 +317,6 @@ def monomial_values(p: int, points: np.ndarray, monos) -> np.ndarray:
 def family_size(p: int, n: int, d: int) -> int:
     """|Poly_d(F_p^n)| = p^(number of monomials)."""
     return p ** len(monomials_up_to(p, n, d))
-
-
-def random_polynomial(
-    p: int, n: int, d: int, homogeneous: bool = False, seed=0
-) -> Polynomial:
-    """Uniform polynomial of degree exactly d (classical regime d < p).
-
-    Coefficients are uniform over the monomial basis of total degree ≤ d
-    (exactly d when homogeneous), resampled until the degree is exactly d.
-    """
-    p, n = validate_dims(p, n)
-    d = int(d)
-    if d < 0:
-        raise ValidationError("degree must be nonnegative")
-    if d >= p:
-        raise ValidationError(
-            f"degree {d} >= p = {p}: outside the classical polynomial regime"
-        )
-    monos = monomials_up_to(p, n, d, exactly=homogeneous)
-    rng = as_rng(seed)
-    for _ in range(RETRY_CAP):
-        coeffs = rng.integers(0, p, size=len(monos))
-        poly = Polynomial.from_coefficients(p, n, monos, coeffs)
-        if poly.degree == d:
-            return poly
-    raise RetryLimitError(f"no degree-{d} draw in {RETRY_CAP} attempts")
 
 
 @dataclass(frozen=True)

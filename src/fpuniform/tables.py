@@ -7,7 +7,6 @@ guarantees exactly-zero imaginary parts.
 
 from __future__ import annotations
 
-import cmath
 import json
 
 import numpy as np
@@ -84,34 +83,10 @@ class FunctionTable:
             return FunctionTable(self.p, self.n, self.values - other.values)
         return FunctionTable(self.p, self.n, self.values - other)
 
-    def conjugate(self) -> "FunctionTable":
-        return FunctionTable(self.p, self.n, np.conj(self.values), self.codomain)
-
     def mean(self) -> complex:
         return complex(self.values.mean())
 
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
-
     # -- structure maps ---------------------------------------------------------
-
-    def shift(self, y) -> "FunctionTable":
-        """Table of x -> f(x + y)."""
-        y = tuple(int(v) % self.p for v in y)
-        if len(y) != self.n:
-            raise ValidationError("shift direction has wrong arity")
-        digits = digit_table(self.p, self.n)
-        perm = ((digits + np.array(y)) % self.p) @ place_values(self.p, self.n)
-        return FunctionTable(self.p, self.n, self.values[perm], self.codomain)
-
-    def modulate(self, alpha) -> "FunctionTable":
-        """Multiply pointwise by the character e_p(alpha . x)."""
-        alpha = np.asarray(alpha, dtype=np.int64) % self.p
-        if alpha.shape != (self.n,):
-            raise ValidationError("character frequency has wrong arity")
-        digits = digit_table(self.p, self.n)
-        phases = np.exp(2j * np.pi * ((digits @ alpha) % self.p) / self.p)
-        return FunctionTable(self.p, self.n, self.values * phases)
 
     def apply_affine(self, amap: AffineMap) -> "FunctionTable":
         """Table of x -> f(Ax + b)."""
@@ -150,10 +125,6 @@ def phase_table(P: Polynomial) -> FunctionTable:
     return FunctionTable(P.p, P.n, vals)
 
 
-def character_table(p: int, n: int, alpha) -> FunctionTable:
-    return FunctionTable.constant(p, n, 1.0).modulate(alpha)
-
-
 def random_unit_table(p: int, n: int, seed=0) -> FunctionTable:
     """Uniform phases on the unit circle."""
     rng = as_rng(seed)
@@ -164,12 +135,6 @@ def random_unit_table(p: int, n: int, seed=0) -> FunctionTable:
 def random_real_table(p: int, n: int, seed=0, low=-1.0, high=1.0) -> FunctionTable:
     rng = as_rng(seed)
     vals = rng.random(space_size(p, n)) * (high - low) + low
-    return FunctionTable(p, n, vals, codomain="real")
-
-
-def random_sign_table(p: int, n: int, seed=0) -> FunctionTable:
-    rng = as_rng(seed)
-    vals = rng.choice(np.array([-1.0, 1.0]), size=space_size(p, n))
     return FunctionTable(p, n, vals, codomain="real")
 
 
@@ -216,17 +181,3 @@ def parse_function_table(source) -> FunctionTable:
         _parse_value(entry, f"/values/{i}") for i, entry in enumerate(obj["values"])
     ]
     return parse_at("/values", FunctionTable, p, n, values, codomain)
-
-
-def dirac_table(p: int, n: int, point) -> FunctionTable:
-    """Indicator of a single point (not normalised)."""
-    point = tuple(int(v) % p for v in point)
-    vals = np.zeros(space_size(p, n), dtype=np.complex128)
-    idx = int(np.dot(point, place_values(p, n)))
-    vals[idx] = 1.0
-    return FunctionTable(p, n, vals, codomain="real")
-
-
-def exponential(p: int, value: complex | float | int) -> complex:
-    """e_p(m) = exp(2 pi i m / p) for integer m (residues accepted)."""
-    return cmath.exp(2j * cmath.pi * (int(value) % p) / p)

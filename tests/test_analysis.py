@@ -42,7 +42,6 @@ from fpuniform.polynomials import Polynomial, monomials_up_to
 from fpuniform.rng import as_rng
 from fpuniform.tables import (
     FunctionTable,
-    character_table,
     phase_table,
     random_real_table,
     random_unit_table,
@@ -120,7 +119,7 @@ def test_gowers_constant_and_character():
     one = FunctionTable.constant(3, 2, 1.0)
     for k in (1, 2, 3):
         assert float(gowers_norm(one, k)) == pytest.approx(1.0, abs=1e-12)
-    chi = character_table(3, 2, (1, 2))
+    chi = phase_table(Polynomial(3, 2, {(1, 0): 1, (0, 1): 2}))
     assert float(gowers_norm(chi, 2)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -260,7 +259,7 @@ def test_gowers_mc_large_instance_runs():
 # ---------------------------------------------------------------- fourier
 
 def test_fourier_of_character_is_dirac():
-    chi = character_table(3, 2, (2, 1))
+    chi = phase_table(Polynomial(3, 2, {(1, 0): 2, (0, 1): 1}))
     fhat = fourier_transform(chi)
     spike = index_of(3, (2, 1))
     assert fhat[spike] == pytest.approx(1.0, abs=1e-12)
@@ -380,7 +379,7 @@ def best_in_list(f, polys):
 
 
 def test_linear_family_recovers_character():
-    chi = character_table(2, 2, (1, 0))
+    chi = phase_table(Polynomial(2, 2, {(1, 0): 1}))
     rep = correlation_with_family(chi, degree=1)
     assert float(rep) == pytest.approx(1.0, abs=1e-12)
     assert rep.best.degree == 1
@@ -546,7 +545,7 @@ def test_average_with_conjugation():
     system = LinearSystem(2, 2, [(1, 0), (0, 1), (1, 1)])
     fs = [random_unit_table(2, 2, seed=50 + i) for i in range(3)]
     got = complex(linear_form_average(fs, system, conjugations=(False, True, False)))
-    direct = t_direct([fs[0], fs[1].conjugate(), fs[2]], system)
+    direct = t_direct([fs[0], FunctionTable(2, 2, np.conj(fs[1].values)), fs[2]], system)
     assert got == pytest.approx(direct, abs=1e-12)
 
 
@@ -869,7 +868,7 @@ def test_exponential_average_signs():
     system = arithmetic_progression_system(3, 3)
     f = phase_table(P)
     lhs = complex(exponential_average(P, system, beta=(1, 2, 1)))
-    rhs = complex(linear_form_average([f, f.conjugate(), f], system))
+    rhs = complex(linear_form_average([f, FunctionTable(3, 1, np.conj(f.values)), f], system))
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fpuniform import field, linalg
 from fpuniform.errors import BudgetExceededError, ValidationError
 from fpuniform.rng import SeededRNG
+from fpuniform.tables import FunctionTable
 
 
 def test_enumerate_order_f2_2():
@@ -91,14 +92,20 @@ def test_index_combination_rows_match_coordinate_arithmetic(space, data):
     assert len(got) == m and all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def images(a):
+    """The index of a(x) at every x: the table of point indices, precomposed
+    with the map."""
+    return FunctionTable(a.p, a.n, np.arange(a.p**a.n)).apply_affine(a).values.real.astype(int)
+
+
 def test_apply_map_worked_example():
     a = field.AffineMap(3, 1, [[2]], [1])
-    assert a.apply([2]).tolist() == [2]  # 2*2+1 = 5 = 2 mod 3
+    assert images(a).tolist() == [1, 0, 2]  # 2x+1 mod 3 at x = 0, 1, 2
 
 
 def test_apply_map_identity():
     a = field.AffineMap(5, 3, np.eye(3, dtype=np.int64), [0, 0, 0])
-    assert a.apply([1, 4, 2]).tolist() == [1, 4, 2]
+    assert images(a).tolist() == list(range(125))
 
 
 def test_singular_matrix_rejected():
@@ -157,25 +164,14 @@ def test_affine_composition(p, n, seed):
     b = field.random_affine(p, n, seed + 1)
     # x -> a(b(x)) is x -> (Ma Mb) x + (Ma ob + oa), applied to every point
     ab = field.AffineMap(p, n, a.matrix @ b.matrix, a.matrix @ b.offset + a.offset)
-    pts = field.digit_table(p, n)
-    assert np.array_equal(ab.apply_points(pts), a.apply_points(b.apply_points(pts)))
+    assert np.array_equal(images(ab), images(a)[images(b)])
 
 
 @given(st.sampled_from([2, 3]), st.integers(1, 3), st.integers(0, 200))
 @settings(max_examples=40)
 def test_affine_map_is_bijection(p, n, seed):
     a = field.random_affine(p, n, seed)
-    images = a.apply_points(field.digit_table(p, n)) @ field.place_values(p, n)
-    assert sorted(int(i) for i in images) == list(range(p**n))
-
-
-def test_apply_index_matches_pointwise():
-    # the batched map on point arrays agrees with the map on each point
-    a = field.random_affine(3, 2, 7)
-    pts = field.digit_table(3, 2)
-    images = a.apply_points(pts)
-    for x, image in zip(pts, images):
-        assert np.array_equal(image, a.apply(x))
+    assert sorted(images(a).tolist()) == list(range(p**n))
 
 
 def test_all_invertible_matrices_counts():

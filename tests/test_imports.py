@@ -1,12 +1,16 @@
 """Every module-level import in the package binds a name that the module uses,
-and no import anywhere in the package loads OpenSSL through hashlib."""
+no import anywhere in the package loads OpenSSL through hashlib, and every
+public name the package defines is reached by something other than its unit
+tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fpuniform"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fpuniform"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -100,3 +104,61 @@ def test_openssl_imports_finds_what_it_should():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_loads_openssl(path):
     assert openssl_imports(path.read_text()) == []
+
+
+def public_definitions(source: str) -> list[tuple[str, int, int]]:
+    """Name, first and last line of every public top-level def and class of
+    `source`."""
+    return [
+        (node.name, node.lineno, node.end_lineno)
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def unreached_names(modules: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """The public top-level names defined in `modules` (file -> source) that
+    appear as a whole word nowhere outside their own definition: not in the
+    rest of their module, another module or one of `readers` (file -> text)."""
+    found = []
+    for path, source in modules.items():
+        lines = source.splitlines()
+        for name, first, last in public_definitions(source):
+            rest = "\n".join(lines[: first - 1] + lines[last:])
+            texts = [rest] + [t for p, t in {**modules, **readers}.items() if p != path]
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(t) for t in texts):
+                found.append(name)
+    return found
+
+
+def test_unreached_names_finds_what_it_should():
+    modules = {
+        "a.py": (
+            "def used():\n    return 1\n\n"
+            "def lonely():\n    return lonely()\n\n"  # only its own body calls it
+            "class _Private:\n    pass\n"
+        ),
+        "b.py": (
+            "from .a import used\n\n"
+            "class Documented:\n    pass\n\n"
+            "def selfish():\n    \"\"\"selfish() names itself.\"\"\"\n"
+        ),
+    }
+    readers = {"README.md": "`Documented` is kept; `lonely_helper` is another name."}
+    assert unreached_names(modules, readers) == ["lonely", "selfish"]
+
+
+def test_every_public_name_is_reached():
+    """A public def or class in the package is read by the package itself,
+    a demo, the benchmark, the acceptance tests or README.md (which names
+    the helpers kept for tests); its own unit tests do not count."""
+    readers = [
+        *sorted((ROOT / "demos").glob("*.py")),
+        *sorted(p for p in (ROOT / "perfbench").iterdir() if p.is_file()),
+        ROOT / "tests" / "test_acceptance.py",
+        ROOT / "README.md",
+    ]
+    modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreached_names(modules, {str(p): p.read_text() for p in readers}) == []

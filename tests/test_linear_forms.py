@@ -11,13 +11,13 @@ from fpuniform.linalg import in_span, rank as mat_rank
 from fpuniform.linear_forms import (
     FlaggedSystem,
     LinearSystem,
+    _pair_sums,
     are_isomorphic,
     arithmetic_progression_system,
     build_high_rank_flag,
     connected_components,
     cs_complexity,
     flagged_product,
-    form_degree,
     tensor_power,
     true_complexity,
 )
@@ -401,10 +401,11 @@ def test_flag_need_not_be_a_member():
 
 def test_form_degree_goldens():
     tri = LinearSystem(2, 2, [(1, 0), (0, 1), (1, 1)])
-    assert form_degree(tri, (1, 1)) == 2  # (x,y) and (y,x)
-    assert form_degree(tri, (1, 0)) == 2  # over F_2: y+(x+y), (x+y)+y
+    assert _pair_sums(tri)[(1, 1)] == 2  # (x,y) and (y,x)
+    assert _pair_sums(tri)[(1, 0)] == 2  # over F_2: y+(x+y), (x+y)+y
+    assert tri.degrees() == (2, 2, 2)
     fs = FlaggedSystem(2, 1, [(1,)], (1,), (2,))
-    assert form_degree(fs, (0,)) == 4  # 2*2 with multiplicity
+    assert _pair_sums(fs)[(0,)] == 4  # 2*2 with multiplicity
 
 
 def test_self_product_of_point_evaluation():
@@ -454,8 +455,8 @@ def test_high_rank_flag_2_3_golden():
         (1, 1, 0),
         (1, 1, 1),
     )
-    assert form_degree(fs, fs.flag) == 6
-    assert [form_degree(fs, f) for f in fs.forms] == [4] * 6
+    assert _pair_sums(fs)[fs.flag] == 6
+    assert fs.degrees() == (4,) * 6
     assert connected_components(fs) == [list(range(6))]
 
 
@@ -466,10 +467,9 @@ def test_high_rank_flag_2_3_golden():
 def test_high_rank_flag_degree_guarantees(p, d, m, flag_deg):
     fs = build_high_rank_flag(p, d)
     assert fs.m == m
-    assert form_degree(fs, fs.flag) == flag_deg == 2 * (2 ** (d - 1) - 1)
+    assert _pair_sums(fs)[fs.flag] == flag_deg == 2 * (2 ** (d - 1) - 1)
     lo, hi = 2 ** (d - 1), 4 * p ** (d - 1)
-    for f in fs.forms:
-        assert lo <= form_degree(fs, f) <= hi
+    assert all(lo <= deg <= hi for deg in fs.degrees())
     assert len(connected_components(fs)) == 1
     assert fs.flag not in fs.forms
     assert in_span(fs.as_array(), fs.flag, fs.p)

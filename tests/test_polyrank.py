@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fpuniform.errors import ValidationError
 from fpuniform.linalg import rank as mat_rank, row_reduce
-from fpuniform.field import enumerate_vectors
+from fpuniform.field import enumerate_vectors, index_add
 from fpuniform.polynomials import Polynomial, monomials_up_to
 from fpuniform.polyrank import (
     RankReport,
@@ -24,9 +24,10 @@ from fpuniform.polyrank import (
 
 def invariance_space(P):
     """Basis (rows) of {h : P(x+h) = P(x) identically}, by a scan over every
-    direction h."""
-    zero = Polynomial.zero(P.p, P.n)
-    rows = [h for h in enumerate_vectors(P.p, P.n) if P.additive_derivative(h) == zero]
+    direction h of the value table."""
+    vals, x = P.value_table(), np.arange(P.p**P.n)
+    rows = [h for i, h in enumerate(enumerate_vectors(P.p, P.n))
+            if np.array_equal(vals[index_add(P.p, P.n, x, i)], vals)]
     red, pivots = row_reduce(np.array(rows, dtype=np.int64).reshape(len(rows), P.n), P.p)
     return red[: len(pivots)]
 
@@ -71,7 +72,7 @@ def check_certificate(report, polys):
     assert len(cert.arguments) <= max(report.value, len(cert.arguments))
     for Q in cert.arguments:
         assert Q.degree <= d - 1
-    from fpuniform.field import enumerate_vectors
+    from fpuniform.field import enumerate_vectors, index_add
 
     for x in enumerate_vectors(combined.p, combined.n):
         label = tuple(Q.evaluate(x) for Q in cert.arguments)

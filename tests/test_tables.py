@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -11,13 +10,9 @@ from fpuniform.field import AffineMap, enumerate_vectors, index_of
 from fpuniform.polynomials import Polynomial
 from fpuniform.tables import (
     FunctionTable,
-    character_table,
-    dirac_table,
-    exponential,
     parse_function_table,
     phase_table,
     random_real_table,
-    random_sign_table,
     random_unit_table,
 )
 
@@ -57,31 +52,13 @@ def test_pointwise_algebra():
     assert (f + g).values.tolist() == [4, 1]
     assert (f - g).values.tolist() == [-2, 3]
     assert (2 * f).values.tolist() == [2, 4]
-    h = FunctionTable(2, 1, [1j, 1 - 1j])
-    assert h.conjugate().values.tolist() == [-1j, 1 + 1j]
-    assert math.isclose(h.sup_norm(), math.sqrt(2))
 
 
 def test_shift_golden():
+    # x -> f(x + y) is the affine map with the identity matrix and offset y
     f = FunctionTable(3, 1, [10, 20, 30])
-    assert f.shift((1,)).values.tolist() == [20, 30, 10]
-    assert f.shift((0,)).values.tolist() == [10, 20, 30]
-
-
-def test_shift_matches_pointwise():
-    f = random_unit_table(3, 2, seed=1)
-    y = (1, 2)
-    g = f.shift(y)
-    for x in enumerate_vectors(3, 2):
-        xy = tuple((a + b) % 3 for a, b in zip(x, y))
-        assert g.values[index_of(3, x)] == f.values[index_of(3, xy)]
-
-
-def test_modulate():
-    f = FunctionTable.constant(2, 1, 1.0)
-    g = f.modulate((1,))
-    assert np.allclose(g.values, [1, -1])
-    assert np.allclose(f.modulate((0,)).values, f.values)
+    assert f.apply_affine(AffineMap(3, 1, [[1]], [1])).values.tolist() == [20, 30, 10]
+    assert f.apply_affine(AffineMap(3, 1, [[1]], [0])).values.tolist() == [10, 20, 30]
 
 
 def test_apply_affine_matches_pointwise():
@@ -89,7 +66,7 @@ def test_apply_affine_matches_pointwise():
     amap = AffineMap(3, 2, np.array([[1, 1], [0, 1]]), np.array([2, 0]))
     g = f.apply_affine(amap)
     for x in enumerate_vectors(3, 2):
-        image = amap.apply(x)
+        image = (amap.matrix @ np.array(x) + amap.offset) % 3
         assert g.values[index_of(3, x)] == f.values[index_of(3, image)]
 
 
@@ -119,9 +96,12 @@ def test_phase_table_golden():
 
 
 def test_character_orthogonality():
+    def character(alpha):
+        return phase_table(Polynomial(3, 1, {(1,): alpha[0]})).values
+
     for a in enumerate_vectors(3, 1):
         for b in enumerate_vectors(3, 1):
-            ip = np.vdot(character_table(3, 1, b).values, character_table(3, 1, a).values) / 3
+            ip = np.vdot(character(b), character(a)) / 3
             assert ip == pytest.approx(1.0 if a == b else 0.0, abs=1e-12)
 
 
@@ -133,21 +113,6 @@ def test_random_tables():
     r = random_real_table(2, 3, seed=9, low=0.2, high=0.8)
     assert r.codomain == "real"
     assert r.values.real.min() >= 0.2 and r.values.real.max() <= 0.8
-    s = random_sign_table(2, 3, seed=9)
-    assert set(s.values.real.tolist()) <= {-1.0, 1.0}
-
-
-def test_dirac_table():
-    d = dirac_table(3, 2, (1, 2))
-    assert d.values.sum() == 1.0
-    assert d.values[index_of(3, (1, 2))] == 1.0
-
-
-def test_exponential():
-    assert exponential(2, 0) == pytest.approx(1)
-    assert exponential(2, 1) == pytest.approx(-1)
-    assert exponential(3, 1) == pytest.approx(complex(-0.5, math.sqrt(3) / 2))
-    assert exponential(3, 5) == exponential(3, 2)
 
 
 def to_json(f):
