@@ -338,6 +338,27 @@ def _best_in_part(twisted: np.ndarray, pts: np.ndarray, upper, free: bool, skip_
     ]
 
 
+def priced_family(p: int, n: int, degree: int, homogeneous: bool, budget: int | None):
+    """The parts of a Poly_d family on F_p^n as correlation_with_family scores
+    them, after the cost of scoring them all, the sum over parts of
+    p^(#enumerated monomials) * p^n points, is checked against the budget."""
+    if degree < 1:
+        raise ValidationError("degree must be >= 1")
+    if degree > n * (p - 1):
+        # reduced exponents stay below p coordinatewise, so total degree caps out
+        raise ValidationError(f"no degree-{degree} monomials exist on F_{p}^{n}")
+    monos = monomials_up_to(p, n, degree)
+    if homogeneous:
+        parts = [([], True)] + [
+            ([e for e in monos if sum(e) == j], False) for j in range(2, degree + 1)
+        ]
+    else:
+        parts = [([e for e in monos if sum(e) >= 2], True)]
+    what = "homogeneous phase family" if homogeneous else "polynomial phase family"
+    check_budget(sum(p ** len(upper) for upper, _ in parts) * space_size(p, n), budget, what)
+    return parts
+
+
 def correlation_with_family(
     f: FunctionTable,
     degree: int,
@@ -357,26 +378,11 @@ def correlation_with_family(
     (no enumerated monomials, linear part free) followed by one part per
     j = 2..d (the monomials of degree exactly j, linear part zero), each
     without its zero polynomial.  Ties (scores within FLOAT_TOL of the
-    maximum, relative to it) keep the earlier part.  The cost, checked once
-    for the family, is the sum over parts of p^(#enumerated monomials) * p^n
-    points.
+    maximum, relative to it) keep the earlier part.  The cost is checked once
+    for the family, by priced_family.
     """
     p, n = f.p, f.n
-    N = space_size(p, n)
-    if degree < 1:
-        raise ValidationError("degree must be >= 1")
-    if degree > n * (p - 1):
-        # reduced exponents stay below p coordinatewise, so total degree caps out
-        raise ValidationError(f"no degree-{degree} monomials exist on F_{p}^{n}")
-    monos = monomials_up_to(p, n, degree)
-    if homogeneous:
-        parts = [([], True)] + [
-            ([e for e in monos if sum(e) == j], False) for j in range(2, degree + 1)
-        ]
-    else:
-        parts = [([e for e in monos if sum(e) >= 2], True)]
-    what = "homogeneous phase family" if homogeneous else "polynomial phase family"
-    check_budget(sum(p ** len(upper) for upper, _ in parts) * N, budget, what)
+    parts = priced_family(p, n, degree, homogeneous, budget)
     pts = digit_table(p, n)
     twisted = np.exp(-2j * np.pi * np.arange(p) / p)[:, None] * f.values
     candidates = [
@@ -396,7 +402,6 @@ def correlation_with_family(
 class AverageReport:
     value: complex
     mode: str
-    system: LinearSystem
     samples: int | None = None
     stderr: float | None = None
     seed: int | None = None
@@ -540,7 +545,7 @@ def linear_form_average(
     powered = [shared(t, c, e) for t, c, e in zip(tables, conjugations, mult)]
     if samples is None:
         value, cost, path = _exact_average(powered, arr, p, n, budget, "linear form average")
-        return AverageReport(value=value, mode="exact", system=system, cost=cost, path=path)
+        return AverageReport(value=value, mode="exact", cost=cost, path=path)
 
     def draw(rng, size):
         # contiguous variable rows: XOR on strided rows takes twice as long
@@ -554,8 +559,8 @@ def linear_form_average(
     width = system.k + 3 if p == 2 else system.m
     mean, se = mc_mean(draw, samples, seed, "samples", system.m, budget, width)
     return AverageReport(
-        value=complex(mean), mode="mc", system=system,
-        samples=samples, stderr=se, seed=seed, cost=samples * system.m, path="sampled",
+        value=complex(mean), mode="mc", samples=samples, stderr=se, seed=seed,
+        cost=samples * system.m, path="sampled",
     )
 
 

@@ -93,21 +93,23 @@ def _jsonable(x):
         return [_jsonable(v) for v in x.tolist()]
     if isinstance(x, complex):
         return [float(x.real), float(x.imag)]
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
+    if isinstance(x, np.generic):  # a numpy integer, float or bool
+        return x.item()
     if hasattr(x, "to_text"):  # a Polynomial
         return x.to_text()
-    if hasattr(x, "to_json_dict"):
-        return _jsonable(x.to_json_dict())
     if hasattr(x, "__dataclass_fields__"):
-        return {
-            k: _jsonable(getattr(x, k)) for k in x.__dataclass_fields__
-        }
+        return _fields(x)
     return x
+
+
+def _fields(rep, drop=()) -> dict:
+    """Every dataclass field of `rep` but those in `drop`, as JSON values, with
+    a cost as reported_count writes it: a report's fields come from its
+    library result, so the result type alone decides its schema."""
+    out = {k: _jsonable(getattr(rep, k)) for k in rep.__dataclass_fields__ if k not in drop}
+    if "cost" in out:
+        out["cost"] = reported_count(rep.cost)
+    return out
 
 
 def _tolerance(mode: str, stderr=None):
@@ -199,16 +201,7 @@ def _cmd_gowers(args) -> dict:
     return {
         "command": "gowers",
         "inputs": {"table": meta},
-        "k": rep.k,
-        "p": rep.p,
-        "n": rep.n,
-        "value": rep.value,
-        "power": rep.power,
-        "mode": rep.mode,
-        "samples": rep.samples,
-        "stderr": rep.stderr,
-        "cost": reported_count(rep.cost),
-        "path": rep.path,
+        **_fields(rep),
         "tolerance": _tolerance(rep.mode, rep.stderr),
     }
 
@@ -240,13 +233,8 @@ def _cmd_average(args) -> dict:
             "system": sys_meta,
             "tables": [meta for _, meta in loaded],
         },
-        "value": [rep.value.real, rep.value.imag],
+        **_fields(rep),
         "abs": abs(rep.value),
-        "mode": rep.mode,
-        "samples": rep.samples,
-        "stderr": rep.stderr,
-        "cost": reported_count(rep.cost),
-        "path": rep.path,
         "tolerance": _tolerance(rep.mode, rep.stderr),
     }
 
@@ -274,12 +262,7 @@ def _cmd_system(args) -> dict:
         rep = cs_complexity(system) if args.kind == "cs" else true_complexity(
             system, budget=args.budget
         )
-        report.update(
-            kind=rep.kind,
-            value=rep.value,
-            bound_only=rep.bound_only,
-            certificate=_jsonable(rep.certificate),
-        )
+        report.update(_fields(rep, drop=("witness",)))
     elif args.action == "components":
         parts = connected_components(system)
         report.update(components=parts, count=len(parts))
@@ -288,11 +271,7 @@ def _cmd_system(args) -> dict:
             raise ValidationError("isomorphism needs --other")
         other, other_meta = _load(LinearSystem.from_json_dict, args.other)
         report["inputs"]["other"] = other_meta
-        rep = are_isomorphic(system, other, budget=args.budget)
-        report.update(
-            isomorphic=rep.isomorphic,
-            mapping=None if rep.mapping is None else list(rep.mapping),
-        )
+        report.update(_fields(are_isomorphic(system, other, budget=args.budget)))
     else:  # product
         if args.other is None:
             raise ValidationError("product needs --other")
@@ -337,14 +316,15 @@ def _cmd_decompose(args) -> dict:
         homogeneous_only=args.homogeneous,
         budget=args.budget,
     )
-    report = rep.to_json_dict()
-    report.update(
-        command="decompose",
-        inputs={"table": meta},
-        mode="exact",
-        tolerance=_tolerance("exact"),
-    )
-    return report
+    return {
+        "command": "decompose",
+        "inputs": {"table": meta},
+        **_fields(rep, drop=("factor", "projection", "residual")),
+        "complexity": rep.complexity,
+        "polynomials": [q.to_text() for q in rep.factor.defining],
+        "mode": "exact",
+        "tolerance": _tolerance("exact"),
+    }
 
 
 def _cmd_rank(args) -> dict:
@@ -356,10 +336,7 @@ def _cmd_rank(args) -> dict:
     return {
         "command": "rank",
         "inputs": {"polynomials": [meta for _, meta in loaded]},
-        "kind": rep.kind,
-        "value": rep.value,
-        "refuted_up_to": rep.refuted_up_to,
-        "certificate": _jsonable(rep.certificate),
+        **_fields(rep),
         "mode": "exact",
         "tolerance": {"kind": "integer-exact", "value": 0},
     }
@@ -379,15 +356,7 @@ def _cmd_test(args) -> dict:
             "command": "test",
             "action": "uniformity",
             "inputs": {"table": table_meta},
-            "estimate": rep.estimate,
-            "accept": rep.accept,
-            "threshold": rep.threshold,
-            "d": rep.d,
-            "samples": rep.samples,
-            "seed": args.seed,
-            "queries_per_sample": rep.queries_per_sample,
-            "points_queried": rep.points_queried,
-            "stderr": rep.stderr,
+            **_fields(rep),
             "mode": "mc",
             "tolerance": _tolerance("mc", rep.stderr),
         }
@@ -404,12 +373,9 @@ def _cmd_test(args) -> dict:
         "command": "test",
         "action": args.action,
         "inputs": {"spec": spec_meta, "table": table_meta},
-        "acceptance": rep.acceptance,
-        "trials": rep.trials,
+        **_fields(rep),
         "thresholds": [spec.theta_minus, spec.theta_plus],
         "symmetrized": spec.symmetrized,
-        "stderr": rep.stderr,
-        "mode": rep.mode,
         "tolerance": _tolerance(rep.mode, rep.stderr),
     }
 
@@ -427,15 +393,14 @@ def _cmd_interior(args) -> dict:
         seed=args.seed,
         budget=args.budget,
     )
-    report = rep.to_json_dict()
-    report.update(
-        command="interior",
-        inputs={"systems": [meta for _, meta in loaded]},
-        witness=[float(v) for v in rep.witness.values.real],
-        mode="mc",
-        tolerance=_tolerance("mc"),
-    )
-    return report
+    return {
+        "command": "interior",
+        "inputs": {"systems": [meta for _, meta in loaded]},
+        **_fields(rep, drop=("witness",)),
+        "witness": rep.witness.values.real.tolist(),
+        "mode": "mc",
+        "tolerance": _tolerance("mc"),
+    }
 
 
 def _cmd_distributional(args) -> dict:
@@ -454,13 +419,8 @@ def _cmd_distributional(args) -> dict:
         "command": "distributional",
         "inputs": {"table": table_meta, "system": sys_meta},
         "beta": beta,
-        "value": [rep.value.real, rep.value.imag],
+        **_fields(rep),
         "abs": abs(rep.value),
-        "mode": rep.mode,
-        "samples": rep.samples,
-        "stderr": rep.stderr,
-        "cost": reported_count(rep.cost),
-        "path": rep.path,
         "tolerance": _tolerance(rep.mode, rep.stderr),
     }
 
@@ -550,8 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("distributional", help="t* average of a lifted [0,1] table")
     sub.add_argument("--table", required=True)
     sub.add_argument("--system", required=True)
-    sub.add_argument("--beta", required=True, help="comma-separated entries, one per form "
-                     "(a list led by a negative entry is passed as --beta=-1,2,3)")
+    sub.add_argument("--beta", required=True, help="comma-separated entries, one per form")
     sub.add_argument("--mc", type=int, default=None, metavar="N")
     sub.add_argument("--exact", action="store_true")
     _add_common(sub)
@@ -568,6 +527,11 @@ def main(argv=None) -> int:
     if argv[0] not in _COMMANDS and argv[0] not in ("-h", "--help"):
         _diag({"error": f"unknown command {argv[0]!r}", "commands": sorted(_COMMANDS)})
         return 64
+    # argparse reads a value led by "-" as an option, so "--beta -1,2,3" is
+    # passed on as "--beta=-1,2,3"
+    while "--beta" in argv[:-1]:
+        i = argv.index("--beta")
+        argv[i:i + 2] = [f"--beta={argv[i + 1]}"]
     parser = _build_parser()
     args = parser.parse_args(argv)
     for flag, least in (("seed", 0), ("budget", 1)):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import correlation_with_family, gowers_norm
+from .analysis import correlation_with_family, gowers_norm, priced_family
 from .config import DECOMPOSE_ROUND_CAP
 from .errors import ValidationError
 from .field import place_values, space_size, validate_dims
@@ -88,15 +88,6 @@ class PolynomialFactor:
         names = ", ".join(q.to_text() for q in self.defining)
         return f"PolynomialFactor(p={self.p}, n={self.n}, [{names}])"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "fpuniform/v1",
-            "kind": "factor",
-            "p": self.p,
-            "n": self.n,
-            "polynomials": [q.to_json_dict() for q in self.defining],
-        }
-
 
 def conditional_expectation(f: FunctionTable, factor: PolynomialFactor) -> FunctionTable:
     """E(f|B): replace every value by the mean over its atom."""
@@ -131,20 +122,6 @@ class DecompositionReport:
     def complexity(self) -> int:
         return self.factor.complexity
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "achieved_norm": self.achieved_norm,
-            "complexity": self.complexity,
-            "flagged": self.flagged,
-            "target": self.target,
-            "degree": self.degree,
-            "history": [float(v) for v in self.history],
-            "polynomials": [q.to_text() for q in self.factor.defining],
-            "rank_floor": self.rank_floor,
-            "rank_meets_floor": self.rank_meets_floor,
-        }
-
 
 def decompose(
     f: FunctionTable,
@@ -160,20 +137,20 @@ def decompose(
     correlated with the current residual and adjoins it to the factor.  The
     search is one correlation_with_family call per round, over Poly_d or, with
     `homogeneous_only`, over the nonzero homogeneous polynomials of degree
-    1..d; each call is charged against `budget` for its whole family.  If the
-    correlation dries up or `DECOMPOSE_ROUND_CAP` rounds run first, the
-    report comes back flagged with the best norm achieved.  `delta` must be finite and >= 0.
+    1..d; each call is charged against `budget` for its whole family.  That
+    charge is checked before round 0 too, so a family past the budget is
+    refused before any norm is computed, even for an f already within delta.
+    If the correlation dries up or `DECOMPOSE_ROUND_CAP` rounds run first, the
+    report comes back flagged with the best norm achieved.  `delta` must be
+    finite and >= 0.
     `rank_floor` is checked against the factor's rank, by a search charged
     against `budget` too, and reported (None when the budget leaves it
     undecided), never enforced.
     """
     p, n = f.p, f.n
-    if d < 1:
-        raise ValidationError("decomposition degree must be >= 1")
-    if d > n * (p - 1):
-        raise ValidationError(f"no degree-{d} monomials exist on F_{p}^{n}")
     if not 0 <= delta < float("inf"):
         raise ValidationError(f"delta must be finite and >= 0, got {delta}")
+    priced_family(p, n, d, homogeneous_only, budget)
     factor = PolynomialFactor(p, n, ())
     history = []
     rounds = 0

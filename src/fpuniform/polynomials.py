@@ -99,13 +99,6 @@ class Polynomial:
         return cls(p, n, {(0,) * n: c})
 
     @classmethod
-    def variable(cls, p: int, n: int, i: int) -> "Polynomial":
-        """x_{i+1} (zero-based index i)."""
-        exps = [0] * n
-        exps[i] = 1
-        return cls(p, n, {tuple(exps): 1})
-
-    @classmethod
     def from_coefficients(cls, p: int, n: int, monomials, coeffs) -> "Polynomial":
         return cls(p, n, dict(zip(monomials, (int(c) for c in coeffs))))
 
@@ -269,16 +262,15 @@ class Polynomial:
         return parse_at("/terms", cls, p, n, terms)
 
 
-def monomials_up_to(p: int, n: int, d: int, exactly: bool = False) -> list[Exponents]:
-    """Exponent tuples (< p entrywise) of total degree ≤ d, or == d."""
+def monomials_up_to(p: int, n: int, d: int) -> list[Exponents]:
+    """Exponent tuples (< p entrywise) of total degree ≤ d."""
     if d < 0:
         return []
     out: list[Exponents] = []
 
     def rec(prefix: list[int], remaining: int, budget_left: int):
         if remaining == 0:
-            if not exactly or budget_left == 0:
-                out.append(tuple(prefix))
+            out.append(tuple(prefix))
             return
         for e in range(min(p - 1, budget_left) + 1):
             prefix.append(e)
@@ -286,8 +278,6 @@ def monomials_up_to(p: int, n: int, d: int, exactly: bool = False) -> list[Expon
             prefix.pop()
 
     rec([], n, d)
-    if exactly:
-        out = [e for e in out if sum(e) == d]
     return sorted(out)
 
 

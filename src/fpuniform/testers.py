@@ -570,14 +570,6 @@ class InteriorReport:
     trials_run: int
     seed: object
 
-    def to_json_dict(self) -> dict:
-        return {
-            "gram": [[float(v) for v in row] for row in self.gram],
-            "min_singular_value": float(self.min_singular_value),
-            "independent": bool(self.independent),
-            "trials_run": self.trials_run,
-        }
-
 
 def interior_experiment(
     systems,

@@ -225,6 +225,62 @@ def test_out_writes_file(files, capsys):
     assert rep["command"] == "gowers"
 
 
+_GOWERS_KEYS = ["command", "cost", "inputs", "k", "mode", "n", "p", "path", "power",
+                "samples", "seed", "stderr", "tolerance", "value"]
+_AVERAGE_KEYS = ["abs", "command", "cost", "inputs", "mode", "path", "samples", "seed",
+                 "stderr", "tolerance", "value"]
+_TESTER_KEYS = ["acceptance", "action", "command", "inputs", "mode", "seed", "stderr",
+                "symmetrized", "thresholds", "tolerance", "trials"]
+
+
+@pytest.mark.parametrize(
+    "argv,keys",
+    [
+        (["gowers", "--table", "{phase}", "--k", "3"], _GOWERS_KEYS),
+        (["gowers", "--table", "{phase}", "--k", "3", "--mc", "50"], _GOWERS_KEYS),
+        (["average", "--system", "{tri}", "--tables", "{f24}"], _AVERAGE_KEYS),
+        (["distributional", "--table", "{F01}", "--system", "{tri}", "--beta", "1,1,1"],
+         sorted(_AVERAGE_KEYS + ["beta"])),
+        (["fourier", "--table", "{phase}"],
+         ["coefficients", "command", "cost", "inputs", "mode", "n", "p", "seed", "tolerance"]),
+        (["system", "complexity", "--file", "{ap4}"],
+         ["action", "bound_only", "certificate", "command", "inputs", "kind", "mode", "seed",
+          "tolerance", "value"]),
+        (["system", "components", "--file", "{two}"],
+         ["action", "command", "components", "count", "inputs", "mode", "seed", "tolerance"]),
+        (["system", "isomorphism", "--file", "{tri}", "--other", "{tri}"],
+         ["action", "command", "inputs", "isomorphic", "mapping", "mode", "seed", "tolerance"]),
+        (["system", "product", "--file", "{flag_a}", "--other", "{flag_b}"],
+         ["action", "command", "inputs", "mode", "product", "seed", "tolerance"]),
+        (["decompose", "--table", "{f24}", "--degree", "2", "--delta", "0.25"],
+         ["achieved_norm", "command", "complexity", "degree", "flagged", "history", "inputs",
+          "mode", "polynomials", "rank_floor", "rank_meets_floor", "rounds", "seed", "target",
+          "tolerance"]),
+        (["rank", "--polys", "{poly}"],
+         ["certificate", "command", "inputs", "kind", "mode", "refuted_up_to", "seed",
+          "tolerance", "value"]),
+        (["interior", "--systems", "{ap3}", "{two}", "--p", "3", "--n", "3"],
+         ["command", "gram", "independent", "inputs", "min_singular_value", "mode", "seed",
+          "tolerance", "trials_run", "witness"]),
+        (["test", "uniformity", "--table", "{lin4}", "--degree", "1", "--samples", "300"],
+         ["accept", "action", "command", "d", "estimate", "inputs", "mode", "points_queried",
+          "queries_per_sample", "samples", "seed", "stderr", "threshold", "tolerance"]),
+        (["test", "generic", "--table", "{lin4}", "--spec", "{spec}", "--exact"], _TESTER_KEYS),
+        (["test", "symmetrize", "--table", "{lin4}", "--spec", "{spec}", "--trials", "30"],
+         _TESTER_KEYS),
+    ],
+    ids=["gowers", "gowers-mc", "average", "distributional", "fourier", "complexity",
+         "components", "isomorphism", "product", "decompose", "rank", "interior",
+         "uniformity", "generic", "symmetrize"],
+)
+def test_report_keys_are_pinned(files, capsys, argv, keys):
+    # a report is its result type's fields plus what the handler adds, so a
+    # field added to a result type shows up in the report; these lists pin
+    # each report's schema
+    rc, out, _ = run([a.format(**files) for a in argv], capsys)
+    assert rc == 0 and sorted(json.loads(out)) == keys
+
+
 def test_decompose_command(files, capsys):
     rc, out, _ = run(
         ["decompose", "--table", files["f24"], "--degree", "2", "--delta", "0.25"],
@@ -301,7 +357,7 @@ def test_rank_on_a_space_past_the_budget(files, capsys):
 
 @pytest.mark.parametrize("huge", [10**7, 10**9])
 def test_huge_rmax_and_rank_floor_on_affine_input(files, capsys, huge):
-    x1 = Polynomial.variable(2, 4, 0)
+    x1 = Polynomial(2, 4, {(1, 0, 0, 0): 1})
     poly = files["tmp"] / "x1.json"
     poly.write_text(json.dumps(x1.to_json_dict()))
     table = files["tmp"] / "x1-phase.json"
@@ -417,17 +473,17 @@ def test_distributional_command(files, capsys):
 def test_distributional_beta_exit_codes(files, capsys, beta, code):
     # beta is a list of integers, one per form of {x, y, x+y}: a float, a
     # non-finite or a missing entry exits 2 with one JSON diagnostic, and any
-    # integer, however large or negative, is accepted
-    rc, out, err = run(
-        ["distributional", "--table", files["F01"], "--system", files["tri"],
-         f"--beta={beta}"],
-        capsys,
-    )
+    # integer, however large or negative, is accepted.  "--beta X" and
+    # "--beta=X" give the same output, also where X starts with "-", which
+    # argparse alone would read as an option
+    argv = ["distributional", "--table", files["F01"], "--system", files["tri"]]
+    rc, out, err = run(argv + [f"--beta={beta}"], capsys)
     assert rc == code
     if code:
         assert out == "" and json.loads(err)["type"] == "validation"
     else:
         assert err == "" and len(json.loads(out)["beta"]) == 3
+    assert run(argv + ["--beta", beta], capsys) == (rc, out, err)
 
 
 # ---------------------------------------------------------------- exit codes

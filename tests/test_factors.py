@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fpuniform import factors
 from fpuniform.analysis import gowers_norm, inner_product, linear_form_average
-from fpuniform.errors import ValidationError
+from fpuniform.errors import BudgetExceededError, ValidationError
 from fpuniform.factors import (
     PolynomialFactor,
     conditional_expectation,
@@ -53,14 +53,6 @@ def test_factor_validation():
         PolynomialFactor(2, 2, ["x1"])
     with pytest.raises(AttributeError):
         two_poly_factor().p = 5
-
-
-def test_factor_json_round_trip():
-    B = two_poly_factor()
-    obj = B.to_json_dict()
-    assert (obj["kind"], obj["p"], obj["n"]) == ("factor", 2, 3)
-    polys = [Polynomial.from_json_dict(q) for q in obj["polynomials"]]
-    assert PolynomialFactor(obj["p"], obj["n"], polys) == B
 
 
 def test_factor_rank_delegates():
@@ -164,10 +156,9 @@ def test_decompose_postcondition_random():
 def test_decompose_round_cap_flags(monkeypatch):
     monkeypatch.setattr(factors, "DECOMPOSE_ROUND_CAP", 2)
     rep = decompose(random_unit_table(2, 4, seed=0), 2, 1e-9)
-    assert rep.flagged and rep.rounds == 2
+    assert rep.flagged is True and rep.rounds == 2
     assert rep.achieved_norm > 1e-9
     assert len(rep.history) == rep.rounds + 1
-    assert rep.to_json_dict()["flagged"] is True
 
 
 def test_decompose_energy_monotone():
@@ -192,6 +183,20 @@ def test_decompose_rank_floor_reported():
     rep = decompose(cubic, 3, 0.1, rank_floor=2, budget=163839)
     assert rep.complexity == 1 and rep.rank_meets_floor is None
     assert decompose(cubic, 3, 0.1, rank_floor=2).rank_meets_floor is True
+
+
+def test_decompose_prices_its_family_before_round_0(monkeypatch):
+    # the homogeneous family of degree <= 3 on F_3^5 costs about 5e16 points;
+    # it is refused before the round-0 U^4 norm runs, even for a table that
+    # is already within delta
+    def fail(*args, **kwargs):
+        raise AssertionError("gowers_norm ran before the family was priced")
+
+    monkeypatch.setattr(factors, "gowers_norm", fail)
+    with pytest.raises(BudgetExceededError):
+        decompose(random_unit_table(3, 5, seed=0), 3, 0.3, homogeneous_only=True)
+    with pytest.raises(BudgetExceededError):
+        decompose(FunctionTable.constant(2, 4, 0.0), 2, 0.5, budget=10)
 
 
 def test_decompose_validation():

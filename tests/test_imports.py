@@ -108,26 +108,39 @@ def test_no_module_loads_openssl(path):
 
 def public_definitions(source: str) -> list[tuple[str, int, int]]:
     """Name, first and last line of every public top-level def and class of
-    `source`."""
-    return [
-        (node.name, node.lineno, node.end_lineno)
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-    ]
+    `source`, each followed by the public methods of its class body, named
+    `Class.method`."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, defs + (ast.ClassDef,)) and not node.name.startswith("_"):
+            found.append((node.name, node.lineno, node.end_lineno))
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (f"{node.name}.{m.name}", m.lineno, m.end_lineno)
+                for m in node.body
+                if isinstance(m, defs) and not m.name.startswith("_")
+            ]
+    return found
 
 
 def unreached_names(modules: dict[str, str], readers: dict[str, str]) -> list[str]:
-    """The public top-level names defined in `modules` (file -> source) that
-    appear as a whole word nowhere outside their own definition: not in the
-    rest of their module, another module or one of `readers` (file -> text)."""
+    """The public names defined in `modules` (file -> source) that are read
+    nowhere outside their own definition: not in the rest of their module,
+    another module or one of `readers` (file -> text).  A top-level name is
+    read where it appears as a whole word; a method `Class.name` only where
+    `.name` is accessed, on any object, since its class may be reached
+    through an instance."""
     found = []
     for path, source in modules.items():
         lines = source.splitlines()
         for name, first, last in public_definitions(source):
             rest = "\n".join(lines[: first - 1] + lines[last:])
             texts = [rest] + [t for p, t in {**modules, **readers}.items() if p != path]
-            word = re.compile(rf"\b{re.escape(name)}\b")
+            if "." in name:
+                word = re.compile(rf"\.{re.escape(name.split('.')[1])}\b")
+            else:
+                word = re.compile(rf"\b{re.escape(name)}\b")
             if not any(word.search(t) for t in texts):
                 found.append(name)
     return found
@@ -138,16 +151,20 @@ def test_unreached_names_finds_what_it_should():
         "a.py": (
             "def used():\n    return 1\n\n"
             "def lonely():\n    return lonely()\n\n"  # only its own body calls it
-            "class _Private:\n    pass\n"
+            "class _Private:\n    pass\n\n"
+            "class Shape:\n"
+            "    def area(self):\n        return 1\n\n"
+            "    def scaled(self):\n        return self.scaled()\n\n"  # its own body only
+            "    def _cached(self):\n        return self.area()\n"
         ),
         "b.py": (
-            "from .a import used\n\n"
+            "from .a import Shape, used\n\n"
             "class Documented:\n    pass\n\n"
-            "def selfish():\n    \"\"\"selfish() names itself.\"\"\"\n"
+            "def selfish():\n    \"\"\"selfish() names itself, and scaled().\"\"\"\n"
         ),
     }
     readers = {"README.md": "`Documented` is kept; `lonely_helper` is another name."}
-    assert unreached_names(modules, readers) == ["lonely", "selfish"]
+    assert unreached_names(modules, readers) == ["lonely", "Shape.scaled", "selfish"]
 
 
 def test_every_public_name_is_reached():

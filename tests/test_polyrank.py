@@ -293,14 +293,14 @@ def test_zero_poly_rank_zero():
 
 
 def test_linear_poly_never_expressible():
-    report = polynomial_rank(Polynomial.variable(2, 2, 0), r_max=2)
+    report = polynomial_rank(Polynomial(2, 2, {(1, 0): 1}), r_max=2)
     assert report.value is None
     assert report.refuted_up_to == 2
     assert report.rank_exceeds(2)
     with pytest.raises(ValidationError):
         report.rank_exceeds(3)
     # affine combinations refute every r at once, with no charge
-    pair = [Polynomial(2, 3, {(1, 0, 0): 1, (0, 1, 0): 1}), Polynomial.variable(2, 3, 2)]
+    pair = [Polynomial(2, 3, {(1, 0, 0): 1, (0, 1, 0): 1}), Polynomial(2, 3, {(0, 0, 1): 1})]
     report = polynomial_rank(pair, r_max=10**12, budget=1)
     assert (report.value, report.refuted_up_to) == (None, 10**12)
 
@@ -377,10 +377,10 @@ def test_rank_validation():
         polynomial_rank([])
     with pytest.raises(ValidationError):
         polynomial_rank(
-            [Polynomial.variable(2, 2, 0), Polynomial.variable(3, 2, 0)]
+            [Polynomial(2, 2, {(1, 0): 1}), Polynomial(3, 2, {(1, 0): 1})]
         )
     with pytest.raises(ValidationError):
-        polynomial_rank(Polynomial.variable(2, 2, 0), r_max=-1)
+        polynomial_rank(Polynomial(2, 2, {(1, 0): 1}), r_max=-1)
     with pytest.raises(ValidationError):
         quadratic_min_rank(Polynomial(2, 3, {(1, 1, 1): 1}))
 

@@ -586,8 +586,7 @@ def test_interior_finds_witness_for_ap3_and_segment():
     # gram is symmetric PSD
     assert np.abs(rep.gram - rep.gram.T).max() < 1e-12
     assert np.linalg.eigvalsh(rep.gram).min() > -1e-9
-    obj = rep.to_json_dict()
-    assert obj["independent"] is True and obj["trials_run"] == 1
+    assert rep.independent is True and rep.trials_run == 1
 
 
 def test_interior_rejects_isomorphic_pair():
