@@ -12,7 +12,6 @@ import numpy as np
 
 from fpuniform.analysis import correlation_with_family, fourier_transform, gowers_norm
 from fpuniform.polynomials import Polynomial
-from fpuniform.rng import SeededRNG
 from fpuniform.tables import FunctionTable, phase_table
 
 p, n = 2, 6
@@ -27,10 +26,10 @@ print("  the norm saturates at k = 3 because deg Q = 2 kills third differences")
 
 print()
 print("== random +-1 functions: the norms decay as the space grows ==")
-rng = SeededRNG(0)
+rng = np.random.default_rng(0)
 g = FunctionTable(p, n, 1.0 - 2.0 * rng.integers(0, 2, size=N))
 for m in (6, 8, 10):
-    gm = FunctionTable(p, m, 1.0 - 2.0 * SeededRNG(m).integers(0, 2, size=p**m))
+    gm = FunctionTable(p, m, 1.0 - 2.0 * np.random.default_rng(m).integers(0, 2, size=p**m))
     u2 = gowers_norm(gm, 2).value
     u3 = gowers_norm(gm, 3).value
     print(f"  n = {m:>2}: U^2 = {u2:.4f}   U^3 = {u3:.4f}")

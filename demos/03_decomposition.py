@@ -17,14 +17,13 @@ from fpuniform.analysis import gowers_norm, inner_product
 from fpuniform.factors import conditional_expectation, decompose
 from fpuniform.polynomials import Polynomial
 from fpuniform.polyrank import polynomial_rank
-from fpuniform.rng import SeededRNG
 from fpuniform.tables import FunctionTable, phase_table
 
 p, n = 2, 5
 N = p**n
 
 Q = Polynomial(2, 5, {(1, 1, 0, 0, 0): 1, (0, 0, 1, 1, 0): 1})
-rng = SeededRNG(7)
+rng = np.random.default_rng(7)
 noise = FunctionTable(p, n, rng.random(N) * np.exp(2j * np.pi * rng.random(N)))
 f = phase_table(Q) * FunctionTable.constant(p, n, 0.6) + noise * FunctionTable.constant(p, n, 0.4)
 

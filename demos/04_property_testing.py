@@ -11,8 +11,9 @@ map.  That makes the acceptance probability a function of the affine orbit
 of f only, without changing what the tester accepts in the mean.
 """
 
+import numpy as np
+
 from fpuniform.polynomials import Polynomial
-from fpuniform.rng import SeededRNG
 from fpuniform.tables import FunctionTable
 from fpuniform.testers import (
     find_testing_degree,
@@ -32,7 +33,7 @@ def field_table(values):
 
 cubic = field_table(Polynomial(p, n, {(1, 1, 1, 0, 0, 0): 1}).value_table())
 quad = field_table(Polynomial(p, n, {(1, 1, 0, 0, 0, 0): 1, (0, 0, 1, 0, 0, 0): 1}).value_table())
-rnd = field_table(SeededRNG(4).integers(0, p, size=N))
+rnd = field_table(np.random.default_rng(4).integers(0, p, size=N))
 
 print("== the degree-d uniformity test, 2^{d+1} queries per trial ==")
 for name, f in (("x1x2x3", cubic), ("x1x2+x3", quad), ("random", rnd)):

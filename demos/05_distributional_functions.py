@@ -15,7 +15,7 @@ a witness function certifies that it can.
 import numpy as np
 
 from fpuniform.linear_forms import LinearSystem, arithmetic_progression_system
-from fpuniform.rng import SeededRNG
+from fpuniform.rng import derive_seed
 from fpuniform.tables import random_real_table
 from fpuniform.testers import DistributionalFunction, interior_experiment
 
@@ -28,12 +28,11 @@ gamma = DistributionalFunction.lift(F)
 target = complex(gamma.t_star(tri, (1, 1, 1))).real
 print(f"t*(Gamma) for the triangle system over F_2^{n}: {target:.4f}")
 
-# fork a labelled substream per draw: reusing an integer seed across different
+# derive a labelled substream per draw: reusing an integer seed across different
 # operations (F above also used seed 0) would replay the same uniform stream
-base = SeededRNG(0)
 draws = []
 for i in range(12):
-    f = gamma.sample_function(base.fork(f"draw {i}"))
+    f = gamma.sample_function(np.random.default_rng(derive_seed(0, f"draw {i}")))
     t_f = complex(DistributionalFunction.from_function(f).t_star(tri, (1, 1, 1))).real
     draws.append(t_f)
 draws = np.array(draws)

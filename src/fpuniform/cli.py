@@ -346,6 +346,9 @@ def _cmd_test(args) -> dict:
     from .tables import parse_function_table
     from .testers import TesterSpec, run_tester, symmetrize_tester, uniformity_test
 
+    spec_flags = args.exact or args.trials is not None or args.spec is not None
+    if args.action == "uniformity" and spec_flags:
+        raise ValidationError("test uniformity takes --samples, not --exact, --trials or --spec")
     table, table_meta = _load(parse_function_table, args.table)
     if args.action == "uniformity":
         rep = uniformity_test(
@@ -436,13 +439,18 @@ def _add_common(sub) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # every flag is spelled in full: no prefix such as --bet stands for --beta
     parser = argparse.ArgumentParser(
         prog="fpuniform",
         description="uniformity norms, linear-form averages, and testers over F_p^n",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("gowers", help="U^k norm of a function table")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        return subs.add_parser(name, help=summary, allow_abbrev=False)
+
+    sub = command("gowers", "U^k norm of a function table")
     sub.add_argument("--table", required=True)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--mc", type=int, default=None, metavar="N")
@@ -450,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.set_defaults(handler=_cmd_gowers)
 
-    sub = subs.add_parser("average", help="t_L average over a linear-form system")
+    sub = command("average", "t_L average over a linear-form system")
     sub.add_argument("--system", required=True)
     sub.add_argument("--tables", nargs="+", required=True)
     sub.add_argument("--conjugations", default=None, help="0/1 flags, comma separated")
@@ -459,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.set_defaults(handler=_cmd_average)
 
-    sub = subs.add_parser("system", help="complexity / isomorphism / components / product")
+    sub = command("system", "complexity / isomorphism / components / product")
     sub.add_argument("action", choices=("complexity", "isomorphism", "components", "product"))
     sub.add_argument("--file", required=True)
     sub.add_argument("--other", default=None, help="second system for isomorphism/product")
@@ -467,12 +475,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.set_defaults(handler=_cmd_system)
 
-    sub = subs.add_parser("fourier", help="full Fourier spectrum of a table")
+    sub = command("fourier", "full Fourier spectrum of a table")
     sub.add_argument("--table", required=True)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_fourier)
 
-    sub = subs.add_parser("decompose", help="degree-d factor + small-norm residual split")
+    sub = command("decompose", "degree-d factor + small-norm residual split")
     sub.add_argument("--table", required=True)
     sub.add_argument("--degree", type=int, required=True)
     sub.add_argument("--delta", type=float, required=True)
@@ -481,13 +489,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.set_defaults(handler=_cmd_decompose)
 
-    sub = subs.add_parser("rank", help="rank of a polynomial collection")
+    sub = command("rank", "rank of a polynomial collection")
     sub.add_argument("--polys", nargs="+", required=True)
     sub.add_argument("--rmax", type=int, default=2)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_rank)
 
-    sub = subs.add_parser("test", help="uniformity / generic / symmetrize testers")
+    sub = command("test", "uniformity / generic / symmetrize testers")
     sub.add_argument("action", choices=("uniformity", "generic", "symmetrize"))
     sub.add_argument("--table", required=True)
     sub.add_argument("--spec", default=None, help="tester spec JSON (generic/symmetrize)")
@@ -499,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.set_defaults(handler=_cmd_test)
 
-    sub = subs.add_parser("interior", help="boundary-function independence experiment")
+    sub = command("interior", "boundary-function independence experiment")
     sub.add_argument("--systems", nargs="+", required=True)
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)
@@ -507,7 +515,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.set_defaults(handler=_cmd_interior)
 
-    sub = subs.add_parser("distributional", help="t* average of a lifted [0,1] table")
+    sub = command("distributional", "t* average of a lifted [0,1] table")
     sub.add_argument("--table", required=True)
     sub.add_argument("--system", required=True)
     sub.add_argument("--beta", required=True, help="comma-separated entries, one per form")

@@ -22,14 +22,18 @@ from .polyrank import polynomial_rank
 from .tables import FunctionTable
 
 
+@dataclass(frozen=True)
 class PolynomialFactor:
     """The common-level-set partition of F_p^n by an ordered polynomial list."""
 
-    __slots__ = ("p", "n", "defining", "labels")
+    p: int
+    n: int
+    defining: tuple[Polynomial, ...] = ()
+    labels: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def __init__(self, p: int, n: int, defining=()):
-        p, n = validate_dims(p, n)
-        polys = tuple(defining)
+    def __post_init__(self):
+        p, n = validate_dims(self.p, self.n)
+        polys = tuple(self.defining)
         for q in polys:
             if not isinstance(q, Polynomial):
                 raise ValidationError("defining entries must be polynomials")
@@ -45,9 +49,6 @@ class PolynomialFactor:
             labels = np.zeros(space_size(p, n), dtype=np.int64)
         labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolynomialFactor is immutable")
 
     @property
     def complexity(self) -> int:
@@ -73,16 +74,6 @@ class PolynomialFactor:
         if not self.defining:
             raise ValidationError("the empty factor has no defining polynomials")
         return polynomial_rank(self.defining, r_max=r_max, budget=budget)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolynomialFactor)
-            and (self.p, self.n) == (other.p, other.n)
-            and self.defining == other.defining
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.n, self.defining))
 
     def __repr__(self):
         names = ", ".join(q.to_text() for q in self.defining)

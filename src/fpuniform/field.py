@@ -179,7 +179,7 @@ def index_add(p: int, n: int, a, b):
     return next(index_combination(p, n, [[1, 1]], [a, b]))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AffineMap:
     """x ↦ matrix·x + offset over F_p, with an invertible matrix."""
 
@@ -189,13 +189,15 @@ class AffineMap:
     offset: np.ndarray
 
     def __post_init__(self):
-        self.p, self.n = validate_dims(self.p, self.n)
-        self.matrix = np.asarray(self.matrix, dtype=np.int64) % self.p
-        self.offset = np.asarray(self.offset, dtype=np.int64).reshape(-1) % self.p
-        if self.matrix.shape != (self.n, self.n) or self.offset.shape != (self.n,):
+        p, n = validate_dims(self.p, self.n)
+        matrix = np.asarray(self.matrix, dtype=np.int64) % p
+        offset = np.asarray(self.offset, dtype=np.int64).reshape(-1) % p
+        if matrix.shape != (n, n) or offset.shape != (n,):
             raise ValidationError("affine map shape mismatch")
-        if linalg.rank(self.matrix, self.p) != self.n:
+        if linalg.rank(matrix, p) != n:
             raise ValidationError("affine map matrix is singular")
+        for name, value in zip(("p", "n", "matrix", "offset"), (p, n, matrix, offset)):
+            object.__setattr__(self, name, value)
 
 
 def random_affine(p: int, n: int, seed) -> AffineMap:

@@ -36,14 +36,17 @@ def _normalize_form(form, p: int, k: int) -> Form:
     return out
 
 
+@dataclass(frozen=True)
 class LinearSystem:
     """Distinct nonzero linear forms L_1, ..., L_m on F_p^k."""
 
-    __slots__ = ("p", "k", "forms")
+    p: int
+    k: int
+    forms: tuple[Form, ...]
 
-    def __init__(self, p: int, k: int, forms):
-        p, k = validate_dims(p, k)
-        clean = tuple(_normalize_form(f, p, k) for f in forms)
+    def __post_init__(self):
+        p, k = validate_dims(self.p, self.k)
+        clean = tuple(_normalize_form(f, p, k) for f in self.forms)
         if not clean:
             raise ValidationError("need at least one form")
         for f in clean:
@@ -54,9 +57,6 @@ class LinearSystem:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "forms", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LinearSystem is immutable")
 
     @property
     def m(self) -> int:
@@ -77,20 +77,6 @@ class LinearSystem:
         if not rest:
             return None, removed
         return LinearSystem(self.p, self.k, rest), removed
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinearSystem)
-            and not isinstance(other, FlaggedSystem)
-            and not isinstance(self, FlaggedSystem)
-            and (self.p, self.k, self.forms) == (other.p, other.k, other.forms)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k, self.forms))
-
-    def __repr__(self) -> str:
-        return f"LinearSystem(p={self.p}, k={self.k}, forms={list(self.forms)})"
 
     def degrees(self) -> tuple[int, ...]:
         sums = _pair_sums(self)
@@ -119,6 +105,7 @@ class LinearSystem:
         return parse_at("/forms", cls, p, k, forms)
 
 
+@dataclass(frozen=True)
 class FlaggedSystem(LinearSystem):
     """Linear system with a distinguished flag form and per-form multiplicities.
 
@@ -126,15 +113,17 @@ class FlaggedSystem(LinearSystem):
     conditional averages degrade gracefully to constants in that case.
     """
 
-    __slots__ = ("flag", "multiplicities")
+    flag: Form
+    multiplicities: tuple[int, ...] | None = None
 
-    def __init__(self, p: int, k: int, forms, flag, multiplicities=None):
-        super().__init__(p, k, forms)
-        flag = _normalize_form(flag, p, k)
+    def __post_init__(self):
+        super().__post_init__()
+        flag = _normalize_form(self.flag, self.p, self.k)
         if not any(flag):
             raise ValidationError("flag must be nonzero")
+        multiplicities = self.multiplicities
         if multiplicities is None:
-            multiplicities = (1,) * len(self.forms)
+            multiplicities = (1,) * self.m
         multiplicities = int_tuple(multiplicities, "multiplicities")
         if len(multiplicities) != len(self.forms):
             raise ValidationError("one multiplicity per form required")
@@ -142,24 +131,6 @@ class FlaggedSystem(LinearSystem):
             raise ValidationError("multiplicities must be positive")
         object.__setattr__(self, "flag", flag)
         object.__setattr__(self, "multiplicities", multiplicities)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FlaggedSystem) and (
-            self.p,
-            self.k,
-            self.forms,
-            self.flag,
-            self.multiplicities,
-        ) == (other.p, other.k, other.forms, other.flag, other.multiplicities)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k, self.forms, self.flag, self.multiplicities))
-
-    def __repr__(self) -> str:
-        return (
-            f"FlaggedSystem(p={self.p}, k={self.k}, forms={list(self.forms)}, "
-            f"flag={self.flag}, multiplicities={self.multiplicities})"
-        )
 
     def to_json_dict(self) -> dict:
         obj = super().to_json_dict()

@@ -48,15 +48,18 @@ def _monomial_column(points: np.ndarray, exps: Exponents, p: int) -> np.ndarray:
     return t
 
 
+@dataclass(frozen=True)
 class Polynomial:
     """Immutable polynomial; ``terms`` maps exponent tuples to coefficients."""
 
-    __slots__ = ("p", "n", "terms", "_hash")
+    p: int
+    n: int
+    terms: dict[Exponents, int]
 
-    def __init__(self, p: int, n: int, terms: dict[Exponents, int]):
-        p, n = validate_dims(p, n)
+    def __post_init__(self):
+        p, n = validate_dims(self.p, self.n)
         clean: dict[Exponents, int] = {}
-        for exps, coeff in terms.items():
+        for exps, coeff in self.terms.items():
             if isinstance(exps, str):
                 raise ValidationError(f"exponent tuple {exps!r} must be integers, not a string")
             exps = tuple(int(e) for e in exps)
@@ -70,10 +73,6 @@ class Polynomial:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Polynomial is immutable")
 
     # -- basic structure ----------------------------------------------------
 
@@ -138,19 +137,9 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and (self.p, self.n) == (other.p, other.n)
-            and self.terms == other.terms
-        )
-
     def __hash__(self) -> int:
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash((self.p, self.n, tuple(sorted(self.terms.items()))))
-            object.__setattr__(self, "_hash", h)
-        return h
+        # terms is a dict, which the generated hash could not hash
+        return hash((self.p, self.n, tuple(sorted(self.terms.items()))))
 
     # -- evaluation ----------------------------------------------------------
 

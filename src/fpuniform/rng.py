@@ -1,9 +1,10 @@
 """Seeded random number generation with deterministic substreams.
 
-Every Monte Carlo entry point takes a ``seed`` and derives its own stream, so
-results are reproducible and independent calls never share state.  Substreams
-are derived by hashing the parent seed with a label, which keeps forked
-streams stable under code reordering (unlike sequential spawning).
+Every Monte Carlo entry point takes a ``seed`` (or a numpy Generator) and
+draws from its own stream, so results are reproducible and independent calls
+never share state.  `derive_seed` labels substreams by hashing the parent seed
+with a label, which keeps them stable under code reordering (unlike sequential
+spawning).
 """
 
 from __future__ import annotations
@@ -29,33 +30,6 @@ def derive_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-class SeededRNG:
-    """A numpy Generator plus deterministic forking."""
-
-    __slots__ = ("seed", "generator")
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self.generator = np.random.default_rng(self.seed)
-
-    def fork(self, label: str) -> "SeededRNG":
-        return SeededRNG(derive_seed(self.seed, label))
-
-    # Thin pass-throughs for the handful of draws the package needs.
-
-    def integers(self, low, high=None, size=None):
-        return self.generator.integers(low, high=high, size=size)
-
-    def random(self, size=None):
-        return self.generator.random(size)
-
-    def choice(self, a, size=None, p=None, replace=True):
-        return self.generator.choice(a, size=size, p=p, replace=replace)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"SeededRNG(seed={self.seed})"
-
-
 #: Points per block of every enumeration, and block-length arrays per block of
 #: mc_mean: a block of draws that each keep `width` such arrays live holds
 #: _CHUNK // width draws, so one block holds about _CHUNK values whatever the
@@ -70,11 +44,11 @@ def check_count(count: int, name: str) -> int:
     return count
 
 
-def as_rng(seed_or_rng) -> SeededRNG:
-    """Accept either an integer seed or an existing SeededRNG."""
-    if isinstance(seed_or_rng, SeededRNG):
+def as_rng(seed_or_rng) -> np.random.Generator:
+    """Accept either an integer seed or an existing numpy Generator."""
+    if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    return SeededRNG(int(seed_or_rng))
+    return np.random.default_rng(int(seed_or_rng))
 
 
 def mc_mean(

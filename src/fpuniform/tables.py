@@ -8,6 +8,7 @@ guarantees exactly-zero imaginary parts.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,28 +24,30 @@ SCHEMA = "fpuniform/v1"
 CODOMAINS = ("complex", "real")
 
 
+@dataclass(frozen=True, eq=False)
 class FunctionTable:
-    __slots__ = ("p", "n", "codomain", "values")
+    """A map F_p^n -> C; equal and hashed by identity, so it can key a cache."""
 
-    def __init__(self, p: int, n: int, values, codomain: str = "complex"):
-        p, n = validate_dims(p, n)
-        if codomain not in CODOMAINS:
+    p: int
+    n: int
+    values: np.ndarray
+    codomain: str = "complex"
+
+    def __post_init__(self):
+        p, n = validate_dims(self.p, self.n)
+        if self.codomain not in CODOMAINS:
             raise ValidationError(f"codomain must be one of {CODOMAINS}")
-        arr = np.asarray(values, dtype=np.complex128).reshape(-1).copy()
+        arr = np.asarray(self.values, dtype=np.complex128).reshape(-1).copy()
         if not is_space_size(arr.size, p, n):
             raise ValidationError(f"expected p^n values for p={p}, n={n}, got {arr.size}")
-        if codomain == "real" and arr.imag.any():
+        if self.codomain == "real" and arr.imag.any():
             raise ValidationError("real codomain requires zero imaginary parts")
         if not np.isfinite(arr).all():
             raise ValidationError("table values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "values", arr)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FunctionTable is immutable")
 
     # -- constructors ---------------------------------------------------------
 

@@ -12,7 +12,7 @@ boundary functions have a nonsingular Gram matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,14 +45,17 @@ from .tables import FunctionTable
 # -- distributional functions ------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class DistributionalFunction:
     """A map from F_p^n to probability distributions on F_p."""
 
-    __slots__ = ("p", "n", "table")
+    p: int
+    n: int
+    table: np.ndarray
 
-    def __init__(self, p: int, n: int, table):
-        p, n = validate_dims(p, n)
-        arr = np.asarray(table, dtype=float)
+    def __post_init__(self):
+        p, n = validate_dims(self.p, self.n)
+        arr = np.asarray(self.table, dtype=float)
         if arr.shape != (space_size(p, n), p):
             raise ValidationError(
                 f"expected shape {(space_size(p, n), p)}, got {arr.shape}"
@@ -67,9 +70,6 @@ class DistributionalFunction:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "table", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DistributionalFunction is immutable")
 
     @classmethod
     def from_function(cls, f) -> "DistributionalFunction":
@@ -131,47 +131,43 @@ class DistributionalFunction:
 # -- tester specs ---------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class TesterSpec:
     """q queries, a distribution over query tuples, and a 0/1 decision map."""
 
     __test__ = False  # keep pytest from collecting the Test* name
 
-    __slots__ = (
-        "p", "q", "decision_table", "theta_minus", "theta_plus",
-        "epsilon", "delta", "base_support", "symmetrized",
-    )
+    p: int
+    q: int
+    decision_table: np.ndarray
+    theta_minus: float = 0.0
+    theta_plus: float = 1.0
+    epsilon: float | None = None
+    delta: float | None = None
+    base_support: list | None = None
+    symmetrized: bool = False
 
-    def __init__(
-        self,
-        p: int,
-        q: int,
-        decision_table,
-        theta_minus: float = 0.0,
-        theta_plus: float = 1.0,
-        epsilon: float | None = None,
-        delta: float | None = None,
-        base_support=None,
-        symmetrized: bool = False,
-    ):
-        p = validate_prime(p)
+    def __post_init__(self):
+        p, q = validate_prime(self.p), self.q
         if q < 1:
             raise ValidationError("need at least one query")
-        decision = np.asarray(decision_table, dtype=float).reshape(-1)
+        decision = np.asarray(self.decision_table, dtype=float).reshape(-1)
         if not is_space_size(decision.size, p, q):
             raise ValidationError(f"decision table must have p^q entries, p = {p} and q = {q}")
         if not np.isin(decision, (0.0, 1.0)).all():
             raise ValidationError("decision table entries must be 0 or 1")
-        if not (0.0 <= theta_minus < theta_plus <= 1.0):
+        if not (0.0 <= self.theta_minus < self.theta_plus <= 1.0):
             raise ValidationError("need 0 <= theta- < theta+ <= 1")
+        epsilon, delta = self.epsilon, self.delta
         if (epsilon is None) != (delta is None):
             raise ValidationError("epsilon and delta come together")
         if epsilon is not None and not (0.0 < delta < epsilon):
             raise ValidationError("need 0 < delta < epsilon")
-        if base_support is None:
+        if self.base_support is None:
             raise ValidationError("need a base_support")
         support = []
         total = 0.0
-        for points, prob in base_support:
+        for points, prob in self.base_support:
             pts = np.asarray(points, dtype=np.int64) % p
             if pts.ndim != 2 or pts.shape[0] != q:
                 raise ValidationError("support point must hold q query vectors")
@@ -183,17 +179,11 @@ class TesterSpec:
             raise ValidationError("support probabilities must sum to 1")
         decision.setflags(write=False)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
         object.__setattr__(self, "decision_table", decision)
-        object.__setattr__(self, "theta_minus", float(theta_minus))
-        object.__setattr__(self, "theta_plus", float(theta_plus))
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "theta_minus", float(self.theta_minus))
+        object.__setattr__(self, "theta_plus", float(self.theta_plus))
         object.__setattr__(self, "base_support", support)
-        object.__setattr__(self, "symmetrized", bool(symmetrized))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TesterSpec is immutable")
+        object.__setattr__(self, "symmetrized", bool(self.symmetrized))
 
     def support_indices(self, n: int) -> np.ndarray:
         """(tuples, q) point indices of the base support's query tuples."""
@@ -393,17 +383,7 @@ def symmetrize_tester(spec: TesterSpec) -> TesterSpec:
     on where the map sends the tuple's first point and the basis of its
     differences, so it is drawn as u + lambda.V; symmetrizing twice is
     symmetrizing once."""
-    return TesterSpec(
-        spec.p,
-        spec.q,
-        spec.decision_table,
-        theta_minus=spec.theta_minus,
-        theta_plus=spec.theta_plus,
-        epsilon=spec.epsilon,
-        delta=spec.delta,
-        base_support=spec.base_support,
-        symmetrized=True,
-    )
+    return replace(spec, symmetrized=True)
 
 
 # -- linear-form profiles -----------------------------------------------------------

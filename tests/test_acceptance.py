@@ -29,7 +29,6 @@ from fpuniform.linear_forms import (
     true_complexity,
 )
 from fpuniform.polynomials import Polynomial, monomials_up_to
-from fpuniform.rng import SeededRNG
 from fpuniform.tables import FunctionTable, phase_table, random_real_table
 from fpuniform.testers import (
     DistributionalFunction,
@@ -48,13 +47,13 @@ def _line(num: int, name: str, ok: bool, detail: str) -> None:
 
 def disk_table(p: int, n: int, seed: int) -> FunctionTable:
     """Uniform over the closed unit disk, pointwise."""
-    rng = SeededRNG(seed)
+    rng = np.random.default_rng(seed)
     N = space_size(p, n)
     vals = np.sqrt(rng.random(N)) * np.exp(2j * np.pi * rng.random(N))
     return FunctionTable(p, n, vals)
 
 
-def random_phase_poly(p: int, n: int, d: int, rng: SeededRNG) -> FunctionTable:
+def random_phase_poly(p: int, n: int, d: int, rng: np.random.Generator) -> FunctionTable:
     monos = monomials_up_to(p, n, d)
     coeffs = rng.integers(0, p, size=len(monos))
     return phase_table(Polynomial.from_coefficients(p, n, monos, coeffs))
@@ -76,7 +75,7 @@ def test_01_direct_inequality():
 
 
 def test_02_polynomial_phase_norm():
-    rng = SeededRNG(202)
+    rng = np.random.default_rng(202)
     worst = 0.0
     for _ in range(50):
         p = int(rng.choice([2, 3]))
@@ -256,7 +255,7 @@ def test_09_disconnected_and_tensor_multiplicativity():
 def test_10_projection_identity():
     worst = 0.0
     for trial in range(50):
-        rng = SeededRNG(5000 + trial)
+        rng = np.random.default_rng(5000 + trial)
         polys = [
             Polynomial.from_coefficients(
                 2, 3, monomials_up_to(2, 3, 2), rng.integers(0, 2, size=len(monomials_up_to(2, 3, 2)))
@@ -370,7 +369,7 @@ def test_15_tester_separation():
     for seed in range(5):
         spec = symmetrize_tester(uniformity_tester_spec(2, 8, 1))
         rnd = FunctionTable(
-            2, 8, SeededRNG(8000 + seed).integers(0, 2, size=256), codomain="real"
+            2, 8, np.random.default_rng(8000 + seed).integers(0, 2, size=256), codomain="real"
         )
         a_lin = run_tester(spec, lin, trials=10**4, seed=seed).acceptance
         a_rnd = run_tester(spec, rnd, trials=10**4, seed=seed).acceptance

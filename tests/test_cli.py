@@ -678,17 +678,18 @@ def test_sample_count_is_charged_before_drawing(files, capsys, argv, per_draw):
     (tmp / "spec12.json").write_text(json.dumps(uniformity_tester_spec(2, 12, 1).to_json_dict()))
     files = {**files, "spec12": str(tmp / "spec12.json")}
     argv = [files.get(a, a) for a in argv]
+    table_flag = "--tables" if argv[0] == "average" else "--table"
     # 10^5 draws fit the default budget, so only the explicit one refuses them
     refused = ((10**22, []), (10**8, ["--budget", "1000"]), (10**5, ["--budget", "1000"]))
     for count, budget in refused:
         start = time.perf_counter()
-        rc, out, err = run(argv + [str(count), "--table", str(path)] + budget, capsys)
+        rc, out, err = run(argv + [str(count), table_flag, str(path)] + budget, capsys)
         assert time.perf_counter() - start < 1.0
         assert rc == 66 and out == ""
         diag = json.loads(err)
         assert diag["type"] == "budget" and "hint" not in diag
         assert diag["cost"] == reported_count(count * per_draw)
-    rc, out, _ = run(argv + ["250", "--table", str(path), "--budget", str(250 * per_draw)], capsys)
+    rc, out, _ = run(argv + ["250", table_flag, str(path), "--budget", str(250 * per_draw)], capsys)
     assert rc == 0
 
 
@@ -783,6 +784,38 @@ def test_missing_required_flag_exits_2(files):
     with pytest.raises(SystemExit) as exc:
         main(["gowers", "--table", files["phase"]])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distributional", "--table", "{F01}", "--system", "{tri}", "--bet=1,1,1"],
+        ["distributional", "--table", "{F01}", "--system", "{tri}", "--bet", "-1,-1,-1"],
+        ["average", "--system", "{tri}", "--table", "{lin4}"],
+    ],
+    ids=["bet=", "bet-negative", "average-table"],
+)
+def test_abbreviated_flags_exit_2(files, argv):
+    # every flag is spelled in full, so a prefix is refused however its value
+    # is written; test_distributional_beta_exit_codes pins that "--beta X"
+    # and "--beta=X" keep one report
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**files) for a in argv])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "extra", [["--exact"], ["--trials", "10"], ["--spec", "{spec}"]], ids=lambda e: e[0]
+)
+def test_uniformity_refuses_flags_it_does_not_use(files, capsys, extra):
+    # --exact, --trials and --spec belong to generic and symmetrize testers;
+    # test uniformity refuses them instead of running a sampled test anyway
+    argv = ["test", "uniformity", "--table", files["lin4"], "--samples", "50"]
+    rc, out, err = run(argv + [e.format(**files) for e in extra], capsys)
+    assert rc == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["type"] == "validation" and extra[0] in diag["error"]
+    assert run(argv, capsys)[0] == 0
 
 
 # ------------------------------------------------------- malformed input fields
@@ -891,15 +924,39 @@ JSON_VALUES = st.recursive(
 )
 
 
+def field_paths(obj, path=()) -> list[tuple]:
+    """The path of keys and indices to every field nested in `obj`, such as
+    ("forms", 1, 0) for the second entry of a system's second form."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return []
+    return [q for key, value in items for q in [(*path, key), *field_paths(value, (*path, key))]]
+
+
+def test_field_paths_reach_every_nesting_level():
+    paths = {kind: set(field_paths(obj)) for kind, obj in VALID_INPUTS.items()}
+    assert {("values",), ("values", 3, 1)} < paths["table"]
+    assert ("forms", 2, 1) in paths["system"]
+    assert {("forms", 1, 0), ("flag", 1), ("multiplicities", 0)} < paths["flagged"]
+    assert {("terms", 0, "exps", 1), ("terms", 0, "coeff")} < paths["poly"]
+    assert {("support", 0, "points", 3, 1), ("support", 0, "prob"), ("decision_table", 15),
+            ("thresholds", 1), ("epsilon",)} < paths["spec"]
+
+
 @given(data=st.data())
 @settings(
-    max_examples=150, deadline=None,
+    max_examples=400, deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_any_field_value_keeps_the_exit_code_contract(tmp_path, capsys, data):
+    # any field at any depth: a top-level key, a form's entry, a polynomial
+    # term's exponent, a support point's coordinate, a decision-table entry
     kind = data.draw(st.sampled_from(sorted(VALID_INPUTS)))
-    key = data.draw(st.sampled_from(sorted(VALID_INPUTS[kind])))
-    rc, _, err = run_with_field(tmp_path, capsys, kind, (key,), data.draw(JSON_VALUES))
+    path = data.draw(st.sampled_from(field_paths(VALID_INPUTS[kind])))
+    rc, _, err = run_with_field(tmp_path, capsys, kind, path, data.draw(JSON_VALUES))
     assert rc in (0, 2, 64, 65, 66, 70)
     for line in err.splitlines():
         assert isinstance(json.loads(line), dict)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fpuniform import field, linalg
 from fpuniform.errors import BudgetExceededError, ValidationError
-from fpuniform.rng import SeededRNG
 from fpuniform.tables import FunctionTable
 
 
@@ -194,7 +193,7 @@ def test_field_inverses():
 
 def test_batch_invertible_mask_matches_rank():
     for p in (2, 3, 5):
-        rng = SeededRNG(100 + p)
+        rng = np.random.default_rng(100 + p)
         for r, n in ((4, 4), (1, 4), (2, 4), (3, 5), (0, 3)):
             mats = rng.integers(0, p, size=(200, r, n))
             if r > 1:
@@ -246,7 +245,7 @@ def test_independence_filter_runs_in_bounded_sub_blocks(monkeypatch):
     monkeypatch.setattr(field, "_batch_independent_mask", recorded)
     monkeypatch.setattr(field, "_CHUNK", 1 << 13)
     block = field._CHUNK // (2 * 2)  # r = 2 points of F_3^2
-    Z = SeededRNG(3).integers(0, 9, size=(2, 3 * block + 5))
+    Z = np.random.default_rng(3).integers(0, 9, size=(2, 3 * block + 5))
     kept = field._independent_columns(Z, 3, 2)
     assert max(seen) == block and sum(seen) == Z.shape[1]
     pts = field.digit_table(3, 2)

@@ -1,7 +1,7 @@
 """Every module-level import in the package binds a name that the module uses,
-no import anywhere in the package loads OpenSSL through hashlib, and every
-public name the package defines is reached by something other than its unit
-tests."""
+no import anywhere in the package loads OpenSSL through hashlib, every public
+name the package defines is reached by something other than its unit tests,
+and immutability comes from frozen dataclasses, not hand-written guards."""
 
 import ast
 import re
@@ -179,3 +179,58 @@ def test_every_public_name_is_reached():
     ]
     modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreached_names(modules, {str(p): p.read_text() for p in readers}) == []
+
+
+def hand_written_immutability(source: str) -> list[str]:
+    """The classes of `source` that define __slots__ or __setattr__, or call
+    object.__setattr__ without being a dataclass(frozen=True, ...)."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        defined = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)} | {
+            t.id
+            for n in cls.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+            for t in ast.walk(n) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+        }
+        frozen = any(
+            isinstance(d, ast.Call) and ast.unparse(d.func) in ("dataclass", "dataclasses.dataclass")
+            and any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in d.keywords)
+            for d in cls.decorator_list
+        )
+        sets = any(
+            isinstance(n, ast.Call) and ast.unparse(n.func) == "object.__setattr__"
+            for n in ast.walk(cls)
+        )
+        if {"__slots__", "__setattr__"} & defined or (sets and not frozen):
+            found.append(cls.name)
+    return found
+
+
+def test_hand_written_immutability_finds_what_it_should():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "class Slotted:\n    __slots__ = ('a',)\n"
+        "class Annotated:\n    __slots__: tuple = ()\n"
+        "class Guarded:\n    def __setattr__(self, name, value):\n        raise AttributeError\n"
+        "class Sneaky:\n    def __init__(self):\n        object.__setattr__(self, 'a', 1)\n"
+        "@dataclass\nclass Mutable:\n"
+        "    def __post_init__(self):\n        object.__setattr__(self, 'a', 1)\n"
+        "@dataclass(frozen=False)\nclass Thawed:\n"
+        "    def __post_init__(self):\n        object.__setattr__(self, 'a', 1)\n"
+        "@dataclass(frozen=True)\nclass Frozen:\n"
+        "    def __post_init__(self):\n        object.__setattr__(self, 'a', 1)\n"
+        "@dataclasses.dataclass(eq=False, frozen=True)\nclass FrozenToo:\n"
+        "    def __post_init__(self):\n        object.__setattr__(self, 'a', 1)\n"
+        "@dataclass(frozen=True)\nclass FrozenButSlotted:\n    __slots__ = ()\n"
+        "class Plain:\n    slots = ()\n    def setattr(self):\n        setattr(self, 'a', 1)\n"
+    )
+    assert hand_written_immutability(source) == [
+        "Slotted", "Annotated", "Guarded", "Sneaky", "Mutable", "Thawed", "FrozenButSlotted",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_immutability_comes_from_frozen_dataclasses(path):
+    assert hand_written_immutability(path.read_text()) == []

@@ -13,7 +13,7 @@ from fpuniform.field import digit_table, place_values, random_affine, space_size
 from fpuniform.linalg import rank
 from fpuniform.linear_forms import LinearSystem, arithmetic_progression_system
 from fpuniform.polynomials import Polynomial
-from fpuniform.rng import SeededRNG, as_rng
+from fpuniform.rng import as_rng
 from fpuniform.tables import FunctionTable, random_real_table
 from fpuniform.testers import (
     DistributionalFunction,
@@ -89,7 +89,7 @@ def test_uniform_gamma_kills_averages():
 
 
 def test_dirac_embedding_matches_deterministic():
-    rng = SeededRNG(12)
+    rng = np.random.default_rng(12)
     f = field_table(3, 2, rng.integers(0, 3, size=9))
     gamma = DistributionalFunction.from_function(f)
     assert np.abs(gamma.table.sum(axis=1) - 1.0).max() == 0.0
@@ -271,7 +271,7 @@ def test_run_tester_validation():
 
 def test_estimate_reports_stderr():
     spec = symmetrize_tester(uniformity_tester_spec(2, 3, 1))
-    f = field_table(2, 3, SeededRNG(3).integers(0, 2, size=8))
+    f = field_table(2, 3, np.random.default_rng(3).integers(0, 2, size=8))
     rep = run_tester(spec, f, trials=400, seed=7)
     assert rep.mode == "mc" and rep.trials == 400
     assert 0.0 <= rep.acceptance <= 1.0
@@ -287,7 +287,7 @@ def test_linear_vs_random_acceptance_gap():
     # accepts a random table about half the time
     spec = symmetrize_tester(uniformity_tester_spec(2, 5, 1))
     lin = poly_table(2, 5, {(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 0): 1})
-    rnd = field_table(2, 5, SeededRNG(9).integers(0, 2, size=32))
+    rnd = field_table(2, 5, np.random.default_rng(9).integers(0, 2, size=32))
     a_lin = run_tester(spec, lin, trials=2000, seed=2).acceptance
     a_rnd = run_tester(spec, rnd, trials=2000, seed=2).acceptance
     assert a_lin == 1.0
@@ -302,13 +302,13 @@ def test_symmetrize_preserves_arity_and_flags():
     assert sym.q == spec.q and sym.p == spec.p
     assert sym.symmetrized and not spec.symmetrized
     assert np.array_equal(sym.decision_table, spec.decision_table)
-    qs = sym.index_sampler(3)[0](SeededRNG(2), 11)
+    qs = sym.index_sampler(3)[0](np.random.default_rng(2), 11)
     assert qs.shape == (11, 4) and qs.min() >= 0 and qs.max() < 2**3
 
 
 def test_symmetrized_acceptance_is_affine_invariant():
     spec = symmetrize_tester(uniformity_tester_spec(2, 5, 1))
-    f = field_table(2, 5, SeededRNG(9).integers(0, 2, size=32))
+    f = field_table(2, 5, np.random.default_rng(9).integers(0, 2, size=32))
     moved = f.apply_affine(random_affine(2, 5, 77))
     r1 = run_tester(spec, f, trials=4000, seed=3)
     r2 = run_tester(spec, moved, trials=4000, seed=4)
@@ -318,7 +318,7 @@ def test_symmetrized_acceptance_is_affine_invariant():
 def test_symmetrizing_twice_changes_nothing():
     spec = symmetrize_tester(uniformity_tester_spec(2, 5, 1))
     twice = symmetrize_tester(spec)
-    f = field_table(2, 5, SeededRNG(9).integers(0, 2, size=32))
+    f = field_table(2, 5, np.random.default_rng(9).integers(0, 2, size=32))
     r1 = run_tester(spec, f, trials=4000, seed=3)
     r3 = run_tester(twice, f, trials=4000, seed=5)
     assert abs(r1.acceptance - r3.acceptance) <= 3 * (r1.stderr + r3.stderr)
@@ -361,7 +361,7 @@ def orbit_supports(p, n, rng):
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 2)])
 def test_exact_orbit_matches_gl_enumeration(p, n):
-    rng = SeededRNG(10 * p + n)
+    rng = np.random.default_rng(10 * p + n)
     f = field_table(p, n, rng.integers(0, p, size=p**n))
     for support in orbit_supports(p, n, rng):
         decision = rng.integers(0, 2, size=p**3)
@@ -372,7 +372,7 @@ def test_exact_orbit_matches_gl_enumeration(p, n):
 
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 2)])
 def test_sampled_orbit_matches_exact_orbit(p, n):
-    rng = SeededRNG(20 * p + n)
+    rng = np.random.default_rng(20 * p + n)
     f = field_table(p, n, rng.integers(0, p, size=p**n))
     for support in orbit_supports(p, n, rng):
         decision = rng.integers(0, 2, size=p**3)
@@ -386,7 +386,7 @@ def test_support_estimate_reads_picked_tuples():
     # draws are support indices gathered by the picks, the same stream and
     # queries as picking (count, q, n) point arrays
     p, n, q = 3, 3, 4
-    rng = SeededRNG(4)
+    rng = np.random.default_rng(4)
     support = [(rng.integers(0, p, size=(q, n)), w) for w in (0.2, 0.3, 0.5)]
     spec = TesterSpec(p, q, rng.integers(0, 2, size=p**q), base_support=support)
     f = field_table(p, n, rng.integers(0, p, size=p**n))
@@ -457,7 +457,7 @@ def test_reconstruction_matches_exact_symmetrization_small():
     assert complex(profile_acceptance(profile, lin)) == pytest.approx(
         run_tester(sym, lin).acceptance
     )
-    rnd = field_table(2, 2, SeededRNG(5).integers(0, 2, size=4))
+    rnd = field_table(2, 2, np.random.default_rng(5).integers(0, 2, size=4))
     recon = complex(profile_acceptance(profile, rnd))
     exact = run_tester(sym, rnd).acceptance
     assert recon.real == pytest.approx(0.625) and exact == 0.0
@@ -470,7 +470,7 @@ def test_reconstruction_bound_at_n6():
     # and check the O(p^{-n} q^2) gap.
     p, n = 2, 6
     spec = uniformity_tester_spec(p, n, 1)
-    f = field_table(p, n, SeededRNG(21).integers(0, p, size=space_size(p, n)))
+    f = field_table(p, n, np.random.default_rng(21).integers(0, p, size=space_size(p, n)))
     recon = complex(profile_acceptance(extract_linear_form_profile(spec, n), f))
 
     vals = f.values.real.astype(np.int64)
@@ -517,7 +517,7 @@ def test_estimate_tracks_exact_norm_power():
 
 
 def test_uniformity_test_separates_random_functions():
-    rnd = field_table(2, 4, SeededRNG(11).integers(0, 2, size=16))
+    rnd = field_table(2, 4, np.random.default_rng(11).integers(0, 2, size=16))
     rep = uniformity_test(rnd, 1, 4000, seed=7)
     assert rep.estimate < 0.5 and not rep.accept
 
@@ -539,7 +539,7 @@ def test_acceptance_ranks_like_the_exact_norm():
     p, n = 2, 5
     spec = uniformity_tester_spec(p, n, 1)
     accs, exacts = [], []
-    rng = SeededRNG(31)
+    rng = np.random.default_rng(31)
     for i in range(50):
         fv = rng.integers(0, p, size=space_size(p, n))
         accs.append(
