@@ -342,6 +342,10 @@ def _cmd_rank(args) -> dict:
     }
 
 
+#: `test uniformity`'s own flags and their defaults; the spec testers refuse them
+_UNIFORMITY_FLAGS = {"degree": 1, "samples": 1000, "threshold": 0.5}
+
+
 def _cmd_test(args) -> dict:
     from .tables import parse_function_table
     from .testers import TesterSpec, run_tester, symmetrize_tester, uniformity_test
@@ -349,11 +353,19 @@ def _cmd_test(args) -> dict:
     spec_flags = args.exact or args.trials is not None or args.spec is not None
     if args.action == "uniformity" and spec_flags:
         raise ValidationError("test uniformity takes --samples, not --exact, --trials or --spec")
+    given = [f"--{name}" for name in _UNIFORMITY_FLAGS if getattr(args, name) is not None]
+    if args.action != "uniformity" and given:
+        raise ValidationError(
+            f"test {args.action} takes --spec and --trials or --exact, not {', '.join(given)}"
+        )
     table, table_meta = _load(parse_function_table, args.table)
     if args.action == "uniformity":
+        degree, samples, threshold = (
+            default if getattr(args, name) is None else getattr(args, name)
+            for name, default in _UNIFORMITY_FLAGS.items()
+        )
         rep = uniformity_test(
-            table, args.degree, args.samples, seed=args.seed, threshold=args.threshold,
-            budget=args.budget,
+            table, degree, samples, seed=args.seed, threshold=threshold, budget=args.budget
         )
         return {
             "command": "test",
@@ -499,9 +511,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("action", choices=("uniformity", "generic", "symmetrize"))
     sub.add_argument("--table", required=True)
     sub.add_argument("--spec", default=None, help="tester spec JSON (generic/symmetrize)")
-    sub.add_argument("--degree", type=int, default=1)
-    sub.add_argument("--samples", type=int, default=1000)
-    sub.add_argument("--threshold", type=float, default=0.5)
+    sub.add_argument("--degree", type=int, default=None, help="uniformity only (default 1)")
+    sub.add_argument("--samples", type=int, default=None, help="uniformity only (default 1000)")
+    sub.add_argument("--threshold", type=float, default=None, help="uniformity only (default 0.5)")
     sub.add_argument("--trials", type=int, default=None)
     sub.add_argument("--exact", action="store_true")
     _add_common(sub)
@@ -574,5 +586,21 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry_point() -> int:
+    """`main` in a process of its own: the `fpuniform` script and
+    `python -m fpuniform.cli`.
+
+    `import numpy.random` imports `secrets`, and through `hmac` and `hashlib`
+    OpenSSL's libcrypto, which costs the process about 3.4 MB.  numpy takes
+    only `secrets.randbits` from that chain, which computes no digest, so with
+    `_hashlib` marked missing `hashlib` and `hmac` take their built-in
+    fallbacks and every seeded stream stays the same.  A process that has
+    already loaded `_hashlib` keeps it, and `main` called in-process leaves the
+    interpreter as it is.
+    """
+    sys.modules.setdefault("_hashlib", None)
+    return main()
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(entry_point())

@@ -196,6 +196,8 @@ class AffineMap:
             raise ValidationError("affine map shape mismatch")
         if linalg.rank(matrix, p) != n:
             raise ValidationError("affine map matrix is singular")
+        matrix.setflags(write=False)
+        offset.setflags(write=False)
         for name, value in zip(("p", "n", "matrix", "offset"), (p, n, matrix, offset)):
             object.__setattr__(self, name, value)
 

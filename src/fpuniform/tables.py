@@ -153,6 +153,24 @@ def _parse_value(entry, where: str) -> complex:
     raise FormatError("value must be a number or an [re, im] pair", pointer=where)
 
 
+def _parse_values(entries: list):
+    """The values of a table file: numbers, or [re, im] pairs of numbers.  A
+    list of numbers only or of pairs only takes one numpy conversion; any other
+    list (the two kinds mixed, or an entry of neither kind) is read entry by
+    entry, which reports the first bad entry as /values/i."""
+    try:
+        arr = np.array(entries)
+    except ValueError:  # a ragged list
+        arr = None
+    if arr is not None and arr.dtype.kind in "biuf":  # bool, int or float
+        arr = arr.astype(np.float64)
+        if arr.ndim == 1:
+            return arr
+        if arr.ndim == 2 and arr.shape[1] == 2:
+            return arr.view(np.complex128)
+    return [_parse_value(entry, f"/values/{i}") for i, entry in enumerate(entries)]
+
+
 def parse_function_table(source) -> FunctionTable:
     """Read a table from a JSON string or an already-decoded dict.
 
@@ -180,7 +198,4 @@ def parse_function_table(source) -> FunctionTable:
     n = parse_at("/n", validate_dims, p, obj["n"])[1]
     if not isinstance(obj["values"], list):
         raise FormatError("values must be an array", pointer="/values")
-    values = [
-        _parse_value(entry, f"/values/{i}") for i, entry in enumerate(obj["values"])
-    ]
-    return parse_at("/values", FunctionTable, p, n, values, codomain)
+    return parse_at("/values", FunctionTable, p, n, _parse_values(obj["values"]), codomain)

@@ -144,7 +144,7 @@ class TesterSpec:
     theta_plus: float = 1.0
     epsilon: float | None = None
     delta: float | None = None
-    base_support: list | None = None
+    base_support: list | None = None  # kept as a tuple of (read-only points, prob)
     symmetrized: bool = False
 
     def __post_init__(self):
@@ -173,6 +173,7 @@ class TesterSpec:
                 raise ValidationError("support point must hold q query vectors")
             if not prob >= 0:
                 raise ValidationError(f"support probability {prob} is not >= 0")
+            pts.setflags(write=False)
             support.append((pts, float(prob)))
             total += prob
         if abs(total - 1.0) > 1e-12:
@@ -182,7 +183,7 @@ class TesterSpec:
         object.__setattr__(self, "decision_table", decision)
         object.__setattr__(self, "theta_minus", float(self.theta_minus))
         object.__setattr__(self, "theta_plus", float(self.theta_plus))
-        object.__setattr__(self, "base_support", support)
+        object.__setattr__(self, "base_support", tuple(support))
         object.__setattr__(self, "symmetrized", bool(self.symmetrized))
 
     def support_indices(self, n: int) -> np.ndarray:

@@ -602,6 +602,83 @@ def test_exact_commands_do_not_load_openssl(files, argv):
     assert loaded_modules(files, argv, ["_hashlib"]) == []
 
 
+#: every command that draws random numbers, and so imports numpy.random
+DRAWING_COMMANDS = {
+    "gowers": ["gowers", "--table", "{phase}", "--k", "3", "--mc", "50", "--seed", "2"],
+    "average": ["average", "--system", "{tri}", "--tables", "{f24}", "--mc", "50"],
+    "distributional": [
+        "distributional", "--table", "{F01}", "--system", "{tri}", "--beta", "1,1,1",
+        "--mc", "50",
+    ],
+    "uniformity": ["test", "uniformity", "--table", "{lin4}", "--seed", "3"],
+    "generic": ["test", "generic", "--table", "{lin4}", "--spec", "{spec}", "--trials", "30"],
+    "symmetrize": [
+        "test", "symmetrize", "--table", "{lin4}", "--spec", "{spec}", "--trials", "30",
+    ],
+    "interior": ["interior", "--systems", "{ap3}", "{two}", "--p", "3", "--n", "3"],
+}
+
+
+def program_run(files, argv, launch: str) -> tuple[int | None, str, bool]:
+    """(exit code, stdout, whether `_hashlib` was loaded) of `launch` run in a
+    fresh interpreter with `argv` as its command line; the exit code is None
+    where `launch` does not exit."""
+    script = (
+        "import json, runpy, sys\n"
+        f"sys.argv = ['fpuniform', *{[a.format(**files) for a in argv]!r}]\n"
+        "code = None\n"
+        "try:\n"
+        f"    {launch}\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "sys.stdout.flush()\n"
+        "sys.stderr.write(json.dumps([code, sys.modules.get('_hashlib') is not None]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    code, openssl = json.loads(done.stderr)
+    return code, done.stdout, openssl
+
+
+@pytest.mark.parametrize("argv", DRAWING_COMMANDS.values(), ids=DRAWING_COMMANDS.keys())
+def test_drawing_commands_run_as_the_program_do_not_load_openssl(files, capsys, argv):
+    # `python -m fpuniform.cli` marks `_hashlib` missing before numpy.random
+    # imports `secrets`; the seeded report is the one `main` gives in-process
+    launch = 'runpy.run_module("fpuniform.cli", run_name="__main__")'
+    code, out, openssl = program_run(files, argv, launch)
+    assert (code, openssl) == (0, False)
+    assert run([a.format(**files) for a in argv], capsys)[:2] == (0, out)
+
+
+def test_the_console_script_does_not_load_openssl(files, capsys):
+    # the `fpuniform` script of pyproject.toml calls cli.entry_point
+    argv = DRAWING_COMMANDS["gowers"]
+    launch = "from fpuniform.cli import entry_point; sys.exit(entry_point())"
+    code, out, openssl = program_run(files, argv, launch)
+    assert (code, openssl) == (0, False)
+    assert run([a.format(**files) for a in argv], capsys)[:2] == (0, out)
+
+
+def test_the_program_keeps_an_openssl_already_loaded(files):
+    launch = 'import hashlib; runpy.run_module("fpuniform.cli", run_name="__main__")'
+    assert program_run(files, DRAWING_COMMANDS["gowers"], launch)[::2] == (0, True)
+
+
+def test_in_process_main_leaves_hashlib_alone(files):
+    # only the program's own process goes without OpenSSL; `main` called from
+    # other code imports numpy.random as numpy does
+    launch = "from fpuniform.cli import main; sys.exit(main(sys.argv[1:]))"
+    assert program_run(files, DRAWING_COMMANDS["gowers"], launch)[::2] == (0, True)
+
+
+def test_library_draws_leave_hashlib_alone(files):
+    launch = "from fpuniform.tables import random_unit_table; random_unit_table(2, 3, seed=1)"
+    assert program_run(files, [], launch)[::2] == (None, True)
+
+
 def test_sampled_command_digests_its_inputs(files, capsys):
     rc, out, _ = run(
         ["average", "--system", files["tri"], "--tables", files["f24"], "--mc", "50"], capsys
@@ -816,6 +893,45 @@ def test_uniformity_refuses_flags_it_does_not_use(files, capsys, extra):
     diag = json.loads(err)
     assert diag["type"] == "validation" and extra[0] in diag["error"]
     assert run(argv, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("action", ["generic", "symmetrize"])
+@pytest.mark.parametrize(
+    "extra", [["--degree", "7"], ["--samples", "5"], ["--threshold", "0.9"]],
+    ids=lambda e: e[0],
+)
+def test_spec_testers_refuse_uniformity_flags(files, capsys, action, extra):
+    # --degree, --samples and --threshold belong to test uniformity; the spec
+    # testers refuse them instead of ignoring them
+    argv = ["test", action, "--table", files["lin4"], "--spec", files["spec"], "--exact"]
+    rc, out, err = run(argv + extra, capsys)
+    assert rc == 2 and out == ""
+    diag = json.loads(err)
+    assert diag["type"] == "validation" and extra[0] in diag["error"]
+    assert run(argv, capsys)[0] == 0
+
+
+def test_uniformity_defaults_apply_when_flags_are_left_out(files, capsys):
+    argv = ["test", "uniformity", "--table", files["lin4"]]
+    rc, out, _ = run(argv, capsys)
+    assert rc == 0
+    rep = json.loads(out)
+    assert (rep["d"], rep["samples"], rep["threshold"]) == (1, 1000, 0.5)
+    defaults = ["--degree", "1", "--samples", "1000", "--threshold", "0.5"]
+    assert run(argv + defaults, capsys)[:2] == (0, out)
+
+
+@pytest.mark.parametrize(
+    "bad", ["0.5", None, [0.5], [0.5, 0.0, 0.0], [0.5, [0.0]]],
+    ids=["string", "null", "short-pair", "long-pair", "ragged"],
+)
+def test_malformed_table_value_exits_65_at_its_pointer(files, capsys, bad):
+    values = [[1.0, 0.0], [0.5, 0.0], bad, [1.0, 0.0]]
+    path = files["tmp"] / "bad.json"
+    path.write_text(json.dumps({"schema": "fpuniform/v1", "p": 2, "n": 2, "values": values}))
+    rc, out, err = run(["fourier", "--table", str(path)], capsys)
+    assert rc == 65 and out == ""
+    assert json.loads(err)["pointer"] == "/values/2"
 
 
 # ------------------------------------------------------- malformed input fields

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpuniform import tables
 from fpuniform.errors import FormatError, ValidationError
 from fpuniform.field import AffineMap, enumerate_vectors, index_of
 from fpuniform.polynomials import Polynomial
@@ -161,6 +162,86 @@ def test_json_scalar_values_accepted():
     }
     f = parse_function_table(obj)
     assert f.values.tolist() == [1, -0.5]
+
+
+#: malformed `values` lists of a 4-point table, each first bad at entry 2
+MALFORMED_VALUES = {
+    "string": [1.0, 0.5, "0.5", 1.0],
+    "string-in-pair": [[1.0, 0.0], [0.5, 0.0], [0.5, "0"], [1.0, 0.0]],
+    "null": [1.0, 0.5, None, 1.0],
+    "null-in-pair": [[1.0, 0.0], [0.5, 0.0], [None, 0.0], [1.0, 0.0]],
+    "short-pair": [[1.0, 0.0], [0.5, 0.0], [0.5], [1.0, 0.0]],
+    "long-pair": [[1.0, 0.0], [0.5, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0]],
+    "nested": [[1.0, 0.0], [0.5, 0.0], [[0.5, 0.0]], [1.0, 0.0]],
+    "ragged": [1.0, [0.5, 0.0], [0.5, [0.0]], 1.0],
+    "object": [1.0, 0.5, {"re": 0.5}, 1.0],
+    "two-bad": [1.0, [0.5, 0.0], "x", None],
+}
+
+
+@pytest.mark.parametrize("values", MALFORMED_VALUES.values(), ids=MALFORMED_VALUES.keys())
+def test_json_malformed_values_point_at_the_first_bad_entry(values):
+    obj = {"schema": "fpuniform/v1", "p": 2, "n": 2, "values": values}
+    with pytest.raises(FormatError) as exc:
+        parse_function_table(obj)
+    assert exc.value.pointer == "/values/2"
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1, -0.5, 2**63, 0.25],
+        [[1, 0], [-0.5, 2], [0.0, -0.0], [2**63, 1e-300]],
+        [1, [-0.5, 2], True, [False, True]],  # numbers and pairs mixed
+        [True, False, True, True],
+        [[True, False], [1, 2], [0.5, -1], [False, False]],
+    ],
+    ids=["numbers", "pairs", "mixed", "booleans", "boolean-pairs"],
+)
+def test_json_values_read_as_complex_numbers(values):
+    # each entry reads as complex(entry) or complex(re, im), whichever way
+    # the list is converted
+    obj = {"schema": "fpuniform/v1", "p": 2, "n": 2, "values": values}
+    expected = [complex(*v) if isinstance(v, list) else complex(v) for v in values]
+    got = parse_function_table(obj).values
+    assert got.tobytes() == np.array(expected, dtype=np.complex128).tobytes()
+
+
+_NUMBER = st.one_of(
+    st.booleans(), st.integers(-(2**70), 2**70), st.floats(), st.just(10**400)
+)
+_ENTRY = st.one_of(
+    _NUMBER,
+    st.lists(_NUMBER, min_size=2, max_size=2),
+    st.lists(st.one_of(_NUMBER, st.none(), st.text(max_size=1), st.lists(_NUMBER)), max_size=3),
+    st.none(),
+    st.text(max_size=2),
+)
+
+
+def _outcome(read, entries):
+    try:
+        return np.asarray(read(entries), dtype=np.complex128).reshape(-1).tobytes()
+    except FormatError as exc:
+        return exc.pointer
+    except OverflowError:  # an integer beyond float range, as complex() raises
+        return "overflow"
+
+
+@given(
+    st.one_of(
+        st.lists(_ENTRY, max_size=6),
+        st.lists(_NUMBER, max_size=6),
+        st.lists(st.lists(_NUMBER, min_size=2, max_size=2), max_size=6),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_values_read_as_the_entry_by_entry_reference(entries):
+    # one numpy conversion where it applies; the reference reads each entry
+    def reference(entries):
+        return [tables._parse_value(e, f"/values/{i}") for i, e in enumerate(entries)]
+
+    assert _outcome(tables._parse_values, entries) == _outcome(reference, entries)
 
 
 def test_json_rejects_garbage():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fpuniform.factors import PolynomialFactor
-from fpuniform.field import AffineMap
+from fpuniform.field import AffineMap, random_affine
 from fpuniform.linear_forms import FlaggedSystem, LinearSystem
 from fpuniform.polynomials import Polynomial
 from fpuniform.tables import FunctionTable
@@ -84,3 +84,47 @@ VALUES = [
 def test_fields_cannot_be_assigned(value, name):
     with pytest.raises(AttributeError):
         setattr(value, name, getattr(value, name))
+
+
+def _arrays(value) -> list[np.ndarray]:
+    """The ndarrays a field value holds, directly or inside tuples, lists and
+    dicts."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in _arrays(v)]
+    return []
+
+
+ARRAY_FIELDS = [
+    pytest.param(value, f.name, id=f"{type(value).__name__}.{f.name}")
+    for value in VALUES
+    for f in fields(value)
+    if _arrays(getattr(value, f.name))
+]
+
+
+def test_array_fields_are_found():
+    assert {p.id for p in ARRAY_FIELDS} == {
+        "FunctionTable.values", "TesterSpec.decision_table", "TesterSpec.base_support",
+        "DistributionalFunction.table", "PolynomialFactor.labels", "AffineMap.matrix",
+        "AffineMap.offset",
+    }
+
+
+@pytest.mark.parametrize("value, name", ARRAY_FIELDS)
+def test_array_fields_are_read_only(value, name):
+    # a frozen value's arrays cannot be changed in place either
+    for array in _arrays(getattr(value, name)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_a_random_affine_map_cannot_be_made_singular_in_place():
+    a = random_affine(2, 3, seed=1)
+    with pytest.raises(ValueError, match="read-only"):
+        a.matrix[:] = 0
+    assert np.linalg.matrix_rank(a.matrix) == 3
