@@ -37,19 +37,6 @@ from .errors import (
 from .field import digit_table
 from .rng import sha256
 
-_COMMANDS = (
-    "gowers",
-    "average",
-    "system",
-    "fourier",
-    "decompose",
-    "rank",
-    "test",
-    "interior",
-    "distributional",
-)
-
-
 # -- input loading ---------------------------------------------------------------
 
 
@@ -541,18 +528,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv:
-        _diag({"error": "missing command", "commands": sorted(_COMMANDS)})
-        return 64
-    if argv[0] not in _COMMANDS and argv[0] not in ("-h", "--help"):
-        _diag({"error": f"unknown command {argv[0]!r}", "commands": sorted(_COMMANDS)})
+    parser = _build_parser()
+    [commands] = [action.choices for action in parser._actions if action.dest == "command"]
+    if not argv or argv[0] not in commands and argv[0] not in ("-h", "--help"):
+        error = f"unknown command {argv[0]!r}" if argv else "missing command"
+        _diag({"error": error, "commands": sorted(commands)})
         return 64
     # argparse reads a value led by "-" as an option, so "--beta -1,2,3" is
     # passed on as "--beta=-1,2,3"
     while "--beta" in argv[:-1]:
         i = argv.index("--beta")
         argv[i:i + 2] = [f"--beta={argv[i + 1]}"]
-    parser = _build_parser()
     args = parser.parse_args(argv)
     for flag, least in (("seed", 0), ("budget", 1)):
         value = getattr(args, flag)

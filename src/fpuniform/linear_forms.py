@@ -455,37 +455,3 @@ def flagged_product(f0: FlaggedSystem, f1: FlaggedSystem) -> FlaggedSystem:
         p, K - 1, forms, flag, tuple(merged[f] for f in forms)
     )
 
-
-def build_high_rank_flag(p: int, d: int) -> FlaggedSystem:
-    """Connected flagged system on d variables whose flag e_1 has form degree
-    2(2^(d-1) - 1) while every member keeps degree at least 2^(d-1).
-
-    Members are {0} x F_p^(d-1) union {1} x {0,1}^(d-1), minus the origin and
-    the flag itself, so m = p^(d-1) + 2^(d-1) - 2.  Degenerate dimensions (the
-    system disconnects for d = 2 at these small primes) are rejected.
-    """
-    validate_prime(p)
-    if p > 3:
-        raise ValidationError("supported primes are 2 and 3")
-    if not 2 <= d <= 4:
-        raise ValidationError("supported dimensions are 2 <= d <= 4")
-    m = p ** (d - 1) + 2 ** (d - 1) - 2
-    flag = (1,) + (0,) * (d - 1)
-    members: list[Form] = []
-    from .field import enumerate_vectors
-
-    for tail in enumerate_vectors(p, d - 1):
-        cand = (0,) + tail
-        if any(cand):
-            members.append(cand)
-    for tail in enumerate_vectors(2, d - 1):
-        cand = (1,) + tail
-        if cand != flag:
-            members.append(cand)
-    assert len(members) == m
-    system = FlaggedSystem(p, d, sorted(members), flag)
-    if len(connected_components(system)) != 1:
-        raise ValidationError(
-            f"construction is disconnected at p = {p}, d = {d}"
-        )
-    return system

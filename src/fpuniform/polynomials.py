@@ -1,8 +1,8 @@
 """Multivariate polynomials over F_p with per-variable exponents below p.
 
 Monomials with exponents in [0, p) form a basis of the space of functions
-F_p^n -> F_p, so every polynomial here *is* its function; multiplication
-reduces exponents through x^p = x.  Degree of the zero polynomial is -1.
+F_p^n -> F_p, so every polynomial here *is* its function.  Degree of the
+zero polynomial is -1.
 """
 
 from __future__ import annotations
@@ -13,19 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import check_budget
 from .errors import FormatError, ValidationError, parse_at
 from .field import digit_table, int_tuple, validate_dims, validate_prime
-from .rng import mc_mean
 
 Exponents = tuple[int, ...]
-
-
-def _reduce_exponent(e: int, p: int) -> int:
-    # x^e = x^(((e-1) mod (p-1)) + 1) as functions, for e >= 1
-    if e == 0:
-        return 0
-    return (e - 1) % (p - 1) + 1
 
 
 @lru_cache(maxsize=None)
@@ -94,10 +85,6 @@ class Polynomial:
         return cls(p, n, {})
 
     @classmethod
-    def constant(cls, p: int, n: int, c: int) -> "Polynomial":
-        return cls(p, n, {(0,) * n: c})
-
-    @classmethod
     def from_coefficients(cls, p: int, n: int, monomials, coeffs) -> "Polynomial":
         return cls(p, n, dict(zip(monomials, (int(c) for c in coeffs))))
 
@@ -114,28 +101,8 @@ class Polynomial:
             terms[e] = (terms.get(e, 0) + c) % self.p
         return Polynomial(self.p, self.n, terms)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.p, self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def scale(self, c: int) -> "Polynomial":
         return Polynomial(self.p, self.n, {e: c * v for e, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        self._check_same_space(other)
-        p = self.p
-        terms: dict[Exponents, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(_reduce_exponent(a + b, p) for a, b in zip(e1, e2))
-                terms[e] = (terms.get(e, 0) + c1 * c2) % p
-        return Polynomial(p, self.n, terms)
-
-    __rmul__ = __mul__
 
     def __hash__(self) -> int:
         # terms is a dict, which the generated hash could not hash
@@ -297,42 +264,3 @@ def family_size(p: int, n: int, d: int) -> int:
     """|Poly_d(F_p^n)| = p^(number of monomials)."""
     return p ** len(monomials_up_to(p, n, d))
 
-
-@dataclass(frozen=True)
-class BiasResult:
-    value: float
-    mode: str
-    samples: int | None = None
-    stderr: float | None = None
-    seed: int | None = None
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def bias(
-    P: Polynomial,
-    samples: int | None = None,
-    seed=None,
-    budget: int | None = None,
-) -> BiasResult:
-    """|E_x e_p(P(x))|: exact when `samples` is None, otherwise estimated
-    from that many uniform points by rng.mc_mean, with its standard error.
-    A draw keeps its n digits and the copy that values_at reduces, so blocks
-    are sized by a width of 2n, and the digits are drawn sample-major.
-
-    The exact path accumulates integer counts per residue class and defers
-    floating point to a single magnitude computation.
-    """
-    p = P.p
-    roots = np.exp(2j * np.pi * np.arange(p) / p)
-    if samples is None:
-        check_budget(p**P.n, budget, "exact bias")
-        counts = np.bincount(P.value_table(budget), minlength=p)
-        value = abs(np.dot(counts, roots)) / p**P.n
-        return BiasResult(float(value), "exact")
-    z, stderr = mc_mean(
-        lambda rng, size: roots[P.values_at(rng.integers(0, p, size=(size, P.n)))],
-        samples, seed, "samples", 1, budget, 2 * P.n,
-    )
-    return BiasResult(float(abs(z)), "mc", samples=samples, stderr=stderr, seed=seed)

@@ -7,7 +7,6 @@ guarantees exactly-zero imaginary parts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,19 +170,12 @@ def _parse_values(entries: list):
     return [_parse_value(entry, f"/values/{i}") for i, entry in enumerate(entries)]
 
 
-def parse_function_table(source) -> FunctionTable:
-    """Read a table from a JSON string or an already-decoded dict.
+def parse_function_table(obj) -> FunctionTable:
+    """Read a table from decoded JSON.
 
     The schema version is mandatory; structural problems carry a JSON
     pointer to the offending element.
     """
-    if isinstance(source, (str, bytes)):
-        try:
-            obj = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"not valid JSON: {exc}") from exc
-    else:
-        obj = source
     if not isinstance(obj, dict):
         raise FormatError("top-level JSON value must be an object")
     if obj.get("schema") != SCHEMA:

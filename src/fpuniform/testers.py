@@ -433,26 +433,6 @@ def extract_linear_form_profile(spec: TesterSpec, n: int) -> list[ProfileEntry]:
     return out
 
 
-def profile_acceptance(profile: list[ProfileEntry], f, budget: int | None = None) -> complex:
-    """Acceptance reconstruction: sum of weights * gamma_hat(beta) * t*_{L,beta}(f)."""
-    total = 0.0 + 0j
-    for entry in profile:
-        p = entry.system.p
-        q = int(round(np.log(len(entry.gamma_hat)) / np.log(p)))
-        beta_rows = digit_table(p, q)
-        for b_idx in range(len(entry.gamma_hat)):
-            coeff = entry.gamma_hat[b_idx]
-            if abs(coeff) < 1e-15:
-                continue
-            beta = tuple(int(v) for v in beta_rows[b_idx])
-            folded = entry.merged_beta[beta]
-            val = complex(
-                exponential_average(f, entry.system, beta=folded, budget=budget)
-            )
-            total += entry.weight * coeff * val
-    return total
-
-
 # -- the uniformity test -----------------------------------------------------------
 
 

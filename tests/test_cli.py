@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fpuniform.cli import main
+from fpuniform.cli import _build_parser, main
 from fpuniform.errors import RetryLimitError, reported_count
 from fpuniform.linear_forms import (
     FlaggedSystem,
@@ -213,6 +215,38 @@ def test_csv_flat_report(files, capsys):
     assert lines[0] == "key,value"
     keys = {line.split(",", 1)[0] for line in lines[1:]}
     assert {"value", "mode", "seed", "inputs.table.sha256"} <= keys
+
+
+def _cell(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+@pytest.mark.parametrize(
+    "argv, pinned",
+    [(["average", "--system", "{tri}", "--tables", "{f24}"],
+      lambda rep: {"inputs.tables.0.sha256": rep["inputs"]["tables"][0]["sha256"],
+                   "value": "[{!r},{!r}]".format(*rep["value"])}),
+     (["system", "components", "--file", "{two}"],
+      lambda rep: {"components.0": "[0]", "components.1": "[1]", "count": "2"}),
+     (["decompose", "--table", "{f24}", "--degree", "2", "--delta", "0.25"],
+      lambda rep: {"history": _cell(rep["history"]), "polynomials": _cell(rep["polynomials"])})],
+    ids=["average", "components", "decompose"],
+)
+def test_csv_of_reports_that_hold_lists(files, capsys, argv, pinned):
+    # a list that holds lists or objects becomes indexed keys, any other list
+    # one JSON cell
+    argv = [a.format(**files) for a in argv]
+    rc, out, _ = run(argv, capsys)
+    assert rc == 0
+    expected = pinned(json.loads(out))
+    rc, out, _ = run(argv + ["--format", "csv"], capsys)
+    assert rc == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["key", "value"]
+    keys = [key for key, _ in rows]
+    assert keys == sorted(set(keys))
+    assert not any(k.startswith(f"{j}.") for j in keys for k in keys)  # leaves only
+    assert {key: dict(rows)[key] for key in expected} == expected
 
 
 def test_out_writes_file(files, capsys):
@@ -489,10 +523,12 @@ def test_distributional_beta_exit_codes(files, capsys, beta, code):
 # ---------------------------------------------------------------- exit codes
 
 def test_unknown_command_exit_64(capsys):
+    [subs] = [a for a in _build_parser()._actions if a.dest == "command"]
+    assert len(subs.choices) == 9
     rc, _, err = run(["frobnicate"], capsys)
-    assert rc == 64 and "commands" in err
+    assert rc == 64 and json.loads(err)["commands"] == sorted(subs.choices)
     rc, _, err = run([], capsys)
-    assert rc == 64
+    assert rc == 64 and json.loads(err)["commands"] == sorted(subs.choices)
 
 
 def test_malformed_input_exit_65(files, capsys):
@@ -521,6 +557,17 @@ def test_validation_exit_2(files, capsys):
         capsys,
     )
     assert rc == 2 and "exclusive" in err
+    table = ["gowers", "--table", files["phase"], "--k", "2"]
+    system = ["--file", files["flag_a"]]
+    for argv, message in [
+        (table + ["--mc", "0"], "--mc needs a positive sample count"),
+        (table + ["--mc", "-1"], "--mc needs a positive sample count"),
+        (["system", "isomorphism"] + system, "isomorphism needs --other"),
+        (["system", "product"] + system, "product needs --other"),
+    ]:
+        rc, out, err = run(argv, capsys)
+        assert (rc, out) == (2, "")
+        assert json.loads(err) == {"type": "validation", "error": message}
 
 
 def test_non_finite_table_exit_65(files, capsys):

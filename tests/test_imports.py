@@ -4,7 +4,9 @@ name the package defines is reached by something other than its unit tests,
 and immutability comes from frozen dataclasses, not hand-written guards."""
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -124,13 +126,38 @@ def public_definitions(source: str) -> list[tuple[str, int, int]]:
     return found
 
 
+def without_comments(source: str) -> str:
+    """`source` with each comment blanked out; strings stay, and so do the
+    line numbers."""
+    lines = source.splitlines(keepends=True)
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            (row, start), (_, end) = tok.start, tok.end
+            lines[row - 1] = lines[row - 1][:start] + lines[row - 1][end:]
+    return "".join(lines)
+
+
+def reaching_text(path: str, text: str) -> str:
+    """The part of a reader that can reach a name: a Python file without its
+    comments, only the "Kept for tests" list of README.md, any other file
+    whole."""
+    if path.endswith(".py"):
+        return without_comments(text)
+    if path == "README.md":
+        kept = re.search(r"Kept for tests.*?\n\n((?:[- ][^\n]*\n)+)", text, re.S)
+        return kept.group(1) if kept else ""
+    return text
+
+
 def unreached_names(modules: dict[str, str], readers: dict[str, str]) -> list[str]:
     """The public names defined in `modules` (file -> source) that are read
     nowhere outside their own definition: not in the rest of their module,
-    another module or one of `readers` (file -> text).  A top-level name is
-    read where it appears as a whole word; a method `Class.name` only where
-    `.name` is accessed, on any object, since its class may be reached
-    through an instance."""
+    another module or one of `readers` (file -> text), each read as
+    `reaching_text` says.  A top-level name is read where it appears as a
+    whole word; a method `Class.name` only where `.name` is accessed, on any
+    object, since its class may be reached through an instance."""
+    modules = {path: without_comments(source) for path, source in modules.items()}
+    readers = {path: reaching_text(path, text) for path, text in readers.items()}
     found = []
     for path, source in modules.items():
         lines = source.splitlines()
@@ -160,17 +187,30 @@ def test_unreached_names_finds_what_it_should():
         "b.py": (
             "from .a import Shape, used\n\n"
             "class Documented:\n    pass\n\n"
-            "def selfish():\n    \"\"\"selfish() names itself, and scaled().\"\"\"\n"
+            "class Prose:\n    pass\n\n"
+            "def selfish():\n    \"\"\"selfish() names itself, and scaled().\"\"\"\n\n"
+            "def remarked():\n    pass\n\n"
+            "def quoted():\n    pass\n"
         ),
+        "c.py": "x = 1  # remarked() is named only in this comment\n",
     }
-    readers = {"README.md": "`Documented` is kept; `lonely_helper` is another name."}
-    assert unreached_names(modules, readers) == ["lonely", "Shape.scaled", "selfish"]
+    readers = {
+        "README.md": (
+            "`Prose` is named in prose, outside the list.  Kept for tests:\n\n"
+            "- `Documented`: a reason\n  that runs on; `lonely_helper` is another name.\n\n"
+            "After the list, `Prose` again.\n"
+        ),
+        "demo.py": "print('quoted')  # remarked() and Prose()\n",
+    }
+    assert unreached_names(modules, readers) == [
+        "lonely", "Shape.scaled", "Prose", "selfish", "remarked",
+    ]
 
 
 def test_every_public_name_is_reached():
     """A public def or class in the package is read by the package itself,
-    a demo, the benchmark, the acceptance tests or README.md (which names
-    the helpers kept for tests); its own unit tests do not count."""
+    a demo, the benchmark, the acceptance tests or the list of helpers kept
+    for tests in README.md; its own unit tests and comments do not count."""
     readers = [
         *sorted((ROOT / "demos").glob("*.py")),
         *sorted(p for p in (ROOT / "perfbench").iterdir() if p.is_file()),
@@ -178,7 +218,8 @@ def test_every_public_name_is_reached():
         ROOT / "README.md",
     ]
     modules = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert unreached_names(modules, {str(p): p.read_text() for p in readers}) == []
+    texts = {str(p.relative_to(ROOT)): p.read_text() for p in readers}
+    assert unreached_names(modules, texts) == []
 
 
 def hand_written_immutability(source: str) -> list[str]:

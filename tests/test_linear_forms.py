@@ -14,7 +14,6 @@ from fpuniform.linear_forms import (
     _pair_sums,
     are_isomorphic,
     arithmetic_progression_system,
-    build_high_rank_flag,
     connected_components,
     cs_complexity,
     flagged_product,
@@ -427,7 +426,10 @@ def test_product_two_blocks_golden():
 
 
 def test_product_preserves_total_multiplicity():
-    a = build_high_rank_flag(2, 3)
+    # a connected system on 3 variables, 6 forms, flag e_1
+    a = FlaggedSystem(
+        2, 3, [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)], (1, 0, 0)
+    )
     b = FlaggedSystem(2, 2, [(1, 0), (0, 1), (1, 1)], (1, 1))
     prod = flagged_product(a, b)
     assert prod.p == 2
@@ -441,44 +443,6 @@ def test_product_needs_common_prime():
         flagged_product(
             FlaggedSystem(2, 1, [(1,)], (1,)), FlaggedSystem(3, 1, [(1,)], (1,))
         )
-
-
-def test_high_rank_flag_2_3_golden():
-    fs = build_high_rank_flag(2, 3)
-    assert fs.m == 6
-    assert fs.flag == (1, 0, 0)
-    assert fs.forms == (
-        (0, 0, 1),
-        (0, 1, 0),
-        (0, 1, 1),
-        (1, 0, 1),
-        (1, 1, 0),
-        (1, 1, 1),
-    )
-    assert _pair_sums(fs)[fs.flag] == 6
-    assert fs.degrees() == (4,) * 6
-    assert connected_components(fs) == [list(range(6))]
-
-
-@pytest.mark.parametrize(
-    "p,d,m,flag_deg",
-    [(2, 3, 6, 6), (2, 4, 14, 14), (3, 3, 11, 6), (3, 4, 33, 14)],
-)
-def test_high_rank_flag_degree_guarantees(p, d, m, flag_deg):
-    fs = build_high_rank_flag(p, d)
-    assert fs.m == m
-    assert _pair_sums(fs)[fs.flag] == flag_deg == 2 * (2 ** (d - 1) - 1)
-    lo, hi = 2 ** (d - 1), 4 * p ** (d - 1)
-    assert all(lo <= deg <= hi for deg in fs.degrees())
-    assert len(connected_components(fs)) == 1
-    assert fs.flag not in fs.forms
-    assert in_span(fs.as_array(), fs.flag, fs.p)
-
-
-@pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (5, 3), (2, 5)])
-def test_high_rank_flag_rejections(p, d):
-    with pytest.raises(ValidationError):
-        build_high_rank_flag(p, d)
 
 
 def test_system_json_round_trip():

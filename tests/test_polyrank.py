@@ -282,7 +282,7 @@ def test_set_rank_of_independent_products():
 
 
 def test_constant_poly_rank_zero():
-    report = polynomial_rank(Polynomial.constant(3, 2, 1), r_max=2)
+    report = polynomial_rank(Polynomial(3, 2, {(0, 0): 1}), r_max=2)
     assert report.value == 0
     assert report.certificate.gamma == {(): 1}
 

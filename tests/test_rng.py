@@ -16,7 +16,6 @@ from fpuniform import rng as rng_module
 from fpuniform.analysis import gowers_norm, linear_form_average
 from fpuniform.errors import BudgetExceededError, ValidationError
 from fpuniform.linear_forms import LinearSystem, cube_system
-from fpuniform.polynomials import Polynomial, bias
 from fpuniform.rng import derive_seed, mc_mean
 from fpuniform.tables import FunctionTable, random_unit_table
 from fpuniform.testers import run_tester, symmetrize_tester, uniformity_tester_spec
@@ -144,8 +143,6 @@ def test_sampled_estimates_hold_no_samples():
     field = FunctionTable(2, 6, np.arange(64) % 2, codomain="real")
     spec = uniformity_tester_spec(2, 6, 2)
     assert peak_mb(lambda: run_tester(spec, field, trials=million, seed=1)) < 16
-    P = Polynomial(3, 4, {(1, 1, 0, 0): 1, (0, 0, 2, 0): 2})
-    assert peak_mb(lambda: bias(P, samples=million, seed=1)) < 16
 
 
 def test_one_block_draws_indices_not_digits():
@@ -186,10 +183,3 @@ def test_block_memory_does_not_grow_with_the_forms(call, limit):
     # F_2^12 and 7.0 MB for the symmetrized degree-2 tester
     assert peak_mb(call) <= limit
 
-
-def test_bias_blocks_are_sized_by_the_dimension():
-    # a block of 2^15 points of F_2^200 took 101.7 MB; blocks of 2^15 // 2n
-    # points draw the same sample-major stream, so the estimate is unchanged
-    P = Polynomial.from_text(2, 200, "x1*x2")
-    assert peak_mb(lambda: bias(P, samples=2**15, seed=1)) <= 4
-    assert bias(P, samples=2**15, seed=1).value == 0.49053955078125

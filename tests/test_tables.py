@@ -123,7 +123,7 @@ def to_json(f):
 def test_json_round_trip_byte_identical():
     f = random_unit_table(2, 2, seed=7)
     text = to_json(f)
-    g = parse_function_table(text)
+    g = parse_function_table(json.loads(text))
     assert to_json(g) == text
     assert np.array_equal(f.values, g.values)
 
@@ -246,9 +246,7 @@ def test_values_read_as_the_entry_by_entry_reference(entries):
 
 def test_json_rejects_garbage():
     with pytest.raises(FormatError):
-        parse_function_table("{not json")
-    with pytest.raises(FormatError):
-        parse_function_table(json.dumps([1, 2, 3]))
+        parse_function_table([1, 2, 3])
     with pytest.raises(FormatError) as exc:
         parse_function_table(
             {"schema": "fpuniform/v1", "p": 2, "n": 1, "codomain": "huge", "values": [1, 1]}
@@ -260,4 +258,4 @@ def test_json_rejects_garbage():
 @settings(max_examples=20, deadline=None)
 def test_json_round_trip_random(seed):
     f = random_real_table(2, 2, seed=seed)
-    assert np.array_equal(parse_function_table(to_json(f)).values, f.values)
+    assert np.array_equal(parse_function_table(json.loads(to_json(f))).values, f.values)

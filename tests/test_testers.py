@@ -21,7 +21,6 @@ from fpuniform.testers import (
     extract_linear_form_profile,
     find_testing_degree,
     interior_experiment,
-    profile_acceptance,
     run_tester,
     symmetrize_tester,
     uniformity_test,
@@ -447,43 +446,6 @@ def test_profile_merges_repeated_queries():
     assert entry.system.forms == ((1,),)
     assert entry.merged_beta[(1, 1)] == (0,)
     assert entry.merged_beta[(1, 0)] == (1,)
-
-
-def test_reconstruction_matches_exact_symmetrization_small():
-    spec = uniformity_tester_spec(2, 2, 1)
-    profile = extract_linear_form_profile(spec, 2)
-    lin = poly_table(2, 2, {(1, 0): 1})
-    sym = symmetrize_tester(spec)
-    assert complex(profile_acceptance(profile, lin)) == pytest.approx(
-        run_tester(sym, lin).acceptance
-    )
-    rnd = field_table(2, 2, np.random.default_rng(5).integers(0, 2, size=4))
-    recon = complex(profile_acceptance(profile, rnd))
-    exact = run_tester(sym, rnd).acceptance
-    assert recon.real == pytest.approx(0.625) and exact == 0.0
-    assert abs(recon - exact) <= 2 ** (-2) * spec.q**2  # vacuous but honest
-
-
-def test_reconstruction_bound_at_n6():
-    # the profile average draws directions independently; the symmetrized
-    # tester conditions them on linear independence.  Enumerate both exactly
-    # and check the O(p^{-n} q^2) gap.
-    p, n = 2, 6
-    spec = uniformity_tester_spec(p, n, 1)
-    f = field_table(p, n, np.random.default_rng(21).integers(0, p, size=space_size(p, n)))
-    recon = complex(profile_acceptance(extract_linear_form_profile(spec, n), f))
-
-    vals = f.values.real.astype(np.int64)
-    idx = np.arange(space_size(p, n))
-    X, M1, M2 = idx[:, None, None], idx[None, :, None], idx[None, None, :]
-    dec = ((vals[X] + vals[X ^ M1] + vals[X ^ M2] + vals[X ^ M1 ^ M2]) % 2 == 0)
-    indep = dec.mean()
-    m1g, m2g = np.meshgrid(idx, idx, indexing="ij")
-    ok = (m1g != 0) & (m2g != 0) & (m1g != m2g)
-    conditioned = dec.mean(axis=0)[ok].mean()
-
-    assert abs(recon - indep) < 1e-12
-    assert abs(recon - conditioned) <= p ** (-n) * spec.q**2
 
 
 # ---------------------------------------------------------- the uniformity test
