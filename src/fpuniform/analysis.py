@@ -4,7 +4,12 @@ phase families, and multilinear averages over systems of linear forms.
 Every Fourier transform here is one unnormalised transform over F_p^n along
 the last axis of an array, _fp_transform: the n digits of the index go in
 groups, and each group is one matrix product with a Kronecker power of the
-p x p DFT matrix (np.fft.fftn above p = 97).
+p x p DFT matrix (np.fft.fftn above p = 97).  At p = 2 every character
+e_2(x) = (-1)^x is real, so a table whose imaginary parts are exactly zero
+(_real_at_two) runs through the exact kernels as float64: the transform, the
+U^k derivatives, the primal, dual and keyed sums, and the Poly_d scorer, whose
+rows are f with its sign flipped where a bit parity of the coefficient vector
+is odd (polynomials.twisted_rows).
 
 Exact Gowers norms use the derivative recursion
     ||f||_{U^k}^{2^k} = E_y ||f(.+y) conj f||_{U^(k-1)}^{2^(k-1)}
@@ -57,7 +62,7 @@ from .field import (
 )
 from .linalg import nullspace, rank, span_coordinates
 from .linear_forms import FlaggedSystem, LinearSystem, cube_system, row_components
-from .polynomials import Polynomial, coefficient_block, monomial_values, monomials_up_to
+from .polynomials import Polynomial, coefficient_block, priced_family, twisted_rows
 from .rng import _CHUNK, mc_mean
 from .tables import FunctionTable
 
@@ -67,6 +72,12 @@ def inner_product(f: FunctionTable, g: FunctionTable) -> complex:
     if (f.p, f.n) != (g.p, g.n):
         raise ValidationError("tables live on different spaces")
     return complex(np.vdot(g.values, f.values) / len(f.values))
+
+
+def _real_at_two(values: np.ndarray, p: int) -> np.ndarray:
+    """The values as contiguous float64 when p = 2 and their imaginary parts
+    are exactly zero, where every character e_2 is real too; else as given."""
+    return np.ascontiguousarray(values.real) if p == 2 and not values.imag.any() else values
 
 
 @cache
@@ -88,10 +99,12 @@ def _fp_transform(values, p: int, n: int, inverse: bool = False) -> np.ndarray:
     The digits are taken in groups of b, the most with p^b <= 32, and each
     group's transform is one matrix product with a Kronecker power of the
     p x p DFT matrix (row-column factorisation).  At p = 2 that matrix is a
-    real Hadamard block applied to the float64 view, whose (re, im) pairs sit
-    below the lowest digit.  Above p = 97 np.fft.fftn is faster (measured with
-    single-threaded BLAS: matrices win up to p = 97, lose from p = 127)."""
-    values = np.ascontiguousarray(values, dtype=np.complex128)
+    real Hadamard block: real input stays float64, complex input is taken as
+    its float64 view, whose (re, im) pairs sit below the lowest digit.  Above
+    p = 97 np.fft.fftn is faster (measured with single-threaded BLAS:
+    matrices win up to p = 97, lose from p = 127)."""
+    real = p == 2 and not np.iscomplexobj(values)
+    values = np.ascontiguousarray(values, dtype=np.float64 if real else np.complex128)
     if p > 97:
         cube = values.reshape(values.shape[:-1] + (p,) * n)
         axes = tuple(range(-n, 0))
@@ -101,8 +114,8 @@ def _fp_transform(values, p: int, n: int, inverse: bool = False) -> np.ndarray:
     b = 1
     while p ** (b + 1) <= 32:
         b += 1
-    inner = 2 if p == 2 else 1
-    x = values.view(np.float64) if p == 2 else values
+    inner = 2 if p == 2 and not real else 1
+    x = values.view(np.float64) if inner == 2 else values
     for j in range(0, n, b):
         g = min(b, n - j)
         if j == 0:  # the lowest group is one product over rows of p^g digit values
@@ -110,7 +123,7 @@ def _fp_transform(values, p: int, n: int, inverse: bool = False) -> np.ndarray:
         else:
             x = np.matmul(_dft_power(p, g, inverse), x.reshape(-1, p**g, p**j * inner))
     x = x.reshape(-1)  # matmul output is contiguous
-    return (x.view(np.complex128) if p == 2 else x).reshape(values.shape)
+    return (x.view(np.complex128) if inner == 2 else x).reshape(values.shape)
 
 
 def fourier_transform(f: FunctionTable, budget: int | None = None) -> np.ndarray:
@@ -203,6 +216,7 @@ def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
     power is at most 1."""
     if k == 1:
         return abs(vals.mean()) ** 2
+    vals = _real_at_two(vals, p)
     unit = bool(np.all(np.abs(np.abs(vals) - 1) <= FLOAT_TOL))
     phase_depth = math.log2(FLOAT_TOL / np.finfo(float).eps) if unit else math.inf
     N = len(vals)
@@ -226,15 +240,16 @@ def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
                 weight[r > 0] *= 2
             fresh[1:] |= r[1:] != r[:-1]
             starts = np.flatnonzero(fresh)
-            g = rows[parent[starts]]
-            # Delta_y g(x) = g(x + y) conj g(x)
+            par = parent[starts]
+            # Delta_y g(x) = g(x + y) conj g(x), g the row of the prefix
             shifted = index_add(p, n, reps[r[starts]][:, None], x)
-            rows = np.take_along_axis(g, shifted, axis=1) * np.conj(g)
+            rows = rows[par[:, None], shifted] * np.conj(rows)[par]
             if j + 1 >= phase_depth:
                 rows /= np.abs(rows)
             parent = np.cumsum(fresh) - 1
         hat = _fp_transform(rows, p, n)
-        total += float(weight @ np.square(hat.real**2 + hat.imag**2).sum(axis=1))
+        total += float(weight @ np.square(
+            hat * hat if hat.dtype == np.float64 else hat.real**2 + hat.imag**2).sum(axis=1))
     return total / N**4
 
 
@@ -292,30 +307,30 @@ class CorrelationReport:
         return self.value
 
 
-def _best_in_part(twisted: np.ndarray, pts: np.ndarray, upper, free: bool, skip_zero: bool):
+def _best_in_part(values, p: int, pts, upper, free: bool, skip_zero: bool):
     """The (score, polynomial) pairs of one part of a Poly_d family that can
     still win a tie, in listing order.  Q ranges over the coefficient vectors
-    of the monomials `upper`, in blocks; the linear part ranges over every
-    linear form when `free`, where one transform of f * e_p(-Q) scores them
+    of the monomials `upper`, in blocks of rows f * e_p(-Q) (twisted_rows; at
+    p = 2 a sign per bit parity); the linear part ranges over every linear
+    form when `free`, where one transform of f * e_p(-Q) scores them
     all, and is zero otherwise, where the row sum scores Q.  Scores within
     FLOAT_TOL of the part's maximum, relative to it, tie, and ties go to the
     least coefficient vector over the sorted monomials, the order in which the
     part is listed; `skip_zero` leaves the zero polynomial out.  A pair
     survives only if it scores above every pair listed before it, so the
     first survivor within tolerance of any larger maximum is its winner."""
-    p = len(twisted)
     N, n = pts.shape
     linear = [tuple(int(i == j) for j in range(n)) for i in range(n)] if free else []
     monos = upper + linear
     order = sorted(range(len(monos)), key=monos.__getitem__)
     count = p ** len(upper)
-    upper_values = monomial_values(p, pts, upper)
+    twisted = twisted_rows(values, p, pts, upper)
     block = max(1, _CHUNK // N)
     top = -1.0
     keys, vals = np.empty((0, len(monos)), dtype=np.int64), np.empty(0)
     for lo in range(0, count, block):
-        coeffs = coefficient_block(p, len(upper), lo, min(lo + block, count))
-        rows = twisted[(coeffs @ upper_values.T) % p, np.arange(N)]
+        hi = min(lo + block, count)
+        coeffs, rows = coefficient_block(p, len(upper), lo, hi), twisted(lo, hi)
         sums = _fp_transform(rows, p, n) if free else rows.sum(axis=1, keepdims=True)
         scores = np.abs(sums) / N
         if skip_zero and lo == 0:
@@ -336,27 +351,6 @@ def _best_in_part(twisted: np.ndarray, pts: np.ndarray, upper, free: bool, skip_
         (float(v), Polynomial.from_coefficients(p, n, sorted(monos), k))
         for k, v in zip(keys, vals)
     ]
-
-
-def priced_family(p: int, n: int, degree: int, homogeneous: bool, budget: int | None):
-    """The parts of a Poly_d family on F_p^n as correlation_with_family scores
-    them, after the cost of scoring them all, the sum over parts of
-    p^(#enumerated monomials) * p^n points, is checked against the budget."""
-    if degree < 1:
-        raise ValidationError("degree must be >= 1")
-    if degree > n * (p - 1):
-        # reduced exponents stay below p coordinatewise, so total degree caps out
-        raise ValidationError(f"no degree-{degree} monomials exist on F_{p}^{n}")
-    monos = monomials_up_to(p, n, degree)
-    if homogeneous:
-        parts = [([], True)] + [
-            ([e for e in monos if sum(e) == j], False) for j in range(2, degree + 1)
-        ]
-    else:
-        parts = [([e for e in monos if sum(e) >= 2], True)]
-    what = "homogeneous phase family" if homogeneous else "polynomial phase family"
-    check_budget(sum(p ** len(upper) for upper, _ in parts) * space_size(p, n), budget, what)
-    return parts
 
 
 def correlation_with_family(
@@ -383,11 +377,10 @@ def correlation_with_family(
     """
     p, n = f.p, f.n
     parts = priced_family(p, n, degree, homogeneous, budget)
-    pts = digit_table(p, n)
-    twisted = np.exp(-2j * np.pi * np.arange(p) / p)[:, None] * f.values
+    pts, values = digit_table(p, n), _real_at_two(f.values, p)
     candidates = [
         pair for upper, free in parts
-        for pair in _best_in_part(twisted, pts, upper, free, homogeneous)
+        for pair in _best_in_part(values, p, pts, upper, free, homogeneous)
     ]
     best_val = max(val for val, _ in candidates)
     best = next(g for val, g in candidates if val >= best_val * (1 - FLOAT_TOL))
@@ -419,18 +412,21 @@ def _product_sum(tables: list[np.ndarray], C: np.ndarray, p: int, n: int, key=No
     r = C.shape[1]
     N = space_size(p, n)
     rows = C if key is None else np.vstack([key, C])
-    total = 0j if key is None else np.zeros(N, dtype=np.complex128)
+    dtype = np.result_type(np.float64, *tables)
+    total = 0j if key is None else np.zeros(N, dtype=dtype)
     for lo in range(0, N**r, _CHUNK):
         hi = min(lo + _CHUNK, N**r)
         idx = index_combination(p, n, rows, mixed_radix_digits(np.arange(lo, hi), N, r))
         keyed = None if key is None else next(idx)
-        acc = np.ones(hi - lo, dtype=np.complex128)
+        acc = np.ones(hi - lo, dtype=dtype)
         for t, i in zip(tables, idx):
             acc *= t[i]
         if key is None:
             total += complex(acc.sum())
         else:
-            total += np.bincount(keyed, acc.real, N) + 1j * np.bincount(keyed, acc.imag, N)
+            total += np.bincount(keyed, acc.real, N)
+            if dtype != np.float64:
+                total += 1j * np.bincount(keyed, acc.imag, N)
     return total
 
 
@@ -478,13 +474,14 @@ def _exact_average(tables: list, rows: np.ndarray, p: int, n: int, budget, what:
     its component is keyed and gives an array, the others give constants."""
     N = space_size(p, n)
     value, cost, sides = 1.0 + 0j, 0, set()
+    real = {id(t): _real_at_two(t, p) for t in tables if t is not None}  # once per array
     for group in row_components(rows, p):
         m, r = len(group), rank(rows[group], p)
         dual = 1 < m < 2 * r
         cost += N ** (m - r) + m * N if dual else N**r
         check_budget(cost, budget, what)
         keyed = tables[group[0]] is None
-        sub = [tables[i] for i in (group[1:] if keyed else group)]
+        sub = [real[id(tables[i])] for i in (group[1:] if keyed else group)]
         value *= _average_on_side(sub, rows[group], p, n, dual, keyed)
         sides.add("dual" if dual else "primal")
     return value, cost, sides.pop() if len(sides) == 1 else "mixed"

@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import correlation_with_family, gowers_norm, priced_family
+from .analysis import correlation_with_family, gowers_norm
 from .config import DECOMPOSE_ROUND_CAP
 from .errors import ValidationError
 from .field import place_values, space_size, validate_dims
-from .polynomials import Polynomial
+from .polynomials import Polynomial, priced_family
 from .polyrank import polynomial_rank
 from .tables import FunctionTable
 
@@ -53,10 +53,6 @@ class PolynomialFactor:
     @property
     def complexity(self) -> int:
         return len(self.defining)
-
-    @property
-    def degree(self) -> int:
-        return max((q.degree for q in self.defining), default=0)
 
     @property
     def label_space(self) -> int:

@@ -13,8 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .config import check_budget
 from .errors import FormatError, ValidationError, parse_at
-from .field import digit_table, int_tuple, validate_dims, validate_prime
+from .field import digit_table, int_tuple, space_size, validate_dims, validate_prime
 
 Exponents = tuple[int, ...]
 
@@ -260,7 +261,53 @@ def monomial_values(p: int, points: np.ndarray, monos) -> np.ndarray:
     return out
 
 
+def twisted_rows(values: np.ndarray, p: int, points: np.ndarray, monos):
+    """rows(lo, hi): the (hi - lo, points) array of e_p(-Q_t(x)) * values(x)
+    for the polynomials Q_t = sum_j t_j m_j over `monos`, t = lo..hi-1 in
+    coefficient_block order.
+
+    At p = 2, e_2(-Q_t(x)) = (-1)^popcount(t & mask_x), where mask_x packs the
+    monomials' values at x with the first monomial in the most significant
+    bit, as coefficient_block orders the coefficients: a row is `values` with
+    the sign flipped at odd parities, exact and in the dtype of `values`.  At
+    p > 2 a row is gathered from the p twists e_p(-c) * values by the value
+    table of Q_t."""
+    if p == 2:
+        assert len(monos) < 63, "a coefficient vector is one int64 bit field"
+        masks = monomial_values(2, points, monos) @ (1 << np.arange(len(monos))[::-1])
+
+        def rows(lo, hi):
+            odd = np.bitwise_count(np.arange(lo, hi, dtype=np.int64)[:, None] & masks) & 1
+            return np.where(odd, -values, values)
+
+        return rows
+    table = monomial_values(p, points, monos)
+    twists = np.exp(-2j * np.pi * np.arange(p) / p)[:, None] * values
+    cols = np.arange(len(values))
+    return lambda lo, hi: twists[(coefficient_block(p, len(monos), lo, hi) @ table.T) % p, cols]
+
+
 def family_size(p: int, n: int, d: int) -> int:
     """|Poly_d(F_p^n)| = p^(number of monomials)."""
     return p ** len(monomials_up_to(p, n, d))
 
+
+def priced_family(p: int, n: int, degree: int, homogeneous: bool, budget: int | None):
+    """The parts of a Poly_d family on F_p^n as correlation_with_family scores
+    them, after the cost of scoring them all, the sum over parts of
+    p^(#enumerated monomials) * p^n points, is checked against the budget."""
+    if degree < 1:
+        raise ValidationError("degree must be >= 1")
+    if degree > n * (p - 1):
+        # reduced exponents stay below p coordinatewise, so total degree caps out
+        raise ValidationError(f"no degree-{degree} monomials exist on F_{p}^{n}")
+    monos = monomials_up_to(p, n, degree)
+    if homogeneous:
+        parts = [([], True)] + [
+            ([e for e in monos if sum(e) == j], False) for j in range(2, degree + 1)
+        ]
+    else:
+        parts = [([e for e in monos if sum(e) >= 2], True)]
+    what = "homogeneous phase family" if homogeneous else "polynomial phase family"
+    check_budget(sum(p ** len(upper) for upper, _ in parts) * space_size(p, n), budget, what)
+    return parts

@@ -1,8 +1,10 @@
 """Function tables: explicit maps F_p^n -> C stored on the standard
 enumeration order, and their JSON file format.
 
-Values are complex128 throughout; a table with codomain "real" additionally
-guarantees exactly-zero imaginary parts.
+Values are stored as complex128; a table with codomain "real" additionally
+guarantees exactly-zero imaginary parts, and pointwise algebra on real tables
+and real scalars stays real.  At p = 2 the exact kernels of analysis work on a
+table whose imaginary parts are exactly zero as float64.
 """
 
 from __future__ import annotations
@@ -65,28 +67,27 @@ class FunctionTable:
         if (self.p, self.n) != (other.p, other.n):
             raise ValidationError("tables live on different spaces")
 
-    def __mul__(self, other):
+    def _pointwise(self, op, other) -> "FunctionTable":
+        """op(self, other) pointwise; real when both operands are real, a
+        table by its codomain and anything else by its values."""
         if isinstance(other, FunctionTable):
             self._same_space(other)
-            return FunctionTable(self.p, self.n, self.values * other.values)
-        return FunctionTable(self.p, self.n, self.values * other)
+            real, other = other.codomain == "real", other.values
+        else:
+            real = not np.any(np.imag(other))
+        codomain = "real" if real and self.codomain == "real" else "complex"
+        return FunctionTable(self.p, self.n, op(self.values, other), codomain)
+
+    def __mul__(self, other):
+        return self._pointwise(np.multiply, other)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        if isinstance(other, FunctionTable):
-            self._same_space(other)
-            return FunctionTable(self.p, self.n, self.values + other.values)
-        return FunctionTable(self.p, self.n, self.values + other)
+        return self._pointwise(np.add, other)
 
     def __sub__(self, other):
-        if isinstance(other, FunctionTable):
-            self._same_space(other)
-            return FunctionTable(self.p, self.n, self.values - other.values)
-        return FunctionTable(self.p, self.n, self.values - other)
-
-    def mean(self) -> complex:
-        return complex(self.values.mean())
+        return self._pointwise(np.subtract, other)
 
     # -- structure maps ---------------------------------------------------------
 

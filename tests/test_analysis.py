@@ -106,7 +106,7 @@ def flagged_direct(f, fsys):
 
 def test_u1_is_mean_modulus():
     f = random_unit_table(3, 1, seed=0)
-    assert float(gowers_norm(f, 1)) == pytest.approx(abs(f.mean()), abs=1e-12)
+    assert float(gowers_norm(f, 1)) == pytest.approx(abs(f.values.mean()), abs=1e-12)
 
 
 def test_u2_of_bilinear_phase():
@@ -181,6 +181,48 @@ def test_batched_u_power_matches_direct(p, n, k, monkeypatch):
     assert count >= 3
     monkeypatch.setattr(analysis, "_CHUNK", (count // 2 + 1) * p**n)
     assert _u_power(f.values, p, n, k) ** (1 / 2**k) == pytest.approx(want, rel=1e-10)
+
+
+def box_power_f2(values, k):
+    """||f||_{U^k}^{2^k} of a real f on F_2^n from the box average with its last
+    direction summed out, E_{y_1..y_{k-1}} (E_x prod_omega f(x + omega.y))^2:
+    the products are built one direction at a time by XOR, with no transform."""
+    N = len(values)
+    x = np.arange(N)
+    shift = x[:, None] ^ x[None, :]
+    total = 0.0
+    for y1 in range(N):
+        rows = (values[x ^ y1] * values)[None, :]
+        for _ in range(k - 2):
+            rows = (rows[:, shift] * rows[:, None, :]).reshape(-1, N)
+        total += float(np.square(rows.mean(axis=1)).sum())
+    return total / N ** (k - 1)
+
+
+def spy_transform_dtypes(monkeypatch):
+    """The dtypes of the arrays _fp_transform receives, as they arrive."""
+    seen, transform = [], analysis._fp_transform
+
+    def spy(values, *args):
+        seen.append(np.asarray(values).dtype)
+        return transform(values, *args)
+
+    monkeypatch.setattr(analysis, "_fp_transform", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_u_power_of_real_table_at_two_matches_box_average(n, k, monkeypatch):
+    # the float64 route; n = 5 fills one digit group of the transform (b = 5),
+    # n = 4 and 6 sit next to it
+    f = random_real_table(2, n, seed=10 * n + k)
+    want = box_power_f2(f.values.real, k)
+    if n <= 2 or (n == 3 and k == 3):
+        assert want == pytest.approx(u_norm_direct(f, k) ** 2**k, rel=1e-12)
+    seen = spy_transform_dtypes(monkeypatch)
+    assert _u_power(f.values, 2, n, k) == pytest.approx(want, rel=1e-12)
+    assert seen and set(seen) == {np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("p,n,k", [(2, 2, 4), (2, 3, 3), (3, 2, 4), (5, 1, 5), (7, 1, 4)])
@@ -277,6 +319,15 @@ def test_parseval_and_inversion():
         assert np.allclose(back, f.values, atol=1e-12)
 
 
+def test_fourier_transform_is_complex_for_real_tables():
+    # the report prints [re, im] pairs, so a real table at p = 2 still
+    # gives complex128, equal to the real transform
+    f = random_real_table(2, 6, seed=2)
+    fhat = fourier_transform(f)
+    assert fhat.dtype == np.complex128 and not fhat.imag.any()
+    assert np.allclose(fhat, naive_dft(f.values, 2, 6, inverse=False) / 64, atol=1e-12)
+
+
 def test_fourier_transform_charges_its_points():
     f = random_unit_table(5, 2, seed=1)
     with pytest.raises(BudgetExceededError) as exc:
@@ -316,7 +367,10 @@ def test_fp_transform_matches_naive_dft(p, n):
         for inverse in (False, True):
             want = naive_dft(rows, p, n, inverse)
             scale = np.abs(want).max()
-            assert np.abs(_fp_transform(rows, p, n, inverse) - want).max() <= 1e-12 * scale
+            got = _fp_transform(rows, p, n, inverse)
+            # real input stays real only at p = 2, where every character is +-1
+            assert got.dtype == (np.float64 if p == 2 and rows is real else np.complex128)
+            assert np.abs(got - want).max() <= 1e-12 * scale
             assert np.abs(_fp_transform(rows[1], p, n, inverse) - want[1]).max() <= 1e-12 * scale
 
 
@@ -416,6 +470,17 @@ def test_explicit_polys_match_degree_path(p, n, d, table):
     assert by_degree.family_size == len(family)
     attained = abs(inner_product(f, phase_table(by_degree.best)))
     assert attained == pytest.approx(float(by_degree), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (5, 1), (6, 1), (2, 2), (3, 2), (4, 2), (3, 3), (4, 3)])
+def test_real_table_at_two_correlation_matches_enumeration(n, d):
+    # the bit-parity scorer on float64 rows against every polynomial of the
+    # family scored by its own phase table, value and first maximizer
+    f = random_real_table(2, n, seed=n + 10 * d)
+    rep = correlation_with_family(f, degree=d)
+    value, best = best_in_list(f, nonconstant_family(2, n, d))
+    assert float(rep) == pytest.approx(value, abs=1e-12)
+    assert rep.best == best
 
 
 @pytest.mark.parametrize("n, seed", [(3, 0), (3, 2), (3, 4), (4, 4), (4, 7)])
@@ -564,7 +629,7 @@ def test_average_component_factoring_consistent():
     f = random_unit_table(2, 3, seed=8)
     fast = complex(linear_form_average(f, system))
     assert fast == pytest.approx(t_direct([f, f], system), abs=1e-12)
-    assert fast == pytest.approx(f.mean() ** 2, abs=1e-12)
+    assert fast == pytest.approx(f.values.mean() ** 2, abs=1e-12)
 
 
 def test_average_gcs_bound():
@@ -785,6 +850,84 @@ def test_flagged_sides_match_direct(case, seed):
             assert np.allclose(got, want, atol=1e-12)
 
 
+@given(flagged_systems(), st.integers(0, 1000))
+@settings(max_examples=40, deadline=None)
+def test_real_tables_match_direct_on_every_side(case, seed):
+    # real tables: float64 kernels at p = 2, complex ones above it; primal,
+    # dual and keyed sums, flagged averages and boundary functions against
+    # the primal enumeration
+    n, system, conj = case
+    p = system.p
+    dtype = np.float64 if p == 2 else np.complex128
+    fs = [random_real_table(p, n, seed=seed + i) for i in range(system.m)]
+    powered = _powered_tables(fs, system, conj)
+    want = t_direct(powered, system)
+    assert complex(linear_form_average(fs, system, conjugations=conj)) == pytest.approx(
+        want, abs=1e-12
+    )
+    tables = [analysis._real_at_two(t.values, p) for t in powered]
+    assert {t.dtype for t in tables} == {np.dtype(dtype)}
+    f = fs[0]
+    flagged = flagged_direct(f, system)
+    assert np.allclose(flagged_average(f, system).values, flagged, atol=1e-12)
+    rows = np.vstack([system.flag, system.as_array()])
+    keyed = [analysis._real_at_two(f.values**m, p) for m in system.multiplicities]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_CHUNK", 5)
+        for dual in (False, True):
+            got = _average_on_side(tables, system.as_array(), p, n, dual)
+            assert got == pytest.approx(want, abs=1e-12)
+            got = _average_on_side(keyed, rows, p, n, dual, keyed=True)
+            assert got.dtype == dtype and np.allclose(got, flagged, atol=1e-12)
+    plain = LinearSystem(p, system.k, system.forms)
+    assert np.allclose(boundary_function(f, plain).values, boundary_direct(f, plain), atol=1e-12)
+
+
+def test_real_route_matches_complex_route(monkeypatch):
+    # the same real tables through the float64 kernels and, with the helper
+    # made the identity, through the complex ones: U^k, the Poly_2 search,
+    # primal, dual and flagged averages and a boundary function
+    f = random_real_table(2, 6, seed=3)
+    g = FunctionTable(2, 6, f.values)  # codomain complex, values real
+    dual = LinearSystem(2, 3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1)])
+    ap = arithmetic_progression_system(2, 2)
+    fsys = FlaggedSystem(2, 3, [(0, 1, 0), (1, 1, 0), (0, 0, 1)], (1, 0, 0), (1, 2, 1))
+
+    def run(table):
+        rep = correlation_with_family(table, degree=2)
+        values = [
+            gowers_norm(table, 3).power, gowers_norm(table, 4).power, rep.value,
+            complex(linear_form_average(table, dual)),
+            complex(linear_form_average(table, ap, conjugations=(1, 0))),
+        ]
+        arrays = [flagged_average(table, fsys).values, boundary_function(table, dual).values]
+        return rep.best, values, arrays
+
+    seen = spy_transform_dtypes(monkeypatch)
+    real = [run(f), run(g)]
+    assert set(seen) == {np.dtype(np.float64)}
+    seen.clear()
+    monkeypatch.setattr(analysis, "_real_at_two", lambda values, p: values)
+    cplx = run(f)
+    assert set(seen) == {np.dtype(np.complex128)}
+    for best, values, arrays in real:
+        assert best == cplx[0]
+        assert values == pytest.approx(cplx[1], rel=1e-12, abs=1e-14)
+        for a, b in zip(arrays, cplx[2]):
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+def test_real_at_two_decides_from_the_values():
+    real = random_real_table(2, 3, seed=1).values
+    out = analysis._real_at_two(real, 2)
+    assert out.dtype == np.float64 and out.flags.c_contiguous
+    assert np.array_equal(out, real.real)
+    # complex values at p = 2 and real values above it are left as they are
+    for values, p in [(random_unit_table(2, 3, seed=1).values, 2), (real[:3], 3)]:
+        assert analysis._real_at_two(values, p) is values
+    assert analysis._real_at_two(random_real_table(3, 2, seed=1).values, 3).dtype == np.complex128
+
+
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 1), (5, 1)])
 def test_flagged_factors_over_components_the_flag_misses(p, n):
     # the flag x meets only {y, x+y}; {z, w, z+w} and {u} are constants
@@ -811,7 +954,7 @@ def test_empty_kernel_dual_side_is_product_of_means():
     fs = [random_unit_table(3, 2, seed=s) for s in (1, 2)]
     forms = np.array([(1, 0), (0, 1)])
     got = _average_on_side([f.values for f in fs], forms, 3, 2, dual=True)
-    assert got == pytest.approx(fs[0].mean() * fs[1].mean(), abs=1e-12)
+    assert got == pytest.approx(fs[0].values.mean() * fs[1].values.mean(), abs=1e-12)
 
 
 def test_average_reports_side_and_cost():
@@ -907,7 +1050,7 @@ def test_flagged_flag_outside_span_gives_constant():
     f = random_unit_table(2, 2, seed=16)
     fsys = FlaggedSystem(2, 2, [(1, 0)], (0, 1))
     g = flagged_average(f, fsys)
-    assert np.allclose(g.values, f.mean(), atol=1e-14)
+    assert np.allclose(g.values, f.values.mean(), atol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -952,7 +1095,7 @@ def test_boundary_two_forms_golden():
     # the removed one, so both terms contribute the plain mean
     f = random_real_table(2, 2, seed=19)
     g = boundary_function(f, LinearSystem(2, 2, [(1, 0), (1, 1)]))
-    assert np.allclose(g.values, 2 * f.mean(), atol=1e-14)
+    assert np.allclose(g.values, 2 * f.values.mean(), atol=1e-14)
 
 
 def boundary_direct(f, system):
@@ -1005,4 +1148,4 @@ def test_flagged_mean_consistency(seed):
     fsys = FlaggedSystem(2, 2, forms, (1, 0))
     g = flagged_average(f, fsys)
     t = complex(linear_form_average(f, LinearSystem(2, 2, forms)))
-    assert g.mean() == pytest.approx(t, abs=1e-12)
+    assert g.values.mean() == pytest.approx(t, abs=1e-12)

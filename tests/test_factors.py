@@ -16,6 +16,7 @@ from fpuniform.polynomials import Polynomial
 from fpuniform.tables import (
     FunctionTable,
     phase_table,
+    random_real_table,
     random_unit_table,
 )
 
@@ -43,7 +44,7 @@ def test_atoms_partition_domain():
 
 def test_trivial_factor_single_atom():
     B = PolynomialFactor(3, 2, ())
-    assert B.complexity == 0 and B.atom_count() == 1 and B.degree == 0
+    assert B.complexity == 0 and B.atom_count() == 1 and B.defining == ()
 
 
 def test_factor_validation():
@@ -95,7 +96,7 @@ def test_projection_properties():
     B = two_poly_factor()
     h = conditional_expectation(f, B)
     assert np.allclose(conditional_expectation(h, B).values, h.values)  # idempotent
-    assert h.mean() == pytest.approx(f.mean(), abs=1e-12)  # tower
+    assert h.values.mean() == pytest.approx(f.values.mean(), abs=1e-12)  # tower
     l2 = lambda t: np.mean(np.abs(t.values) ** 2)
     assert l2(f) == pytest.approx(l2(h) + l2(f - h), abs=1e-9)  # Pythagoras
 
@@ -151,6 +152,13 @@ def test_decompose_postcondition_random():
         resid_norm = float(gowers_norm(f - conditional_expectation(f, rep.factor), 3))
         assert rep.flagged or resid_norm <= 0.25 + 1e-12
         assert rep.achieved_norm == pytest.approx(resid_norm, abs=1e-12)
+
+
+def test_decompose_keeps_a_real_table_real():
+    # f - E(f|B) of a real f is real, so the residual and projection are too
+    rep = decompose(random_real_table(2, 4, seed=1), 1, 0.3)
+    assert rep.rounds >= 1
+    assert rep.residual.codomain == rep.projection.codomain == "real"
 
 
 def test_decompose_round_cap_flags(monkeypatch):

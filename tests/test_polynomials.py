@@ -13,6 +13,7 @@ from fpuniform.polynomials import (
     family_size,
     monomial_values,
     monomials_up_to,
+    twisted_rows,
 )
 
 
@@ -100,6 +101,29 @@ def test_monomial_values_match_evaluate(p, n, d):
         mono = Polynomial(p, n, {exps: 1})
         assert table[:, j].tolist() == [mono.evaluate(x) for x in pts]
     assert monomial_values(p, pts, []).shape == (20, 0)
+
+
+@pytest.mark.parametrize(
+    "p, n, d, kind", [(2, 3, 2, "real"), (2, 4, 2, "real"), (2, 3, 2, "complex"), (2, 2, 0, "real"),
+                      (3, 2, 2, "real"), (3, 1, 2, "complex")],
+)
+def test_twisted_rows_match_each_polynomial(p, n, d, kind):
+    # row t is e_p(-Q_t) * values, Q_t the t-th coefficient vector over the
+    # monomials in itertools.product order (first monomial most significant),
+    # in blocks that split the listing; at p = 2 exactly +-values, in their dtype
+    monos = [e for e in monomials_up_to(p, n, d) if any(e)]
+    rng = np.random.default_rng(10 * p + n)
+    values = rng.normal(size=p**n) + (1j * rng.normal(size=p**n) if kind == "complex" else 0)
+    rows = twisted_rows(values, p, digit_table(p, n), monos)
+    count = p ** len(monos)
+    got = np.vstack([rows(lo, min(lo + 7, count)) for lo in range(0, count, 7)])
+    for t, coeffs in enumerate(itertools.product(range(p), repeat=len(monos))):
+        q = Polynomial.from_coefficients(p, n, monos, coeffs).value_table()
+        if p == 2:
+            assert got.dtype == values.dtype
+            assert np.array_equal(got[t], np.where(q == 1, -values, values))
+        else:
+            assert np.allclose(got[t], np.exp(-2j * np.pi * q / p) * values, atol=1e-12)
 
 
 def test_homogeneous_flag():

@@ -40,7 +40,7 @@ def test_immutability():
 def test_constant_and_callable():
     f = FunctionTable.constant(3, 1, 0.5)
     assert f.codomain == "real"
-    assert f.mean() == 0.5
+    assert f.values.mean() == 0.5
     # values follow the enumeration order of the points
     g = FunctionTable(2, 2, [x[0] + 2 * x[1] for x in enumerate_vectors(2, 2)])
     assert g.values.tolist() == [0, 2, 1, 3]
@@ -53,6 +53,18 @@ def test_pointwise_algebra():
     assert (f + g).values.tolist() == [4, 1]
     assert (f - g).values.tolist() == [-2, 3]
     assert (2 * f).values.tolist() == [2, 4]
+
+
+def test_pointwise_algebra_keeps_real_tables_real():
+    # real with real, table or scalar, is real; a complex operand, or a table
+    # whose codomain is complex although its values are real, makes it complex
+    f, g = random_real_table(2, 2, seed=1), random_real_table(2, 2, seed=2)
+    z = random_unit_table(2, 2, seed=3)
+    for h in (f + g, f - g, f * g, f * 0.5, 0.5 * f, f + 1, f - 2.0, f * (3 + 0j)):
+        assert h.codomain == "real"
+    for h in (f + z, z - f, f * z, z * f, f * 1j, 1j * f, f - 1j):
+        assert h.codomain == "complex"
+    assert (FunctionTable(2, 1, [1, 2]) * 2).codomain == "complex"
 
 
 def test_shift_golden():

@@ -71,6 +71,17 @@ def test_lift_character_moment_identity():
     assert np.abs(gamma.a_c(0).values - 1.0).max() < 1e-12
 
 
+def test_lift_of_real_table_algebra():
+    # a product or sum of real tables keeps the real codomain that lift reads
+    F = random_real_table(3, 2, seed=7, low=0.0, high=1.0)
+    G = random_real_table(3, 2, seed=8, low=0.0, high=1.0)
+    for H in (F * 0.5, 0.5 * F, F * G, (F + G) * 0.5, F - F * G):
+        back = DistributionalFunction.lift(H).a_c(1)
+        assert np.abs(back.values - H.values.real).max() < 1e-12
+    with pytest.raises(ValidationError, match="real-valued"):
+        DistributionalFunction.lift(F * 0.5j)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([2, 3]), st.integers(0, 10**6))
 def test_lift_identity_property(p, seed):
@@ -426,6 +437,11 @@ def test_profile_of_the_four_query_pattern():
     nz = {i: c for i, c in enumerate(entry.gamma_hat) if abs(c) > 1e-12}
     assert set(nz) == {0, 15}
     assert nz[0] == pytest.approx(0.5) and nz[15] == pytest.approx(0.5)
+    # the characters of F_2 are real, so a real decision map's coefficients
+    # are float64 there and complex above p = 2
+    assert entry.gamma_hat.dtype == np.float64
+    [entry3] = extract_linear_form_profile(uniformity_tester_spec(3, 2, 1), 2)
+    assert entry3.gamma_hat.dtype == np.complex128
     assert entry.merged_beta[(0, 0, 0, 0)] == (0, 0, 0, 0)
     assert entry.merged_beta[(1, 1, 1, 1)] == (1, 1, 1, 1)
     # every emitted form is homogeneous with leading coefficient 1
