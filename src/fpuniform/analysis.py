@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -61,10 +62,14 @@ from .field import (
     space_size,
 )
 from .linalg import nullspace, rank, span_coordinates
-from .linear_forms import FlaggedSystem, LinearSystem, cube_system, row_components
-from .polynomials import Polynomial, coefficient_block, priced_family, twisted_rows
 from .rng import _CHUNK, mc_mean
-from .tables import FunctionTable
+from .tables import FunctionTable, phases
+
+# linear_forms and polynomials are imported in the functions that run them, so
+# that a command loads only the modules whose code it runs
+if TYPE_CHECKING:
+    from .linear_forms import FlaggedSystem, LinearSystem
+    from .polynomials import Polynomial
 
 
 def inner_product(f: FunctionTable, g: FunctionTable) -> complex:
@@ -280,6 +285,8 @@ def gowers_norm(
             value=power ** (1 / 2**k), power=power, k=k, p=p, n=n,
             mode="exact", cost=cost, path="orbit" if k > 2 else "direct",
         )
+    from .linear_forms import cube_system
+
     cube = cube_system(p, k, budget)
     conjugations = [(k - bin(mask).count("1")) % 2 for mask in range(2**k)]
     rep = linear_form_average(f, cube, conjugations, samples=samples, seed=seed, budget=budget)
@@ -319,6 +326,8 @@ def _best_in_part(values, p: int, pts, upper, free: bool, skip_zero: bool):
     part is listed; `skip_zero` leaves the zero polynomial out.  A pair
     survives only if it scores above every pair listed before it, so the
     first survivor within tolerance of any larger maximum is its winner."""
+    from .polynomials import Polynomial, coefficient_block, twisted_rows
+
     N, n = pts.shape
     linear = [tuple(int(i == j) for j in range(n)) for i in range(n)] if free else []
     monos = upper + linear
@@ -375,6 +384,8 @@ def correlation_with_family(
     maximum, relative to it) keep the earlier part.  The cost is checked once
     for the family, by priced_family.
     """
+    from .polynomials import priced_family
+
     p, n = f.p, f.n
     parts = priced_family(p, n, degree, homogeneous, budget)
     pts, values = digit_table(p, n), _real_at_two(f.values, p)
@@ -472,6 +483,8 @@ def _exact_average(tables: list, rows: np.ndarray, p: int, n: int, budget, what:
     cost N^r, a lone row being its mean; the running cost is checked against
     the budget before each component runs.  A flag is rows[0] with table None:
     its component is keyed and gives an array, the others give constants."""
+    from .linear_forms import row_components
+
     N = space_size(p, n)
     value, cost, sides = 1.0 + 0j, 0, set()
     real = {id(t): _real_at_two(t, p) for t in tables if t is not None}  # once per array
@@ -564,11 +577,14 @@ def linear_form_average(
 def _integer_values(f, p: int, n: int) -> np.ndarray:
     """The values mod p of a Polynomial or an integer-valued FunctionTable on
     F_p^n."""
-    if not isinstance(f, (Polynomial, FunctionTable)):
-        raise ValidationError("expected a Polynomial or a FunctionTable")
+    if not isinstance(f, FunctionTable):
+        from .polynomials import Polynomial
+
+        if not isinstance(f, Polynomial):
+            raise ValidationError("expected a Polynomial or a FunctionTable")
     if (f.p, f.n) != (p, n):
         raise ValidationError("function lives on a different space")
-    if isinstance(f, Polynomial):
+    if not isinstance(f, FunctionTable):  # a Polynomial
         return f.value_table()
     real = f.values.real
     rounded = np.rint(real)
@@ -600,11 +616,9 @@ def exponential_average(
     n = getattr(f, "n", None)
     vals = _integer_values(f, p, n)
     # e_p(b * f) table per distinct exponent, then an ordinary product average
-    phases = {
-        b: FunctionTable(p, n, np.exp(2j * np.pi * ((b * vals) % p) / p)) for b in set(beta)
-    }
+    tables = {b: FunctionTable(p, n, phases(p, (b * vals) % p)) for b in set(beta)}
     return linear_form_average(
-        [phases[b] for b in beta], system, samples=samples, seed=seed, budget=budget
+        [tables[b] for b in beta], system, samples=samples, seed=seed, budget=budget
     )
 
 
@@ -621,6 +635,8 @@ def flagged_average(
     connected components as the module docstring describes.  A flag outside
     the span of the forms is a lone component, so the result is then the
     constant t(f) at an extra cost of N."""
+    from .linear_forms import FlaggedSystem
+
     if not isinstance(system, FlaggedSystem):
         raise ValidationError("flagged_average needs a FlaggedSystem")
     if f.p != system.p:
@@ -639,6 +655,8 @@ def boundary_function(
     """Sum over forms of the conditional average of the others given that
     form: the gradient of t_L at f, in the sense that
     d/dt t_L(f + t g)|_0 = E[g * boundary] for real f, g."""
+    from .linear_forms import FlaggedSystem
+
     p, n = f.p, f.n
     total = np.zeros(space_size(p, n), dtype=np.complex128)
     for i in range(system.m):

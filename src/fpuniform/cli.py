@@ -7,19 +7,18 @@ tolerance block, and contain no timestamps, so identical invocations produce
 byte-identical output.
 
 Exit codes: 0 success; 2 validation error (including a result that is not a
-finite number); 64 unknown command, or a --seed below 0 or a --budget below 1;
-65 malformed input file (including non-finite table values); 66 budget
-exceeded by an exact cost or a sample count (a command that takes --mc and
-ran without it hints to rerun with --mc N); 70 internal error, such as a
-rejection-sampling loop hitting its retry cap.  Apart from argparse usage
-errors, every failure writes one JSON object to stderr.  A cost or budget
-above 2^64 is reported as ">2^64".
+finite number and an --out path that cannot be written); 64 unknown command,
+or a --seed below 0 or a --budget below 1; 65 malformed input file (including
+non-finite table values); 66 budget exceeded by an exact cost or a sample
+count (a command that takes --mc and ran without it hints to rerun with
+--mc N); 70 internal error, such as a rejection-sampling loop hitting its
+retry cap.  Apart from argparse usage errors, every failure writes one JSON
+object to stderr.  A cost or budget above 2^64 is reported as ">2^64".
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -138,6 +137,8 @@ def _flat_rows(obj, prefix=""):
 
 
 def _to_csv(report: dict) -> str:
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     if report.get("command") == "fourier":
@@ -160,8 +161,11 @@ def _write_output(report: dict, args) -> None:
     if args.format == "csv":
         text = _to_csv(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise ValidationError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -428,6 +432,10 @@ def _cmd_distributional(args) -> dict:
 
 
 # -- parser ---------------------------------------------------------------
+#
+# Every command gets its subparser and help line, so `fpuniform -h` lists them
+# all, but only the command being run gets its arguments: building the other
+# eight would be start-up time paid on every run.
 
 
 def _add_common(sub) -> None:
@@ -437,64 +445,46 @@ def _add_common(sub) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # every flag is spelled in full: no prefix such as --bet stands for --beta
-    parser = argparse.ArgumentParser(
-        prog="fpuniform",
-        description="uniformity norms, linear-form averages, and testers over F_p^n",
-        allow_abbrev=False,
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, summary: str) -> argparse.ArgumentParser:
-        return subs.add_parser(name, help=summary, allow_abbrev=False)
-
-    sub = command("gowers", "U^k norm of a function table")
+def _gowers_arguments(sub) -> None:
     sub.add_argument("--table", required=True)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--mc", type=int, default=None, metavar="N")
     sub.add_argument("--exact", action="store_true")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_gowers)
 
-    sub = command("average", "t_L average over a linear-form system")
+
+def _average_arguments(sub) -> None:
     sub.add_argument("--system", required=True)
     sub.add_argument("--tables", nargs="+", required=True)
     sub.add_argument("--conjugations", default=None, help="0/1 flags, comma separated")
     sub.add_argument("--mc", type=int, default=None, metavar="N")
     sub.add_argument("--exact", action="store_true")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_average)
 
-    sub = command("system", "complexity / isomorphism / components / product")
+
+def _system_arguments(sub) -> None:
     sub.add_argument("action", choices=("complexity", "isomorphism", "components", "product"))
     sub.add_argument("--file", required=True)
     sub.add_argument("--other", default=None, help="second system for isomorphism/product")
     sub.add_argument("--kind", choices=("cs", "true"), default="true")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_system)
 
-    sub = command("fourier", "full Fourier spectrum of a table")
+
+def _fourier_arguments(sub) -> None:
     sub.add_argument("--table", required=True)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_fourier)
 
-    sub = command("decompose", "degree-d factor + small-norm residual split")
+
+def _decompose_arguments(sub) -> None:
     sub.add_argument("--table", required=True)
     sub.add_argument("--degree", type=int, required=True)
     sub.add_argument("--delta", type=float, required=True)
     sub.add_argument("--rank-floor", type=int, default=None, dest="rank_floor")
     sub.add_argument("--homogeneous", action="store_true")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_decompose)
 
-    sub = command("rank", "rank of a polynomial collection")
+
+def _rank_arguments(sub) -> None:
     sub.add_argument("--polys", nargs="+", required=True)
     sub.add_argument("--rmax", type=int, default=2)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_rank)
 
-    sub = command("test", "uniformity / generic / symmetrize testers")
+
+def _test_arguments(sub) -> None:
     sub.add_argument("action", choices=("uniformity", "generic", "symmetrize"))
     sub.add_argument("--table", required=True)
     sub.add_argument("--spec", default=None, help="tester spec JSON (generic/symmetrize)")
@@ -503,43 +493,73 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--threshold", type=float, default=None, help="uniformity only (default 0.5)")
     sub.add_argument("--trials", type=int, default=None)
     sub.add_argument("--exact", action="store_true")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_test)
 
-    sub = command("interior", "boundary-function independence experiment")
+
+def _interior_arguments(sub) -> None:
     sub.add_argument("--systems", nargs="+", required=True)
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--trials", type=int, default=50)
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_interior)
 
-    sub = command("distributional", "t* average of a lifted [0,1] table")
+
+def _distributional_arguments(sub) -> None:
     sub.add_argument("--table", required=True)
     sub.add_argument("--system", required=True)
     sub.add_argument("--beta", required=True, help="comma-separated entries, one per form")
     sub.add_argument("--mc", type=int, default=None, metavar="N")
     sub.add_argument("--exact", action="store_true")
-    _add_common(sub)
-    sub.set_defaults(handler=_cmd_distributional)
 
+
+#: name -> (help line, the function that adds its own arguments, handler)
+_COMMANDS = {
+    "gowers": ("U^k norm of a function table", _gowers_arguments, _cmd_gowers),
+    "average": ("t_L average over a linear-form system", _average_arguments, _cmd_average),
+    "system": ("complexity / isomorphism / components / product", _system_arguments, _cmd_system),
+    "fourier": ("full Fourier spectrum of a table", _fourier_arguments, _cmd_fourier),
+    "decompose": (
+        "degree-d factor + small-norm residual split", _decompose_arguments, _cmd_decompose,
+    ),
+    "rank": ("rank of a polynomial collection", _rank_arguments, _cmd_rank),
+    "test": ("uniformity / generic / symmetrize testers", _test_arguments, _cmd_test),
+    "interior": (
+        "boundary-function independence experiment", _interior_arguments, _cmd_interior,
+    ),
+    "distributional": (
+        "t* average of a lifted [0,1] table", _distributional_arguments, _cmd_distributional,
+    ),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """A subparser for every command, with the arguments of `command` only."""
+    # every flag is spelled in full: no prefix such as --bet stands for --beta
+    parser = argparse.ArgumentParser(
+        prog="fpuniform",
+        description="uniformity norms, linear-form averages, and testers over F_p^n",
+        allow_abbrev=False,
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_arguments, handler) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=summary, allow_abbrev=False)
+        if name == command:
+            add_arguments(sub)
+            _add_common(sub)
+            sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    [commands] = [action.choices for action in parser._actions if action.dest == "command"]
-    if not argv or argv[0] not in commands and argv[0] not in ("-h", "--help"):
+    if not argv or argv[0] not in _COMMANDS and argv[0] not in ("-h", "--help"):
         error = f"unknown command {argv[0]!r}" if argv else "missing command"
-        _diag({"error": error, "commands": sorted(commands)})
+        _diag({"error": error, "commands": sorted(_COMMANDS)})
         return 64
     # argparse reads a value led by "-" as an option, so "--beta -1,2,3" is
     # passed on as "--beta=-1,2,3"
     while "--beta" in argv[:-1]:
         i = argv.index("--beta")
         argv[i:i + 2] = [f"--beta={argv[i + 1]}"]
-    args = parser.parse_args(argv)
+    args = _build_parser(argv[0]).parse_args(argv)
     for flag, least in (("seed", 0), ("budget", 1)):
         value = getattr(args, flag)
         if value is not None and value < least:

@@ -18,7 +18,6 @@ from .config import DECOMPOSE_ROUND_CAP
 from .errors import ValidationError
 from .field import place_values, space_size, validate_dims
 from .polynomials import Polynomial, priced_family
-from .polyrank import polynomial_rank
 from .tables import FunctionTable
 
 
@@ -67,6 +66,8 @@ class PolynomialFactor:
 
     def rank(self, r_max: int = 2, budget: int | None = None):
         """Rank of the defining set, delegated to the polynomial-rank search."""
+        from .polyrank import polynomial_rank
+
         if not self.defining:
             raise ValidationError("the empty factor has no defining polynomials")
         return polynomial_rank(self.defining, r_max=r_max, budget=budget)

@@ -10,6 +10,7 @@ table whose imaginary parts are exactly zero as float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,8 +18,10 @@ from .errors import FormatError, ValidationError, parse_at
 from .field import (
     AffineMap, digit_table, is_space_size, place_values, space_size, validate_dims, validate_prime,
 )
-from .polynomials import Polynomial
 from .rng import as_rng
+
+if TYPE_CHECKING:
+    from .polynomials import Polynomial
 
 SCHEMA = "fpuniform/v1"
 
@@ -122,10 +125,19 @@ class FunctionTable:
         }
 
 
+def phases(p: int, x: np.ndarray, c: int = 1) -> np.ndarray:
+    """e_p(c x) = exp(2 pi i c x / p) of integers x, with 2 pi c rounded
+    before it multiplies x, as seeded reports have always had it.  At p = 2 it
+    is the real part alone, exactly +-1: np.exp leaves about 1e-16 of
+    imaginary part there, which would keep a table off the float64 kernels of
+    analysis."""
+    vals = np.exp(2j * np.pi * c * x / p)
+    return vals.real if p == 2 else vals
+
+
 def phase_table(P: Polynomial) -> FunctionTable:
     """e_p(P): the phase function of a polynomial."""
-    vals = np.exp(2j * np.pi * P.value_table() / P.p)
-    return FunctionTable(P.p, P.n, vals)
+    return FunctionTable(P.p, P.n, phases(P.p, P.value_table()))
 
 
 def random_unit_table(p: int, n: int, seed=0) -> FunctionTable:

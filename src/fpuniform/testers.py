@@ -39,7 +39,7 @@ from .field import (
 from .linalg import span_coordinates
 from .linear_forms import LinearSystem, are_isomorphic, connected_components, cube_system
 from .rng import _CHUNK, as_rng, check_count, mc_mean
-from .tables import FunctionTable
+from .tables import FunctionTable, phases
 
 
 # -- distributional functions ------------------------------------------------------
@@ -99,8 +99,7 @@ class DistributionalFunction:
 
     def a_c(self, c: int) -> FunctionTable:
         """The character moment a_c(x) = E_{z ~ Gamma(x)} e_p(c z)."""
-        c = int(c) % self.p
-        chars = np.exp(2j * np.pi * c * np.arange(self.p) / self.p)
+        chars = phases(self.p, np.arange(self.p), int(c) % self.p)
         return FunctionTable(self.p, self.n, self.table @ chars)
 
     def sample_function(self, seed) -> FunctionTable:

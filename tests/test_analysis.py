@@ -46,6 +46,7 @@ from fpuniform.tables import (
     random_real_table,
     random_unit_table,
 )
+from fpuniform.testers import DistributionalFunction
 
 
 # ---------------------------------------------------------------- oracles
@@ -926,6 +927,34 @@ def test_real_at_two_decides_from_the_values():
     for values, p in [(random_unit_table(2, 3, seed=1).values, 2), (real[:3], 3)]:
         assert analysis._real_at_two(values, p) is values
     assert analysis._real_at_two(random_real_table(3, 2, seed=1).values, 3).dtype == np.complex128
+
+
+def test_phase_tables_at_two_take_the_float64_kernels(monkeypatch):
+    # e_2 is exactly +-1: a phase table, the e_2(beta f) tables of an
+    # exponential average and the character moments a_c of a distributional
+    # function have imaginary parts that are exactly zero
+    P = Polynomial(2, 3, {(1, 1, 0): 1, (0, 1, 1): 1, (0, 0, 1): 1})
+    gamma = DistributionalFunction.lift(random_real_table(2, 3, seed=0, low=0.0, high=1.0))
+    averaged = []
+    monkeypatch.setattr(
+        analysis, "linear_form_average", lambda tables, *args, **kw: averaged.extend(tables)
+    )
+    exponential_average(P, LinearSystem(2, 2, [(1, 0), (0, 1), (1, 1)]), beta=(1, 0, 1))
+    tables = [phase_table(P), gamma.a_c(0), gamma.a_c(1), *averaged]
+    assert len(tables) == 6
+    for t in tables:
+        assert analysis._real_at_two(t.values, 2).dtype == np.float64
+    assert np.array_equal(phase_table(P).values, np.exp(1j * np.pi * P.value_table()).real)
+    assert np.array_equal(gamma.a_c(1).values, gamma.table @ [1, -1])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_gowers_of_phase_table_at_two_matches_complex_route(k):
+    P = Polynomial(2, 5, {(1, 1, 1, 0, 0): 1, (0, 0, 1, 1, 0): 1, (1, 0, 0, 0, 1): 1})
+    f = phase_table(P)
+    g = FunctionTable(2, 5, np.exp(1j * np.pi * P.value_table()))  # about 1e-16 imaginary
+    assert g.values.imag.any()
+    assert gowers_norm(f, k).power == pytest.approx(gowers_norm(g, k).power, rel=1e-12)
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 1), (5, 1)])

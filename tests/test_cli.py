@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -257,6 +258,15 @@ def test_out_writes_file(files, capsys):
     assert rc == 0 and out == ""
     rep = json.loads(open(target).read())
     assert rep["command"] == "gowers"
+
+
+@pytest.mark.parametrize("target", ["absent/report.json", "."], ids=["no-directory", "directory"])
+def test_unwritable_out_exit_2(files, capsys, target):
+    target = str(files["tmp"] / target)
+    rc, out, err = run(["fourier", "--table", files["phase"], "--out", target], capsys)
+    assert (rc, out) == (2, "")
+    diag = json.loads(err)  # one JSON object, no traceback
+    assert diag["type"] == "validation" and target in diag["error"]
 
 
 _GOWERS_KEYS = ["command", "cost", "inputs", "k", "mode", "n", "p", "path", "power",
@@ -522,9 +532,58 @@ def test_distributional_beta_exit_codes(files, capsys, beta, code):
 
 # ---------------------------------------------------------------- exit codes
 
+#: every command with its help line and its own flags; each also takes
+#: --seed, --budget, --out, --format and --help
+CLI_COMMANDS = {
+    "gowers": ("U^k norm of a function table", ["--table", "--k", "--mc", "--exact"]),
+    "average": ("t_L average over a linear-form system",
+                ["--system", "--tables", "--conjugations", "--mc", "--exact"]),
+    "system": ("complexity / isomorphism / components / product",
+               ["--file", "--other", "--kind"]),
+    "fourier": ("full Fourier spectrum of a table", ["--table"]),
+    "decompose": ("degree-d factor + small-norm residual split",
+                  ["--table", "--degree", "--delta", "--rank-floor", "--homogeneous"]),
+    "rank": ("rank of a polynomial collection", ["--polys", "--rmax"]),
+    "test": ("uniformity / generic / symmetrize testers",
+             ["--table", "--spec", "--degree", "--samples", "--threshold", "--trials",
+              "--exact"]),
+    "interior": ("boundary-function independence experiment",
+                 ["--systems", "--p", "--n", "--trials"]),
+    "distributional": ("t* average of a lifted [0,1] table",
+                       ["--table", "--system", "--beta", "--mc", "--exact"]),
+}
+
+
+def help_text(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_command_with_its_summary(capsys):
+    out = help_text(["-h"], capsys)
+    listed = re.findall(r"^    (\w+) +(.+)$", out, re.M)
+    assert listed == [(name, summary) for name, (summary, _) in CLI_COMMANDS.items()]
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS)
+def test_command_help_lists_its_flags(capsys, command):
+    # the parser adds only the run command's arguments, and all of them
+    flags = set(re.findall(r"--[a-z-]+", help_text([command, "-h"], capsys)))
+    common = {"--seed", "--budget", "--out", "--format", "--help"}
+    assert flags == {*CLI_COMMANDS[command][1], *common}
+
+
+def test_parser_builds_the_arguments_of_the_run_command_only():
+    [subs] = [a for a in _build_parser("fourier")._actions if a.dest == "command"]
+    built = [name for name, sub in subs.choices.items() if len(sub._actions) > 1]  # beyond -h
+    assert built == ["fourier"]
+
+
 def test_unknown_command_exit_64(capsys):
     [subs] = [a for a in _build_parser()._actions if a.dest == "command"]
-    assert len(subs.choices) == 9
+    assert list(subs.choices) == list(CLI_COMMANDS)
     rc, _, err = run(["frobnicate"], capsys)
     assert rc == 64 and json.loads(err)["commands"] == sorted(subs.choices)
     rc, _, err = run([], capsys)
@@ -624,18 +683,6 @@ def loaded_modules(files, argv, names) -> list[str]:
 @pytest.mark.parametrize(
     "argv",
     [["fourier", "--table", "{phase}"],
-     ["gowers", "--table", "{phase}", "--k", "3", "--mc", "50"],
-     ["average", "--system", "{tri}", "--tables", "{f24}"]],
-    ids=["fourier", "gowers", "average"],
-)
-def test_analysis_commands_do_not_import_testers_factors_or_polyrank(files, argv):
-    # each handler imports what it uses
-    assert loaded_modules(files, argv, ["testers", "factors", "polyrank"]) == []
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["fourier", "--table", "{phase}"],
      ["gowers", "--table", "{phase}", "--k", "3"],
      ["average", "--system", "{tri}", "--tables", "{f24}"],
      ["system", "components", "--file", "{tri}"],
@@ -666,10 +713,11 @@ DRAWING_COMMANDS = {
 }
 
 
-def program_run(files, argv, launch: str) -> tuple[int | None, str, bool]:
-    """(exit code, stdout, whether `_hashlib` was loaded) of `launch` run in a
-    fresh interpreter with `argv` as its command line; the exit code is None
-    where `launch` does not exit."""
+def program_run(files, argv, launch: str) -> tuple[int | None, str, set[str]]:
+    """(exit code, stdout, the names of the modules loaded) of `launch` run in
+    a fresh interpreter with `argv` as its command line; the exit code is None
+    where `launch` does not exit.  A module marked missing, as `_hashlib` is
+    by the program, is not loaded."""
     script = (
         "import json, runpy, sys\n"
         f"sys.argv = ['fpuniform', *{[a.format(**files) for a in argv]!r}]\n"
@@ -679,24 +727,28 @@ def program_run(files, argv, launch: str) -> tuple[int | None, str, bool]:
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
         "sys.stdout.flush()\n"
-        "sys.stderr.write(json.dumps([code, sys.modules.get('_hashlib') is not None]))\n"
+        "loaded = sorted(name for name, module in sys.modules.items() if module)\n"
+        "sys.stderr.write(json.dumps([code, loaded]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    code, openssl = json.loads(done.stderr)
-    return code, done.stdout, openssl
+    code, loaded = json.loads(done.stderr)
+    return code, done.stdout, set(loaded)
+
+
+#: how `python -m fpuniform.cli` runs the program
+AS_PROGRAM = 'runpy.run_module("fpuniform.cli", run_name="__main__")'
 
 
 @pytest.mark.parametrize("argv", DRAWING_COMMANDS.values(), ids=DRAWING_COMMANDS.keys())
 def test_drawing_commands_run_as_the_program_do_not_load_openssl(files, capsys, argv):
     # `python -m fpuniform.cli` marks `_hashlib` missing before numpy.random
     # imports `secrets`; the seeded report is the one `main` gives in-process
-    launch = 'runpy.run_module("fpuniform.cli", run_name="__main__")'
-    code, out, openssl = program_run(files, argv, launch)
-    assert (code, openssl) == (0, False)
+    code, out, loaded = program_run(files, argv, AS_PROGRAM)
+    assert (code, "_hashlib" in loaded) == (0, False)
     assert run([a.format(**files) for a in argv], capsys)[:2] == (0, out)
 
 
@@ -704,26 +756,87 @@ def test_the_console_script_does_not_load_openssl(files, capsys):
     # the `fpuniform` script of pyproject.toml calls cli.entry_point
     argv = DRAWING_COMMANDS["gowers"]
     launch = "from fpuniform.cli import entry_point; sys.exit(entry_point())"
-    code, out, openssl = program_run(files, argv, launch)
-    assert (code, openssl) == (0, False)
+    code, out, loaded = program_run(files, argv, launch)
+    assert (code, "_hashlib" in loaded) == (0, False)
     assert run([a.format(**files) for a in argv], capsys)[:2] == (0, out)
 
 
 def test_the_program_keeps_an_openssl_already_loaded(files):
-    launch = 'import hashlib; runpy.run_module("fpuniform.cli", run_name="__main__")'
-    assert program_run(files, DRAWING_COMMANDS["gowers"], launch)[::2] == (0, True)
+    launch = "import hashlib; " + AS_PROGRAM
+    code, _, loaded = program_run(files, DRAWING_COMMANDS["gowers"], launch)
+    assert (code, "_hashlib" in loaded) == (0, True)
 
 
 def test_in_process_main_leaves_hashlib_alone(files):
     # only the program's own process goes without OpenSSL; `main` called from
     # other code imports numpy.random as numpy does
     launch = "from fpuniform.cli import main; sys.exit(main(sys.argv[1:]))"
-    assert program_run(files, DRAWING_COMMANDS["gowers"], launch)[::2] == (0, True)
+    code, _, loaded = program_run(files, DRAWING_COMMANDS["gowers"], launch)
+    assert (code, "_hashlib" in loaded) == (0, True)
 
 
 def test_library_draws_leave_hashlib_alone(files):
     launch = "from fpuniform.tables import random_unit_table; random_unit_table(2, 3, seed=1)"
-    assert program_run(files, [], launch)[::2] == (None, True)
+    code, _, loaded = program_run(files, [], launch)
+    assert (code, "_hashlib" in loaded) == (None, True)
+
+
+#: the package modules every command loads: the CLI's own imports
+BASE_MODULES = {"errors", "config", "rng", "field", "linalg"}
+
+#: the analysis commands, and the modules each loads besides BASE_MODULES
+ANALYSIS_MODULES = {
+    "fourier": (["fourier", "--table", "{phase}"], {"tables", "analysis"}),
+    "gowers": (["gowers", "--table", "{phase}", "--k", "3", "--mc", "50"],
+               {"tables", "analysis", "linear_forms"}),
+    "average": (["average", "--system", "{tri}", "--tables", "{f24}"],
+                {"tables", "analysis", "linear_forms"}),
+    "gowers-exact": (["gowers", "--table", "{phase}", "--k", "3"], {"tables", "analysis"}),
+}
+
+_TESTER_MODULES = {"tables", "analysis", "linear_forms", "testers"}
+
+#: every other command, and the modules each loads besides BASE_MODULES
+OTHER_MODULES = {
+    "decompose": (["decompose", "--table", "{f24}", "--degree", "1", "--delta", "0.5"],
+                  {"tables", "analysis", "polynomials", "factors"}),
+    "decompose-rank-floor": (
+        ["decompose", "--table", "{f24}", "--degree", "2", "--delta", "0.25",
+         "--rank-floor", "2"],
+        {"tables", "analysis", "polynomials", "factors", "polyrank"},
+    ),
+    **{name: (argv, _TESTER_MODULES) for name, argv in DRAWING_COMMANDS.items()
+       if name not in ANALYSIS_MODULES},
+    "generic-exact": (["test", "generic", "--table", "{lin4}", "--spec", "{spec}", "--exact"],
+                      _TESTER_MODULES),
+    "components": (["system", "components", "--file", "{tri}"], {"linear_forms"}),
+    "rank": (["rank", "--polys", "{poly}"], {"polynomials", "polyrank"}),
+}
+
+
+def check_loaded_modules(files, argv, modules) -> None:
+    """Run as the program, `argv` loads the package modules BASE_MODULES |
+    `modules` and no others, and `csv` only when it writes CSV."""
+    for fmt in ("json", "csv"):
+        code, _, loaded = program_run(files, argv + ["--format", fmt], AS_PROGRAM)
+        assert code == 0
+        package = {name.split(".")[1] for name in loaded if name.startswith("fpuniform.")}
+        assert package == BASE_MODULES | modules
+        assert ("csv" in loaded) == (fmt == "csv")
+
+
+@pytest.mark.parametrize(
+    "argv,modules", ANALYSIS_MODULES.values(), ids=ANALYSIS_MODULES.keys()
+)
+def test_analysis_commands_do_not_import_testers_factors_or_polyrank(files, argv, modules):
+    # each handler imports what it uses, and analysis imports linear_forms and
+    # polynomials only in the functions that run them
+    check_loaded_modules(files, argv, modules)
+
+
+@pytest.mark.parametrize("argv,modules", OTHER_MODULES.values(), ids=OTHER_MODULES.keys())
+def test_other_commands_load_only_the_modules_they_run(files, argv, modules):
+    check_loaded_modules(files, argv, modules)
 
 
 def test_sampled_command_digests_its_inputs(files, capsys):
@@ -916,8 +1029,10 @@ def test_missing_required_flag_exits_2(files):
         ["distributional", "--table", "{F01}", "--system", "{tri}", "--bet=1,1,1"],
         ["distributional", "--table", "{F01}", "--system", "{tri}", "--bet", "-1,-1,-1"],
         ["average", "--system", "{tri}", "--table", "{lin4}"],
+        ["decompose", "--table", "{f24}", "--degree", "1", "--delta", "0.5", "--rank", "1"],
+        ["test", "uniformity", "--table", "{lin4}", "--thresh", "0.5"],
     ],
-    ids=["bet=", "bet-negative", "average-table"],
+    ids=["bet=", "bet-negative", "average-table", "decompose-rank", "test-thresh"],
 )
 def test_abbreviated_flags_exit_2(files, argv):
     # every flag is spelled in full, so a prefix is refused however its value
