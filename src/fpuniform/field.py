@@ -70,7 +70,7 @@ def is_space_size(count: int, p: int, n: int) -> bool:
     return n <= count.bit_length() and count == p**n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # n int64 values each, and n is the dimension of one space
 def place_values(p: int, n: int) -> np.ndarray:
     v = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     v.setflags(write=False)
@@ -119,19 +119,16 @@ def mixed_radix_digits(flat: np.ndarray, base: int, width: int) -> np.ndarray:
 
 def index_combination(p: int, n: int, coeffs, Z):
     """Indices of sum_j coeffs[i, j] * Z_j, one array per coefficient row i,
-    as an iterator over the rows.
+    as an iterator over the rows, each formed when it is asked for: a caller
+    that takes the rows one at a time holds one row, not m.
 
     coeffs is an (m, k) matrix and Z a (k, ...) array, or a sequence of k
     arrays that broadcast together, of point indices of F_p^n; every row has
     their broadcast shape.  At p = 2 a row is the XOR of the Z_j with odd
-    coefficient, formed when it is asked for, so a caller that takes the rows
-    one at a time holds one row, not m.  Otherwise it is digit arithmetic, one
-    digit position at a time, extracting each Z_j's digit once for all rows,
-    so every row is formed before the first is returned.  A row's digit sum s
-    is at most top = (p - 1) * (its coefficient sum), and (s mod p) times the
-    place value is read from a table of top + 1 entries when that is at most
-    _CHUNK long: a gather in place of an integer division, which halves the
-    time of this arithmetic at p = 3.
+    coefficient.  Otherwise each Z_j is split once, for all rows, into groups
+    of g digits (_group_tables), and a row is formed group by group: each
+    term's group is scaled by its coefficient and added to the running sum
+    through two small tables, so no digit is extracted and no residue taken.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64) % p
     zs = [np.asarray(z, dtype=np.int64) for z in Z]
@@ -139,7 +136,7 @@ def index_combination(p: int, n: int, coeffs, Z):
     rows = [[(int(c), j) for j, c in enumerate(row) if c] for row in coeffs]
     if p == 2:
         return _xor_rows(rows, zs, shape)
-    return iter(_digit_rows(p, n, rows, zs, shape))
+    return _group_rows(p, n, rows, zs, shape)
 
 
 def _xor_rows(rows, zs: list, shape):
@@ -151,27 +148,69 @@ def _xor_rows(rows, zs: list, shape):
         yield o
 
 
-def _digit_rows(p: int, n: int, rows, zs: list, shape) -> np.ndarray:
-    """The rows of index_combination at p > 2, as one (m, ...) array; `rows`
-    lists each row's nonzero (coefficient, variable) terms."""
-    out = np.zeros((len(rows),) + shape, dtype=np.int64)
-    top = (p - 1) * max((sum(c for c, _ in terms) for terms in rows), default=0)
-    residues = np.arange(top + 1) % p if top <= _CHUNK else None
-    s = np.empty(shape, dtype=np.int64)  # one row's digit sum, reused
-    for w in place_values(p, n)[::-1].tolist():  # least significant digit first
-        digits = []
-        for j, z in enumerate(zs):
-            zs[j], d = np.divmod(z, p)
-            digits.append(d)
-        weighted = None if residues is None else residues * w
-        for terms, o in zip(rows, out):
-            if terms:
-                (c, j), *rest = terms
-                np.multiply(digits[j], c, out=s)
-                for c, j in rest:
-                    s += digits[j] if c == 1 else c * digits[j]
-                o += s % p * w if weighted is None else weighted[s]
-    return out
+# one entry per prime, at most 128 KiB: a 251 x 256 addition table and a
+# 251 x 251 scaling table, both uint8
+@lru_cache(maxsize=8)
+def _group_tables(p: int):
+    """(g, add, scale) for groups of g digits of F_p^n, g the largest with
+    p^(2g) <= 2^16, so that a group value (below q = p^g) fits a uint8 and a
+    pair of them a uint16 key.  add[(a << 8) | b] is the group of the
+    digitwise sum of groups a and b, and scale[c, a] the group of c times
+    group a, both mod p."""
+    g = 1
+    while p ** (2 * g + 2) <= 1 << 16:
+        g += 1
+    q = p**g
+    # in int64, narrowed as the last level is stored: 250 + 250 and 250 * 250
+    # overflow uint8 and int16
+    d = np.arange(p, dtype=np.int64)
+    add1, scale1 = (d[:, None] + d) % p, d[:, None] * d % p
+    flat = np.zeros((q, 256), dtype=np.uint8)
+    add, scale = np.zeros((1, 1), dtype=np.int64), np.zeros((p, 1), dtype=np.int64)
+    for h in range(g):  # h digits held, one more below: high * p + low < q
+        w = p**h
+        # the last level goes straight into flat, through a view
+        out = flat.reshape(w, p, 256)[:, :, :q].reshape(w, p, w, p) if h == g - 1 else None
+        add = np.add(add[:, None, :, None] * p, add1[None, :, None, :], out=out, casting="unsafe")
+        add = add.reshape(w * p, -1)
+        scale = (scale[:, :, None] * p + scale1[:, None, :]).reshape(p, -1)
+    scale = scale.astype(np.uint8)
+    flat = flat.reshape(-1)
+    flat.setflags(write=False)
+    scale.setflags(write=False)
+    return g, flat, scale
+
+
+def _group_rows(p: int, n: int, rows, zs: list, shape):
+    """The rows of index_combination at p > 2, each formed when asked for;
+    `rows` lists each row's nonzero (coefficient, variable) terms."""
+    g, add, scale = _group_tables(p)
+    q = p**g
+    groups = [[] for _ in zs]  # groups[j][i]: group i of Z_j, least significant first
+    for j, z in enumerate(zs):
+        for _ in range(-(-n // g) - 1):
+            z, rem = np.divmod(z, q)
+            groups[j].append(rem.astype(np.uint8))
+        groups[j].append(z.astype(np.uint8))  # the top group: what is left is below q
+    for terms in rows:
+        yield _group_row(terms, groups, q, add, scale, shape)
+
+
+def _group_row(terms, groups: list, q: int, add, scale, shape) -> np.ndarray:
+    """sum of c * Z_j over a row's terms (c, j): per group, each term's group
+    scaled through scale[c] and added into the running sum through add; the
+    groups go in from the most significant, as index = index * q + group."""
+    o = np.zeros(shape, dtype=np.int64)
+    if not terms:
+        return o
+    for i in reversed(range(len(groups[0]))):
+        s = None
+        for c, j in terms:
+            t = groups[j][i] if c == 1 else scale[c].take(groups[j][i])
+            s = t if s is None else add.take(np.left_shift(s, 8, dtype=np.uint16) | t)
+        o *= q
+        o += s
+    return o
 
 
 def index_add(p: int, n: int, a, b):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,11 +74,13 @@ def test_index_scale_matches_coordinate_scale(p, n, data):
     assert int(got) == expect
 
 
-@given(st.sampled_from([(2, 3), (3, 2), (5, 2), (251, 1)]), st.data())
+@given(st.sampled_from([(2, 3), (3, 2), (5, 2), (251, 1), (3, 5), (3, 6), (5, 3), (5, 4)]),
+       st.data())
 @settings(max_examples=100)
 def test_index_combination_rows_match_coordinate_arithmetic(space, data):
-    # at p = 251 a row whose coefficients sum past 131 has digit sums beyond
-    # the _CHUNK-entry residue table, and takes integer division instead
+    # at p = 251 a row's coefficients sum far past p; (3, 5) and (5, 3) fill
+    # one digit group (5 digits at p = 3, 3 at p = 5), (3, 6) and (5, 4) start
+    # a second
     p, n = space
     k = data.draw(st.integers(1, 4))
     m = data.draw(st.integers(1, 4))
@@ -89,6 +93,57 @@ def test_index_combination_rows_match_coordinate_arithmetic(space, data):
             for row in coeffs]
     got = list(field.index_combination(p, n, coeffs, Z))
     assert len(got) == m and all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def coordinate_combination(p, n, row, zs):
+    """sum_j row[j] * Z_j, digit by digit from the definition of the index:
+    the point with index z has coordinates z // p^(n - i) % p, i = 1..n."""
+    zs = np.broadcast_arrays(*(np.asarray(z, dtype=object) for z in zs))
+    out = np.zeros(zs[0].shape, dtype=object)
+    for i in range(1, n + 1):
+        digit = sum(c * (z // p ** (n - i) % p) for c, z in zip(row, zs)) % p
+        out += digit * p ** (n - i)
+    return out.astype(np.int64)
+
+
+# n = 1; n on and next to a group boundary (groups of 5, 3, 2, 2, 1 and 1
+# digits); and the largest prime
+@pytest.mark.parametrize("p,n", [
+    (3, 1), (3, 4), (3, 5), (3, 6), (5, 1), (5, 2), (5, 3), (5, 4), (7, 1), (7, 2),
+    (7, 3), (11, 2), (11, 3), (17, 1), (17, 2), (251, 1), (251, 2),
+])
+def test_index_combination_matches_digit_arithmetic(p, n):
+    # every row of coefficients 0, 1 and p - 1 over three operands: the
+    # all-(p - 1) row gives the widest sums.  The operands broadcast as
+    # (B, 1) against (S,), and each holds index 0 and N - 1.
+    N = p**n
+    rng = np.random.default_rng(p * 10 + n)
+    a = np.concatenate([[0, N - 1], rng.integers(0, N, size=3)])[:, None]
+    b = np.concatenate([[N - 1, 0], rng.integers(0, N, size=6)])
+    c = np.concatenate([[N - 1, N - 1], rng.integers(0, N, size=6)])
+    rows = list(itertools.product((0, 1, p - 1), repeat=3))
+    got = list(field.index_combination(p, n, rows, [a, b, c]))
+    assert len(got) == len(rows)
+    for row, g in zip(rows, got):
+        assert g.shape == (5, 8) and g.dtype == np.int64
+        assert np.array_equal(g, coordinate_combination(p, n, row, [a, b, c])), row
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_index_combination_forms_each_row_when_asked(p, monkeypatch):
+    formed = []
+    row = field._group_row
+
+    def counted(*args):
+        formed.append(1)
+        return row(*args)
+
+    monkeypatch.setattr(field, "_group_row", counted)
+    rows = field.index_combination(p, 4, [[1, 1], [1, 2], [2, 0]], [np.arange(5), np.arange(5)])
+    assert not formed
+    for i in range(3):
+        next(rows)
+        assert len(formed) == i + 1
 
 
 def images(a):
