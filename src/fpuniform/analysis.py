@@ -202,20 +202,6 @@ def _sorted_tuples(R: int, d: int, block: int):
         yield out
 
 
-# the most entries of _u_power's table of shifts x + y: 4 MB of int32
-_SHIFT_TABLE_CAP = 32 * _CHUNK
-
-
-def _shift_table(p: int, n: int, reps: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """index_add(p, n, reps[:, None], x) as int32, formed a block of rows at a
-    time."""
-    table = np.empty((len(reps), len(x)), dtype=np.int32)
-    step = max(1, _CHUNK // len(x))
-    for lo in range(0, len(reps), step):
-        table[lo : lo + step] = index_add(p, n, reps[lo : lo + step, None], x)
-    return table
-
-
 def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
     """||f||_{U^k}^{2^k}: the mean over shift tuples (y_1..y_{k-2}) of the U^2
     power of the derivative f_y = Delta_{y_1}...Delta_{y_{k-2}} f.
@@ -226,11 +212,7 @@ def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
     N^(k-2): the multinomial (k-2)! / prod m_c! of its repeated classes, times
     2 for each nonzero entry at p > 2.  Tuples come in blocks of at most
     _CHUNK derivative values; a block is sorted, so the tuples that share a
-    prefix (y_1..y_j) are a run and its derivative is formed once.  The shift
-    x + y depends only on the class of y, so at p > 2 and k >= 4, where a
-    class recurs across blocks and depths, the shifts of every class are
-    formed once, as a table, when it has at most _SHIFT_TABLE_CAP entries; at
-    k = 3 each class is used once and no table is formed.
+    prefix (y_1..y_j) are a run and its derivative is formed once.
 
     A derivative row of depth j is a product of 2^j values, so its rounding
     compounds to about 2^j ulp.  When every value has modulus 1 to FLOAT_TOL,
@@ -247,8 +229,6 @@ def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
     x = np.arange(N)
     # a class {y, -y} is represented by its lower index; index 0 is y = 0
     reps = x if p == 2 else np.flatnonzero(x <= next(index_combination(p, n, [[-1]], [x])))
-    small = p > 2 and d > 1 and len(reps) * N <= _SHIFT_TABLE_CAP
-    table = _shift_table(p, n, reps, x) if small else None
     total = 0.0
     for tuples in _sorted_tuples(len(reps), d, max(1, _CHUNK // N)):
         count = tuples.shape[1]
@@ -267,8 +247,7 @@ def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
             starts = np.flatnonzero(fresh)
             par = parent[starts]
             # Delta_y g(x) = g(x + y) conj g(x), g the row of the prefix
-            cls = r[starts]
-            shifted = index_add(p, n, reps[cls][:, None], x) if table is None else table[cls]
+            shifted = index_add(p, n, reps[r[starts]][:, None], x)
             rows = rows[par[:, None], shifted] * np.conj(rows)[par]
             del shifted  # not held through the transform
             if j + 1 >= phase_depth:

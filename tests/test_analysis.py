@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpuniform import analysis, field
+from fpuniform import analysis
 from fpuniform import rng as rng_module
 from fpuniform.analysis import (
     _average_on_side,
@@ -173,35 +173,15 @@ def test_gowers_budget_and_validation():
 )
 def test_batched_u_power_matches_direct(p, n, k, monkeypatch):
     # k = 3..5 at p = 2, 3, 5 on a complex table of varying modulus, with the
-    # orbit tuples in one block and in two blocks whose last is partial.  At
-    # p > 2 and k >= 4 the shifts come from one table per call; without it
-    # (a bound of 0 entries) the power is the same to the bit
+    # orbit tuples in one block and in two blocks whose last is partial
     rng = np.random.default_rng(100 * p + 10 * n + k)
     f = FunctionTable(p, n, rng.normal(size=p**n) + 1j * rng.normal(size=p**n))
     want = u_norm_direct(f, k)
-    built, shift_table = [], analysis._shift_table
-    monkeypatch.setattr(analysis, "_shift_table", lambda *a: built.append(1) or shift_table(*a))
-    power = _u_power(f.values, p, n, k)
-    assert power ** (1 / 2**k) == pytest.approx(want, rel=1e-10)
-    assert len(built) == (p > 2 and k >= 4)
+    assert _u_power(f.values, p, n, k) ** (1 / 2**k) == pytest.approx(want, rel=1e-10)
     count = analysis._orbit_count(p, n, k, 2**64)
     assert count >= 3
-    with monkeypatch.context() as mp:
-        mp.setattr(analysis, "_SHIFT_TABLE_CAP", 0)
-        assert _u_power(f.values, p, n, k) == power
-    assert len(built) == (p > 2 and k >= 4)
     monkeypatch.setattr(analysis, "_CHUNK", (count // 2 + 1) * p**n)
     assert _u_power(f.values, p, n, k) ** (1 / 2**k) == pytest.approx(want, rel=1e-10)
-
-
-def test_shift_table_is_index_add_in_any_block(monkeypatch):
-    p, n = 3, 2
-    x = np.arange(p**n)
-    reps = np.array([0, 1, 3, 4, 5])
-    monkeypatch.setattr(analysis, "_CHUNK", 2 * p**n)  # blocks of 2, 2 and 1 rows
-    table = analysis._shift_table(p, n, reps, x)
-    assert table.dtype == np.int32
-    assert np.array_equal(table, field.index_add(p, n, reps[:, None], x))
 
 
 def box_power_f2(values, k):
