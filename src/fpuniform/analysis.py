@@ -8,8 +8,8 @@ p x p DFT matrix (np.fft.fftn above p = 97).  At p = 2 every character
 e_2(x) = (-1)^x is real, so a table whose imaginary parts are exactly zero
 (_real_at_two) runs through the exact kernels as float64: the transform, the
 U^k derivatives, the primal, dual and keyed sums, and the Poly_d scorer, whose
-rows are f with its sign flipped where a bit parity of the coefficient vector
-is odd (polynomials.twisted_rows).
+rows are the float64 words of f with the sign bit XOR-ed by a bit parity of
+the coefficient vector (polynomials.twisted_rows).
 
 Exact Gowers norms use the derivative recursion
     ||f||_{U^k}^{2^k} = E_y ||f(.+y) conj f||_{U^(k-1)}^{2^(k-1)}
@@ -97,9 +97,13 @@ def _dft_power(p: int, b: int, inverse: bool, inner: int = 1) -> np.ndarray:
     return np.kron(w, np.eye(inner))
 
 
-def _fp_transform(values, p: int, n: int, inverse: bool = False) -> np.ndarray:
+def _fp_transform(
+    values, p: int, n: int, inverse: bool = False, overwrite: bool = False
+) -> np.ndarray:
     """sum_x v(x) e_p(-alpha . x) along the last axis, which indexes F_p^n in
     enumeration order; unnormalised, and with e_p(+alpha . x) when inverse.
+    With `overwrite` the caller gives up `values`: the first product is
+    written into it, so no second array of its size is held beside it.
 
     The digits are taken in groups of b, the most with p^b <= 32, and each
     group's transform is one matrix product with a Kronecker power of the
@@ -124,7 +128,8 @@ def _fp_transform(values, p: int, n: int, inverse: bool = False) -> np.ndarray:
     for j in range(0, n, b):
         g = min(b, n - j)
         if j == 0:  # the lowest group is one product over rows of p^g digit values
-            x = x.reshape(-1, p**g * inner) @ _dft_power(p, g, inverse, inner)
+            x = x.reshape(-1, p**g * inner)
+            x = np.matmul(x, _dft_power(p, g, inverse, inner), out=x if overwrite else None)
         else:
             x = np.matmul(_dft_power(p, g, inverse), x.reshape(-1, p**g, p**j * inner))
     x = x.reshape(-1)  # matmul output is contiguous
@@ -340,9 +345,14 @@ def _best_in_part(values, p: int, pts, upper, free: bool, skip_zero: bool):
     keys, vals = np.empty((0, len(monos)), dtype=np.int64), np.empty(0)
     for lo in range(0, count, block):
         hi = min(lo + block, count)
-        coeffs, rows = coefficient_block(p, len(upper), lo, hi), twisted(lo, hi)
-        sums = _fp_transform(rows, p, n) if free else rows.sum(axis=1, keepdims=True)
-        scores = np.abs(sums) / N
+        rows = twisted(lo, hi)  # the block's own: the transform may write into it
+        if free:
+            sums = _fp_transform(rows, p, n, overwrite=True)
+        else:
+            sums = rows.sum(axis=1, keepdims=True)
+        del rows  # not held while scoring
+        scores = np.abs(sums, out=sums) if sums.dtype == np.float64 else np.abs(sums)
+        scores /= N
         if skip_zero and lo == 0:
             scores[0, 0] = -np.inf  # the zero polynomial leads the listing
         block_top = float(scores.max())
@@ -350,6 +360,7 @@ def _best_in_part(values, p: int, pts, upper, free: bool, skip_zero: bool):
             continue
         top = max(top, block_top)
         q, alpha = np.nonzero(scores >= top * (1 - FLOAT_TOL))
+        coeffs = coefficient_block(p, len(upper), lo, hi)  # only for blocks with survivors
         keys = np.vstack([keys, np.hstack([coeffs[q], pts[alpha, : len(linear)]])[:, order]])
         vals = np.concatenate([vals, scores[q, alpha]])
         listed = np.lexsort(keys.T[::-1])

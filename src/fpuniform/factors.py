@@ -59,7 +59,10 @@ class PolynomialFactor:
         return self.p ** self.complexity
 
     def atom_count(self) -> int:
-        return len(np.unique(self.labels))
+        """The number of distinct labels, counted from a sort in O(N) memory
+        (np.unique would import numpy.ma)."""
+        ordered = np.sort(self.labels)
+        return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
     def extend(self, poly: Polynomial) -> "PolynomialFactor":
         return PolynomialFactor(self.p, self.n, self.defining + (poly,))
@@ -140,6 +143,7 @@ def decompose(
         raise ValidationError(f"delta must be finite and >= 0, got {delta}")
     priced_family(p, n, d, homogeneous_only, budget)
     factor = PolynomialFactor(p, n, ())
+    atoms = factor.atom_count()
     history = []
     rounds = 0
     flagged = False
@@ -159,10 +163,11 @@ def decompose(
             flagged = True
             break
         refined = factor.extend(rep.best)
-        if refined.atom_count() == factor.atom_count():
+        refined_atoms = refined.atom_count()
+        if refined_atoms == atoms:
             flagged = True
             break
-        factor = refined
+        factor, atoms = refined, refined_atoms
         rounds += 1
     floor = None if rank_floor is None or not factor.complexity else int(rank_floor)
     meets = None

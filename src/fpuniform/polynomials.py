@@ -268,17 +268,28 @@ def twisted_rows(values: np.ndarray, p: int, points: np.ndarray, monos):
 
     At p = 2, e_2(-Q_t(x)) = (-1)^popcount(t & mask_x), where mask_x packs the
     monomials' values at x with the first monomial in the most significant
-    bit, as coefficient_block orders the coefficients: a row is `values` with
-    the sign flipped at odd parities, exact and in the dtype of `values`.  At
-    p > 2 a row is gathered from the p twists e_p(-c) * values by the value
-    table of Q_t."""
+    bit, as coefficient_block orders the coefficients.  t and the masks are
+    held in the narrowest unsigned type with a bit per monomial, and a row is
+    the float64 words of `values` with the sign bit XOR-ed by the parity of
+    t & mask_x (both words of a complex value): -v exactly, +-0.0 included,
+    in the dtype of `values`.  At p > 2 a row is gathered from the p twists
+    e_p(-c) * values by the value table of Q_t."""
     if p == 2:
         assert len(monos) < 63, "a coefficient vector is one int64 bit field"
-        masks = monomial_values(2, points, monos) @ (1 << np.arange(len(monos))[::-1])
+        bits = np.min_scalar_type((1 << len(monos)) - 1)
+        places = 1 << np.arange(len(monos))[::-1]
+        masks = (monomial_values(2, points, monos) @ places).astype(bits)
+        words = np.ascontiguousarray(values).view(np.uint64)
+        complex_words = np.iscomplexobj(values)
 
         def rows(lo, hi):
-            odd = np.bitwise_count(np.arange(lo, hi, dtype=np.int64)[:, None] & masks) & 1
-            return np.where(odd, -values, values)
+            counts = np.bitwise_count(np.arange(lo, hi).astype(bits)[:, None] & masks)
+            if complex_words:  # the real and imaginary word of each value, side by side
+                counts = np.repeat(counts, 2, axis=1)
+            flips = counts.astype(np.uint64)
+            flips <<= 63  # the count's lowest bit, its parity, becomes the sign bit
+            flips ^= words
+            return flips.view(values.dtype)
 
         return rows
     table = monomial_values(p, points, monos)

@@ -17,6 +17,7 @@ from fpuniform import analysis
 from fpuniform import rng as rng_module
 from fpuniform.analysis import (
     _average_on_side,
+    _best_in_part,
     _fp_transform,
     _u_power,
     boundary_function,
@@ -30,7 +31,13 @@ from fpuniform.analysis import (
 )
 from fpuniform.config import FLOAT_TOL
 from fpuniform.errors import BudgetExceededError, ValidationError
-from fpuniform.field import enumerate_vectors, index_combination, index_of, place_values
+from fpuniform.field import (
+    digit_table,
+    enumerate_vectors,
+    index_combination,
+    index_of,
+    place_values,
+)
 from fpuniform.linear_forms import (
     FlaggedSystem,
     LinearSystem,
@@ -204,9 +211,9 @@ def spy_transform_dtypes(monkeypatch):
     """The dtypes of the arrays _fp_transform receives, as they arrive."""
     seen, transform = [], analysis._fp_transform
 
-    def spy(values, *args):
+    def spy(values, *args, **kwargs):
         seen.append(np.asarray(values).dtype)
-        return transform(values, *args)
+        return transform(values, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "_fp_transform", spy)
     return seen
@@ -360,7 +367,8 @@ TRANSFORM_CASES = [
 @pytest.mark.parametrize("p,n", TRANSFORM_CASES)
 def test_fp_transform_matches_naive_dft(p, n):
     # digit groups of every size, partial groups included, on both sides of
-    # the cross-over to fftn; 1-D and batched, real and complex input
+    # the cross-over to fftn; 1-D and batched, real and complex input; a
+    # transform that may overwrite its input gives the same bits
     N = p**n
     rng = np.random.default_rng(p + 7 * n)
     real = rng.normal(size=(3, N))
@@ -372,6 +380,7 @@ def test_fp_transform_matches_naive_dft(p, n):
             # real input stays real only at p = 2, where every character is +-1
             assert got.dtype == (np.float64 if p == 2 and rows is real else np.complex128)
             assert np.abs(got - want).max() <= 1e-12 * scale
+            assert np.array_equal(_fp_transform(rows.copy(), p, n, inverse, overwrite=True), got)
             assert np.abs(_fp_transform(rows[1], p, n, inverse) - want[1]).max() <= 1e-12 * scale
 
 
@@ -553,6 +562,53 @@ def test_homogeneous_family_breaks_ties_in_listing_order(n, d, seed):
     tied = [g for g in family if abs(abs(inner_product(f, phase_table(g))) - top) < 1e-12]
     assert len({g.degree for g in tied}) >= 2
     assert correlation_with_family(f, d, homogeneous=True).best == first
+
+
+def part_survivors(f, upper, free, skip_zero):
+    """Reference for _best_in_part: every polynomial of the part in listing
+    order (coefficient vectors over the sorted monomials, the linear ones
+    only when `free`), each scored by its own phase table; a pair survives
+    when it scores above every pair listed before it and within FLOAT_TOL of
+    the part's maximum, relative to it."""
+    n = f.n
+    linear = [tuple(int(i == j) for j in range(n)) for i in range(n)] if free else []
+    monos = sorted(upper + linear)
+    listed = [
+        (abs(inner_product(f, phase_table(g))), g)
+        for coeffs in itertools.product(range(f.p), repeat=len(monos))
+        if any(coeffs) or not skip_zero
+        for g in [Polynomial.from_coefficients(f.p, n, monos, coeffs)]
+    ]
+    top = max(s for s, _ in listed)
+    out, earlier = [], -math.inf
+    for s, g in listed:
+        if s > earlier and s >= top * (1 - FLOAT_TOL):
+            out.append((s, g))
+        earlier = max(earlier, s)
+    return out
+
+
+@pytest.mark.parametrize("free, seed", [(True, 5), (False, 12)])
+def test_scorer_survivors_from_several_blocks(free, seed, monkeypatch):
+    # the degree family's part (linear part free) and a homogeneous part
+    # (degree exactly 2, zero left out) on F_2^4, in blocks of 4 of the 64
+    # coefficient vectors: a +-1 table nudged by 1e-13 has maximizers that
+    # tie within FLOAT_TOL yet score apart by far more than rounding, so the
+    # survivors come from several blocks, the first not from block 0, and
+    # each block's coefficient vectors must be its own
+    n = 4
+    upper = [e for e in monomials_up_to(2, n, 2) if sum(e) == 2]
+    signs = np.where(random_real_table(2, n, seed=seed).values > 0, 1.0, -1.0)
+    nudge = 1 + 1e-13 * random_real_table(2, n, seed=seed + 100).values.real
+    f = FunctionTable(2, n, signs * nudge, codomain="real")
+    want = part_survivors(f, upper, free, not free)
+    monkeypatch.setattr(analysis, "_CHUNK", 4 * 2**n)
+    got = _best_in_part(np.ascontiguousarray(f.values.real), 2, digit_table(2, n), upper,
+                        free, not free)
+    assert [g for _, g in got] == [g for _, g in want]
+    assert [s for s, _ in got] == pytest.approx([s for s, _ in want], rel=1e-14)
+    blocks = [int("".join(str(g.terms.get(e, 0)) for e in upper), 2) // 4 for _, g in want]
+    assert len(set(blocks)) >= 3 and blocks[0] > 0
 
 
 def test_inverse_u2_lower_bound():

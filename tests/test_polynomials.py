@@ -126,6 +126,33 @@ def test_twisted_rows_match_each_polynomial(p, n, d, kind):
             assert np.allclose(got[t], np.exp(-2j * np.pi * q / p) * values, atol=1e-12)
 
 
+@pytest.mark.parametrize("m", [8, 9, 16, 17, 32, 33])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_twisted_rows_at_two_flip_sign_bits(m, kind):
+    # rows at p = 2 bit for bit against np.where(parity, -f, f), with m
+    # monomials on both sides of the 8-, 16- and 32-bit index types, in blocks
+    # at the start, across the top bit and at the end of the 2^m listing;
+    # +-0.0 in both words of a complex value keep their sign bits
+    n = 6
+    monos = monomials_up_to(2, n, n)[1 : m + 1]
+    pts = digit_table(2, n)
+    rng = np.random.default_rng(m)
+    values = rng.normal(size=2**n) + (0j if kind == "complex" else 0.0)
+    values.real[:4] = [0.0, -0.0, 0.0, -0.0]
+    if kind == "complex":
+        values.imag[:] = rng.normal(size=2**n)
+        values.imag[:4] = [0.0, 0.0, -0.0, -0.0]
+    rows = twisted_rows(values, 2, pts, monos)
+    table = monomial_values(2, pts, monos)
+    top = 2**m
+    for lo, hi in [(0, 6), (top // 2 - 3, top // 2 + 3), (top - 6, top)]:
+        parity = coefficient_block(2, m, lo, hi) @ table.T % 2
+        want = np.where(parity == 1, -values, values)
+        got = rows(lo, hi)
+        assert got.dtype == values.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_homogeneous_flag():
     assert Polynomial(3, 2, {(1, 1): 1, (2, 0): 2}).is_homogeneous()
     assert not Polynomial(3, 2, {(1, 1): 1, (1, 0): 2}).is_homogeneous()
