@@ -40,7 +40,11 @@ does not meet multiply in as constants.  Monte-Carlo Gowers norms are
 linear-form averages over the cube system x + omega.y with parity
 conjugations, estimated in blocks by linear_form_average through rng.mc_mean.
 Both the enumeration and the sampler carry points as indices and find every
-form's point with field.index_combination.
+form's point with field.index_combination.  The exact primal, dual and keyed
+sums enumerate a grid, as the U^k recursion does: the first variable runs as
+arange(N) along each row, and the other variables of a row are the digits of
+its number (field.digits), in blocks of _CHUNK // N rows (of one row when
+N > _CHUNK).
 """
 
 from __future__ import annotations
@@ -54,13 +58,7 @@ import numpy as np
 
 from .config import FLOAT_TOL, check_budget, resolve_budget
 from .errors import ValidationError
-from .field import (
-    digit_table,
-    index_add,
-    index_combination,
-    mixed_radix_digits,
-    space_size,
-)
+from .field import digit_table, digits, index_add, index_combination, space_size
 from .linalg import nullspace, rank, span_coordinates
 from .rng import _CHUNK, mc_mean
 from .tables import FunctionTable, phases
@@ -258,9 +256,16 @@ def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
             if j + 1 >= phase_depth:
                 rows /= np.abs(rows)
             parent = np.cumsum(fresh) - 1
-        hat = _fp_transform(rows, p, n)
-        total += float(weight @ np.square(
-            hat * hat if hat.dtype == np.float64 else hat.real**2 + hat.imag**2).sum(axis=1))
+        # from depth 1 on the rows are the block's own, and the transform may
+        # write into them; the squares are taken in place
+        hat = _fp_transform(rows, p, n, overwrite=d > 0)
+        del rows
+        if hat.dtype == np.float64:
+            power = np.square(hat, out=hat)
+        else:
+            power = hat.real**2
+            power += hat.imag**2
+        total += float(weight @ np.square(power, out=power).sum(axis=1))
     return total / N**4
 
 
@@ -332,7 +337,7 @@ def _best_in_part(values, p: int, pts, upper, free: bool, skip_zero: bool):
     part is listed; `skip_zero` leaves the zero polynomial out.  A pair
     survives only if it scores above every pair listed before it, so the
     first survivor within tolerance of any larger maximum is its winner."""
-    from .polynomials import Polynomial, coefficient_block, twisted_rows
+    from .polynomials import Polynomial, twisted_rows
 
     N, n = pts.shape
     linear = [tuple(int(i == j) for j in range(n)) for i in range(n)] if free else []
@@ -360,7 +365,7 @@ def _best_in_part(values, p: int, pts, upper, free: bool, skip_zero: bool):
             continue
         top = max(top, block_top)
         q, alpha = np.nonzero(scores >= top * (1 - FLOAT_TOL))
-        coeffs = coefficient_block(p, len(upper), lo, hi)  # only for blocks with survivors
+        coeffs = digits(np.arange(lo, hi), p, len(upper))  # only for blocks with survivors
         keys = np.vstack([keys, np.hstack([coeffs[q], pts[alpha, : len(linear)]])[:, order]])
         vals = np.concatenate([vals, scores[q, alpha]])
         listed = np.lexsort(keys.T[::-1])
@@ -430,23 +435,32 @@ class AverageReport:
 
 def _product_sum(tables: list[np.ndarray], C: np.ndarray, p: int, n: int, key=None):
     """Sum over assignments Z_1..Z_r in F_p^n of prod_i t_i(sum_j C_ij Z_j),
-    enumerated in blocks of _CHUNK assignments.  With a key row the sums are
-    split by the point sum_j key_j Z_j and returned as an array indexed by it."""
+    over the grid of outer rows (Z_2..Z_r) by Z_1 = arange(N): each block
+    holds max(1, _CHUNK // N) rows, and a row's Z_2..Z_r are the digits of
+    its number, Z_2 the fastest, so the blocks run through the assignments
+    in their flat order, Z_1 fastest.  With r = 1 there is one row and no
+    outer variable, and with r = 0 one empty assignment.  With a key row the
+    sums are split by the point sum_j key_j Z_j and returned as an array
+    indexed by it."""
     r = C.shape[1]
     N = space_size(p, n)
     rows = C if key is None else np.vstack([key, C])
     dtype = np.result_type(np.float64, *tables)
     total = 0j if key is None else np.zeros(N, dtype=dtype)
-    for lo in range(0, N**r, _CHUNK):
-        hi = min(lo + _CHUNK, N**r)
-        idx = index_combination(p, n, rows, mixed_radix_digits(np.arange(lo, hi), N, r))
-        keyed = None if key is None else next(idx)
-        acc = np.ones(hi - lo, dtype=dtype)
+    w = max(r - 1, 0)  # the outer variables Z_2..Z_r
+    x, count, block = np.arange(N), N**w, max(1, _CHUNK // N)
+    for lo in range(0, count, block):
+        outer = digits(np.arange(lo, min(lo + block, count)), N, w)
+        Z = [x, *outer.T[::-1, :, None]] if r else []
+        idx = index_combination(p, n, rows, Z)
+        keyed = None if key is None else next(idx).ravel()
+        acc = np.ones(np.broadcast_shapes(*(z.shape for z in Z)), dtype=dtype)
         for t, i in zip(tables, idx):
             acc *= t[i]
         if key is None:
             total += complex(acc.sum())
         else:
+            acc = acc.ravel()
             total += np.bincount(keyed, acc.real, N)
             if dtype != np.float64:
                 total += 1j * np.bincount(keyed, acc.imag, N)

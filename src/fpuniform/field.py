@@ -77,12 +77,18 @@ def place_values(p: int, n: int) -> np.ndarray:
     return v
 
 
+def digits(idx, base: int, width: int) -> np.ndarray:
+    """The `width` base-`base` digits of each index, most significant first,
+    along a new last axis: index t of [0, base)^width is its t-th tuple in
+    enumeration order (``itertools.product`` order, last digit fastest)."""
+    out = np.asarray(idx, dtype=np.int64)[..., None] // place_values(base, width)
+    out %= base
+    return out
+
+
 @lru_cache(maxsize=8)  # one (p^n, n) int64 table can take gigabytes
 def _digit_table(p: int, n: int) -> np.ndarray:
-    idx = np.arange(p**n, dtype=np.int64)
-    out = np.empty((p**n, n), dtype=np.int64)
-    for i in range(n):
-        out[:, i] = (idx // p ** (n - 1 - i)) % p
+    out = digits(np.arange(p**n), p, n)
     out.setflags(write=False)
     return out
 
@@ -103,18 +109,6 @@ def enumerate_vectors(p: int, n: int, budget: int | None = None) -> list[tuple[i
 def index_of(p: int, vec) -> int:
     v = np.asarray(vec, dtype=np.int64) % p
     return int(v @ place_values(p, len(v)))
-
-
-def mixed_radix_digits(flat: np.ndarray, base: int, width: int) -> np.ndarray:
-    """The `width` base-`base` digits of each entry of `flat`, least
-    significant first, as a (width, len(flat)) array: tuple number t of
-    [0, base)^width in enumeration order."""
-    out = np.empty((width, len(flat)), dtype=np.int64)
-    rest = flat.copy()
-    for j in range(width):
-        out[j] = rest % base
-        rest //= base
-    return out
 
 
 def index_combination(p: int, n: int, coeffs, Z):
@@ -292,12 +286,11 @@ def _independent_columns(Z: np.ndarray, p: int, n: int) -> np.ndarray:
     linearly independent, in order; the digits are expanded and eliminated
     one sub-block of _CHUNK // (r n) candidates at a time, so a sub-block's
     (r, size, n) digits hold about _CHUNK values."""
-    places = place_values(p, n)
     step = max(1, _CHUNK // max(1, Z.shape[0] * n))
     keep = np.empty(Z.shape[1], dtype=bool)
     for lo in range(0, Z.shape[1], step):
-        digits = Z[:, lo : lo + step, None] // places % p  # (r, size, n)
-        keep[lo : lo + step] = _batch_independent_mask(digits.transpose(1, 0, 2), p)
+        points = digits(Z[:, lo : lo + step], p, n)  # (r, size, n)
+        keep[lo : lo + step] = _batch_independent_mask(points.transpose(1, 0, 2), p)
     return Z[:, keep]
 
 
@@ -333,9 +326,9 @@ def random_independent_rows(p: int, n: int, r: int, seed, count: int) -> np.ndar
 def independent_tuples(p: int, n: int, r: int, block: int):
     """Every linearly independent r-tuple of F_p^n, in enumeration order of
     [0, p^n)^r, yielded as (r, count) index arrays: the independent members
-    of each run of `block` candidate tuples."""
+    of each run of `block` candidate tuples, the first member fastest."""
     p, n = validate_dims(p, n)
     N = space_size(p, n)
     for lo in range(0, N**r, block):
-        Z = mixed_radix_digits(np.arange(lo, min(lo + block, N**r), dtype=np.int64), N, r)
+        Z = digits(np.arange(lo, min(lo + block, N**r)), N, r).T[::-1]
         yield _independent_columns(Z, p, n)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import check_budget
 from .errors import FormatError, ValidationError, parse_at
-from .field import digit_table, int_tuple, space_size, validate_dims, validate_prime
+from .field import digit_table, digits, int_tuple, space_size, validate_dims, validate_prime
 
 Exponents = tuple[int, ...]
 
@@ -238,17 +238,6 @@ def monomials_up_to(p: int, n: int, d: int) -> list[Exponents]:
     return sorted(out)
 
 
-def coefficient_block(p: int, m: int, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of F_p^m in ``itertools.product`` order (last
-    coordinate fastest), as an (hi - lo, m) array computed per block."""
-    rest = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((len(rest), m), dtype=np.int64)
-    for i in range(m - 1, -1, -1):
-        out[:, i] = rest % p
-        rest //= p
-    return out
-
-
 def monomial_values(p: int, points: np.ndarray, monos) -> np.ndarray:
     """The (points x monomials) table of each monomial's value at each point.
 
@@ -263,12 +252,13 @@ def monomial_values(p: int, points: np.ndarray, monos) -> np.ndarray:
 
 def twisted_rows(values: np.ndarray, p: int, points: np.ndarray, monos):
     """rows(lo, hi): the (hi - lo, points) array of e_p(-Q_t(x)) * values(x)
-    for the polynomials Q_t = sum_j t_j m_j over `monos`, t = lo..hi-1 in
-    coefficient_block order.
+    for the polynomials Q_t = sum_j t_j m_j over `monos`, t = lo..hi-1, whose
+    coefficients t_j are the digits of t (field.digits: the first most
+    significant).
 
     At p = 2, e_2(-Q_t(x)) = (-1)^popcount(t & mask_x), where mask_x packs the
     monomials' values at x with the first monomial in the most significant
-    bit, as coefficient_block orders the coefficients.  t and the masks are
+    bit, as field.digits orders the coefficients.  t and the masks are
     held in the narrowest unsigned type with a bit per monomial, and a row is
     the float64 words of `values` with the sign bit XOR-ed by the parity of
     t & mask_x (both words of a complex value): -v exactly, +-0.0 included,
@@ -295,7 +285,7 @@ def twisted_rows(values: np.ndarray, p: int, points: np.ndarray, monos):
     table = monomial_values(p, points, monos)
     twists = np.exp(-2j * np.pi * np.arange(p) / p)[:, None] * values
     cols = np.arange(len(values))
-    return lambda lo, hi: twists[(coefficient_block(p, len(monos), lo, hi) @ table.T) % p, cols]
+    return lambda lo, hi: twists[(digits(np.arange(lo, hi), p, len(monos)) @ table.T) % p, cols]
 
 
 def family_size(p: int, n: int, d: int) -> int:

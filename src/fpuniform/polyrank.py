@@ -26,11 +26,10 @@ import numpy as np
 
 from .config import resolve_budget
 from .errors import ValidationError
-from .field import digit_table
+from .field import digit_table, digits
 from .linalg import nullspace, row_reduce, solve
 from .polynomials import (
     Polynomial,
-    coefficient_block,
     family_size,
     monomial_values,
     monomials_up_to,
@@ -112,7 +111,7 @@ def _conflict_masks(vals: np.ndarray, p: int, n: int, dmax: int, budget: int):
     as_bytes = masks.view(np.uint8)
     for lo in range(0, count, _BLOCK):
         hi = min(lo + _BLOCK, count)
-        coeffs = coefficient_block(p, len(monos), lo, hi)
+        coeffs = digits(np.arange(lo, hi), p, len(monos))
         tables = (coeffs @ mon_values.T % p).astype(np.uint8)  # p <= 251
         packed = np.packbits(tables[:, I] == tables[:, J], axis=1, bitorder="little")
         as_bytes[lo:hi, : packed.shape[1]] = packed
@@ -304,9 +303,7 @@ def polynomial_rank(
             found = _first_disjoint_tuple(reps, r)
             if found is not None:
                 args = tuple(
-                    Polynomial.from_coefficients(
-                        p, n, monos, coefficient_block(p, len(monos), first[j], first[j] + 1)[0]
-                    )
+                    Polynomial.from_coefficients(p, n, monos, digits(first[j], p, len(monos)))
                     for j in found
                 )
                 cert = certified(alpha, P_alpha, args)

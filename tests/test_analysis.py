@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpuniform import analysis
@@ -863,7 +863,24 @@ def _powered_tables(fs, system, conj):
     ]
 
 
+# block sizes for the (outer rows x N) grid of _product_sum: one row of N >
+# _CHUNK points per block (1), rows of 2 and 3 points in multi-row blocks
+# that divide the rows (5) or leave a partial last block (7)
+GRID_CHUNKS = (1, 5, 7)
+# two independent forms and a flag outside their span on F_5: the dual side
+# sums over the one empty assignment (r = 0), keyed or not, and the primal
+# side over one-row blocks; three forms in general position and their sum on
+# F_3: 9 outer rows in blocks of 2, and r = 1 on the dual side
+GRID_SYSTEMS = [
+    (1, FlaggedSystem(5, 3, [(1, 0, 0), (0, 1, 2)], (0, 0, 1), (1, 2)), [0, 1]),
+    (1, FlaggedSystem(3, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], (1, 1, 0), (1, 1, 1, 2)),
+     [1, 0, 0, 1]),
+]
+
+
 @given(flagged_systems(), st.integers(0, 1000))
+@example(GRID_SYSTEMS[0], 0)
+@example(GRID_SYSTEMS[1], 0)
 @settings(max_examples=60, deadline=None)
 def test_dual_and_primal_sides_match_direct(case, seed):
     n, system, conj = case
@@ -873,22 +890,26 @@ def test_dual_and_primal_sides_match_direct(case, seed):
     want = t_direct(powered, system)
     got = complex(linear_form_average(fs, system, conjugations=conj))
     assert got == pytest.approx(want, abs=1e-12)
-    # both sides on the whole system, on each component, and with a block
-    # size that splits the enumeration
+    # both sides on the whole system and on each component, with block sizes
+    # that split the enumeration
     tables = [t.values for t in powered]
     arr = system.as_array()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_CHUNK", 5)
-        for dual in (False, True):
-            assert _average_on_side(tables, arr, p, n, dual) == pytest.approx(want, abs=1e-12)
-            value = 1.0
-            for group in connected_components(system):
-                sub = [tables[i] for i in group]
-                value *= _average_on_side(sub, arr[group], p, n, dual)
-            assert value == pytest.approx(want, abs=1e-12)
+    for chunk in GRID_CHUNKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_CHUNK", chunk)
+            for dual in (False, True):
+                got = _average_on_side(tables, arr, p, n, dual)
+                assert got == pytest.approx(want, abs=1e-12)
+                value = 1.0
+                for group in connected_components(system):
+                    sub = [tables[i] for i in group]
+                    value *= _average_on_side(sub, arr[group], p, n, dual)
+                assert value == pytest.approx(want, abs=1e-12)
 
 
 @given(flagged_systems(), st.integers(0, 1000))
+@example(GRID_SYSTEMS[0], 0)
+@example(GRID_SYSTEMS[1], 0)
 @settings(max_examples=60, deadline=None)
 def test_flagged_sides_match_direct(case, seed):
     n, system, _ = case
@@ -897,14 +918,16 @@ def test_flagged_sides_match_direct(case, seed):
     want = flagged_direct(f, system)
     assert np.allclose(flagged_average(f, system).values, want, atol=1e-12)
     # both sides on the keyed rows [flag] + forms, whether the flag lies
-    # outside the span, equals a form or neither
+    # outside the span, equals a form or neither, with block sizes that split
+    # the enumeration
     rows = np.vstack([system.flag, system.as_array()])
     tables = [f.values**m for m in system.multiplicities]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_CHUNK", 5)
-        for dual in (False, True):
-            got = _average_on_side(tables, rows, p, n, dual, keyed=True)
-            assert np.allclose(got, want, atol=1e-12)
+    for chunk in GRID_CHUNKS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_CHUNK", chunk)
+            for dual in (False, True):
+                got = _average_on_side(tables, rows, p, n, dual, keyed=True)
+                assert np.allclose(got, want, atol=1e-12)
 
 
 @given(flagged_systems(), st.integers(0, 1000))

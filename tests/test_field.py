@@ -10,6 +10,21 @@ from fpuniform.errors import BudgetExceededError, ValidationError
 from fpuniform.tables import FunctionTable
 
 
+@pytest.mark.parametrize("base, width", [(2, 0), (2, 5), (3, 3), (5, 2)])
+def test_digits_match_product(base, width):
+    # digit tuples in itertools.product order, most significant first along a
+    # new last axis: for all indices, a block of them, an empty block, a
+    # scalar (one coefficient vector) and a 2-D array of indices
+    rows = [list(t) for t in itertools.product(range(base), repeat=width)]
+    assert field.digits(np.arange(len(rows)), base, width).tolist() == rows
+    lo, hi = len(rows) // 3, 2 * len(rows) // 3 + 1
+    assert field.digits(np.arange(lo, hi), base, width).tolist() == rows[lo:hi]
+    assert field.digits(np.arange(lo, lo), base, width).shape == (0, width)
+    assert field.digits(hi - 1, base, width).tolist() == rows[hi - 1]
+    grid = np.array([[0, len(rows) - 1, lo], [hi - 1, lo, 0]])
+    assert field.digits(grid, base, width).tolist() == [[rows[i] for i in g] for g in grid]
+
+
 def test_enumerate_order_f2_2():
     assert field.enumerate_vectors(2, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpuniform.errors import FormatError, ValidationError
-from fpuniform.field import digit_table, enumerate_vectors, index_add
+from fpuniform.field import digit_table, digits, enumerate_vectors, index_add
 from fpuniform.polynomials import (
     Polynomial,
-    coefficient_block,
     family_size,
     monomial_values,
     monomials_up_to,
@@ -81,15 +80,6 @@ def test_value_table_matches_evaluate(P):
     assert np.array_equal(P.values_at(pts), table)
 
 
-@pytest.mark.parametrize("p, m", [(2, 0), (2, 5), (3, 3), (5, 2)])
-def test_coefficient_block_matches_product(p, m):
-    rows = [list(r) for r in itertools.product(range(p), repeat=m)]
-    assert coefficient_block(p, m, 0, len(rows)).tolist() == rows
-    lo, hi = len(rows) // 3, 2 * len(rows) // 3 + 1
-    assert coefficient_block(p, m, lo, hi).tolist() == rows[lo:hi]
-    assert coefficient_block(p, m, lo, lo).shape == (0, m)
-
-
 @pytest.mark.parametrize("p, n, d", [(2, 3, 3), (3, 2, 4), (5, 2, 3)])
 def test_monomial_values_match_evaluate(p, n, d):
     monos = monomials_up_to(p, n, d)
@@ -146,7 +136,7 @@ def test_twisted_rows_at_two_flip_sign_bits(m, kind):
     table = monomial_values(2, pts, monos)
     top = 2**m
     for lo, hi in [(0, 6), (top // 2 - 3, top // 2 + 3), (top - 6, top)]:
-        parity = coefficient_block(2, m, lo, hi) @ table.T % 2
+        parity = digits(np.arange(lo, hi), 2, m) @ table.T % 2
         want = np.where(parity == 1, -values, values)
         got = rows(lo, hi)
         assert got.dtype == values.dtype
