@@ -29,29 +29,32 @@ span, N^r points.  The dual side is Fourier inversion,
     t_L = sum over {alpha : sum_i alpha_i (x) L_i = 0} of prod_i f_i^(alpha_i),
 a sum over a kernel of dimension m - r, N^(m-r) points after m transforms of
 N points.  The dual side runs when m - r < r; ties, and a lone form (whose
-average is its mean), go to the primal side.  A flagged average conditions on
-a further form, the flag: it is the average of the rows [flag] + forms with
-the flag keyed, i.e. carrying no table.  The component that holds the flag
-keys its sums by the flag's value on the primal side, or by its frequency on
-the dual side, where one more transform of those sums gives the conditional
-average at every point; a flag outside the span of the forms is a component
-of its own whose keyed average is the constant 1, and the components the flag
-does not meet multiply in as constants.  Monte-Carlo Gowers norms are
-linear-form averages over the cube system x + omega.y with parity
-conjugations, estimated in blocks by linear_form_average through rng.mc_mean.
-Both the enumeration and the sampler carry points as indices and find every
-form's point with field.index_combination.  The exact primal, dual and keyed
-sums enumerate a grid, as the U^k recursion does: the first variable runs as
-arange(N) along each row, and the other variables of a row are the digits of
-its number (field.digits), in blocks of _CHUNK // N rows (of one row when
-N > _CHUNK).
+average is its mean), go to the primal side.  A conditional average keys rows:
+a keyed row leaves its own table out of the product, and the sums are split by
+its value on the primal side, or by its frequency on the dual side, where one
+more transform per key gives the conditional average at every point.  A
+flagged average is the rows [flag] + forms keyed on the flag, which has no
+table; a boundary function is the forms keyed on every form, in one pass.
+Each component is enumerated once for all its keys, and a key's array is its
+component's keyed average times the other components' averages; a flag outside
+the span of the forms is a component of its own whose keyed average is the
+constant 1.  Monte-Carlo Gowers norms are linear-form averages over the cube
+system x + omega.y with parity conjugations, estimated in blocks by
+linear_form_average through rng.mc_mean.  Both the enumeration and the sampler
+carry points as indices and find every form's point with
+field.index_combination.  The exact primal, dual and keyed sums enumerate a
+grid, as the U^k recursion does: the first variable runs as arange(N) along
+each row, and the other variables of a row are the digits of its number
+(field.digits), in blocks of _CHUNK // N rows, or of _CHUNK // (N (2m + 1))
+rows for a keyed sum over m rows (of one row at least).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
+from itertools import chain, combinations_with_replacement, islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -182,27 +185,14 @@ def _orbit_count(p: int, n: int, k: int, cap: int) -> int:
 
 def _sorted_tuples(R: int, d: int, block: int):
     """The sorted d-tuples r_1 <= ... <= r_d over range(R) in lexicographic
-    order, as (d, count) arrays of at most `block` tuples, each block unranked
-    from its first rank: entry j is the largest c whose cumulated tail count
-    cum[c] does not pass the tuple's rank within the tuples that share its
-    first j entries."""
-    tails = np.ones(R, dtype=np.int64)  # sorted t-tuples over range(c, R), t = 0
-    cums = []
-    for _ in range(d):
-        cums.append(np.concatenate([[0], np.cumsum(tails)]))
-        tails = np.cumsum(tails[::-1])[::-1]
-    count = int(cums[-1][-1]) if d else 1
-    for lo in range(0, count, block):
-        rank = np.arange(lo, min(lo + block, count), dtype=np.int64)
-        low = np.zeros_like(rank)
-        out = np.empty((d, len(rank)), dtype=np.int64)
-        for j in range(d):
-            cum = cums[d - 1 - j]
-            target = cum[low] + rank
-            low = np.searchsorted(cum, target, side="right") - 1
-            rank = target - cum[low]
-            out[j] = low
-        yield out
+    order, as (d, count) arrays of at most `block` tuples; for d = 0 the one
+    empty tuple."""
+    if d == 0:
+        yield np.zeros((0, 1), dtype=np.int64)
+        return
+    flat = chain.from_iterable(combinations_with_replacement(range(R), d))
+    while len(entries := np.fromiter(islice(flat, block * d), dtype=np.int64)):
+        yield entries.reshape(-1, d).T
 
 
 def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
@@ -433,37 +423,45 @@ class AverageReport:
         return self.value
 
 
-def _product_sum(tables: list[np.ndarray], C: np.ndarray, p: int, n: int, key=None):
+def _product_sum(tables: list, C: np.ndarray, p: int, n: int, keys=()):
     """Sum over assignments Z_1..Z_r in F_p^n of prod_i t_i(sum_j C_ij Z_j),
     over the grid of outer rows (Z_2..Z_r) by Z_1 = arange(N): each block
     holds max(1, _CHUNK // N) rows, and a row's Z_2..Z_r are the digits of
     its number, Z_2 the fastest, so the blocks run through the assignments
     in their flat order, Z_1 fastest.  With r = 1 there is one row and no
-    outer variable, and with r = 0 one empty assignment.  With a key row the
-    sums are split by the point sum_j key_j Z_j and returned as an array
-    indexed by it."""
+    outer variable, and with r = 0 one empty assignment.
+
+    With keys, one array per key row i: the sums of the product of the other
+    rows' tables (its own, which may be None, left out), split by the point
+    sum_j C_ij Z_j.  A keyed block keeps every row's index and value rows and
+    one product live, so it holds max(1, _CHUNK // (N (2m + 1))) rows."""
     r = C.shape[1]
     N = space_size(p, n)
-    rows = C if key is None else np.vstack([key, C])
-    dtype = np.result_type(np.float64, *tables)
-    total = 0j if key is None else np.zeros(N, dtype=dtype)
+    dtype = np.result_type(np.float64, *(t for t in tables if t is not None))
+    total = np.zeros((len(keys), N), dtype=dtype) if keys else 0j
     w = max(r - 1, 0)  # the outer variables Z_2..Z_r
-    x, count, block = np.arange(N), N**w, max(1, _CHUNK // N)
+    width = 2 * len(C) + 1 if keys else 1
+    x, count, block = np.arange(N), N**w, max(1, _CHUNK // (N * width))
     for lo in range(0, count, block):
         outer = digits(np.arange(lo, min(lo + block, count)), N, w)
         Z = [x, *outer.T[::-1, :, None]] if r else []
-        idx = index_combination(p, n, rows, Z)
-        keyed = None if key is None else next(idx).ravel()
-        acc = np.ones(np.broadcast_shapes(*(z.shape for z in Z)), dtype=dtype)
-        for t, i in zip(tables, idx):
-            acc *= t[i]
-        if key is None:
+        shape = np.broadcast_shapes(*(z.shape for z in Z))
+        idx = index_combination(p, n, C, Z)
+        if not keys:
+            acc = np.ones(shape, dtype=dtype)
+            for t, i in zip(tables, idx):
+                acc *= t[i]
             total += complex(acc.sum())
-        else:
-            acc = acc.ravel()
-            total += np.bincount(keyed, acc.real, N)
-            if dtype != np.float64:
-                total += 1j * np.bincount(keyed, acc.imag, N)
+            continue
+        idx = list(idx)
+        vals = [None if t is None else t[i] for t, i in zip(tables, idx)]
+        for out, i in zip(total, keys):
+            others = [v for j, v in enumerate(vals) if j != i and v is not None]
+            acc = np.ravel(reduce(np.multiply, others) if others else np.ones(shape))
+            keyed = idx[i].ravel()
+            out += np.bincount(keyed, acc.real, N)
+            if acc.dtype != np.float64:
+                out += 1j * np.bincount(keyed, acc.imag, N)
     return total
 
 
@@ -475,54 +473,63 @@ def _powered(values: np.ndarray, conj: bool, power: int) -> np.ndarray:
     return values if power == 1 else values**power
 
 
-def _average_on_side(
-    tables: list[np.ndarray], rows: np.ndarray, p: int, n: int, dual: bool, keyed: bool = False
-):
+def _average_on_side(tables: list, rows: np.ndarray, p: int, n: int, dual: bool, keys=()):
     """E prod_i t_i(L_i X) over one system: enumerated over its span on the
     primal side (N^r points), summed over the kernel {alpha : sum_i alpha_i (x)
-    L_i = 0} of the transforms on the dual side (N^(m-r) points).  When keyed,
-    rows[0] is a flag with no table (the tables go with rows[1:]) and the
-    result is the array x -> E[prod_i t_i(L_i X) | flag(X) = x]: the sums are
-    keyed by the flag's value on the primal side, by its frequency on the dual
-    side, where one transform of the keyed sums finishes."""
+    L_i = 0} of the transforms on the dual side (N^(m-r) points).  With keys,
+    one array per key row i, x -> E[prod_{j != i} t_j(L_j X) | L_i X = x]:
+    the sums are keyed by the row's value on the primal side, by its
+    frequency on the dual side, where one transform of each key's sums
+    finishes.  A key's table may be None; the dual side transforms the others."""
     N = space_size(p, n)
     if dual:
-        hats = [_fp_transform(t, p, n) / N for t in tables]
+        hats = [None if t is None else _fp_transform(t, p, n) / N for t in tables]
         K = nullspace(rows.T, p).T
-        if not keyed:
+        if not keys:
             return _product_sum(hats, K, p, n)
-        return _fp_transform(_product_sum(hats, K[1:], p, n, key=K[0]), p, n)
-    # coordinates over a spanning subset: r point variables
-    basis_idx, C = span_coordinates(rows, p)
-    if not keyed:
-        return _product_sum(tables, C, p, n) / N ** C.shape[1]
-    # with the flag first in the basis, conditioning keys on Z_1
-    assert basis_idx[0] == 0, "flag is nonzero, so it leads the basis"
-    return _product_sum(tables, C[1:], p, n, key=C[0]) / N ** (C.shape[1] - 1)
+        return [_fp_transform(s, p, n) for s in _product_sum(hats, K, p, n, keys)]
+    # coordinates over a spanning subset: r point variables, of which a key
+    # row, being nonzero, leaves N^(r-1) assignments at each of its values
+    C = span_coordinates(rows, p)[1]
+    return _product_sum(tables, C, p, n, keys) / N ** (C.shape[1] - bool(keys))
 
 
-def _exact_average(tables: list, rows: np.ndarray, p: int, n: int, budget, what: str):
+def _exact_average(tables: list, rows: np.ndarray, p: int, n: int, budget, what: str, keys=()):
     """The product of the averages of the connected components of the rows,
     each on its cheaper side, as (value, cost, path).  A component of m rows
     and rank r runs on the dual side when 1 < m < 2r, at cost N^(m-r) + m N
     (its kernel and its m transforms), and otherwise on the primal side at
     cost N^r, a lone row being its mean; the running cost is checked against
-    the budget before each component runs.  A flag is rows[0] with table None:
-    its component is keyed and gives an array, the others give constants."""
+    the budget before each component runs.  With keys, the value is one array
+    per key i: its component's keyed average g_i times the other components'
+    averages, a keyed component's being E_x t_i(x) g_i(x) for its first key i
+    (t_i = 1 if None).  A keyed component charges its span or kernel once per
+    key, and on the dual side a transform per table and one per key."""
     from .linear_forms import row_components
 
     N = space_size(p, n)
-    value, cost, sides = 1.0 + 0j, 0, set()
+    cost, sides, parts = 0, set(), []
     real = {id(t): _real_at_two(t, p) for t in tables if t is not None}  # once per array
     for group in row_components(rows, p):
         m, r = len(group), rank(rows[group], p)
+        mine = [i for i in keys if i in group]
         dual = 1 < m < 2 * r
-        cost += N ** (m - r) + m * N if dual else N**r
+        transforms = sum(tables[i] is not None for i in group) + len(mine) if dual else 0
+        cost += max(len(mine), 1) * N ** (m - r if dual else r) + transforms * N
         check_budget(cost, budget, what)
-        keyed = tables[group[0]] is None
-        sub = [real[id(tables[i])] for i in (group[1:] if keyed else group)]
-        value *= _average_on_side(sub, rows[group], p, n, dual, keyed)
+        sub = [None if tables[i] is None else real[id(tables[i])] for i in group]
+        got = _average_on_side(sub, rows[group], p, n, dual, [group.index(i) for i in mine])
+        if mine:
+            t = sub[group.index(mine[0])]
+            parts.append((dict(zip(mine, got)), np.mean(got[0] if t is None else t * got[0])))
+        else:
+            parts.append(({}, got))
         sides.add("dual" if dual else "primal")
+
+    def product(key):
+        return math.prod((arrays.get(key, average) for arrays, average in parts), start=1.0 + 0j)
+
+    value = [product(i) for i in keys] if keys else product(None)
     return value, cost, sides.pop() if len(sides) == 1 else "mixed"
 
 
@@ -670,8 +677,8 @@ def flagged_average(
         raise ValidationError("table prime differs from system prime")
     rows = np.vstack([system.flag, system.as_array()])
     tables = [None] + [_powered(f.values, False, mult) for mult in system.multiplicities]
-    value = _exact_average(tables, rows, f.p, f.n, budget, "flagged average")[0]
-    return FunctionTable(f.p, f.n, value)
+    value = _exact_average(tables, rows, f.p, f.n, budget, "flagged average", [0])[0]
+    return FunctionTable(f.p, f.n, value[0])
 
 
 def boundary_function(
@@ -681,16 +688,12 @@ def boundary_function(
 ) -> FunctionTable:
     """Sum over forms of the conditional average of the others given that
     form: the gradient of t_L at f, in the sense that
-    d/dt t_L(f + t g)|_0 = E[g * boundary] for real f, g."""
-    from .linear_forms import FlaggedSystem
-
-    p, n = f.p, f.n
-    total = np.zeros(space_size(p, n), dtype=np.complex128)
-    for i in range(system.m):
-        rest, removed = system.without(i)
-        if rest is None:
-            total += 1.0  # empty product conditions to the constant one
-            continue
-        flagged = FlaggedSystem(p, system.k, rest.forms, removed)
-        total += flagged_average(f, flagged, budget=budget).values
-    return FunctionTable(p, n, total)
+    d/dt t_L(f + t g)|_0 = E[g * boundary] for real f, g.  It is one keyed
+    average, every form a key, as the module docstring describes."""
+    if f.p != system.p:
+        raise ValidationError("table prime differs from system prime")
+    keys = range(system.m)
+    arrays = _exact_average(
+        [f.values] * system.m, system.as_array(), f.p, f.n, budget, "boundary function", keys
+    )[0]
+    return FunctionTable(f.p, f.n, sum(arrays))

@@ -71,13 +71,6 @@ class LinearSystem:
     def subsystem(self, indices) -> "LinearSystem":
         return LinearSystem(self.p, self.k, [self.forms[i] for i in indices])
 
-    def without(self, index: int) -> tuple["LinearSystem | None", Form]:
-        rest = [f for i, f in enumerate(self.forms) if i != index]
-        removed = self.forms[index]
-        if not rest:
-            return None, removed
-        return LinearSystem(self.p, self.k, rest), removed
-
     def degrees(self) -> tuple[int, ...]:
         sums = _pair_sums(self)
         return tuple(sums[f] for f in self.forms)

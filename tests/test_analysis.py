@@ -926,7 +926,7 @@ def test_flagged_sides_match_direct(case, seed):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_CHUNK", chunk)
             for dual in (False, True):
-                got = _average_on_side(tables, rows, p, n, dual, keyed=True)
+                got = _average_on_side([None, *tables], rows, p, n, dual, [0])[0]
                 assert np.allclose(got, want, atol=1e-12)
 
 
@@ -957,7 +957,7 @@ def test_real_tables_match_direct_on_every_side(case, seed):
         for dual in (False, True):
             got = _average_on_side(tables, system.as_array(), p, n, dual)
             assert got == pytest.approx(want, abs=1e-12)
-            got = _average_on_side(keyed, rows, p, n, dual, keyed=True)
+            got = _average_on_side([None, *keyed], rows, p, n, dual, [0])[0]
             assert got.dtype == dtype and np.allclose(got, flagged, atol=1e-12)
     plain = LinearSystem(p, system.k, system.forms)
     assert np.allclose(boundary_function(f, plain).values, boundary_direct(f, plain), atol=1e-12)
@@ -1207,14 +1207,15 @@ def test_boundary_two_forms_golden():
 
 
 def boundary_direct(f, system):
+    """One flagged average per form, the others conditioned on it: the
+    boundary function form by form, by raw enumeration."""
     total = np.zeros(f.p**f.n, dtype=complex)
-    for i in range(system.m):
-        rest, removed = system.without(i)
-        if rest is None:
-            total += 1.0
+    for i, removed in enumerate(system.forms):
+        rest = system.forms[:i] + system.forms[i + 1:]
+        if not rest:
+            total += 1.0  # the empty product conditions to the constant one
         else:
-            fsys = FlaggedSystem(system.p, system.k, rest.forms, removed)
-            total += flagged_direct(f, fsys)
+            total += flagged_direct(f, FlaggedSystem(system.p, system.k, rest, removed))
     return total
 
 
@@ -1232,18 +1233,76 @@ def test_boundary_matches_direct(p, n, forms):
     assert np.allclose(got.values, boundary_direct(f, system), atol=1e-12)
 
 
+# the derivative identity at each prime: connected dual systems, a primal tie
+# (AP4: m = 2r), two dual components, and a dual component beside a primal
+# one ({z, 2z}) or a lone form
+DERIVATIVE_SYSTEMS = [
+    (2, 2, LinearSystem(2, 2, [(1, 0), (0, 1), (1, 1)])),
+    (2, 1, LinearSystem(2, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0),
+                               (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)])),
+    (3, 2, arithmetic_progression_system(3, 3)),
+    (3, 1, LinearSystem(3, 3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, 2)])),
+    (5, 1, arithmetic_progression_system(5, 4)),
+    (5, 1, LinearSystem(5, 3, [(1, 0, 0), (0, 1, 0), (1, 2, 0), (0, 0, 1)])),
+]
+
+
 def test_boundary_is_derivative_of_average():
     # d/dt t_L(f + t g) at t=0 equals E[g * boundary] for real f and g
-    system = LinearSystem(2, 2, [(1, 0), (0, 1), (1, 1)])
-    f = random_real_table(2, 2, seed=20, low=0.2, high=0.8)
-    g = random_real_table(2, 2, seed=21, low=-1.0, high=1.0)
     h = 1e-6
-    plus = complex(linear_form_average(f + h * g, system)).real
-    minus = complex(linear_form_average(f + (-h) * g, system)).real
-    numeric = (plus - minus) / (2 * h)
-    bdry = boundary_function(f, system)
-    analytic = np.mean(g.values * bdry.values).real
-    assert numeric == pytest.approx(analytic, abs=1e-6)
+    for p, n, system in DERIVATIVE_SYSTEMS:
+        f = random_real_table(p, n, seed=20, low=0.2, high=0.8)
+        g = random_real_table(p, n, seed=21, low=-1.0, high=1.0)
+        plus = complex(linear_form_average(f + h * g, system))
+        minus = complex(linear_form_average(f + (-h) * g, system))
+        numeric = (plus - minus) / (2 * h)
+        bdry = boundary_function(f, system)
+        analytic = np.mean(g.values * bdry.values)
+        assert numeric == pytest.approx(analytic, abs=1e-6), (p, n, system.forms)
+
+
+@given(flagged_systems(), st.integers(0, 1000))
+@example(GRID_SYSTEMS[0], 0)
+@example(GRID_SYSTEMS[1], 0)
+@settings(max_examples=30, deadline=None)
+def test_boundary_matches_direct_at_every_block_size(case, seed):
+    # one keyed pass over every form against one raw flagged enumeration per
+    # form, on unit and real tables, with block sizes that split the pass
+    n, fsys, _ = case
+    p = fsys.p
+    system = LinearSystem(p, fsys.k, fsys.forms)
+    for f in (random_unit_table(p, n, seed=seed), random_real_table(p, n, seed=seed)):
+        want = boundary_direct(f, system)
+        for chunk in GRID_CHUNKS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(analysis, "_CHUNK", chunk)
+                got = boundary_function(f, system).values
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1)])
+def test_boundary_charges_each_key(p, n):
+    # {x, y, x+y} runs dual: its kernel once per key, N each, and one
+    # transform per table and per key, 6N; the six forms over {z, w, v} tie
+    # (m = 2r) and run primal, their span once per key, 6 N^3; the lone form
+    # u runs primal, keyed, at N.  The budget is checked once per component.
+    forms = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0),
+             (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0),
+             (0, 0, 1, 1, 0, 0), (0, 0, 0, 1, 1, 0), (0, 0, 1, 1, 1, 0),
+             (0, 0, 0, 0, 0, 1)]
+    system = LinearSystem(p, 6, forms)
+    f = random_real_table(p, n, seed=24)
+    N = p**n
+    with pytest.MonkeyPatch.context() as mp:
+        charged = []
+        mp.setattr(analysis, "check_budget", lambda cost, *_: charged.append(cost))
+        got = boundary_function(f, system)
+    assert charged == [9 * N, 9 * N + 6 * N**3, 10 * N + 6 * N**3]
+    if p < 5:  # the oracle enumerates N^6 assignments per form
+        assert np.allclose(got.values, boundary_direct(f, system), atol=1e-12)
+    boundary_function(f, system, budget=10 * N + 6 * N**3)
+    with pytest.raises(BudgetExceededError):
+        boundary_function(f, system, budget=10 * N + 6 * N**3 - 1)
 
 
 @given(st.integers(0, 200))

@@ -474,12 +474,3 @@ def test_flagged_not_equal_to_plain():
     flagged = FlaggedSystem(2, 2, [(1, 0), (0, 1)], (1, 0))
     assert plain != flagged
     assert flagged != plain
-
-
-def test_without():
-    system = arithmetic_progression_system(3, 3)
-    rest, removed = system.without(1)
-    assert removed == (1, 1)
-    assert rest.forms == ((1, 0), (1, 2))
-    only, removed = LinearSystem(2, 1, [(1,)]).without(0)
-    assert only is None and removed == (1,)
