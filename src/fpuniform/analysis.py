@@ -27,12 +27,13 @@ components of the system, and each component of m forms and rank r is
 evaluated on the primal or the dual side.  The primal side enumerates the
 span, N^r points.  The dual side is Fourier inversion,
     t_L = sum over {alpha : sum_i alpha_i (x) L_i = 0} of prod_i f_i^(alpha_i),
-a sum over a kernel of dimension m - r, N^(m-r) points after m transforms of
-N points.  The dual side runs when m - r < r; ties, and a lone form (whose
-average is its mean), go to the primal side.  A conditional average keys rows:
-a keyed row leaves its own table out of the product, and the sums are split by
-its value on the primal side, or by its frequency on the dual side, where one
-more transform per key gives the conditional average at every point.  A
+a sum over a kernel of dimension m - r, N^(m-r) points after one transform of
+N points per distinct table.  The dual side runs when m - r < r; ties, and a
+lone form (whose average is its mean), go to the primal side.  A conditional
+average keys rows: a keyed row leaves its own table out of the product, and
+the sums are split by its value on the primal side, or by its frequency on the
+dual side, where one more transform per key gives the conditional average at
+every point.  A
 flagged average is the rows [flag] + forms keyed on the flag, which has no
 table; a boundary function is the forms keyed on every form, in one pass.
 Each component is enumerated once for all its keys, and a key's array is its
@@ -394,7 +395,7 @@ def correlation_with_family(
     from .polynomials import priced_family
 
     p, n = f.p, f.n
-    parts = priced_family(p, n, degree, homogeneous, budget)
+    parts = priced_family(p, n, degree, homogeneous, budget)[0]
     pts, values = digit_table(p, n), _real_at_two(f.values, p)
     candidates = [
         pair for upper, free in parts
@@ -480,10 +481,13 @@ def _average_on_side(tables: list, rows: np.ndarray, p: int, n: int, dual: bool,
     one array per key row i, x -> E[prod_{j != i} t_j(L_j X) | L_i X = x]:
     the sums are keyed by the row's value on the primal side, by its
     frequency on the dual side, where one transform of each key's sums
-    finishes.  A key's table may be None; the dual side transforms the others."""
+    finishes.  A key's table may be None; the dual side transforms the others,
+    each distinct array once."""
     N = space_size(p, n)
     if dual:
-        hats = [None if t is None else _fp_transform(t, p, n) / N for t in tables]
+        distinct = {id(t): t for t in tables if t is not None}
+        hat = {i: _fp_transform(t, p, n) / N for i, t in distinct.items()}
+        hats = [None if t is None else hat[id(t)] for t in tables]
         K = nullspace(rows.T, p).T
         if not keys:
             return _product_sum(hats, K, p, n)
@@ -497,14 +501,15 @@ def _average_on_side(tables: list, rows: np.ndarray, p: int, n: int, dual: bool,
 def _exact_average(tables: list, rows: np.ndarray, p: int, n: int, budget, what: str, keys=()):
     """The product of the averages of the connected components of the rows,
     each on its cheaper side, as (value, cost, path).  A component of m rows
-    and rank r runs on the dual side when 1 < m < 2r, at cost N^(m-r) + m N
-    (its kernel and its m transforms), and otherwise on the primal side at
-    cost N^r, a lone row being its mean; the running cost is checked against
-    the budget before each component runs.  With keys, the value is one array
-    per key i: its component's keyed average g_i times the other components'
-    averages, a keyed component's being E_x t_i(x) g_i(x) for its first key i
-    (t_i = 1 if None).  A keyed component charges its span or kernel once per
-    key, and on the dual side a transform per table and one per key."""
+    and rank r runs on the dual side when 1 < m < 2r, at cost N^(m-r) + t N
+    (its kernel and one transform for each of its t distinct tables), and
+    otherwise on the primal side at cost N^r, a lone row being its mean; the
+    running cost is checked against the budget before each component runs.
+    With keys, the value is one array per key i: its component's keyed
+    average g_i times the other components' averages, a keyed component's
+    being E_x t_i(x) g_i(x) for its first key i (t_i = 1 if None).  A keyed
+    component charges its span or kernel once per key, and on the dual side a
+    transform per distinct table and one per key."""
     from .linear_forms import row_components
 
     N = space_size(p, n)
@@ -514,7 +519,8 @@ def _exact_average(tables: list, rows: np.ndarray, p: int, n: int, budget, what:
         m, r = len(group), rank(rows[group], p)
         mine = [i for i in keys if i in group]
         dual = 1 < m < 2 * r
-        transforms = sum(tables[i] is not None for i in group) + len(mine) if dual else 0
+        distinct = {id(tables[i]) for i in group if tables[i] is not None}
+        transforms = len(distinct) + len(mine) if dual else 0
         cost += max(len(mine), 1) * N ** (m - r if dual else r) + transforms * N
         check_budget(cost, budget, what)
         sub = [None if tables[i] is None else real[id(tables[i])] for i in group]
@@ -563,12 +569,12 @@ def linear_form_average(
     With `samples` None the average is exact: the product of the averages of
     the connected components, each enumerated on its primal side (N^rank
     points) or its Fourier-dual side (N^(forms - rank) points and one
-    transform per form), as the module docstring describes.  Otherwise it is
-    the mean over `samples` uniform draws of X and its stderr (rng.mc_mean):
-    each variable is one uniform point index, and samples * m points are
-    charged against the budget before the first draw.  The variables are drawn
-    sample-major, so a seeded estimate draws the same points whatever the
-    block size.  Each form's values multiply in as its index row arrives, so
+    transform per distinct table), as the module docstring describes.
+    Otherwise it is the mean over `samples` uniform draws of X and its stderr
+    (rng.mc_mean): each variable is one uniform point index, and samples * m
+    points are charged against the budget before the first draw.  The
+    variables are drawn sample-major, so a seeded estimate draws the same
+    points whatever the block size.  Each form's values multiply in as its index row arrives, so
     a draw keeps the k variable rows, one form row, its values and the
     product live: k + 3 block-length arrays, the width that sizes the blocks
     at p = 2.  At p > 2 the width is kept at m: another width would change
@@ -676,7 +682,8 @@ def flagged_average(
     if f.p != system.p:
         raise ValidationError("table prime differs from system prime")
     rows = np.vstack([system.flag, system.as_array()])
-    tables = [None] + [_powered(f.values, False, mult) for mult in system.multiplicities]
+    powered = {e: _powered(f.values, False, e) for e in set(system.multiplicities)}
+    tables = [None] + [powered[e] for e in system.multiplicities]
     value = _exact_average(tables, rows, f.p, f.n, budget, "flagged average", [0])[0]
     return FunctionTable(f.p, f.n, value[0])
 

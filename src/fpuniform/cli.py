@@ -250,9 +250,8 @@ def _cmd_system(args) -> dict:
         "tolerance": {"kind": "integer-exact", "value": 0},
     }
     if args.action == "complexity":
-        rep = cs_complexity(system) if args.kind == "cs" else true_complexity(
-            system, budget=args.budget
-        )
+        complexity = cs_complexity if args.kind == "cs" else true_complexity
+        rep = complexity(system, budget=args.budget)
         report.update(_fields(rep, drop=("witness",)))
     elif args.action == "components":
         parts = connected_components(system)

@@ -1,10 +1,11 @@
-"""Global knobs: enumeration budget and the one remaining search cap.
+"""Global knobs: the enumeration budget, the float tolerance and two limits.
 
 Everything here is a plain module-level constant or a tiny helper; operations
-take an optional ``budget=`` argument that falls back to the default.  Only
-the partition search still stops at a cap; the isomorphism and
-polynomial-rank searches are charged against the budget instead, and
-connected components are found in polynomial time and have no cap.
+take an optional ``budget=`` argument that falls back to the default.  No
+search stops at a cap: the isomorphism, polynomial-rank and partition
+searches and the rounds of `decompose` are charged against the budget, and
+connected components are found in polynomial time.  RETRY_CAP is not a
+search cap but a stop for a rejection sampler whose draws never succeed.
 """
 
 from __future__ import annotations
@@ -20,13 +21,6 @@ FLOAT_TOL = 1e-12
 
 #: Largest supported prime modulus.
 MAX_PRIME = 251
-
-#: cs_complexity gives up on the exact partition search above this many forms
-#: and returns the m-2 upper bound flagged as bound-only.
-PARTITION_SEARCH_CAP = 12
-
-#: Round cap for the energy-increment decomposition loop.
-DECOMPOSE_ROUND_CAP = 64
 
 #: Rejection-sampling retry cap (random invertible matrices and the like).
 RETRY_CAP = 1000

@@ -4,7 +4,7 @@ A factor is an ordered list of polynomials P_1..P_C on F_p^n; the atom of a
 point x is the value tuple (P_1(x), ..., P_C(x)).  Conditional expectation
 averages a function over each atom.  `decompose` runs a desk-scale energy
 increment: keep adding the polynomial phase most correlated with the residual
-until its Gowers norm drops below the target (or a round cap trips).
+until its Gowers norm drops below the target (or the budget runs out).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import correlation_with_family, gowers_norm
-from .config import DECOMPOSE_ROUND_CAP
+from .config import resolve_budget
 from .errors import ValidationError
 from .field import place_values, space_size, validate_dims
 from .polynomials import Polynomial, priced_family
@@ -67,14 +67,6 @@ class PolynomialFactor:
     def extend(self, poly: Polynomial) -> "PolynomialFactor":
         return PolynomialFactor(self.p, self.n, self.defining + (poly,))
 
-    def rank(self, r_max: int = 2, budget: int | None = None):
-        """Rank of the defining set, delegated to the polynomial-rank search."""
-        from .polyrank import polynomial_rank
-
-        if not self.defining:
-            raise ValidationError("the empty factor has no defining polynomials")
-        return polynomial_rank(self.defining, r_max=r_max, budget=budget)
-
     def __repr__(self):
         names = ", ".join(q.to_text() for q in self.defining)
         return f"PolynomialFactor(p={self.p}, n={self.n}, [{names}])"
@@ -104,7 +96,7 @@ class DecompositionReport:
     achieved_norm: float
     target: float
     degree: int
-    flagged: bool  # True when the round cap hit before reaching the target
+    flagged: bool  # True when the budget or the search ended the rounds short of the target
     history: list = field(default_factory=list)  # norm after each round
     rank_floor: int | None = None
     rank_meets_floor: bool | None = None
@@ -129,11 +121,14 @@ def decompose(
     search is one correlation_with_family call per round, over Poly_d or, with
     `homogeneous_only`, over the nonzero homogeneous polynomials of degree
     1..d; each call is charged against `budget` for its whole family.  That
-    charge is checked before round 0 too, so a family past the budget is
-    refused before any norm is computed, even for an f already within delta.
-    If the correlation dries up or `DECOMPOSE_ROUND_CAP` rounds run first, the
-    report comes back flagged with the best norm achieved.  `delta` must be
-    finite and >= 0.
+    charge is checked before round 0 too, so a family past the budget raises
+    BudgetExceededError before any norm is computed, even for an f already
+    within delta.  After the first norm, every round (its search and the norm
+    after it) is charged to one running total; the first round the budget
+    cannot cover is not run.  A round that splits no atom ends the loop, so at
+    most N - 1 rounds run.  If the budget or the correlation runs out first,
+    the report comes back flagged with the last factor and its norm.  `delta`
+    must be finite and >= 0.
     `rank_floor` is checked against the factor's rank, by a search charged
     against `budget` too, and reported (None when the budget leaves it
     undecided), never enforced.
@@ -141,20 +136,23 @@ def decompose(
     p, n = f.p, f.n
     if not 0 <= delta < float("inf"):
         raise ValidationError(f"delta must be finite and >= 0, got {delta}")
-    priced_family(p, n, d, homogeneous_only, budget)
+    search = priced_family(p, n, d, homogeneous_only, budget)[1]
+    limit = resolve_budget(budget)
     factor = PolynomialFactor(p, n, ())
     atoms = factor.atom_count()
     history = []
-    rounds = 0
+    rounds = spent = 0
     flagged = False
     while True:
         h = conditional_expectation(f, factor)
         residual = f - h
-        norm = float(gowers_norm(residual, d + 1, budget=budget))
+        gowers = gowers_norm(residual, d + 1, budget=budget)
+        norm = float(gowers)
         history.append(norm)
         if norm <= delta:
             break
-        if rounds >= DECOMPOSE_ROUND_CAP:
+        spent += search + gowers.cost  # the next norm costs what this one did
+        if spent > limit:
             flagged = True
             break
         rep = correlation_with_family(residual, d, homogeneous_only, budget=budget)
@@ -175,8 +173,11 @@ def decompose(
         if floor <= 0:
             meets = True
         else:
+            from .polyrank import polynomial_rank
+
             try:
-                meets = factor.rank(r_max=floor - 1, budget=budget).rank_exceeds(floor - 1)
+                rank = polynomial_rank(factor.defining, r_max=floor - 1, budget=budget)
+                meets = rank.rank_exceeds(floor - 1)
             except ValidationError:
                 meets = None  # the budget ended the rank search before deciding
     return DecompositionReport(

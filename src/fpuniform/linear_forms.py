@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import PARTITION_SEARCH_CAP, check_budget
-from .errors import FormatError, ValidationError, parse_at
+from .config import check_budget
+from .errors import BudgetExceededError, FormatError, ValidationError, parse_at
 from .field import int_tuple, validate_dims, validate_prime
 from .linalg import (
     extend_to_basis,
-    in_span,
     inverse,
     rank as mat_rank,
     nullspace,
@@ -173,91 +172,88 @@ class ComplexityReport:
     witness: np.ndarray | None = None
 
 
-def _pairwise_independent(system: LinearSystem) -> bool:
-    arr = system.as_array()
-    for i in range(system.m):
-        for j in range(i + 1, system.m):
-            if mat_rank(arr[[i, j]], system.p) < 2:
-                return False
-    return True
+def _min_partition(forms: list[list[int]], target: int, p: int, charge) -> list[list[int]]:
+    """The fewest classes partitioning the forms other than `target` so that
+    no class spans it, by branch-and-bound, first fit first.  A class carries
+    its members, the echelon rows of its span (pivot, row with a 1 there) and
+    the target reduced by them, nonzero while the class misses the target.
+    A form joins when its reduction leaves the reduced target off its line;
+    each such check, opening a class included (a check against the empty
+    one), calls `charge` with the k (r + 1) entries it reads for a class of
+    rank r.  Assumes no form is proportional to the target."""
+    others = [j for j in range(len(forms)) if j != target]
 
+    def reduced(v, rows):
+        for c, row in rows:
+            if v[c]:
+                v = [(a - v[c] * b) % p for a, b in zip(v, row)]
+        return v
 
-def _min_partition(others: list[np.ndarray], target: np.ndarray, p: int):
-    """Fewest classes partitioning `others` so no class spans `target`.
-    Exact branch-and-bound; assumes no single form is proportional to target."""
+    def joined(cls, j):
+        """The class with form j added, or None when it would span the target."""
+        members, rows, t = cls
+        charge(len(t) * (len(rows) + 1))
+        f = reduced(forms[j], rows)
+        if not any(f):
+            return members + [j], rows, t
+        c = next(i for i, a in enumerate(f) if a)
+        inv = pow(f[c], -1, p)
+        f = [a * inv % p for a in f]
+        t = [(a - t[c] * b) % p for a, b in zip(t, f)]
+        return (members + [j], rows + [(c, f)], t) if any(t) else None
 
-    def violates(rows: list[np.ndarray], extra: np.ndarray) -> bool:
-        return in_span(np.array(rows + [extra]), target, p)
+    empty = ([], [], forms[target])
+    best = [[]] * len(forms)  # beaten by the first leaf, the greedy first fit
+    assignment: list = []
 
-    best_count = len(others) + 1
-    best_classes: list[list[int]] | None = None
-
-    # greedy first-fit upper bound
-    classes: list[list[int]] = []
-    for idx, form in enumerate(others):
-        for cls in classes:
-            if not violates([others[i] for i in cls], form):
-                cls.append(idx)
-                break
-        else:
-            classes.append([idx])
-    best_count = len(classes)
-    best_classes = [list(c) for c in classes]
-
-    assignment: list[list[int]] = []
-
-    def descend(idx: int):
-        nonlocal best_count, best_classes
-        if len(assignment) >= best_count:
+    def descend(pos: int):
+        nonlocal best
+        if len(assignment) >= len(best):
             return
-        if idx == len(others):
-            best_count = len(assignment)
-            best_classes = [list(c) for c in assignment]
+        if pos == len(others):
+            best = [cls[0] for cls in assignment]
             return
-        form = others[idx]
-        for cls in assignment:
-            if not violates([others[i] for i in cls], form):
-                cls.append(idx)
-                descend(idx + 1)
-                cls.pop()
+        for i, cls in enumerate(assignment):
+            grown = joined(cls, others[pos])
+            if grown is not None:
+                assignment[i] = grown
+                descend(pos + 1)
+                assignment[i] = cls
         # open one new class (canonical: only as the last)
-        if len(assignment) + 1 < best_count:
-            assignment.append([idx])
-            descend(idx + 1)
+        if len(assignment) + 1 < len(best):
+            assignment.append(joined(empty, others[pos]))
+            descend(pos + 1)
             assignment.pop()
 
     descend(0)
-    return best_count, best_classes
+    return best
 
 
-def cs_complexity(system: LinearSystem) -> ComplexityReport:
+def cs_complexity(system: LinearSystem, budget: int | None = None) -> ComplexityReport:
     """Least s such that, for every form, the remaining forms split into s+1
-    classes none of which spans it.  Exact up to the partition search cap;
-    larger systems get the always-valid m-2 bound with singleton partitions.
+    classes none of which spans it.  The partition searches of all forms
+    charge one running total against the budget, k (r + 1) entries per check
+    of a form against a class of rank r; a search the budget refuses gives the
+    always-valid m-2 bound with singleton partitions, flagged bound-only.
     """
-    if system.m == 1:
-        return ComplexityReport(kind="cs", value=0, certificate={0: []})
-    if not _pairwise_independent(system):
-        raise ValidationError(
-            "complexity is undefined when two forms are proportional"
-        )
-    arr = system.as_array()
-    if system.m > PARTITION_SEARCH_CAP:
-        certificate = {
-            i: [[j] for j in range(system.m) if j != i] for i in range(system.m)
-        }
-        return ComplexityReport(
-            kind="cs", value=system.m - 2, bound_only=True, certificate=certificate
-        )
-    worst = 0
-    certificate: dict[int, list[list[int]]] = {}
-    for i in range(system.m):
-        others_idx = [j for j in range(system.m) if j != i]
-        others = [arr[j] for j in others_idx]
-        count, classes = _min_partition(others, arr[i], system.p)
-        worst = max(worst, count - 1)
-        certificate[i] = [[others_idx[j] for j in cls] for cls in classes]
-    return ComplexityReport(kind="cs", value=worst, certificate=certificate)
+    p, m = system.p, system.m
+    forms = system.as_array().tolist()
+    if len({tuple(a * pow(next(filter(None, f)), -1, p) % p for a in f) for f in forms}) < m:
+        raise ValidationError("complexity is undefined when two forms are proportional")
+    spent = 0
+
+    def charge(entries: int):
+        nonlocal spent
+        spent += entries
+        check_budget(spent, budget, "partition search")
+
+    try:
+        certificate = {i: _min_partition(forms, i, p, charge) for i in range(m)}
+    except BudgetExceededError:
+        singletons = {i: [[j] for j in range(m) if j != i] for i in range(m)}
+        return ComplexityReport("cs", m - 2, bound_only=True, certificate=singletons)
+    value = max(0, *(len(classes) - 1 for classes in certificate.values()))
+    return ComplexityReport(kind="cs", value=value, certificate=certificate)
 
 
 def tensor_power(vector, d: int, p: int) -> np.ndarray:
@@ -272,11 +268,13 @@ def tensor_power(vector, d: int, p: int) -> np.ndarray:
 def true_complexity(system: LinearSystem, budget: int | None = None) -> ComplexityReport:
     """Least d such that the (d+1)-fold tensor powers of the forms are
     linearly independent.  Valid as an invariant in the regime where the
-    partition complexity does not exceed p, so that regime is enforced; past
-    the partition search cap the m - 2 bound proves it or the call raises, and
-    the certificate then records the bound as "cs_bound".
+    partition complexity does not exceed p, so that regime is enforced; when
+    the budget refuses the partition search, the m - 2 bound proves it or the
+    call raises, and the certificate then records the bound as "cs_bound".
+    The partition search and the tensor powers are each checked against
+    `budget`.
     """
-    cs = cs_complexity(system)
+    cs = cs_complexity(system, budget)
     if cs.value > system.p:
         bounded = "only bounded by " if cs.bound_only else ""
         raise ValidationError(

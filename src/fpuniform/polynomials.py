@@ -295,8 +295,9 @@ def family_size(p: int, n: int, d: int) -> int:
 
 def priced_family(p: int, n: int, degree: int, homogeneous: bool, budget: int | None):
     """The parts of a Poly_d family on F_p^n as correlation_with_family scores
-    them, after the cost of scoring them all, the sum over parts of
-    p^(#enumerated monomials) * p^n points, is checked against the budget."""
+    them, and the cost of scoring them all, the sum over parts of
+    p^(#enumerated monomials) * p^n points, once it is checked against the
+    budget."""
     if degree < 1:
         raise ValidationError("degree must be >= 1")
     if degree > n * (p - 1):
@@ -310,5 +311,6 @@ def priced_family(p: int, n: int, degree: int, homogeneous: bool, budget: int | 
     else:
         parts = [([e for e in monos if sum(e) >= 2], True)]
     what = "homogeneous phase family" if homogeneous else "polynomial phase family"
-    check_budget(sum(p ** len(upper) for upper, _ in parts) * space_size(p, n), budget, what)
-    return parts
+    cost = sum(p ** len(upper) for upper, _ in parts) * space_size(p, n)
+    check_budget(cost, budget, what)
+    return parts, cost

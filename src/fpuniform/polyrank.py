@@ -19,7 +19,6 @@ the budget refuses ends it with a lower bound instead of a value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import comb
 
 import numpy as np
@@ -67,10 +66,10 @@ _BLOCK = 4096
 
 
 def _nonzero_alphas(p: int, t: int):
-    """One representative per projective class (first nonzero entry = 1)."""
-    for alpha in product(range(p), repeat=t):
-        nz = next((a for a in alpha if a), None)
-        if nz == 1:
+    """One representative per projective class (first nonzero entry = 1), in
+    the order of the digits of range(p^t)."""
+    for alpha in map(tuple, digits(np.arange(p**t), p, t).tolist()):
+        if next((a for a in alpha if a), None) == 1:
             yield alpha
 
 

@@ -123,7 +123,8 @@ class DistributionalFunction:
         beta = [int(b) % self.p for b in beta]
         if len(beta) != system.m:
             raise ValidationError("beta length must match the number of forms")
-        tables = [self.a_c(b) for b in beta]
+        moments = {b: self.a_c(b) for b in set(beta)}
+        tables = [moments[b] for b in beta]
         return linear_form_average(tables, system, samples=samples, seed=seed, budget=budget)
 
 
@@ -596,22 +597,15 @@ def interior_experiment(
         gram = np.array([[np.mean(a * b) for b in rows] for a in rows])
         low = float(np.linalg.eigvalsh(gram).min())
         if best is None or low > best[0]:
-            best = (low, gram, f, t)
+            best = (low, gram, f)  # a trial past the threshold is the best so far
         if low > threshold:
-            return InteriorReport(
-                gram=gram,
-                min_singular_value=low,
-                independent=True,
-                witness=f,
-                trials_run=t,
-                seed=seed,
-            )
-    low, gram, f, _ = best
+            break
+    low, gram, f = best
     return InteriorReport(
         gram=gram,
         min_singular_value=low,
-        independent=False,
+        independent=low > threshold,
         witness=f,
-        trials_run=trials,
+        trials_run=t,
         seed=seed,
     )

@@ -1049,11 +1049,12 @@ def test_flagged_factors_over_components_the_flag_misses(p, n):
         mp.setattr(analysis, "check_budget", lambda cost, *_: charged.append(cost))
         got = flagged_average(f, fsys)
     assert np.allclose(got.values, flagged_direct(f, fsys), atol=1e-12)
-    # [x, y, x+y] and {z, w, z+w} each run dual at N + 3N; {u} is its mean at N
-    assert charged == [4 * N, 8 * N, 9 * N]
-    flagged_average(f, fsys, budget=9 * N)
+    # [x, y, x+y] runs dual at N + 3N (the tables f^2 and f, and the key);
+    # {z, w, z+w} at N + 2N (its tables f and f^3); {u} is its mean at N
+    assert charged == [4 * N, 7 * N, 8 * N]
+    flagged_average(f, fsys, budget=8 * N)
     with pytest.raises(BudgetExceededError):
-        flagged_average(f, fsys, budget=9 * N - 1)
+        flagged_average(f, fsys, budget=8 * N - 1)
 
 
 def test_empty_kernel_dual_side_is_product_of_means():
@@ -1067,20 +1068,21 @@ def test_empty_kernel_dual_side_is_product_of_means():
 
 def test_average_reports_side_and_cost():
     f = random_unit_table(5, 2, seed=3)
-    # the dual side charges its kernel, N^(m-r), and its m transforms, m N
+    # the dual side charges its kernel, N^(m-r), and one transform of N points
+    # per distinct table: the three forms share f, so one
     rep = linear_form_average(f, arithmetic_progression_system(5, 3))
-    assert (rep.path, rep.cost) == ("dual", 25 + 3 * 25)
+    assert (rep.path, rep.cost) == ("dual", 25 + 25)
     # a tie (AP4: m = 4, r = 2) runs the primal side
     rep = linear_form_average(f, arithmetic_progression_system(5, 4))
     assert (rep.path, rep.cost) == ("primal", 25**2)
-    # {x, y, x+y} is dual at cost 4N; the lone form z is its mean, primal at N
+    # {x, y, x+y} is dual at cost 2N; the lone form z is its mean, primal at N
     system = LinearSystem(5, 3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
     rep = linear_form_average(f, system)
-    assert (rep.path, rep.cost) == ("mixed", 4 * 25 + 25)
+    assert (rep.path, rep.cost) == ("mixed", 2 * 25 + 25)
     # {x, 2x} ties at N and runs primal beside the dual {y, z, y+z}
     system = LinearSystem(5, 3, [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)])
     rep = linear_form_average(f, system)
-    assert (rep.path, rep.cost) == ("mixed", 25 + 4 * 25)
+    assert (rep.path, rep.cost) == ("mixed", 25 + 2 * 25)
     assert linear_form_average(f, system, samples=3).path == "sampled"
 
 
@@ -1283,9 +1285,10 @@ def test_boundary_matches_direct_at_every_block_size(case, seed):
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1)])
 def test_boundary_charges_each_key(p, n):
     # {x, y, x+y} runs dual: its kernel once per key, N each, and one
-    # transform per table and per key, 6N; the six forms over {z, w, v} tie
-    # (m = 2r) and run primal, their span once per key, 6 N^3; the lone form
-    # u runs primal, keyed, at N.  The budget is checked once per component.
+    # transform of its one table f and one per key, 4N; the six forms over
+    # {z, w, v} tie (m = 2r) and run primal, their span once per key, 6 N^3;
+    # the lone form u runs primal, keyed, at N.  The budget is checked once
+    # per component.
     forms = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0),
              (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0),
              (0, 0, 1, 1, 0, 0), (0, 0, 0, 1, 1, 0), (0, 0, 1, 1, 1, 0),
@@ -1297,12 +1300,12 @@ def test_boundary_charges_each_key(p, n):
         charged = []
         mp.setattr(analysis, "check_budget", lambda cost, *_: charged.append(cost))
         got = boundary_function(f, system)
-    assert charged == [9 * N, 9 * N + 6 * N**3, 10 * N + 6 * N**3]
+    assert charged == [7 * N, 7 * N + 6 * N**3, 8 * N + 6 * N**3]
     if p < 5:  # the oracle enumerates N^6 assignments per form
         assert np.allclose(got.values, boundary_direct(f, system), atol=1e-12)
-    boundary_function(f, system, budget=10 * N + 6 * N**3)
+    boundary_function(f, system, budget=8 * N + 6 * N**3)
     with pytest.raises(BudgetExceededError):
-        boundary_function(f, system, budget=10 * N + 6 * N**3 - 1)
+        boundary_function(f, system, budget=8 * N + 6 * N**3 - 1)
 
 
 @given(st.integers(0, 200))

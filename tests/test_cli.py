@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -116,8 +117,8 @@ def test_average_command(files, capsys):
     assert rep["value"][1] == pytest.approx(0.0)  # real table, real average
     assert rep["mode"] == "exact" and rep["abs"] >= 0
     # {x, y, x+y}: 3 forms of rank 2, so the dual side sums over N = 16 points
-    # after 3 transforms of 16 points each
-    assert rep["path"] == "dual" and rep["cost"] == 16 + 3 * 16
+    # after one transform of 16 points of the one table
+    assert rep["path"] == "dual" and rep["cost"] == 16 + 16
     rc, out, _ = run(
         [
             "average", "--system", files["tri"], "--tables", files["f24"],
@@ -127,6 +128,19 @@ def test_average_command(files, capsys):
     )
     assert rc == 0  # conjugating a real table changes nothing
     assert json.loads(out)["value"] == pytest.approx(rep["value"])
+
+
+def test_system_cs_complexity_is_charged_to_the_budget(tmp_path, capsys):
+    forms = [f for f in itertools.product(range(2), repeat=4) if any(f)]
+    path = tmp_path / "all15.json"
+    path.write_text(json.dumps(LinearSystem(2, 4, forms).to_json_dict()))
+    argv = ["system", "complexity", "--file", str(path), "--kind", "cs"]
+    rc, out, _ = run(argv + ["--budget", "100"], capsys)
+    rep = json.loads(out)
+    assert rc == 0 and rep["bound_only"] is True and rep["value"] == 13
+    rc, out, _ = run(argv, capsys)  # the default budget covers the search
+    rep = json.loads(out)
+    assert rc == 0 and rep["bound_only"] is False and rep["value"] == 3
 
 
 def test_system_commands(files, capsys):
@@ -495,7 +509,8 @@ def test_distributional_command(files, capsys):
     assert rc == 0
     rep = json.loads(out)
     assert rep["beta"] == [1, 1, 1] and rep["mode"] == "exact"
-    assert rep["path"] == "dual" and rep["cost"] == 16 + 3 * 16
+    # one a_1 table for the three equal exponents, so one transform
+    assert rep["path"] == "dual" and rep["cost"] == 16 + 16
     assert rep["abs"] == pytest.approx(
         abs(complex(rep["value"][0], rep["value"][1]))
     )

@@ -13,6 +13,7 @@ from fpuniform.factors import (
 )
 from fpuniform.linear_forms import LinearSystem
 from fpuniform.polynomials import Polynomial
+from fpuniform.polyrank import polynomial_rank
 from fpuniform.tables import (
     FunctionTable,
     phase_table,
@@ -54,13 +55,6 @@ def test_factor_validation():
         PolynomialFactor(2, 2, ["x1"])
     with pytest.raises(AttributeError):
         two_poly_factor().p = 5
-
-
-def test_factor_rank_delegates():
-    B = PolynomialFactor(2, 3, [Polynomial(2, 3, {(1, 1, 0): 1, (0, 0, 1): 1})])
-    assert B.rank().value == 3
-    with pytest.raises(ValidationError):
-        PolynomialFactor(2, 2, ()).rank()
 
 
 # ------------------------------------------------- conditional expectation
@@ -161,12 +155,18 @@ def test_decompose_keeps_a_real_table_real():
     assert rep.residual.codomain == rep.projection.codomain == "real"
 
 
-def test_decompose_round_cap_flags(monkeypatch):
-    monkeypatch.setattr(factors, "DECOMPOSE_ROUND_CAP", 2)
-    rep = decompose(random_unit_table(2, 4, seed=0), 2, 1e-9)
+def test_decompose_budget_ends_the_rounds():
+    # a round charges its Poly_2 search, 2^6 * 16 = 1,024 points, and the U^3
+    # norm after it, 16 orbit tuples of 16 points: 1,280 to one running total
+    f = random_unit_table(2, 4, seed=0)
+    assert decompose(f, 2, 1e-9).rounds == 6  # the default budget reaches 0
+    rep = decompose(f, 2, 1e-9, budget=2 * 1280)
     assert rep.flagged is True and rep.rounds == 2
     assert rep.achieved_norm > 1e-9
     assert len(rep.history) == rep.rounds + 1
+    rep = decompose(f, 2, 1e-9, budget=2 * 1280 - 1)
+    assert rep.flagged is True and rep.rounds == 1 and len(rep.history) == 2
+    assert rep.complexity == 1 and rep.achieved_norm == rep.history[-1]
 
 
 def test_decompose_energy_monotone():
@@ -228,9 +228,7 @@ def test_hybrid_average_invariance_observed():
     # more tightly than any a-priori bound requires
     P = Polynomial(3, 3, {(2, 0, 0): 1, (0, 1, 1): 1})
     Q = Polynomial(3, 3, {(0, 2, 0): 1, (1, 0, 1): 2})
-    BA = PolynomialFactor(3, 3, [P])
-    BB = PolynomialFactor(3, 3, [Q])
-    assert BA.rank().value == 3 and BB.rank().value == 3
+    assert polynomial_rank([P]).value == 3 and polynomial_rank([Q]).value == 3
     rng = np.random.default_rng(7)
     gamma = rng.uniform(-1, 1, 3)
     g = FunctionTable(3, 3, gamma[P.value_table()], codomain="real")

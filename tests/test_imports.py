@@ -1,7 +1,8 @@
 """Every module-level import in the package binds a name that the module uses,
 no import anywhere in the package loads OpenSSL through hashlib, every public
 name the package defines is reached by something other than its unit tests,
-and immutability comes from frozen dataclasses, not hand-written guards."""
+immutability comes from frozen dataclasses, not hand-written guards, and no
+search stops at a cap in config.py instead of the budget."""
 
 import ast
 import io
@@ -275,3 +276,31 @@ def test_hand_written_immutability_finds_what_it_should():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_immutability_comes_from_frozen_dataclasses(path):
     assert hand_written_immutability(path.read_text()) == []
+
+
+def search_caps(source: str) -> list[str]:
+    """The module-level names of `source` that end in _CAP, except RETRY_CAP,
+    the stop for a rejection sampler whose draws never succeed: every search
+    is charged against the budget instead."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if name.endswith("_CAP") and name != "RETRY_CAP"]
+
+
+def test_search_caps_finds_what_it_should():
+    source = (
+        "RETRY_CAP = 1000\n"
+        "ROUND_CAP = 64\n"
+        "SEARCH_CAP: int = 12\n"
+        "CAPS = 3\n"
+        "def f():\n    LOCAL_CAP = 1\n"
+    )
+    assert search_caps(source) == ["ROUND_CAP", "SEARCH_CAP"]
+
+
+def test_config_has_no_search_cap():
+    assert search_caps((SRC / "config.py").read_text()) == []

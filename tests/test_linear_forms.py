@@ -72,9 +72,10 @@ def test_cs_certificates_are_valid_partitions():
 
 
 def test_cs_bound_only_above_cap():
+    # the budget is the cap now: 100 points refuse the search over 15 forms
     forms = [f for f in __import__("itertools").product(range(2), repeat=4) if any(f)]
-    system = LinearSystem(2, 4, forms)  # m = 15 > 12
-    report = cs_complexity(system)
+    system = LinearSystem(2, 4, forms)
+    report = cs_complexity(system, budget=100)
     assert report.bound_only
     assert report.value == system.m - 2
     _partition_certificate_valid(system, report)
@@ -139,15 +140,98 @@ def test_true_complexity_full_system_witness():
 def test_true_complexity_rejects_unverified_regime():
     forms = [f for f in __import__("itertools").product(range(2), repeat=4) if any(f)]
     with pytest.raises(ValidationError):
-        true_complexity(LinearSystem(2, 4, forms))  # cs is bound-only at m = 15
+        true_complexity(LinearSystem(2, 4, forms))  # cs is 3 > p = 2 at m = 15
     with pytest.raises(ValidationError, match="only bounded"):
-        true_complexity(LinearSystem(2, 4, forms[:13]))  # its bound 11 exceeds p = 2
+        # the budget refuses the search; the bound 11 exceeds p = 2
+        true_complexity(LinearSystem(2, 4, forms[:13]), budget=100)
+
+
+def _conic(p):
+    """The p + 1 points of a conic in F_p^3: any three forms are independent."""
+    return LinearSystem(p, 3, [(1, a, a * a % p) for a in range(p)] + [(0, 0, 1)])
 
 
 def test_true_complexity_past_the_cap_when_the_bound_proves_the_regime():
-    # AP13 has m = 13 > PARTITION_SEARCH_CAP; its cs bound 11 <= p = 17
+    # 1,000 points refuse the 8,544-point search over the 8 forms of the conic
+    # at p = 7 but cover its tensor powers (8 * 3^4 = 648 at most); the cs
+    # bound 6 <= p = 7 then proves the regime.  (AP13 at p = 17 cannot serve:
+    # its 11th tensor powers cost 13 * 2^12 points, more than its search.)
+    report = true_complexity(_conic(7), budget=1000)
+    assert (report.value, report.certificate) == (3, {"cs_bound": 6})
+    assert true_complexity(_conic(7)).certificate == {"cs": 3}
+
+
+def test_cs_exact_past_twelve_forms():
+    forms = [f for f in __import__("itertools").product(range(2), repeat=4) if any(f)]
+    for system, value in ((LinearSystem(2, 4, forms[:13]), 2), (LinearSystem(2, 4, forms), 3)):
+        report = cs_complexity(system)
+        assert (report.value, report.bound_only) == (value, False)
+        _partition_certificate_valid(system, report)
     report = true_complexity(arithmetic_progression_system(17, 13))
-    assert (report.value, report.certificate) == (11, {"cs_bound": 11})
+    assert (report.value, report.certificate) == (11, {"cs": 11})
+
+
+def _brute_cs(system):
+    """max over forms of the fewest classes, over every set partition of the
+    other forms, none of which spans the form, less one."""
+    arr = system.as_array()
+
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for part in partitions(rest):
+            yield [[first]] + part
+            for j in range(len(part)):
+                yield part[:j] + [[first] + part[j]] + part[j + 1:]
+
+    worst = 0
+    for i in range(system.m):
+        others = [j for j in range(system.m) if j != i]
+        least = min(
+            len(part) for part in partitions(others)
+            if not any(in_span(arr[cls], arr[i], system.p) for cls in part)
+        )
+        worst = max(worst, least - 1)
+    return worst
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_cs_matches_brute_force_over_set_partitions(seed):
+    rng = np.random.default_rng(seed)
+    p = int(rng.choice([2, 3, 5]))
+    k = int(rng.integers(2, 5))
+    from fpuniform.field import enumerate_vectors
+
+    # one form per projective class: first nonzero coordinate 1
+    pool = [f for f in enumerate_vectors(p, k) if next((a for a in f if a), 0) == 1]
+    m = int(rng.integers(2, min(7, len(pool)) + 1))
+    picked = rng.choice(len(pool), size=m, replace=False)
+    system = LinearSystem(p, k, sorted(pool[i] for i in picked))
+    report = cs_complexity(system)
+    assert not report.bound_only
+    assert report.value == _brute_cs(system)
+    _partition_certificate_valid(system, report)
+
+
+def test_cs_search_charge():
+    # AP4 at p = 5, k = 2: any two forms span F_5^2, so every class holds one
+    # form.  A check reads k (r + 1) entries against a class of rank r, and
+    # opening a class is a check against the empty one (2 entries).  Per
+    # target, the search's first leaf opens three classes after 1 + 2 refused
+    # checks (2 * 3 + 4 * 3 = 18), and no branch is left that could do with
+    # fewer: 72 over the four targets.
+    ap4 = arithmetic_progression_system(5, 4)
+    assert not cs_complexity(ap4, budget=72).bound_only
+    report = cs_complexity(ap4, budget=71)
+    assert (report.value, report.bound_only) == (2, True)
+    # 13 nonzero forms of F_2^4, whose classes grow to rank 3
+    forms = [f for f in __import__("itertools").product(range(2), repeat=4) if any(f)]
+    system = LinearSystem(2, 4, forms[:13])
+    assert cs_complexity(system, budget=32_688).value == 2
+    assert cs_complexity(system, budget=32_687).bound_only
 
 
 @given(st.integers(0, 10_000))
