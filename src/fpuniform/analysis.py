@@ -88,24 +88,21 @@ def _real_at_two(values: np.ndarray, p: int) -> np.ndarray:
 
 
 @cache
-def _dft_power(p: int, b: int, inverse: bool, inner: int = 1) -> np.ndarray:
-    """The b-fold Kronecker power of the p x p matrix e_p(-+a x) (+-1 at p = 2,
+def _dft_power(p: int, b: int, inner: int = 1) -> np.ndarray:
+    """The b-fold Kronecker power of the p x p matrix e_p(-a x) (+-1 at p = 2,
     real), times the identity on `inner` trailing values: a symmetric matrix."""
-    ax = np.outer(np.arange(p), np.arange(p))
-    dft = 1 - 2 * ax if p == 2 else np.exp((2j if inverse else -2j) * np.pi * ax / p)
+    dft = phases(p, np.outer(np.arange(p), np.arange(p)), -1)
     w = np.ones((1, 1))
     for _ in range(b):
         w = np.kron(w, dft)
     return np.kron(w, np.eye(inner))
 
 
-def _fp_transform(
-    values, p: int, n: int, inverse: bool = False, overwrite: bool = False
-) -> np.ndarray:
+def _fp_transform(values, p: int, n: int, overwrite: bool = False) -> np.ndarray:
     """sum_x v(x) e_p(-alpha . x) along the last axis, which indexes F_p^n in
-    enumeration order; unnormalised, and with e_p(+alpha . x) when inverse.
-    With `overwrite` the caller gives up `values`: the first product is
-    written into it, so no second array of its size is held beside it.
+    enumeration order; unnormalised.  With `overwrite` the caller gives up
+    `values`: the first product is written into it, so no second array of its
+    size is held beside it.
 
     The digits are taken in groups of b, the most with p^b <= 32, and each
     group's transform is one matrix product with a Kronecker power of the
@@ -118,10 +115,7 @@ def _fp_transform(
     values = np.ascontiguousarray(values, dtype=np.float64 if real else np.complex128)
     if p > 97:
         cube = values.reshape(values.shape[:-1] + (p,) * n)
-        axes = tuple(range(-n, 0))
-        if inverse:
-            return np.fft.ifftn(cube, axes=axes, norm="forward").reshape(values.shape)
-        return np.fft.fftn(cube, axes=axes).reshape(values.shape)
+        return np.fft.fftn(cube, axes=tuple(range(-n, 0))).reshape(values.shape)
     b = 1
     while p ** (b + 1) <= 32:
         b += 1
@@ -131,9 +125,9 @@ def _fp_transform(
         g = min(b, n - j)
         if j == 0:  # the lowest group is one product over rows of p^g digit values
             x = x.reshape(-1, p**g * inner)
-            x = np.matmul(x, _dft_power(p, g, inverse, inner), out=x if overwrite else None)
+            x = np.matmul(x, _dft_power(p, g, inner), out=x if overwrite else None)
         else:
-            x = np.matmul(_dft_power(p, g, inverse), x.reshape(-1, p**g, p**j * inner))
+            x = np.matmul(_dft_power(p, g), x.reshape(-1, p**g, p**j * inner))
     x = x.reshape(-1)  # matmul output is contiguous
     return (x.view(np.complex128) if inner == 2 else x).reshape(values.shape)
 
@@ -287,10 +281,10 @@ def gowers_norm(
             value=power ** (1 / 2**k), power=power, k=k, p=p, n=n,
             mode="exact", cost=cost, path="orbit" if k > 2 else "direct",
         )
-    from .linear_forms import cube_system
+    from .linear_forms import cube_signs, cube_system
 
     cube = cube_system(p, k, budget)
-    conjugations = [(k - bin(mask).count("1")) % 2 for mask in range(2**k)]
+    conjugations = [int(sign < 0) for sign in cube_signs(k)]
     rep = linear_form_average(f, cube, conjugations, samples=samples, seed=seed, budget=budget)
     power = max(rep.value.real, 0.0)
     value = power ** (1 / 2**k)

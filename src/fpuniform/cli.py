@@ -98,6 +98,10 @@ def _fields(rep, drop=()) -> dict:
     return out
 
 
+#: The tolerance of a report whose values are integers, computed exactly.
+_INTEGER_EXACT = {"kind": "integer-exact", "value": 0}
+
+
 def _tolerance(mode: str, stderr=None):
     if mode == "exact":
         return {"kind": "float-rounding", "value": FLOAT_TOL}
@@ -176,9 +180,10 @@ def _diag(payload: dict) -> None:
 
 # -- command handlers ---------------------------------------------------------------
 #
-# Each handler imports the modules it uses, so a command loads only those: a
-# `fourier`, `gowers` or `average` run does not import testers, factors or
-# polyrank.
+# Each handler returns its report's inputs and fields; main adds the command,
+# the seed, the mode and the tolerance.  Each handler imports the modules it
+# uses, so a command loads only those: a `fourier`, `gowers` or `average` run
+# does not import testers, factors or polyrank.
 
 
 def _cmd_gowers(args) -> dict:
@@ -189,12 +194,7 @@ def _cmd_gowers(args) -> dict:
     rep = gowers_norm(
         table, args.k, samples=_mc_samples(args), seed=args.seed, budget=args.budget
     )
-    return {
-        "command": "gowers",
-        "inputs": {"table": meta},
-        **_fields(rep),
-        "tolerance": _tolerance(rep.mode, rep.stderr),
-    }
+    return {"inputs": {"table": meta}, **_fields(rep)}
 
 
 def _cmd_average(args) -> dict:
@@ -219,14 +219,9 @@ def _cmd_average(args) -> dict:
         budget=args.budget,
     )
     return {
-        "command": "average",
-        "inputs": {
-            "system": sys_meta,
-            "tables": [meta for _, meta in loaded],
-        },
+        "inputs": {"system": sys_meta, "tables": [meta for _, meta in loaded]},
         **_fields(rep),
         "abs": abs(rep.value),
-        "tolerance": _tolerance(rep.mode, rep.stderr),
     }
 
 
@@ -243,11 +238,9 @@ def _cmd_system(args) -> dict:
 
     system, meta = _load(LinearSystem.from_json_dict, args.file)
     report = {
-        "command": "system",
         "action": args.action,
         "inputs": {"system": meta},
-        "mode": "exact",
-        "tolerance": {"kind": "integer-exact", "value": 0},
+        "tolerance": _INTEGER_EXACT,
     }
     if args.action == "complexity":
         complexity = cs_complexity if args.kind == "cs" else true_complexity
@@ -282,14 +275,11 @@ def _cmd_fourier(args) -> dict:
     table, meta = _load(parse_function_table, args.table)
     hat = fourier_transform(table, budget=args.budget)
     return {
-        "command": "fourier",
         "inputs": {"table": meta},
         "p": table.p,
         "n": table.n,
         "coefficients": [[float(v.real), float(v.imag)] for v in hat],
         "cost": reported_count(len(hat)),
-        "mode": "exact",
-        "tolerance": _tolerance("exact"),
     }
 
 
@@ -307,13 +297,10 @@ def _cmd_decompose(args) -> dict:
         budget=args.budget,
     )
     return {
-        "command": "decompose",
         "inputs": {"table": meta},
         **_fields(rep, drop=("factor", "projection", "residual")),
         "complexity": rep.complexity,
         "polynomials": [q.to_text() for q in rep.factor.defining],
-        "mode": "exact",
-        "tolerance": _tolerance("exact"),
     }
 
 
@@ -324,11 +311,9 @@ def _cmd_rank(args) -> dict:
     loaded = [_load(Polynomial.from_json_dict, p) for p in args.polys]
     rep = polynomial_rank([q for q, _ in loaded], r_max=args.rmax, budget=args.budget)
     return {
-        "command": "rank",
         "inputs": {"polynomials": [meta for _, meta in loaded]},
         **_fields(rep),
-        "mode": "exact",
-        "tolerance": {"kind": "integer-exact", "value": 0},
+        "tolerance": _INTEGER_EXACT,
     }
 
 
@@ -357,14 +342,7 @@ def _cmd_test(args) -> dict:
         rep = uniformity_test(
             table, degree, samples, seed=args.seed, threshold=threshold, budget=args.budget
         )
-        return {
-            "command": "test",
-            "action": "uniformity",
-            "inputs": {"table": table_meta},
-            **_fields(rep),
-            "mode": "mc",
-            "tolerance": _tolerance("mc", rep.stderr),
-        }
+        return {"action": "uniformity", "inputs": {"table": table_meta}, **_fields(rep), "mode": "mc"}
     if args.spec is None:
         raise ValidationError(f"test {args.action} needs --spec")
     spec, spec_meta = _load(TesterSpec.from_json_dict, args.spec)
@@ -375,13 +353,11 @@ def _cmd_test(args) -> dict:
     trials = None if args.exact else args.trials
     rep = run_tester(spec, table, trials=trials, seed=args.seed, budget=args.budget)
     return {
-        "command": "test",
         "action": args.action,
         "inputs": {"spec": spec_meta, "table": table_meta},
         **_fields(rep),
         "thresholds": [spec.theta_minus, spec.theta_plus],
         "symmetrized": spec.symmetrized,
-        "tolerance": _tolerance(rep.mode, rep.stderr),
     }
 
 
@@ -399,12 +375,10 @@ def _cmd_interior(args) -> dict:
         budget=args.budget,
     )
     return {
-        "command": "interior",
         "inputs": {"systems": [meta for _, meta in loaded]},
         **_fields(rep, drop=("witness",)),
         "witness": rep.witness.values.real.tolist(),
         "mode": "mc",
-        "tolerance": _tolerance("mc"),
     }
 
 
@@ -421,12 +395,10 @@ def _cmd_distributional(args) -> dict:
         system, beta, samples=_mc_samples(args), seed=args.seed, budget=args.budget
     )
     return {
-        "command": "distributional",
         "inputs": {"table": table_meta, "system": sys_meta},
         "beta": beta,
         **_fields(rep),
         "abs": abs(rep.value),
-        "tolerance": _tolerance(rep.mode, rep.stderr),
     }
 
 
@@ -568,7 +540,12 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):  # overflow surfaces as a non-finite result
             report = args.handler(args)
-        report["seed"] = getattr(args, "seed", None)
+        # every report's envelope: the mode is exact unless the result or the
+        # handler says mc, and the tolerance follows from it unless the
+        # handler set one
+        mode = report.setdefault("mode", "exact")
+        report.setdefault("tolerance", _tolerance(mode, report.get("stderr")))
+        report.update(command=args.command, seed=args.seed)
         _write_output(report, args)
     except FormatError as exc:
         _diag({"type": "format", "error": str(exc), "pointer": exc.pointer})

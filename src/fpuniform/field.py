@@ -35,8 +35,20 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def as_int(value, what: str) -> int:
+    """An integer field of an input: an int, or a number equal to one (3.0).
+    A string, a fraction or anything else is refused, not truncated."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out != value:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return out
+
+
 def validate_prime(p: int) -> int:
-    p = int(p)
+    p = as_int(p, "p")
     # the cap comes first: trial division of a huge p takes minutes
     if p > MAX_PRIME:
         raise ValidationError(f"p = {p} exceeds the supported cap {MAX_PRIME}")
@@ -47,18 +59,18 @@ def validate_prime(p: int) -> int:
 
 def validate_dims(p: int, n: int) -> tuple[int, int]:
     p = validate_prime(p)
-    n = int(n)
+    n = as_int(n, "the dimension")
     if n < 1:
         raise ValidationError(f"dimension {n} must be at least 1")
     return p, n
 
 
 def int_tuple(values, what: str) -> tuple[int, ...]:
-    """The integers of a list; a string is refused, not read digit by digit."""
-    values = tuple(values)
-    if any(isinstance(v, str) for v in values):
+    """The integers of a list (see as_int); a string is refused, not read
+    digit by digit."""
+    if isinstance(values, str):
         raise ValidationError(f"{what} must be a list of integers")
-    return tuple(int(v) for v in values)
+    return tuple(as_int(v, f"an entry of {what}") for v in values)
 
 
 def space_size(p: int, n: int) -> int:
@@ -236,17 +248,11 @@ class AffineMap:
 
 
 def random_affine(p: int, n: int, seed) -> AffineMap:
-    """Uniform member of Aff(n, F_p) by rejection on the linear part."""
-    p, n = validate_dims(p, n)
+    """Uniform member of Aff(n, F_p): its matrix's rows are one uniform
+    independent n-tuple (random_independent_rows), then a uniform offset."""
     rng = as_rng(seed)
-    for _ in range(RETRY_CAP):
-        m = rng.integers(0, p, size=(n, n))
-        if linalg.rank(m, p) == n:
-            offset = rng.integers(0, p, size=n)
-            return AffineMap(p, n, m, offset)
-    raise RetryLimitError(
-        f"no invertible {n}x{n} matrix over F_{p} in {RETRY_CAP} draws"
-    )
+    rows = random_independent_rows(p, n, n, rng, 1)[:, 0]
+    return AffineMap(p, n, digits(rows, p, n), rng.integers(0, p, size=n))
 
 
 def _batch_independent_mask(mats: np.ndarray, p: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -151,6 +152,13 @@ def cube_system(p: int, k: int, budget: int | None = None) -> LinearSystem:
     )
 
 
+def cube_signs(k: int) -> list[int]:
+    """The sign (-1)^(k - |omega|) of each form (1, omega) of cube_system(p,
+    k), in its order: the Gowers product conjugates the forms of sign -1, and
+    the uniformity test weights the corners by these signs."""
+    return [(-1) ** (k - bin(mask).count("1")) for mask in range(2**k)]
+
+
 def _pair_sums(system: LinearSystem) -> Counter:
     """The weighted count of ordered pairs of forms by their sum: one pass
     over the m^2 pairs gives the degree of every form."""
@@ -256,23 +264,18 @@ def cs_complexity(system: LinearSystem, budget: int | None = None) -> Complexity
     return ComplexityReport(kind="cs", value=value, certificate=certificate)
 
 
-def tensor_power(vector, d: int, p: int) -> np.ndarray:
-    """d-fold tensor power of a vector, flattened; the 0-th power is (1,)."""
-    v = np.asarray(vector, dtype=np.int64) % p
-    out = np.array([1], dtype=np.int64)
-    for _ in range(d):
-        out = np.multiply.outer(out, v).reshape(-1) % p
-    return out
-
-
 def true_complexity(system: LinearSystem, budget: int | None = None) -> ComplexityReport:
     """Least d such that the (d+1)-fold tensor powers of the forms are
     linearly independent.  Valid as an invariant in the regime where the
     partition complexity does not exceed p, so that regime is enforced; when
     the budget refuses the partition search, the m - 2 bound proves it or the
     call raises, and the certificate then records the bound as "cs_bound".
-    The partition search and the tensor powers are each checked against
-    `budget`.
+
+    A tensor power's entries at the positions that hold one multiset of
+    coordinates are equal, so the rank and the dependency witness come from
+    one column per monomial of degree d + 1 in the k coordinates,
+    C(d + k, k - 1) of them.  The partition search and each power's m such
+    columns are checked against `budget`.
     """
     cs = cs_complexity(system, budget)
     if cs.value > system.p:
@@ -282,17 +285,18 @@ def true_complexity(system: LinearSystem, budget: int | None = None) -> Complexi
             "the tensor criterion does not apply"
         )
     certificate = {"cs_bound" if cs.bound_only else "cs": cs.value}
+    p, m, k = system.p, system.m, system.k
+    forms = system.as_array()
     witness = None
-    for d in range(system.m + 1):
-        check_budget(system.m * system.k ** (d + 1), budget, "tensor powers")
-        powers = np.array(
-            [tensor_power(f, d + 1, system.p) for f in system.forms], dtype=np.int64
-        )
-        if mat_rank(powers, system.p) == system.m:
-            return ComplexityReport(
-                kind="true", value=d, certificate=certificate, witness=witness
-            )
-        witness = nullspace(powers.T, system.p)
+    for d in range(m + 1):
+        columns = math.comb(d + k, k - 1)
+        check_budget(m * columns, budget, "tensor powers")
+        powers = np.ones((m, columns), dtype=np.int64)
+        for factor in np.array(list(combinations_with_replacement(range(k), d + 1))).T:
+            powers = powers * forms[:, factor] % p
+        if mat_rank(powers, p) == m:
+            return ComplexityReport(kind="true", value=d, certificate=certificate, witness=witness)
+        witness = nullspace(powers.T, p)
         witness = witness[0] if len(witness) else None
     raise ValidationError("tensor powers never became independent")
 

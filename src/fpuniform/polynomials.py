@@ -15,7 +15,9 @@ import numpy as np
 
 from .config import check_budget
 from .errors import FormatError, ValidationError, parse_at
-from .field import digit_table, digits, int_tuple, space_size, validate_dims, validate_prime
+from .field import (
+    as_int, digit_table, digits, int_tuple, space_size, validate_dims, validate_prime,
+)
 
 Exponents = tuple[int, ...]
 
@@ -210,7 +212,7 @@ class Polynomial:
         for i, t in enumerate(raw):
             try:
                 exps = int_tuple(t["exps"], "exps")
-                coeff = int(t["coeff"])
+                coeff = as_int(t["coeff"], "coeff")
             except (KeyError, TypeError, ValueError, ValidationError) as exc:
                 raise FormatError(
                     f"bad term: {exc}", pointer=f"/terms/{i}"
@@ -250,11 +252,18 @@ def monomial_values(p: int, points: np.ndarray, monos) -> np.ndarray:
     return out
 
 
+def value_block(p: int, points: np.ndarray, monos):
+    """values(lo, hi): the (hi - lo, points) value tables Q_t(x) of the
+    polynomials Q_t = sum_j t_j m_j over `monos`, t = lo..hi-1, whose
+    coefficients t_j are the digits of t (field.digits: the first most
+    significant): one coefficient block times the monomial table, mod p."""
+    table = monomial_values(p, points, monos)
+    return lambda lo, hi: digits(np.arange(lo, hi), p, len(monos)) @ table.T % p
+
+
 def twisted_rows(values: np.ndarray, p: int, points: np.ndarray, monos):
     """rows(lo, hi): the (hi - lo, points) array of e_p(-Q_t(x)) * values(x)
-    for the polynomials Q_t = sum_j t_j m_j over `monos`, t = lo..hi-1, whose
-    coefficients t_j are the digits of t (field.digits: the first most
-    significant).
+    for the polynomials Q_t of value_block, t = lo..hi-1.
 
     At p = 2, e_2(-Q_t(x)) = (-1)^popcount(t & mask_x), where mask_x packs the
     monomials' values at x with the first monomial in the most significant
@@ -282,10 +291,12 @@ def twisted_rows(values: np.ndarray, p: int, points: np.ndarray, monos):
             return flips.view(values.dtype)
 
         return rows
-    table = monomial_values(p, points, monos)
-    twists = np.exp(-2j * np.pi * np.arange(p) / p)[:, None] * values
+    from .tables import phases  # here, so that a rank search does not load tables
+
+    value_tables = value_block(p, points, monos)
+    twists = phases(p, np.arange(p), -1)[:, None] * values
     cols = np.arange(len(values))
-    return lambda lo, hi: twists[(digits(np.arange(lo, hi), p, len(monos)) @ table.T) % p, cols]
+    return lambda lo, hi: twists[value_tables(lo, hi), cols]
 
 
 def family_size(p: int, n: int, d: int) -> int:

@@ -27,12 +27,8 @@ from .config import resolve_budget
 from .errors import ValidationError
 from .field import digit_table, digits
 from .linalg import nullspace, row_reduce, solve
-from .polynomials import (
-    Polynomial,
-    family_size,
-    monomial_values,
-    monomials_up_to,
-)
+from .polynomials import Polynomial, family_size, monomials_up_to, value_block
+from .rng import _CHUNK
 
 
 @dataclass(frozen=True)
@@ -58,11 +54,6 @@ class RankReport:
         if r <= self.refuted_up_to:
             return True
         raise ValidationError(f"rank > {r} undecided (verified up to {self.refuted_up_to})")
-
-
-#: Candidates per block when building conflict masks; a block compares at
-#: most 4096 · c pairs, which the masks' charge already bounds.
-_BLOCK = 4096
 
 
 def _nonzero_alphas(p: int, t: int):
@@ -99,19 +90,21 @@ def _conflict_masks(vals: np.ndarray, p: int, n: int, dmax: int, budget: int):
     """The monomials of Poly_dmax and, per candidate Q in ``itertools.product``
     order of its coefficients, the conflict pairs of `vals` (points where it
     differs, in ``np.triu_indices`` order) that Q fails to separate: one row
-    of ceil(c/64) little-endian uint64 words per candidate, pair k at bit k."""
+    of ceil(c/64) little-endian uint64 words per candidate, pair k at bit k.
+    The candidates' value tables (polynomials.value_block) come in blocks of
+    max(1, _CHUNK // N) rows, as every enumeration's rows do."""
     I, J = np.triu_indices(p**n, 1)
     conflict = vals[I] != vals[J]
     I, J = I[conflict], J[conflict]
     monos = monomials_up_to(p, n, dmax)
     count = p ** len(monos)
-    mon_values = monomial_values(p, digit_table(p, n, budget), monos)
+    value_tables = value_block(p, digit_table(p, n, budget), monos)
     masks = np.zeros((count, -(-len(I) // 64)), dtype="<u8")
     as_bytes = masks.view(np.uint8)
-    for lo in range(0, count, _BLOCK):
-        hi = min(lo + _BLOCK, count)
-        coeffs = digits(np.arange(lo, hi), p, len(monos))
-        tables = (coeffs @ mon_values.T % p).astype(np.uint8)  # p <= 251
+    block = max(1, _CHUNK // p**n)
+    for lo in range(0, count, block):
+        hi = min(lo + block, count)
+        tables = value_tables(lo, hi).astype(np.uint8)  # p <= 251
         packed = np.packbits(tables[:, I] == tables[:, J], axis=1, bitorder="little")
         as_bytes[lo:hi, : packed.shape[1]] = packed
     return monos, masks

@@ -128,11 +128,13 @@ class FunctionTable:
 def phases(p: int, x: np.ndarray, c: int = 1) -> np.ndarray:
     """e_p(c x) = exp(2 pi i c x / p) of integers x, with 2 pi c rounded
     before it multiplies x, as seeded reports have always had it.  At p = 2 it
-    is the real part alone, exactly +-1: np.exp leaves about 1e-16 of
-    imaginary part there, which would keep a table off the float64 kernels of
-    analysis."""
-    vals = np.exp(2j * np.pi * c * x / p)
-    return vals.real if p == 2 else vals
+    is (-1)^(c x), exactly +-1 and real: np.exp would leave about 1e-16 of
+    imaginary part, which would keep a table off the float64 kernels of
+    analysis, and would load the complex exponential's code into every p = 2
+    command."""
+    if p == 2:
+        return 1.0 - 2.0 * (c * x % 2)
+    return np.exp(2j * np.pi * c * x / p)
 
 
 def phase_table(P: Polynomial) -> FunctionTable:

@@ -26,9 +26,11 @@ from .analysis import (
 from .config import check_budget, resolve_budget
 from .errors import FormatError, ValidationError, parse_at
 from .field import (
+    as_int,
     digit_table,
     independent_tuples,
     index_combination,
+    int_tuple,
     is_space_size,
     place_values,
     random_independent_rows,
@@ -37,7 +39,9 @@ from .field import (
     validate_prime,
 )
 from .linalg import span_coordinates
-from .linear_forms import LinearSystem, are_isomorphic, connected_components, cube_system
+from .linear_forms import (
+    LinearSystem, are_isomorphic, connected_components, cube_signs, cube_system,
+)
 from .rng import _CHUNK, as_rng, check_count, mc_mean
 from .tables import FunctionTable, phases
 
@@ -148,7 +152,7 @@ class TesterSpec:
     symmetrized: bool = False
 
     def __post_init__(self):
-        p, q = validate_prime(self.p), self.q
+        p, q = validate_prime(self.p), as_int(self.q, "q")
         if q < 1:
             raise ValidationError("need at least one query")
         decision = np.asarray(self.decision_table, dtype=float).reshape(-1)
@@ -180,6 +184,7 @@ class TesterSpec:
             raise ValidationError("support probabilities must sum to 1")
         decision.setflags(write=False)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "decision_table", decision)
         object.__setattr__(self, "theta_minus", float(self.theta_minus))
         object.__setattr__(self, "theta_plus", float(self.theta_plus))
@@ -257,13 +262,16 @@ class TesterSpec:
         support = []
         for i, entry in enumerate(obj["support"]):
             try:
-                support.append((entry["points"], entry["prob"]))
-            except (KeyError, TypeError) as exc:
+                points = [int_tuple(point, "a support point") for point in entry["points"]]
+                support.append((points, entry["prob"]))
+            except (KeyError, TypeError, ValidationError) as exc:
                 raise FormatError(f"bad support entry: {exc}", pointer=f"/support/{i}") from exc
         lo, hi = obj["thresholds"]
+        p = parse_at("/p", validate_prime, obj["p"])
+        q = parse_at("/q", as_int, obj["q"], "q")
         try:
             return cls(
-                parse_at("/p", validate_prime, obj["p"]), int(obj["q"]), obj["decision_table"],
+                p, q, obj["decision_table"],
                 theta_minus=lo, theta_plus=hi,
                 epsilon=obj.get("epsilon"), delta=obj.get("delta"),
                 base_support=support,
@@ -292,23 +300,13 @@ def uniformity_tester_spec(p: int, n: int, d: int, **kwargs) -> TesterSpec:
     k = d + 1
     if n < k:
         raise ValidationError(f"need n >= {k} coordinates for the base pattern")
-    q = 2**k
-    points = []
-    for mask in range(q):
-        pt = np.zeros(n, dtype=np.int64)
-        for i in range(k):
-            if mask >> i & 1:
-                pt[i] = (pt[i] + 1) % p
-        points.append(pt)
+    # the corners x + omega.y of the cube at x = 0, y_i = e_i
+    corners = cube_system(p, k).as_array() @ np.eye(k + 1, n, -1, dtype=np.int64)
     # decision: the alternating sum of the corner values vanishes
-    decision = np.zeros(p**q, dtype=float)
-    signs = np.array([(-1) ** (k - bin(mask).count("1")) for mask in range(q)])
-    values = digit_table(p, q)
-    alt = (values @ signs) % p
-    decision[alt == 0] = 1.0
+    decision = digit_table(p, 2**k) @ cube_signs(k) % p == 0
     kwargs.setdefault("theta_minus", 1.0 / p)
     kwargs.setdefault("theta_plus", 1.0)
-    return TesterSpec(p, q, decision, base_support=[(np.stack(points), 1.0)], **kwargs)
+    return TesterSpec(p, 2**k, decision, base_support=[(corners, 1.0)], **kwargs)
 
 
 # -- running testers ---------------------------------------------------------------
@@ -470,8 +468,7 @@ def uniformity_test(
         raise ValidationError(f"threshold must be finite, got {threshold}")
     k = d + 1
     cube = cube_system(f.p, k, budget)
-    beta = [(-1) ** (k - bin(mask).count("1")) for mask in range(2**k)]
-    rep = exponential_average(f, cube, beta, samples=samples, seed=seed, budget=budget)
+    rep = exponential_average(f, cube, cube_signs(k), samples=samples, seed=seed, budget=budget)
     estimate = float(rep.value.real)
     return UniformityReport(
         estimate=estimate,
@@ -522,6 +519,11 @@ def find_testing_degree(
 # -- the interior experiment ---------------------------------------------------------
 
 
+#: The least eigenvalue of a Gram matrix that the interior experiment counts
+#: as nonsingular.
+_NONSINGULAR = 1e-6
+
+
 @dataclass
 class InteriorReport:
     gram: np.ndarray
@@ -538,7 +540,6 @@ def interior_experiment(
     n: int,
     trials: int = 50,
     seed=None,
-    threshold: float = 1e-6,
     budget: int | None = None,
 ) -> InteriorReport:
     """Search for f with linearly independent boundary functions.
@@ -548,7 +549,7 @@ def interior_experiment(
     representatives must be pairwise non-isomorphic (each comparison is
     charged against the budget, see are_isomorphic); random f: F_p^n -> (0,1)
     are drawn until the Gram matrix of the boundary functions has least
-    eigenvalue above the threshold.
+    eigenvalue above _NONSINGULAR.
     """
     systems = list(systems)
     if not systems:
@@ -597,14 +598,14 @@ def interior_experiment(
         gram = np.array([[np.mean(a * b) for b in rows] for a in rows])
         low = float(np.linalg.eigvalsh(gram).min())
         if best is None or low > best[0]:
-            best = (low, gram, f)  # a trial past the threshold is the best so far
-        if low > threshold:
+            best = (low, gram, f)  # a trial past _NONSINGULAR is the best so far
+        if low > _NONSINGULAR:
             break
     low, gram, f = best
     return InteriorReport(
         gram=gram,
         min_singular_value=low,
-        independent=low > threshold,
+        independent=low > _NONSINGULAR,
         witness=f,
         trials_run=t,
         seed=seed,

@@ -373,15 +373,14 @@ def test_fp_transform_matches_naive_dft(p, n):
     rng = np.random.default_rng(p + 7 * n)
     real = rng.normal(size=(3, N))
     for rows in (real, real + 1j * rng.normal(size=(3, N))):
-        for inverse in (False, True):
-            want = naive_dft(rows, p, n, inverse)
-            scale = np.abs(want).max()
-            got = _fp_transform(rows, p, n, inverse)
-            # real input stays real only at p = 2, where every character is +-1
-            assert got.dtype == (np.float64 if p == 2 and rows is real else np.complex128)
-            assert np.abs(got - want).max() <= 1e-12 * scale
-            assert np.array_equal(_fp_transform(rows.copy(), p, n, inverse, overwrite=True), got)
-            assert np.abs(_fp_transform(rows[1], p, n, inverse) - want[1]).max() <= 1e-12 * scale
+        want = naive_dft(rows, p, n, inverse=False)
+        scale = np.abs(want).max()
+        got = _fp_transform(rows, p, n)
+        # real input stays real only at p = 2, where every character is +-1
+        assert got.dtype == (np.float64 if p == 2 and rows is real else np.complex128)
+        assert np.abs(got - want).max() <= 1e-12 * scale
+        assert np.array_equal(_fp_transform(rows.copy(), p, n, overwrite=True), got)
+        assert np.abs(_fp_transform(rows[1], p, n) - want[1]).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (2, 4), (3, 0), (3, 3), (5, 2)])
@@ -392,8 +391,6 @@ def test_fp_transform_matches_fftn(p, n):
     axes = tuple(range(1, n + 1))
     want = np.fft.fftn(cube, axes=axes).reshape(5, -1)
     assert np.allclose(_fp_transform(rows, p, n), want, atol=1e-12)
-    back = np.fft.ifftn(cube, axes=axes).reshape(5, -1) * p**n
-    assert np.allclose(_fp_transform(rows, p, n, inverse=True), back, atol=1e-12)
     assert np.allclose(_fp_transform(rows[0], p, n), want[0], atol=1e-12)
 
 

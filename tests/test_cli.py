@@ -334,9 +334,21 @@ _TESTER_KEYS = ["acceptance", "action", "command", "inputs", "mode", "seed", "st
 def test_report_keys_are_pinned(files, capsys, argv, keys):
     # a report is its result type's fields plus what the handler adds, so a
     # field added to a result type shows up in the report; these lists pin
-    # each report's schema
+    # each report's schema.  The mode is mc where the command samples, and
+    # the tolerance follows from it and the stderr, but for the integer
+    # results of system and rank
     rc, out, _ = run([a.format(**files) for a in argv], capsys)
-    assert rc == 0 and sorted(json.loads(out)) == keys
+    rep = json.loads(out)
+    assert rc == 0 and sorted(rep) == keys
+    sampled = {"--mc", "--trials", "uniformity", "interior"} & set(argv)
+    assert rep["mode"] == ("mc" if sampled else "exact")
+    if argv[0] in ("system", "rank"):
+        tolerance = {"kind": "integer-exact", "value": 0}
+    elif rep["mode"] == "exact":
+        tolerance = {"kind": "float-rounding", "value": 1e-12}
+    else:
+        tolerance = {"kind": "mc-stderr", "value": rep.get("stderr")}
+    assert rep["tolerance"] == tolerance
 
 
 def test_decompose_command(files, capsys):
@@ -1183,6 +1195,32 @@ def test_wrong_field_type_exit_65(tmp_path, capsys, kind, path, value):
     rc, out, err = run_with_field(tmp_path, capsys, kind, path, value)
     assert rc == 65 and out == ""
     assert json.loads(err)["type"] == "format"
+
+
+@pytest.mark.parametrize(
+    "kind, path, value, pointer",
+    [
+        ("table", ("p",), 2.9, "/p"),
+        ("table", ("n",), 1.5, "/n"),
+        ("system", ("p",), 3.7, "/p"),
+        ("system", ("k",), 2.2, "/k"),
+        ("system", ("forms", 0, 0), 1.5, "/forms"),
+        ("flagged", ("flag", 1), 0.5, "/forms"),
+        ("flagged", ("multiplicities", 0), 1.5, "/forms"),
+        ("poly", ("n",), 2.5, "/n"),
+        ("poly", ("terms", 0, "exps", 0), 1.9, "/terms/0"),
+        ("poly", ("terms", 0, "coeff"), 1.5, "/terms/0"),
+        ("spec", ("q",), 4.5, "/q"),
+        ("spec", ("support", 0, "points", 1, 0), 0.5, "/support/0"),
+    ],
+)
+def test_fractional_integer_field_exit_65(tmp_path, capsys, kind, path, value, pointer):
+    # an integer field with a fraction is refused at its pointer, not truncated
+    rc, out, err = run_with_field(tmp_path, capsys, kind, path, value)
+    assert (rc, out) == (65, "")
+    diag = json.loads(err)
+    assert diag["type"] == "format" and diag["pointer"] == pointer
+    assert str(value) in diag["error"]
 
 
 HUGE = 2305843009213693951  # far above the prime cap; never trial-divided

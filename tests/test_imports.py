@@ -1,8 +1,9 @@
 """Every module-level import in the package binds a name that the module uses,
 no import anywhere in the package loads OpenSSL through hashlib, every public
 name the package defines is reached by something other than its unit tests,
-immutability comes from frozen dataclasses, not hand-written guards, and no
-search stops at a cap in config.py instead of the budget."""
+immutability comes from frozen dataclasses, not hand-written guards, no
+search stops at a cap in config.py instead of the budget, e_p has one
+definition, and every enumeration takes its block size from rng._CHUNK."""
 
 import ast
 import io
@@ -278,17 +279,24 @@ def test_immutability_comes_from_frozen_dataclasses(path):
     assert hand_written_immutability(path.read_text()) == []
 
 
-def search_caps(source: str) -> list[str]:
-    """The module-level names of `source` that end in _CAP, except RETRY_CAP,
-    the stop for a rejection sampler whose draws never succeed: every search
-    is charged against the budget instead."""
+def module_names(source: str) -> list[str]:
+    """The names that the module-level assignments of `source` bind."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.Assign):
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
-    return [name for name in names if name.endswith("_CAP") and name != "RETRY_CAP"]
+    return names
+
+
+def search_caps(source: str) -> list[str]:
+    """The module-level names of `source` that end in _CAP, except RETRY_CAP,
+    the stop for a rejection sampler whose draws never succeed: every search
+    is charged against the budget instead."""
+    return [
+        name for name in module_names(source) if name.endswith("_CAP") and name != "RETRY_CAP"
+    ]
 
 
 def test_search_caps_finds_what_it_should():
@@ -304,3 +312,70 @@ def test_search_caps_finds_what_it_should():
 
 def test_config_has_no_search_cap():
     assert search_caps((SRC / "config.py").read_text()) == []
+
+
+def pi_exponentials(source: str, exempt: str | None = None) -> list[int]:
+    """The lines of `source` with a call of np.exp whose argument holds a pi,
+    outside the function named `exempt`: e_p has one definition, tables.phases."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == exempt
+        for node in ast.walk(fn)
+    }
+    return sorted(
+        call.lineno
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and id(call) not in inside
+        and ast.unparse(call.func) in ("np.exp", "numpy.exp")
+        and any(
+            ast.unparse(node) in ("np.pi", "numpy.pi", "math.pi")
+            for arg in call.args for node in ast.walk(arg)
+        )
+    )
+
+
+def test_pi_exponentials_finds_what_it_should():
+    source = (
+        "import numpy as np\n"
+        "def phases(p, x):\n    return np.exp(2j * np.pi * x / p)\n"  # 3
+        "def dft(p):\n    return np.exp(-2j * np.pi * np.arange(p) / p)\n"  # 5
+        "twist = np.exp(1j * (2 * math.pi / 3))\n"  # 6
+        "angles = 2 * np.pi\n"
+        "unit = np.exp(1j * angles)\n"  # pi is not in the call
+        "e = np.exp(np.log(2))\n"
+    )
+    assert pi_exponentials(source) == [3, 5, 6]
+    assert pi_exponentials(source, exempt="phases") == [5, 6]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_e_p_is_only_tables_phases(path):
+    exempt = "phases" if path.name == "tables.py" else None
+    assert pi_exponentials(path.read_text(), exempt) == []
+
+
+def block_constants(source: str) -> list[str]:
+    """The upper-case module-level names of `source` with BLOCK or CHUNK in
+    them: block sizes, which every enumeration takes from rng._CHUNK."""
+    return [
+        name for name in module_names(source)
+        if name == name.upper() and ("BLOCK" in name or "CHUNK" in name)
+    ]
+
+
+def test_block_constants_finds_what_it_should():
+    source = (
+        "from .rng import _CHUNK\n"
+        "_BLOCK = 4096\n"
+        "ROW_CHUNK: int = 8\n"
+        "blocks = []\n"
+        "def f():\n    _LOCAL_BLOCK = 1\n"
+    )
+    assert block_constants(source) == ["_BLOCK", "ROW_CHUNK"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_blocks_come_from_rng_chunk(path):
+    names = block_constants(path.read_text())
+    assert names == (["_CHUNK"] if path.name == "rng.py" else [])

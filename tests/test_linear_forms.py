@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpuniform.errors import BudgetExceededError, FormatError, ValidationError
-from fpuniform.linalg import in_span, rank as mat_rank
+from fpuniform.linalg import in_span, nullspace, rank as mat_rank
 from fpuniform.linear_forms import (
     FlaggedSystem,
     LinearSystem,
@@ -17,7 +17,6 @@ from fpuniform.linear_forms import (
     connected_components,
     cs_complexity,
     flagged_product,
-    tensor_power,
     true_complexity,
 )
 
@@ -106,11 +105,51 @@ def test_cs_below_trivial_bound(seed):
     _partition_certificate_valid(system, report)
 
 
-def test_tensor_power_shapes():
-    v = (1, 2)
-    assert tensor_power(v, 0, 3).tolist() == [1]
-    assert tensor_power(v, 1, 3).tolist() == [1, 2]
-    assert tensor_power(v, 2, 3).tolist() == [1, 2, 2, 4 % 3]
+def tensor_power(vector, d, p):
+    """The d-fold tensor power of a vector mod p, flattened."""
+    out = np.array([1])
+    for _ in range(d):
+        out = np.multiply.outer(out, np.asarray(vector)).reshape(-1) % p
+    return out
+
+
+def tensor_complexity(system):
+    """(least d with independent (d+1)-fold tensor powers, the first nullspace
+    vector of the powers at the d before it or None), from the full powers."""
+    witness = None
+    for d in range(system.m + 1):
+        powers = np.array([tensor_power(f, d + 1, system.p) for f in system.forms])
+        if mat_rank(powers, system.p) == system.m:
+            return d, witness
+        kernel = nullspace(powers.T, system.p)
+        witness = kernel[0].tolist() if len(kernel) else None
+    raise AssertionError("tensor powers never became independent")
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_true_complexity_matches_the_full_tensor_powers(p, k, data):
+    # one column per monomial decides the rank and the witness of the k^(d+1)
+    # columns of the tensor powers, which repeat each monomial's column
+    pool = [f for f in itertools.product(range(p), repeat=k) if any(f)]
+    picked = data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=6))
+    system = LinearSystem(p, k, sorted(picked))
+    try:
+        report = true_complexity(system)
+    except ValidationError:
+        return  # a proportional pair, or cs above p
+    got = None if report.witness is None else report.witness.tolist()
+    assert (report.value, got) == tensor_complexity(system)
+
+
+def test_true_complexity_charges_one_column_per_monomial():
+    # the 8 forms of the conic at p = 7 on F_7^3: 100 points refuse the
+    # partition search (the bound 6 proves the regime), and the powers of
+    # degree d + 1 charge 8 * C(d + 3, 2): 24, 48, 80, then 120 at d = 3
+    with pytest.raises(BudgetExceededError) as exc:
+        true_complexity(_conic(7), budget=100)
+    assert exc.value.cost == 8 * math.comb(3 + 3, 2)
+    assert true_complexity(_conic(7), budget=120).value == 3
 
 
 def test_true_complexity_goldens():
@@ -153,9 +192,8 @@ def _conic(p):
 
 def test_true_complexity_past_the_cap_when_the_bound_proves_the_regime():
     # 1,000 points refuse the 8,544-point search over the 8 forms of the conic
-    # at p = 7 but cover its tensor powers (8 * 3^4 = 648 at most); the cs
-    # bound 6 <= p = 7 then proves the regime.  (AP13 at p = 17 cannot serve:
-    # its 11th tensor powers cost 13 * 2^12 points, more than its search.)
+    # at p = 7 but cover its tensor powers (8 * C(6, 2) = 120 at most); the cs
+    # bound 6 <= p = 7 then proves the regime
     report = true_complexity(_conic(7), budget=1000)
     assert (report.value, report.certificate) == (3, {"cs_bound": 6})
     assert true_complexity(_conic(7)).certificate == {"cs": 3}

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpuniform import polyrank
 from fpuniform.errors import ValidationError
 from fpuniform.linalg import rank as mat_rank, row_reduce
 from fpuniform.field import enumerate_vectors, index_add
@@ -105,6 +106,21 @@ def test_conflict_masks_match_pairwise_loop(p, n, dmax):
         qv = [Q.evaluate(x) for x in points]
         expected.append(sum(1 << k for k, (i, j) in enumerate(pairs) if qv[i] == qv[j]))
     assert masks == expected
+
+
+@pytest.mark.parametrize("p, n, dmax", [(2, 3, 2), (3, 2, 2), (5, 2, 1)])
+def test_conflict_masks_do_not_depend_on_the_block(monkeypatch, p, n, dmax):
+    # blocks of one candidate, of 7 (the last one partial) and of all of them
+    monos_P = monomials_up_to(p, n, dmax + 1)
+    coeffs = np.random.default_rng(p + n).integers(0, p, size=len(monos_P))
+    vals = Polynomial.from_coefficients(p, n, monos_P, coeffs).value_table()
+    count = p ** len(monomials_up_to(p, n, dmax))
+    results = []
+    for rows in (1, 7, count):
+        monkeypatch.setattr(polyrank, "_CHUNK", rows * p**n)
+        results.append(_conflict_masks(vals, p, n, dmax, None))
+    for monos, masks in results[1:]:
+        assert monos == results[0][0] and np.array_equal(masks, results[0][1])
 
 
 # x1x2 on F_2^2 and x1x2 + x3x4 on F_2^4 are nondegenerate: full rank

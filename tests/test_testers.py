@@ -11,13 +11,14 @@ from fpuniform.analysis import gowers_norm
 from fpuniform.errors import BudgetExceededError, FormatError, ValidationError
 from fpuniform.field import digit_table, place_values, random_affine, space_size
 from fpuniform.linalg import rank
-from fpuniform.linear_forms import LinearSystem, arithmetic_progression_system
+from fpuniform.linear_forms import LinearSystem, arithmetic_progression_system, cube_system
 from fpuniform.polynomials import Polynomial
 from fpuniform.rng import as_rng
 from fpuniform.tables import FunctionTable, random_real_table
 from fpuniform.testers import (
     DistributionalFunction,
     TesterSpec,
+    basis_forms,
     extract_linear_form_profile,
     find_testing_degree,
     interior_experiment,
@@ -203,6 +204,14 @@ def test_uniformity_spec_shape():
         uniformity_tester_spec(2, 2, 0)
     with pytest.raises(ValidationError):
         uniformity_tester_spec(2, 1, 2)  # needs n >= 3
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2])
+def test_uniformity_spec_is_the_cube(p, d):
+    # the base tuple's basis forms are the cube system's forms, in its order
+    [(pts, _)] = uniformity_tester_spec(p, d + 2, d).base_support
+    assert basis_forms(pts, p).tolist() == [list(f) for f in cube_system(p, d + 1).forms]
 
 
 def test_tester_spec_json_round_trip():
@@ -603,11 +612,14 @@ def test_interior_validation_and_threshold():
     with pytest.raises(BudgetExceededError) as exc:
         interior_experiment([LinearSystem(2, 1, [(1,)])], 2, 40)
     assert exc.value.cost == 2**40
-    rep = interior_experiment(
-        [LinearSystem(2, 1, [(1,)])], 2, 2, trials=3, seed=1, threshold=2.0
-    )
+    # three boundary functions on F_2^1 span at most its 2 dimensions, so no
+    # trial passes the threshold and every trial runs
+    single = LinearSystem(2, 1, [(1,)])
+    triangle = LinearSystem(2, 2, [(1, 0), (0, 1), (1, 1)])
+    square = LinearSystem(2, 3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
+    rep = interior_experiment([single, triangle, square], 2, 1, trials=3, seed=1)
     assert not rep.independent and rep.trials_run == 3
-    assert rep.min_singular_value == pytest.approx(1.0)
+    assert rep.min_singular_value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_interior_refuses_huge_n_without_building_p_to_the_n():
