@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import FLOAT_TOL, check_budget, resolve_budget
+from .config import FLOAT_TOL, budget, charge, limit
 from .errors import ValidationError
 from .field import digit_table, digits, index_add, index_combination, space_size
 from .linalg import nullspace, rank, span_coordinates
@@ -132,10 +132,10 @@ def _fp_transform(values, p: int, n: int, overwrite: bool = False) -> np.ndarray
     return (x.view(np.complex128) if inner == 2 else x).reshape(values.shape)
 
 
-def fourier_transform(f: FunctionTable, budget: int | None = None) -> np.ndarray:
+def fourier_transform(f: FunctionTable) -> np.ndarray:
     """f_hat(alpha) = E_x f(x) e_p(-alpha . x), in enumeration order of alpha;
-    the N transformed points are charged against the budget."""
-    check_budget(len(f.values), budget, "Fourier transform")
+    the N transformed points are charged."""
+    charge(len(f.values), "Fourier transform")
     return _fp_transform(f.values, f.p, f.n) / len(f.values)
 
 
@@ -254,13 +254,7 @@ def _u_power(vals: np.ndarray, p: int, n: int, k: int) -> float:
     return total / N**4
 
 
-def gowers_norm(
-    f: FunctionTable,
-    k: int,
-    samples: int | None = None,
-    seed=None,
-    budget: int | None = None,
-) -> GowersReport:
+def gowers_norm(f: FunctionTable, k: int, samples: int | None = None, seed=None) -> GowersReport:
     """The U^k norm of f: exact when `samples` is None, otherwise estimated
     from that many random parallelepipeds."""
     if k < 1:
@@ -269,9 +263,9 @@ def gowers_norm(
     if samples is None:
         # per orbit tuple, N derivative values or k - 2 entries, whichever is more
         N = space_size(p, n)
-        cap = max(resolve_budget(budget), 2**64)
+        cap = max(limit(), 2**64)
         cost = N if k <= 2 else _orbit_count(p, n, k, cap) * max(N, k - 2)
-        check_budget(cost, budget, f"exact U^{k} norm")
+        charge(cost, f"exact U^{k} norm")
         power = _u_power(f.values, p, n, k)
         if not math.isfinite(power):
             raise ValidationError(f"U^{k} power is not finite; the table values overflow")
@@ -283,9 +277,9 @@ def gowers_norm(
         )
     from .linear_forms import cube_signs, cube_system
 
-    cube = cube_system(p, k, budget)
+    cube = cube_system(p, k)
     conjugations = [int(sign < 0) for sign in cube_signs(k)]
-    rep = linear_form_average(f, cube, conjugations, samples=samples, seed=seed, budget=budget)
+    rep = linear_form_average(f, cube, conjugations, samples=samples, seed=seed)
     power = max(rep.value.real, 0.0)
     value = power ** (1 / 2**k)
     stderr = rep.stderr * value ** (1 - 2**k) / 2**k if power > 0 else None
@@ -365,10 +359,7 @@ def _best_in_part(values, p: int, pts, upper, free: bool, skip_zero: bool):
 
 
 def correlation_with_family(
-    f: FunctionTable,
-    degree: int,
-    homogeneous: bool = False,
-    budget: int | None = None,
+    f: FunctionTable, degree: int, homogeneous: bool = False
 ) -> CorrelationReport:
     """sup over a Poly_d family of |<f, e_p(g)>|, attained first by `best` in
     the family's listing order.
@@ -383,13 +374,13 @@ def correlation_with_family(
     (no enumerated monomials, linear part free) followed by one part per
     j = 2..d (the monomials of degree exactly j, linear part zero), each
     without its zero polynomial.  Ties (scores within FLOAT_TOL of the
-    maximum, relative to it) keep the earlier part.  The cost is checked once
+    maximum, relative to it) keep the earlier part.  The cost is charged once
     for the family, by priced_family.
     """
     from .polynomials import priced_family
 
     p, n = f.p, f.n
-    parts = priced_family(p, n, degree, homogeneous, budget)[0]
+    parts = priced_family(p, n, degree, homogeneous, charge)[0]
     pts, values = digit_table(p, n), _real_at_two(f.values, p)
     candidates = [
         pair for upper, free in parts
@@ -492,13 +483,14 @@ def _average_on_side(tables: list, rows: np.ndarray, p: int, n: int, dual: bool,
     return _product_sum(tables, C, p, n, keys) / N ** (C.shape[1] - bool(keys))
 
 
-def _exact_average(tables: list, rows: np.ndarray, p: int, n: int, budget, what: str, keys=()):
+@budget()
+def _exact_average(tables: list, rows: np.ndarray, p: int, n: int, what: str, keys=()):
     """The product of the averages of the connected components of the rows,
     each on its cheaper side, as (value, cost, path).  A component of m rows
     and rank r runs on the dual side when 1 < m < 2r, at cost N^(m-r) + t N
     (its kernel and one transform for each of its t distinct tables), and
-    otherwise on the primal side at cost N^r, a lone row being its mean; the
-    running cost is checked against the budget before each component runs.
+    otherwise on the primal side at cost N^r, a lone row being its mean; each
+    component is charged before it runs.
     With keys, the value is one array per key i: its component's keyed
     average g_i times the other components' averages, a keyed component's
     being E_x t_i(x) g_i(x) for its first key i (t_i = 1 if None).  A keyed
@@ -515,8 +507,9 @@ def _exact_average(tables: list, rows: np.ndarray, p: int, n: int, budget, what:
         dual = 1 < m < 2 * r
         distinct = {id(tables[i]) for i in group if tables[i] is not None}
         transforms = len(distinct) + len(mine) if dual else 0
-        cost += max(len(mine), 1) * N ** (m - r if dual else r) + transforms * N
-        check_budget(cost, budget, what)
+        part = max(len(mine), 1) * N ** (m - r if dual else r) + transforms * N
+        charge(part, what)
+        cost += part
         sub = [None if tables[i] is None else real[id(tables[i])] for i in group]
         got = _average_on_side(sub, rows[group], p, n, dual, [group.index(i) for i in mine])
         if mine:
@@ -556,7 +549,6 @@ def linear_form_average(
     conjugations=None,
     samples: int | None = None,
     seed=None,
-    budget: int | None = None,
 ) -> AverageReport:
     """t_L(f) = E prod_i f_i(L_i(X)), with optional per-form conjugation.
 
@@ -566,7 +558,7 @@ def linear_form_average(
     transform per distinct table), as the module docstring describes.
     Otherwise it is the mean over `samples` uniform draws of X and its stderr
     (rng.mc_mean): each variable is one uniform point index, and samples * m
-    points are charged against the budget before the first draw.  The
+    points are charged before the first draw.  The
     variables are drawn sample-major, so a seeded estimate draws the same
     points whatever the block size.  Each form's values multiply in as its index row arrives, so
     a draw keeps the k variable rows, one form row, its values and the
@@ -588,7 +580,7 @@ def linear_form_average(
     shared = cache(lambda t, c, e: _powered(t.values, c, e))
     powered = [shared(t, c, e) for t, c, e in zip(tables, conjugations, mult)]
     if samples is None:
-        value, cost, path = _exact_average(powered, arr, p, n, budget, "linear form average")
+        value, cost, path = _exact_average(powered, arr, p, n, "linear form average")
         return AverageReport(value=value, mode="exact", cost=cost, path=path)
 
     def draw(rng, size):
@@ -601,7 +593,7 @@ def linear_form_average(
         return prod
 
     width = system.k + 3 if p == 2 else system.m
-    mean, se = mc_mean(draw, samples, seed, "samples", system.m, budget, width)
+    mean, se = mc_mean(draw, samples, seed, "samples", system.m, width)
     return AverageReport(
         value=complex(mean), mode="mc", samples=samples, stderr=se, seed=seed,
         cost=samples * system.m, path="sampled",
@@ -633,7 +625,6 @@ def exponential_average(
     beta,
     samples: int | None = None,
     seed=None,
-    budget: int | None = None,
 ) -> AverageReport:
     """t*(f) = E e_p(sum_i beta_i f(L_i(X))) for an F_p-valued f, a Polynomial
     or an integer-valued FunctionTable.
@@ -651,19 +642,13 @@ def exponential_average(
     vals = _integer_values(f, p, n)
     # e_p(b * f) table per distinct exponent, then an ordinary product average
     tables = {b: FunctionTable(p, n, phases(p, (b * vals) % p)) for b in set(beta)}
-    return linear_form_average(
-        [tables[b] for b in beta], system, samples=samples, seed=seed, budget=budget
-    )
+    return linear_form_average([tables[b] for b in beta], system, samples=samples, seed=seed)
 
 
 # -- flagged averages and boundary functions -----------------------------------------
 
 
-def flagged_average(
-    f: FunctionTable,
-    system: FlaggedSystem,
-    budget: int | None = None,
-) -> FunctionTable:
+def flagged_average(f: FunctionTable, system: FlaggedSystem) -> FunctionTable:
     """The conditional average x -> E[prod_i f(L_i(X))^mult_i | flag(X) = x]:
     the keyed average of the rows [flag] + forms, factored over their
     connected components as the module docstring describes.  A flag outside
@@ -678,15 +663,11 @@ def flagged_average(
     rows = np.vstack([system.flag, system.as_array()])
     powered = {e: _powered(f.values, False, e) for e in set(system.multiplicities)}
     tables = [None] + [powered[e] for e in system.multiplicities]
-    value = _exact_average(tables, rows, f.p, f.n, budget, "flagged average", [0])[0]
+    value = _exact_average(tables, rows, f.p, f.n, "flagged average", [0])[0]
     return FunctionTable(f.p, f.n, value[0])
 
 
-def boundary_function(
-    f: FunctionTable,
-    system: LinearSystem,
-    budget: int | None = None,
-) -> FunctionTable:
+def boundary_function(f: FunctionTable, system: LinearSystem) -> FunctionTable:
     """Sum over forms of the conditional average of the others given that
     form: the gradient of t_L at f, in the sense that
     d/dt t_L(f + t g)|_0 = E[g * boundary] for real f, g.  It is one keyed
@@ -695,6 +676,6 @@ def boundary_function(
         raise ValidationError("table prime differs from system prime")
     keys = range(system.m)
     arrays = _exact_average(
-        [f.values] * system.m, system.as_array(), f.p, f.n, budget, "boundary function", keys
+        [f.values] * system.m, system.as_array(), f.p, f.n, "boundary function", keys
     )[0]
     return FunctionTable(f.p, f.n, sum(arrays))

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .config import FLOAT_TOL
+from .config import FLOAT_TOL, budget
 from .errors import (
     BudgetExceededError,
     FormatError,
@@ -191,9 +191,7 @@ def _cmd_gowers(args) -> dict:
     from .tables import parse_function_table
 
     table, meta = _load(parse_function_table, args.table)
-    rep = gowers_norm(
-        table, args.k, samples=_mc_samples(args), seed=args.seed, budget=args.budget
-    )
+    rep = gowers_norm(table, args.k, samples=_mc_samples(args), seed=args.seed)
     return {"inputs": {"table": meta}, **_fields(rep)}
 
 
@@ -216,7 +214,6 @@ def _cmd_average(args) -> dict:
         conjugations=conjugations,
         samples=_mc_samples(args),
         seed=args.seed,
-        budget=args.budget,
     )
     return {
         "inputs": {"system": sys_meta, "tables": [meta for _, meta in loaded]},
@@ -244,7 +241,7 @@ def _cmd_system(args) -> dict:
     }
     if args.action == "complexity":
         complexity = cs_complexity if args.kind == "cs" else true_complexity
-        rep = complexity(system, budget=args.budget)
+        rep = complexity(system)
         report.update(_fields(rep, drop=("witness",)))
     elif args.action == "components":
         parts = connected_components(system)
@@ -254,7 +251,7 @@ def _cmd_system(args) -> dict:
             raise ValidationError("isomorphism needs --other")
         other, other_meta = _load(LinearSystem.from_json_dict, args.other)
         report["inputs"]["other"] = other_meta
-        report.update(_fields(are_isomorphic(system, other, budget=args.budget)))
+        report.update(_fields(are_isomorphic(system, other)))
     else:  # product
         if args.other is None:
             raise ValidationError("product needs --other")
@@ -273,7 +270,7 @@ def _cmd_fourier(args) -> dict:
     from .tables import parse_function_table
 
     table, meta = _load(parse_function_table, args.table)
-    hat = fourier_transform(table, budget=args.budget)
+    hat = fourier_transform(table)
     return {
         "inputs": {"table": meta},
         "p": table.p,
@@ -294,7 +291,6 @@ def _cmd_decompose(args) -> dict:
         args.delta,
         rank_floor=args.rank_floor,
         homogeneous_only=args.homogeneous,
-        budget=args.budget,
     )
     return {
         "inputs": {"table": meta},
@@ -309,7 +305,7 @@ def _cmd_rank(args) -> dict:
     from .polyrank import polynomial_rank
 
     loaded = [_load(Polynomial.from_json_dict, p) for p in args.polys]
-    rep = polynomial_rank([q for q, _ in loaded], r_max=args.rmax, budget=args.budget)
+    rep = polynomial_rank([q for q, _ in loaded], r_max=args.rmax)
     return {
         "inputs": {"polynomials": [meta for _, meta in loaded]},
         **_fields(rep),
@@ -339,9 +335,7 @@ def _cmd_test(args) -> dict:
             default if getattr(args, name) is None else getattr(args, name)
             for name, default in _UNIFORMITY_FLAGS.items()
         )
-        rep = uniformity_test(
-            table, degree, samples, seed=args.seed, threshold=threshold, budget=args.budget
-        )
+        rep = uniformity_test(table, degree, samples, seed=args.seed, threshold=threshold)
         return {"action": "uniformity", "inputs": {"table": table_meta}, **_fields(rep), "mode": "mc"}
     if args.spec is None:
         raise ValidationError(f"test {args.action} needs --spec")
@@ -351,7 +345,7 @@ def _cmd_test(args) -> dict:
     if not args.exact and args.trials is None:
         raise ValidationError("estimate mode needs --trials")
     trials = None if args.exact else args.trials
-    rep = run_tester(spec, table, trials=trials, seed=args.seed, budget=args.budget)
+    rep = run_tester(spec, table, trials=trials, seed=args.seed)
     return {
         "action": args.action,
         "inputs": {"spec": spec_meta, "table": table_meta},
@@ -366,14 +360,7 @@ def _cmd_interior(args) -> dict:
     from .testers import interior_experiment
 
     loaded = [_load(LinearSystem.from_json_dict, p) for p in args.systems]
-    rep = interior_experiment(
-        [s for s, _ in loaded],
-        args.p,
-        args.n,
-        trials=args.trials,
-        seed=args.seed,
-        budget=args.budget,
-    )
+    rep = interior_experiment([s for s, _ in loaded], args.p, args.n, args.trials, args.seed)
     return {
         "inputs": {"systems": [meta for _, meta in loaded]},
         **_fields(rep, drop=("witness",)),
@@ -391,9 +378,7 @@ def _cmd_distributional(args) -> dict:
     system, sys_meta = _load(LinearSystem.from_json_dict, args.system)
     gamma = DistributionalFunction.lift(table)
     beta = _parse_int_list(args.beta, "beta")
-    rep = gamma.t_star(
-        system, beta, samples=_mc_samples(args), seed=args.seed, budget=args.budget
-    )
+    rep = gamma.t_star(system, beta, samples=_mc_samples(args), seed=args.seed)
     return {
         "inputs": {"table": table_meta, "system": sys_meta},
         "beta": beta,
@@ -411,7 +396,10 @@ def _cmd_distributional(args) -> dict:
 
 def _add_common(sub) -> None:
     sub.add_argument("--seed", type=int, default=0, help="RNG seed (recorded in output)")
-    sub.add_argument("--budget", type=int, default=None, help="max points enumerated or sampled")
+    sub.add_argument(
+        "--budget", type=int, default=None,
+        help="max points enumerated or sampled by the whole command",
+    )
     sub.add_argument("--out", default=None, help="write the report here instead of stdout")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -538,15 +526,16 @@ def main(argv=None) -> int:
             _diag({"type": "usage", "error": error})
             return 64
     try:
-        with np.errstate(all="ignore"):  # overflow surfaces as a non-finite result
-            report = args.handler(args)
-        # every report's envelope: the mode is exact unless the result or the
-        # handler says mc, and the tolerance follows from it unless the
-        # handler set one
-        mode = report.setdefault("mode", "exact")
-        report.setdefault("tolerance", _tolerance(mode, report.get("stderr")))
-        report.update(command=args.command, seed=args.seed)
-        _write_output(report, args)
+        with budget(args.budget):  # one ledger for the whole command
+            with np.errstate(all="ignore"):  # overflow surfaces as a non-finite result
+                report = args.handler(args)
+            # every report's envelope: the mode is exact unless the result or
+            # the handler says mc, and the tolerance follows from it unless
+            # the handler set one
+            mode = report.setdefault("mode", "exact")
+            report.setdefault("tolerance", _tolerance(mode, report.get("stderr")))
+            report.update(command=args.command, seed=args.seed)
+            _write_output(report, args)
     except FormatError as exc:
         _diag({"type": "format", "error": str(exc), "pointer": exc.pointer})
         return 65

@@ -47,12 +47,12 @@ def reported_count(count: int | None) -> int | str | None:
 class BudgetExceededError(FpuniformError):
     """An exact enumeration would exceed the configured point budget."""
 
-    def __init__(self, cost: int, budget: int, what: str = "enumeration"):
+    def __init__(self, cost: int, limit: int, what: str = "enumeration"):
         self.cost = cost
-        self.budget = budget
+        self.budget = limit
         super().__init__(
             f"{what} needs {reported_count(cost)} points but the budget is "
-            f"{reported_count(budget)}"
+            f"{reported_count(limit)}"
         )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import correlation_with_family, gowers_norm
-from .config import resolve_budget
+from .config import budget, check, fits
 from .errors import ValidationError
 from .field import place_values, space_size, validate_dims
 from .polynomials import Polynomial, priced_family
@@ -106,13 +106,13 @@ class DecompositionReport:
         return self.factor.complexity
 
 
+@budget()
 def decompose(
     f: FunctionTable,
     d: int,
     delta: float,
     rank_floor: int | None = None,
     homogeneous_only: bool = False,
-    budget: int | None = None,
 ) -> DecompositionReport:
     """Split f = h + h' with h measurable in a degree-<=d factor, ||h'||_{U^{d+1}} <= delta.
 
@@ -120,42 +120,39 @@ def decompose(
     correlated with the current residual and adjoins it to the factor.  The
     search is one correlation_with_family call per round, over Poly_d or, with
     `homogeneous_only`, over the nonzero homogeneous polynomials of degree
-    1..d; each call is charged against `budget` for its whole family.  That
-    charge is checked before round 0 too, so a family past the budget raises
+    1..d; each call is charged for its whole family.  That price is checked
+    before round 0 too, so a family past the budget raises
     BudgetExceededError before any norm is computed, even for an f already
-    within delta.  After the first norm, every round (its search and the norm
-    after it) is charged to one running total; the first round the budget
-    cannot cover is not run.  A round that splits no atom ends the loop, so at
-    most N - 1 rounds run.  If the budget or the correlation runs out first,
-    the report comes back flagged with the last factor and its norm.  `delta`
-    must be finite and >= 0.
-    `rank_floor` is checked against the factor's rank, by a search charged
-    against `budget` too, and reported (None when the budget leaves it
+    within delta.  Every norm and search is charged to the one budget, and a
+    round (its search and the norm after it) that does not fit is not run.
+    A round that splits no atom ends the loop, so at most N - 1 rounds run.
+    If the budget or the correlation runs out first, the report comes back
+    flagged with the last factor and its norm.  `delta` must be finite and
+    >= 0.  `rank_floor` is checked against the factor's rank, by a search
+    charged to the budget too, and reported (None when the budget leaves it
     undecided), never enforced.
     """
     p, n = f.p, f.n
     if not 0 <= delta < float("inf"):
         raise ValidationError(f"delta must be finite and >= 0, got {delta}")
-    search = priced_family(p, n, d, homogeneous_only, budget)[1]
-    limit = resolve_budget(budget)
+    search = priced_family(p, n, d, homogeneous_only, check)[1]
     factor = PolynomialFactor(p, n, ())
     atoms = factor.atom_count()
     history = []
-    rounds = spent = 0
+    rounds = 0
     flagged = False
     while True:
         h = conditional_expectation(f, factor)
         residual = f - h
-        gowers = gowers_norm(residual, d + 1, budget=budget)
+        gowers = gowers_norm(residual, d + 1)
         norm = float(gowers)
         history.append(norm)
         if norm <= delta:
             break
-        spent += search + gowers.cost  # the next norm costs what this one did
-        if spent > limit:
+        if not fits(search + gowers.cost):  # the next norm costs what this one did
             flagged = True
             break
-        rep = correlation_with_family(residual, d, homogeneous_only, budget=budget)
+        rep = correlation_with_family(residual, d, homogeneous_only)
         if float(rep) < 1e-12 or rep.best in factor.defining:
             # no phase left to make progress with
             flagged = True
@@ -176,7 +173,7 @@ def decompose(
             from .polyrank import polynomial_rank
 
             try:
-                rank = polynomial_rank(factor.defining, r_max=floor - 1, budget=budget)
+                rank = polynomial_rank(factor.defining, r_max=floor - 1)
                 meets = rank.rank_exceeds(floor - 1)
             except ValidationError:
                 meets = None  # the budget ended the rank search before deciding

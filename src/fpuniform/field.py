@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .config import MAX_PRIME, RETRY_CAP, check_budget
+from .config import MAX_PRIME, RETRY_CAP, check
 from .errors import RetryLimitError, ValidationError
 from .rng import _CHUNK, as_rng
 
@@ -69,7 +69,7 @@ def int_tuple(values, what: str) -> tuple[int, ...]:
     """The integers of a list (see as_int); a string is refused, not read
     digit by digit."""
     if isinstance(values, str):
-        raise ValidationError(f"{what} must be a list of integers")
+        raise ValidationError(f"{what} must be a list of integers, not a string")
     return tuple(as_int(v, f"an entry of {what}") for v in values)
 
 
@@ -105,17 +105,16 @@ def _digit_table(p: int, n: int) -> np.ndarray:
     return out
 
 
-def digit_table(p: int, n: int, budget: int | None = None) -> np.ndarray:
+def digit_table(p: int, n: int) -> np.ndarray:
     """All points of F_p^n as an (p^n, n) array, lexicographic order."""
     p, n = validate_dims(p, n)
-    check_budget(space_size(p, n), budget, f"enumeration of F_{p}^{n}")
+    check(space_size(p, n), f"enumeration of F_{p}^{n}")
     return _digit_table(p, n)
 
 
-def enumerate_vectors(p: int, n: int, budget: int | None = None) -> list[tuple[int, ...]]:
+def enumerate_vectors(p: int, n: int) -> list[tuple[int, ...]]:
     """Every vector of F_p^n, lexicographically, as tuples."""
-    table = digit_table(p, n, budget)
-    return [tuple(int(v) for v in row) for row in table]
+    return [tuple(int(v) for v in row) for row in digit_table(p, n)]
 
 
 def index_of(p: int, vec) -> int:

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .config import check_budget
+from .config import budget, charge, check
 from .errors import BudgetExceededError, FormatError, ValidationError, parse_at
 from .field import int_tuple, validate_dims, validate_prime
 from .linalg import (
@@ -140,13 +140,13 @@ def arithmetic_progression_system(p: int, length: int) -> LinearSystem:
     return LinearSystem(p, 2, [(1, i % p) for i in range(length)])
 
 
-def cube_system(p: int, k: int, budget: int | None = None) -> LinearSystem:
+def cube_system(p: int, k: int) -> LinearSystem:
     """The Gowers cube x + omega.y, omega in {0,1}^k, as the forms (1, omega)
     on F_p^(k+1); omega runs in bit order (bit i of the index is omega_i).
-    Its 2^k forms are charged against the budget before any is built."""
+    Its 2^k forms are checked against the budget before any is built."""
     if k < 1:
         raise ValidationError("cube systems need k >= 1")
-    check_budget(2**k, budget, f"cube system of dimension {k}")
+    check(2**k, f"cube system of dimension {k}")
     return LinearSystem(
         p, k + 1, [(1, *(mask >> i & 1 for i in range(k))) for mask in range(2**k)]
     )
@@ -180,7 +180,7 @@ class ComplexityReport:
     witness: np.ndarray | None = None
 
 
-def _min_partition(forms: list[list[int]], target: int, p: int, charge) -> list[list[int]]:
+def _min_partition(forms: list[list[int]], target: int, p: int) -> list[list[int]]:
     """The fewest classes partitioning the forms other than `target` so that
     no class spans it, by branch-and-bound, first fit first.  A class carries
     its members, the echelon rows of its span (pivot, row with a 1 there) and
@@ -200,7 +200,7 @@ def _min_partition(forms: list[list[int]], target: int, p: int, charge) -> list[
     def joined(cls, j):
         """The class with form j added, or None when it would span the target."""
         members, rows, t = cls
-        charge(len(t) * (len(rows) + 1))
+        charge(len(t) * (len(rows) + 1), "partition search")
         f = reduced(forms[j], rows)
         if not any(f):
             return members + [j], rows, t
@@ -237,26 +237,26 @@ def _min_partition(forms: list[list[int]], target: int, p: int, charge) -> list[
     return best
 
 
-def cs_complexity(system: LinearSystem, budget: int | None = None) -> ComplexityReport:
+def _refuse_proportional(system: LinearSystem) -> None:
+    p, forms = system.p, system.forms
+    lines = {tuple(a * pow(next(filter(None, f)), -1, p) % p for a in f) for f in forms}
+    if len(lines) < len(forms):
+        raise ValidationError("complexity is undefined when two forms are proportional")
+
+
+@budget()
+def cs_complexity(system: LinearSystem) -> ComplexityReport:
     """Least s such that, for every form, the remaining forms split into s+1
-    classes none of which spans it.  The partition searches of all forms
-    charge one running total against the budget, k (r + 1) entries per check
-    of a form against a class of rank r; a search the budget refuses gives the
-    always-valid m-2 bound with singleton partitions, flagged bound-only.
+    classes none of which spans it.  The partition searches of all forms are
+    charged, k (r + 1) entries per check of a form against a class of rank r;
+    a search the budget refuses gives the always-valid m-2 bound with
+    singleton partitions, flagged bound-only.
     """
     p, m = system.p, system.m
+    _refuse_proportional(system)
     forms = system.as_array().tolist()
-    if len({tuple(a * pow(next(filter(None, f)), -1, p) % p for a in f) for f in forms}) < m:
-        raise ValidationError("complexity is undefined when two forms are proportional")
-    spent = 0
-
-    def charge(entries: int):
-        nonlocal spent
-        spent += entries
-        check_budget(spent, budget, "partition search")
-
     try:
-        certificate = {i: _min_partition(forms, i, p, charge) for i in range(m)}
+        certificate = {i: _min_partition(forms, i, p) for i in range(m)}
     except BudgetExceededError:
         singletons = {i: [[j] for j in range(m) if j != i] for i in range(m)}
         return ComplexityReport("cs", m - 2, bound_only=True, certificate=singletons)
@@ -264,7 +264,8 @@ def cs_complexity(system: LinearSystem, budget: int | None = None) -> Complexity
     return ComplexityReport(kind="cs", value=value, certificate=certificate)
 
 
-def true_complexity(system: LinearSystem, budget: int | None = None) -> ComplexityReport:
+@budget()
+def true_complexity(system: LinearSystem) -> ComplexityReport:
     """Least d such that the (d+1)-fold tensor powers of the forms are
     linearly independent.  Valid as an invariant in the regime where the
     partition complexity does not exceed p, so that regime is enforced; when
@@ -274,31 +275,36 @@ def true_complexity(system: LinearSystem, budget: int | None = None) -> Complexi
     A tensor power's entries at the positions that hold one multiset of
     coordinates are equal, so the rank and the dependency witness come from
     one column per monomial of degree d + 1 in the k coordinates,
-    C(d + k, k - 1) of them.  The partition search and each power's m such
-    columns are checked against `budget`.
+    C(d + k, k - 1) of them.  Each power's m such columns are charged before
+    the partition search, which a refusal leaves with the budget spent.
     """
-    cs = cs_complexity(system, budget)
-    if cs.value > system.p:
-        bounded = "only bounded by " if cs.bound_only else ""
-        raise ValidationError(
-            f"partition complexity {bounded}{cs.value} exceeds p = {system.p}; "
-            "the tensor criterion does not apply"
-        )
-    certificate = {"cs_bound" if cs.bound_only else "cs": cs.value}
     p, m, k = system.p, system.m, system.k
+    _refuse_proportional(system)
     forms = system.as_array()
     witness = None
     for d in range(m + 1):
         columns = math.comb(d + k, k - 1)
-        check_budget(m * columns, budget, "tensor powers")
+        charge(m * columns, "tensor powers")
         powers = np.ones((m, columns), dtype=np.int64)
         for factor in np.array(list(combinations_with_replacement(range(k), d + 1))).T:
             powers = powers * forms[:, factor] % p
         if mat_rank(powers, p) == m:
-            return ComplexityReport(kind="true", value=d, certificate=certificate, witness=witness)
+            break
         witness = nullspace(powers.T, p)
         witness = witness[0] if len(witness) else None
-    raise ValidationError("tensor powers never became independent")
+    else:
+        d = None
+    cs = cs_complexity(system)
+    if cs.value > p:
+        bounded = "only bounded by " if cs.bound_only else ""
+        raise ValidationError(
+            f"partition complexity {bounded}{cs.value} exceeds p = {p}; "
+            "the tensor criterion does not apply"
+        )
+    if d is None:
+        raise ValidationError("tensor powers never became independent")
+    certificate = {"cs_bound" if cs.bound_only else "cs": cs.value}
+    return ComplexityReport(kind="true", value=d, certificate=certificate, witness=witness)
 
 
 @dataclass
@@ -307,9 +313,7 @@ class IsomorphismReport:
     mapping: tuple[int, ...] | None = None  # index i of A -> mapping[i] of B
 
 
-def are_isomorphic(
-    a: LinearSystem, b: LinearSystem, budget: int | None = None
-) -> IsomorphismReport:
+def are_isomorphic(a: LinearSystem, b: LinearSystem) -> IsomorphismReport:
     """Form bijection extending to an invertible map between the spans.
 
     Exhaustive over independent image tuples with degree-multiset pruning.
@@ -323,9 +327,7 @@ def are_isomorphic(
     r = a.span_rank()
     if r != b.span_rank():
         return IsomorphismReport(isomorphic=False)
-    check_budget(
-        math.perm(a.m, r) * a.m, budget, f"isomorphism search over {a.m} forms of rank {r}"
-    )
+    charge(math.perm(a.m, r) * a.m, f"isomorphism search over {a.m} forms of rank {r}")
     deg_a, deg_b = a.degrees(), b.degrees()
     if sorted(deg_a) != sorted(deg_b):
         return IsomorphismReport(isomorphic=False)

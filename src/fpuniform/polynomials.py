@@ -13,7 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import check_budget
 from .errors import FormatError, ValidationError, parse_at
 from .field import (
     as_int, digit_table, digits, int_tuple, space_size, validate_dims, validate_prime,
@@ -54,14 +53,12 @@ class Polynomial:
         p, n = validate_dims(self.p, self.n)
         clean: dict[Exponents, int] = {}
         for exps, coeff in self.terms.items():
-            if isinstance(exps, str):
-                raise ValidationError(f"exponent tuple {exps!r} must be integers, not a string")
-            exps = tuple(int(e) for e in exps)
+            exps = int_tuple(exps, "an exponent tuple")
             if len(exps) != n:
                 raise ValidationError(f"exponent tuple {exps} has wrong arity")
             if any(e < 0 or e >= p for e in exps):
                 raise ValidationError(f"exponents must lie in [0, {p}): {exps}")
-            c = int(coeff) % p
+            c = as_int(coeff, "a coefficient") % p
             if c:
                 clean[exps] = c
         object.__setattr__(self, "p", p)
@@ -126,9 +123,9 @@ class Polynomial:
             total += t
         return total % self.p
 
-    def value_table(self, budget: int | None = None) -> np.ndarray:
+    def value_table(self) -> np.ndarray:
         """Values on all of F_p^n in enumeration order."""
-        return self.values_at(digit_table(self.p, self.n, budget))
+        return self.values_at(digit_table(self.p, self.n))
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (m, n) array of points."""
@@ -304,11 +301,11 @@ def family_size(p: int, n: int, d: int) -> int:
     return p ** len(monomials_up_to(p, n, d))
 
 
-def priced_family(p: int, n: int, degree: int, homogeneous: bool, budget: int | None):
+def priced_family(p: int, n: int, degree: int, homogeneous: bool, settle):
     """The parts of a Poly_d family on F_p^n as correlation_with_family scores
     them, and the cost of scoring them all, the sum over parts of
-    p^(#enumerated monomials) * p^n points, once it is checked against the
-    budget."""
+    p^(#enumerated monomials) * p^n points, once settle(cost, what) has
+    passed it: config.charge to score them, config.check to price them."""
     if degree < 1:
         raise ValidationError("degree must be >= 1")
     if degree > n * (p - 1):
@@ -323,5 +320,5 @@ def priced_family(p: int, n: int, degree: int, homogeneous: bool, budget: int | 
         parts = [([e for e in monos if sum(e) >= 2], True)]
     what = "homogeneous phase family" if homogeneous else "polynomial phase family"
     cost = sum(p ** len(upper) for upper, _ in parts) * space_size(p, n)
-    check_budget(cost, budget, what)
+    settle(cost, what)
     return parts, cost

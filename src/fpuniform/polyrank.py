@@ -12,8 +12,8 @@ Two decision routes, kept deliberately separate:
 * a closed form for degree <= 2 via the translation-invariance subspace
   H = {h : P(x+h) = P(x) for all x}; min r equals codim H.
 
-The search is charged against the enumeration budget as it goes; a charge
-the budget refuses ends it with a lower bound instead of a value.
+The search is charged to the budget as it goes; a charge the budget cannot
+cover ends it with a lower bound instead of a value.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .config import resolve_budget
+from .config import budget, charge, fits
 from .errors import ValidationError
 from .field import digit_table, digits
 from .linalg import nullspace, row_reduce, solve
@@ -86,7 +86,7 @@ def _mask_charge(vals: np.ndarray, p: int, size: int) -> int:
     return size * (N + conflicts)
 
 
-def _conflict_masks(vals: np.ndarray, p: int, n: int, dmax: int, budget: int):
+def _conflict_masks(vals: np.ndarray, p: int, n: int, dmax: int):
     """The monomials of Poly_dmax and, per candidate Q in ``itertools.product``
     order of its coefficients, the conflict pairs of `vals` (points where it
     differs, in ``np.triu_indices`` order) that Q fails to separate: one row
@@ -98,7 +98,7 @@ def _conflict_masks(vals: np.ndarray, p: int, n: int, dmax: int, budget: int):
     I, J = I[conflict], J[conflict]
     monos = monomials_up_to(p, n, dmax)
     count = p ** len(monos)
-    value_tables = value_block(p, digit_table(p, n, budget), monos)
+    value_tables = value_block(p, digit_table(p, n), monos)
     masks = np.zeros((count, -(-len(I) // 64)), dtype="<u8")
     as_bytes = masks.view(np.uint8)
     block = max(1, _CHUNK // p**n)
@@ -130,13 +130,11 @@ def _first_disjoint_tuple(masks: np.ndarray, r: int) -> tuple[int, ...] | None:
     return extend(np.full(masks.shape[1], ~np.uint64(0), dtype=masks.dtype), 0, r)
 
 
-def _certificate_from_tuple(
-    P: Polynomial, alpha, Qs: tuple[Polynomial, ...], budget: int
-) -> RankCertificate:
+def _certificate_from_tuple(P: Polynomial, alpha, Qs: tuple[Polynomial, ...]) -> RankCertificate:
     """The certificate for P = Gamma(Qs): Gamma maps each joint value of the
     arguments, in the order the labels first occur, to P's value there."""
-    vals = P.value_table(budget)
-    labels = np.stack([Q.value_table(budget) for Q in Qs], axis=1)
+    vals = P.value_table()
+    labels = np.stack([Q.value_table() for Q in Qs], axis=1)
     uniq, first, inverse = np.unique(
         labels, axis=0, return_index=True, return_inverse=True
     )
@@ -198,9 +196,8 @@ def quadratic_min_rank(P: Polynomial) -> tuple[int, np.ndarray]:
 # -- public entry --------------------------------------------------------------
 
 
-def polynomial_rank(
-    polys, r_max: int = 2, method: str = "auto", budget: int | None = None
-) -> RankReport:
+@budget()
+def polynomial_rank(polys, r_max: int = 2, method: str = "auto") -> RankReport:
     """Rank report for a polynomial or a collection of polynomials.
 
     Verifies rank > r for r = 0, 1, ... in turn, stopping when a
@@ -210,11 +207,11 @@ def polynomial_rank(
     method="exhaustive" forces the search route throughout (the two routes
     are cross-checked in the test suite, not merged).
 
-    The work is charged against `budget` as a running total: each searched
-    combination's conflict masks once (see `_mask_charge`), C(R, r) ·
-    ceil(c/64) for its search at rank r over R distinct masks of c bits,
-    and N · (r + 1) for a certificate.  A refused search charge ends the
-    report at lower-bound-only; a refused certificate leaves it None.
+    The work is charged to the budget: each searched combination's conflict
+    masks once (see `_mask_charge`), C(R, r) · ceil(c/64) for its search at
+    rank r over R distinct masks of c bits, and N · (r + 1) for a
+    certificate.  A search charge that does not fit ends the report at
+    lower-bound-only; a certificate that does not fit is left None.
     """
     if isinstance(polys, Polynomial):
         polys = [polys]
@@ -250,19 +247,18 @@ def polynomial_rank(
         if d == 2 and method == "auto":
             min_r, forms = quadratic_min_rank(P_alpha)
             closed[i] = min_r, tuple(Polynomial.from_coefficients(p, n, units, f) for f in forms)
-    limit, spent = resolve_budget(budget), 0
 
-    def charge(cost: int) -> bool:
-        nonlocal spent
-        if spent + cost > limit:
-            return False
-        spent += cost
-        return True
+    def paid(cost: int) -> bool:
+        """Charge `cost` if it fits, and say whether it did."""
+        if fits(cost):
+            charge(cost, "rank search")
+            return True
+        return False
 
     def certified(alpha, P_alpha, args) -> RankCertificate | None:
-        if not charge(p**n * (len(args) + 1)):
-            return None
-        return _certificate_from_tuple(P_alpha, alpha, args, limit)
+        if paid(p**n * (len(args) + 1)):
+            return _certificate_from_tuple(P_alpha, alpha, args)
+        return None
 
     # every live combination decomposes through its n coordinates, so the
     # loop returns by r = n however large r_max is
@@ -280,17 +276,17 @@ def polynomial_rank(
                 # too large for what is left is refused before P is evaluated
                 # on it (and before the family is listed, when N alone is)
                 N = p**n
-                if spent + N > limit or spent + (size := family_size(p, n, d - 1)) * N > limit:
+                if not fits(N) or not fits((size := family_size(p, n, d - 1)) * N):
                     return RankReport("lower-bound-only", r - 1, None)
-                vals = P_alpha.value_table(limit)
-                if not charge(_mask_charge(vals, p, size)):
+                vals = P_alpha.value_table()
+                if not paid(_mask_charge(vals, p, size)):
                     return RankReport("lower-bound-only", r - 1, None)
-                monos, masks = _conflict_masks(vals, p, n, d - 1, limit)
+                monos, masks = _conflict_masks(vals, p, n, d - 1)
                 # identical masks are interchangeable; keep the first of each
                 first = np.sort(np.unique(masks, axis=0, return_index=True)[1])
                 searches[i] = monos, first, masks[first]
             monos, first, reps = searches[i]
-            if not charge(comb(len(reps), r) * reps.shape[1]):
+            if not paid(comb(len(reps), r) * reps.shape[1]):
                 return RankReport("lower-bound-only", r - 1, None)
             found = _first_disjoint_tuple(reps, r)
             if found is not None:

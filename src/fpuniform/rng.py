@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import check_budget
+from .config import charge
 from .errors import ValidationError
 
 # SHA-256 from the interpreter's built-in module, with the same digests as the
@@ -51,20 +51,18 @@ def as_rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(int(seed_or_rng))
 
 
-def mc_mean(
-    draw, count: int, seed, name: str, points: int, budget: int | None = None, width: int = 1
-):
+def mc_mean(draw, count: int, seed, name: str, points: int, width: int = 1):
     """(mean, stderr) of `count` draws, taken by draw(rng, size) from the stream
     of `seed` in blocks of at most max(1, _CHUNK // width) draws and not kept,
     where `width` is the number of block-length arrays that one draw keeps
-    live.  Each draw reads `points` points, and count * points is checked
-    against the budget before the first draw.  The mean is the sum of the
+    live.  Each draw reads `points` points, and count * points is charged
+    before the first draw.  The mean is the sum of the
     block sums over the count.  Each block's M2, about its mean
     x_0 + mean(x - x_0) (exact for equal draws), merges into the total by the
     pairwise rule of Chan, Golub and LeVeque (1979); the stderr is
     sqrt(M2 / count) / sqrt(count)."""
     check_count(count, name)
-    check_budget(count * points, budget, f"Monte Carlo estimate over its {name}")
+    charge(count * points, f"Monte Carlo estimate over its {name}")
     rng = as_rng(0 if seed is None else seed)
     step = max(1, _CHUNK // width)
     total, mean, m2 = 0.0, 0.0, 0.0

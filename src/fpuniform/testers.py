@@ -23,7 +23,7 @@ from .analysis import (
     exponential_average,
     linear_form_average,
 )
-from .config import check_budget, resolve_budget
+from .config import budget, charge, check, limit
 from .errors import FormatError, ValidationError, parse_at
 from .field import (
     as_int,
@@ -114,14 +114,7 @@ class DistributionalFunction:
         vals = (u[:, None] > cdf).sum(axis=1)
         return FunctionTable(self.p, self.n, np.minimum(vals, self.p - 1), codomain="real")
 
-    def t_star(
-        self,
-        system: LinearSystem,
-        beta,
-        samples: int | None = None,
-        seed=None,
-        budget: int | None = None,
-    ):
+    def t_star(self, system: LinearSystem, beta, samples: int | None = None, seed=None):
         """E prod_i (a_{beta_i} o Gamma)(L_i(X)) — the distributional average,
         exact when `samples` is None and sampled otherwise."""
         beta = [int(b) % self.p for b in beta]
@@ -129,7 +122,7 @@ class DistributionalFunction:
             raise ValidationError("beta length must match the number of forms")
         moments = {b: self.a_c(b) for b in set(beta)}
         tables = [moments[b] for b in beta]
-        return linear_form_average(tables, system, samples=samples, seed=seed, budget=budget)
+        return linear_form_average(tables, system, samples=samples, seed=seed)
 
 
 # -- tester specs ---------------------------------------------------------------
@@ -172,9 +165,10 @@ class TesterSpec:
         support = []
         total = 0.0
         for points, prob in self.base_support:
-            pts = np.asarray(points, dtype=np.int64) % p
+            pts = np.asarray(points, dtype=object)
             if pts.ndim != 2 or pts.shape[0] != q:
                 raise ValidationError("support point must hold q query vectors")
+            pts = np.array([int_tuple(v, "a support point") for v in pts], dtype=np.int64) % p
             if not prob >= 0:
                 raise ValidationError(f"support probability {prob} is not >= 0")
             pts.setflags(write=False)
@@ -325,16 +319,12 @@ class TesterReport:
 
 
 def run_tester(
-    spec: TesterSpec,
-    f: FunctionTable,
-    trials: int | None = None,
-    seed=None,
-    budget: int | None = None,
+    spec: TesterSpec, f: FunctionTable, trials: int | None = None, seed=None
 ) -> TesterReport:
     """Acceptance probability of the decision map on f's query values: exact
     over the support (and, when symmetrized, every affine image of it) when
     `trials` is None, otherwise by rng.mc_mean over that many drawn tuples,
-    whose trials * q query points are charged against the budget first."""
+    whose trials * q query points are charged first."""
     vals = _integer_values(f, f.p, f.n)
     if f.p != spec.p:
         raise ValidationError("tester and table use different primes")
@@ -346,7 +336,7 @@ def run_tester(
             # every image u + lambda.V: all points u, all independent tuples V
             forms = [basis_forms(pts, spec.p) for pts, _ in spec.base_support]
             cost = sum(space_size(spec.p, n) ** f.shape[1] for f in forms) * spec.q
-            check_budget(cost, budget, "affine symmetrization orbit")
+            charge(cost, "affine symmetrization orbit")
             acceptance = sum(
                 prob * _orbit_acceptance(spec, vals, coeffs, n)
                 for coeffs, prob in zip(forms, probs)
@@ -357,7 +347,7 @@ def run_tester(
     draw, width = spec.index_sampler(n)
     acc, se = mc_mean(
         lambda rng, size: spec.decide(vals[draw(rng, size)]),
-        trials, seed, "trials", spec.q, budget, width,
+        trials, seed, "trials", spec.q, width,
     )
     return TesterReport(acceptance=float(acc), trials=trials, mode="mc", seed=seed, stderr=se)
 
@@ -451,12 +441,7 @@ class UniformityReport:
 
 
 def uniformity_test(
-    f,
-    d: int,
-    samples: int,
-    seed=None,
-    threshold: float = 0.5,
-    budget: int | None = None,
+    f, d: int, samples: int, seed=None, threshold: float = 0.5
 ) -> UniformityReport:
     """Estimate ‖e_p(f)‖_{U^{d+1}}^{2^{d+1}} for field-valued f from random
     parallelepipeds: the exponential average over cube_system(p, d+1) with
@@ -467,8 +452,8 @@ def uniformity_test(
     if not -float("inf") < threshold < float("inf"):
         raise ValidationError(f"threshold must be finite, got {threshold}")
     k = d + 1
-    cube = cube_system(f.p, k, budget)
-    rep = exponential_average(f, cube, cube_signs(k), samples=samples, seed=seed, budget=budget)
+    cube = cube_system(f.p, k)
+    rep = exponential_average(f, cube, cube_signs(k), samples=samples, seed=seed)
     estimate = float(rep.value.real)
     return UniformityReport(
         estimate=estimate,
@@ -534,22 +519,17 @@ class InteriorReport:
     seed: object
 
 
-def interior_experiment(
-    systems,
-    p: int,
-    n: int,
-    trials: int = 50,
-    seed=None,
-    budget: int | None = None,
-) -> InteriorReport:
+@budget()
+def interior_experiment(systems, p: int, n: int, trials: int = 50, seed=None) -> InteriorReport:
     """Search for f with linearly independent boundary functions.
 
     Each system's connected components must be mutually isomorphic (the
     average then factors as a power of one connected representative), and the
     representatives must be pairwise non-isomorphic (each comparison is
-    charged against the budget, see are_isomorphic); random f: F_p^n -> (0,1)
-    are drawn until the Gram matrix of the boundary functions has least
-    eigenvalue above _NONSINGULAR.
+    charged, see are_isomorphic); random f: F_p^n -> (0,1) are drawn until
+    the Gram matrix of the boundary functions has least eigenvalue above
+    _NONSINGULAR.  The comparisons and every trial's boundary functions are
+    charged to one budget.
     """
     systems = list(systems)
     if not systems:
@@ -558,8 +538,8 @@ def interior_experiment(
     p, n = validate_dims(p, n)
     # the table costs p^n >= 2^n points, so p^min(n, 2 bits) is its exact cost
     # or, for an n past twice the budget's bit length, a refused lower bound
-    bits = resolve_budget(budget).bit_length()
-    check_budget(p ** min(n, 2 * bits), budget, "interior experiment table")
+    bits = limit().bit_length()
+    check(p ** min(n, 2 * bits), "interior experiment table")
     N = space_size(p, n)
     # Hypothesis gate.  Averages factor over connected components, and a power
     # t -> t^r is a diffeomorphism of (0,1), so a system whose components are
@@ -574,7 +554,7 @@ def interior_experiment(
         rep_sys = sys_.subsystem(parts[0])
         for part in parts[1:]:
             other = sys_.subsystem(part)
-            if not are_isomorphic(rep_sys, other, budget=budget).isomorphic:
+            if not are_isomorphic(rep_sys, other).isomorphic:
                 raise ValidationError(
                     f"system {sys_.forms} mixes non-isomorphic components "
                     f"{rep_sys.forms} and {other.forms}"
@@ -582,7 +562,7 @@ def interior_experiment(
         reps.append(rep_sys)
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
-            iso = are_isomorphic(reps[i], reps[j], budget=budget)
+            iso = are_isomorphic(reps[i], reps[j])
             if iso.isomorphic:
                 raise ValidationError(
                     f"systems {i} and {j} reduce to isomorphic components "
@@ -594,7 +574,7 @@ def interior_experiment(
         f = FunctionTable(
             p, n, 1e-3 + (1.0 - 2e-3) * rng.random(N), codomain="real"
         )
-        rows = [boundary_function(f, sys_, budget=budget).values.real for sys_ in systems]
+        rows = [boundary_function(f, sys_).values.real for sys_ in systems]
         gram = np.array([[np.mean(a * b) for b in rows] for a in rows])
         low = float(np.linalg.eigvalsh(gram).min())
         if best is None or low > best[0]:

@@ -18,6 +18,7 @@ from fpuniform.analysis import (
     inner_product,
     linear_form_average,
 )
+from fpuniform.config import budget
 from fpuniform.factors import PolynomialFactor, conditional_expectation, decompose
 from fpuniform.field import space_size
 from fpuniform.linear_forms import (
@@ -82,7 +83,8 @@ def test_02_polynomial_phase_norm():
         d = int(rng.choice([1, 2]))
         n = int(rng.integers(2, 5))
         g = random_phase_poly(p, n, d, rng)
-        rep = gowers_norm(g, d + 1, budget=space_size(p, n) ** (d + 2))
+        with budget(space_size(p, n) ** (d + 2)):
+            rep = gowers_norm(g, d + 1)
         worst = max(worst, abs(rep.value - 1.0))
     ok = worst <= 1e-9
     _line(2, "U^{d+1}(e_p(P)) = 1", ok, f"max |norm - 1| = {worst:.2e}")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fpuniform import analysis
+from fpuniform import analysis, config
 from fpuniform import rng as rng_module
 from fpuniform.analysis import (
     _average_on_side,
@@ -29,7 +29,7 @@ from fpuniform.analysis import (
     linear_form_average,
     flagged_average,
 )
-from fpuniform.config import FLOAT_TOL
+from fpuniform.config import FLOAT_TOL, budget
 from fpuniform.errors import BudgetExceededError, ValidationError
 from fpuniform.field import (
     digit_table,
@@ -90,6 +90,24 @@ def t_direct(fs, system):
             prod *= f.values[index_of(p, pt)]
         total += prod
     return total / p ** (n * system.k)
+
+
+def ledger_totals(fn, *args):
+    """fn(*args) in a ledger of its own, and the ledger's running total after
+    each charge that `analysis` makes."""
+    totals = []
+
+    def spy(cost, what):
+        config.charge(cost, what)
+        totals.append(totals[-1] + cost if totals else cost)
+
+    limit = config.DEFAULT_BUDGET
+    with pytest.MonkeyPatch.context() as mp, budget(limit):
+        mp.setattr(analysis, "charge", spy)
+        got = fn(*args)
+        # the ledger holds the last total: exactly that much of it is spent
+        assert config.fits(limit - totals[-1]) and not config.fits(limit - totals[-1] + 1)
+    return got, totals
 
 
 def flagged_direct(f, fsys):
@@ -338,10 +356,12 @@ def test_fourier_transform_is_complex_for_real_tables():
 
 def test_fourier_transform_charges_its_points():
     f = random_unit_table(5, 2, seed=1)
-    with pytest.raises(BudgetExceededError) as exc:
-        fourier_transform(f, budget=24)
+    with pytest.raises(BudgetExceededError) as exc, budget(24):
+        fourier_transform(f)
     assert (exc.value.cost, exc.value.budget) == (25, 24)
-    assert np.array_equal(fourier_transform(f, budget=25), fourier_transform(f))
+    with budget(25):
+        hat = fourier_transform(f)
+    assert np.array_equal(hat, fourier_transform(f))
 
 
 def naive_dft(rows, p, n, inverse):
@@ -627,8 +647,8 @@ def test_correlation_validation():
         correlation_with_family(random_unit_table(5, 4, seed=0), degree=3)
     # the homogeneous family is charged as a whole: 16 points for the linear
     # forms plus 2^6 * 16 for the quadratics, each part alone within 1030
-    with pytest.raises(BudgetExceededError) as exc:
-        correlation_with_family(random_unit_table(2, 4, seed=0), 2, homogeneous=True, budget=1030)
+    with pytest.raises(BudgetExceededError) as exc, budget(1030):
+        correlation_with_family(random_unit_table(2, 4, seed=0), 2, homogeneous=True)
     assert exc.value.cost == 1040
 
 
@@ -1041,17 +1061,15 @@ def test_flagged_factors_over_components_the_flag_misses(p, n):
     fsys = FlaggedSystem(p, 5, forms, (1, 0, 0, 0, 0), multiplicities=(2, 1, 1, 3, 1, 1))
     f = random_unit_table(p, n, seed=23)
     N = p**n
-    with pytest.MonkeyPatch.context() as mp:
-        charged = []
-        mp.setattr(analysis, "check_budget", lambda cost, *_: charged.append(cost))
-        got = flagged_average(f, fsys)
+    got, totals = ledger_totals(flagged_average, f, fsys)
     assert np.allclose(got.values, flagged_direct(f, fsys), atol=1e-12)
     # [x, y, x+y] runs dual at N + 3N (the tables f^2 and f, and the key);
     # {z, w, z+w} at N + 2N (its tables f and f^3); {u} is its mean at N
-    assert charged == [4 * N, 7 * N, 8 * N]
-    flagged_average(f, fsys, budget=8 * N)
-    with pytest.raises(BudgetExceededError):
-        flagged_average(f, fsys, budget=8 * N - 1)
+    assert totals == [4 * N, 7 * N, 8 * N]
+    with budget(8 * N):
+        flagged_average(f, fsys)
+    with pytest.raises(BudgetExceededError), budget(8 * N - 1):
+        flagged_average(f, fsys)
 
 
 def test_empty_kernel_dual_side_is_product_of_means():
@@ -1284,7 +1302,7 @@ def test_boundary_charges_each_key(p, n):
     # {x, y, x+y} runs dual: its kernel once per key, N each, and one
     # transform of its one table f and one per key, 4N; the six forms over
     # {z, w, v} tie (m = 2r) and run primal, their span once per key, 6 N^3;
-    # the lone form u runs primal, keyed, at N.  The budget is checked once
+    # the lone form u runs primal, keyed, at N.  The budget is charged once
     # per component.
     forms = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0),
              (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0),
@@ -1293,16 +1311,14 @@ def test_boundary_charges_each_key(p, n):
     system = LinearSystem(p, 6, forms)
     f = random_real_table(p, n, seed=24)
     N = p**n
-    with pytest.MonkeyPatch.context() as mp:
-        charged = []
-        mp.setattr(analysis, "check_budget", lambda cost, *_: charged.append(cost))
-        got = boundary_function(f, system)
-    assert charged == [7 * N, 7 * N + 6 * N**3, 8 * N + 6 * N**3]
+    got, totals = ledger_totals(boundary_function, f, system)
+    assert totals == [7 * N, 7 * N + 6 * N**3, 8 * N + 6 * N**3]
     if p < 5:  # the oracle enumerates N^6 assignments per form
         assert np.allclose(got.values, boundary_direct(f, system), atol=1e-12)
-    boundary_function(f, system, budget=8 * N + 6 * N**3)
-    with pytest.raises(BudgetExceededError):
-        boundary_function(f, system, budget=8 * N + 6 * N**3 - 1)
+    with budget(8 * N + 6 * N**3):
+        boundary_function(f, system)
+    with pytest.raises(BudgetExceededError), budget(8 * N + 6 * N**3 - 1):
+        boundary_function(f, system)
 
 
 @given(st.integers(0, 200))

@@ -221,6 +221,44 @@ def test_interior_isomorphism_budget_exit_66(files, capsys):
     assert rc == 0 and json.loads(out)["independent"]
 
 
+def test_budget_covers_the_whole_command(files, capsys):
+    # per trial, the boundary functions of {x}, the triangle and the square on
+    # F_2^1 charge 2 + 14 + 18 = 34 points, each within the budget; three
+    # trials (none passes the threshold) charge 102 to the one ledger
+    systems = [
+        LinearSystem(2, 1, [(1,)]),
+        LinearSystem(2, 2, [(1, 0), (0, 1), (1, 1)]),
+        LinearSystem(2, 3, [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]),
+    ]
+    paths = []
+    for i, system in enumerate(systems):
+        paths.append(str(files["tmp"] / f"sys{i}.json"))
+        Path(paths[-1]).write_text(json.dumps(system.to_json_dict()))
+    argv = ["interior", "--systems", *paths, "--p", "2", "--n", "1", "--trials", "3"]
+    rc, out, err = run(argv + ["--budget", "101"], capsys)
+    assert rc == 66 and out == ""
+    diag = json.loads(err)
+    assert diag["type"] == "budget" and (diag["cost"], diag["budget"]) == (102, 101)
+    assert "boundary function needs 102 points" in diag["error"]
+    rc, out, _ = run(argv + ["--budget", "102"], capsys)
+    assert rc == 0 and json.loads(out)["trials_run"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fourier", "--format", "csv", "--budget", "1000"],
+        ["decompose", "--degree", "1", "--delta", "0.01", "--budget", "100000"],
+    ],
+)
+def test_budget_reaches_every_enumeration(files, capsys, monkeypatch, argv):
+    # with a default budget below N = 16, --budget still covers the CSV
+    # writer's digit table and the factor's value tables
+    monkeypatch.setattr("fpuniform.config.DEFAULT_BUDGET", 8)
+    rc, out, err = run(argv + ["--table", files["f24"]], capsys)
+    assert rc == 0 and err == ""
+
+
 def test_csv_flat_report(files, capsys):
     rc, out, _ = run(
         ["gowers", "--table", files["phase"], "--k", "2", "--format", "csv"], capsys

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fpuniform import factors
 from fpuniform.analysis import gowers_norm, inner_product, linear_form_average
+from fpuniform.config import budget
 from fpuniform.errors import BudgetExceededError, ValidationError
 from fpuniform.factors import (
     PolynomialFactor,
@@ -156,15 +157,18 @@ def test_decompose_keeps_a_real_table_real():
 
 
 def test_decompose_budget_ends_the_rounds():
-    # a round charges its Poly_2 search, 2^6 * 16 = 1,024 points, and the U^3
-    # norm after it, 16 orbit tuples of 16 points: 1,280 to one running total
+    # the first U^3 norm charges 16 orbit tuples of 16 points, 256, and each
+    # round its Poly_2 search, 2^6 * 16 = 1,024 points, and the norm after
+    # it: 1,280 more to the one ledger
     f = random_unit_table(2, 4, seed=0)
     assert decompose(f, 2, 1e-9).rounds == 6  # the default budget reaches 0
-    rep = decompose(f, 2, 1e-9, budget=2 * 1280)
+    with budget(256 + 2 * 1280):
+        rep = decompose(f, 2, 1e-9)
     assert rep.flagged is True and rep.rounds == 2
     assert rep.achieved_norm > 1e-9
     assert len(rep.history) == rep.rounds + 1
-    rep = decompose(f, 2, 1e-9, budget=2 * 1280 - 1)
+    with budget(256 + 2 * 1280 - 1):
+        rep = decompose(f, 2, 1e-9)
     assert rep.flagged is True and rep.rounds == 1 and len(rep.history) == 2
     assert rep.complexity == 1 and rep.achieved_norm == rep.history[-1]
 
@@ -188,7 +192,8 @@ def test_decompose_rank_floor_reported():
     # the rank check shares the budget: x1x2x3 + x4 fits the degree-3 search
     # but not its r = 1 conflict masks (2^11 · (16 + 64) = 163,840 points)
     cubic = phase_table(Polynomial(2, 4, {(1, 1, 1, 0): 1, (0, 0, 0, 1): 1}))
-    rep = decompose(cubic, 3, 0.1, rank_floor=2, budget=163839)
+    with budget(163839):
+        rep = decompose(cubic, 3, 0.1, rank_floor=2)
     assert rep.complexity == 1 and rep.rank_meets_floor is None
     assert decompose(cubic, 3, 0.1, rank_floor=2).rank_meets_floor is True
 
@@ -203,8 +208,8 @@ def test_decompose_prices_its_family_before_round_0(monkeypatch):
     monkeypatch.setattr(factors, "gowers_norm", fail)
     with pytest.raises(BudgetExceededError):
         decompose(random_unit_table(3, 5, seed=0), 3, 0.3, homogeneous_only=True)
-    with pytest.raises(BudgetExceededError):
-        decompose(FunctionTable.constant(2, 4, 0.0), 2, 0.5, budget=10)
+    with pytest.raises(BudgetExceededError), budget(10):
+        decompose(FunctionTable.constant(2, 4, 0.0), 2, 0.5)
 
 
 def test_decompose_validation():

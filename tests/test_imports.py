@@ -3,7 +3,8 @@ no import anywhere in the package loads OpenSSL through hashlib, every public
 name the package defines is reached by something other than its unit tests,
 immutability comes from frozen dataclasses, not hand-written guards, no
 search stops at a cap in config.py instead of the budget, e_p has one
-definition, and every enumeration takes its block size from rng._CHUNK."""
+definition, every enumeration takes its block size from rng._CHUNK, and the
+budget lives only in config's ledger."""
 
 import ast
 import io
@@ -379,3 +380,44 @@ def test_block_constants_finds_what_it_should():
 def test_blocks_come_from_rng_chunk(path):
     names = block_constants(path.read_text())
     assert names == (["_CHUNK"] if path.name == "rng.py" else [])
+
+
+#: The field that holds the name a node names.
+_NAME_FIELD = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def ledger_bypasses(source: str) -> list[str]:
+    """What in `source` goes round the one budget ledger: each function with a
+    parameter named budget, by name, and each line that names _LEDGER."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            if any(arg is not None and arg.arg == "budget" for arg in params):
+                found.append(getattr(node, "name", "<lambda>"))
+        if getattr(node, _NAME_FIELD.get(type(node), ""), None) == "_LEDGER":
+            found.append(f"_LEDGER at line {node.lineno}")
+    return found
+
+
+def test_ledger_bypasses_finds_what_it_should():
+    source = (
+        "from .config import _LEDGER, budget\n"  # 1
+        "def run(f, budget=None):\n    return f\n"
+        "def kw(*, budget):\n    return budget\n"
+        "scaled = lambda budget: 2 * budget\n"
+        "class A:\n    def m(self, limit):\n        return config._LEDGER.get()\n"  # 9
+        "@budget()\ndef fine(cost):\n    return _LEDGER\n"  # 12
+    )
+    assert sorted(ledger_bypasses(source)) == [
+        "<lambda>", "_LEDGER at line 1", "_LEDGER at line 12", "_LEDGER at line 9", "kw", "run",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_the_budget_is_one_ledger(path):
+    found = ledger_bypasses(path.read_text())
+    if path.name == "config.py":  # the ledger's own module
+        found = [f for f in found if not f.startswith("_LEDGER")]
+    assert found == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpuniform.config import budget
 from fpuniform.errors import BudgetExceededError, FormatError, ValidationError
 from fpuniform.linalg import in_span, nullspace, rank as mat_rank
 from fpuniform.linear_forms import (
@@ -74,7 +75,8 @@ def test_cs_bound_only_above_cap():
     # the budget is the cap now: 100 points refuse the search over 15 forms
     forms = [f for f in __import__("itertools").product(range(2), repeat=4) if any(f)]
     system = LinearSystem(2, 4, forms)
-    report = cs_complexity(system, budget=100)
+    with budget(100):
+        report = cs_complexity(system)
     assert report.bound_only
     assert report.value == system.m - 2
     _partition_certificate_valid(system, report)
@@ -143,13 +145,15 @@ def test_true_complexity_matches_the_full_tensor_powers(p, k, data):
 
 
 def test_true_complexity_charges_one_column_per_monomial():
-    # the 8 forms of the conic at p = 7 on F_7^3: 100 points refuse the
-    # partition search (the bound 6 proves the regime), and the powers of
-    # degree d + 1 charge 8 * C(d + 3, 2): 24, 48, 80, then 120 at d = 3
-    with pytest.raises(BudgetExceededError) as exc:
-        true_complexity(_conic(7), budget=100)
-    assert exc.value.cost == 8 * math.comb(3 + 3, 2)
-    assert true_complexity(_conic(7), budget=120).value == 3
+    # the 8 forms of the conic at p = 7 on F_7^3: the powers of degree d + 1
+    # charge 8 * C(d + 3, 2), 24, 48, 80, then 120 at d = 3, 272 in all; the
+    # rest cannot pay the partition search (the bound 6 proves the regime)
+    powers = sum(8 * math.comb(d + 3, 2) for d in range(4))
+    with pytest.raises(BudgetExceededError) as exc, budget(powers - 1):
+        true_complexity(_conic(7))
+    assert exc.value.cost == powers == 272
+    with budget(powers):
+        assert true_complexity(_conic(7)).value == 3
 
 
 def test_true_complexity_goldens():
@@ -181,8 +185,10 @@ def test_true_complexity_rejects_unverified_regime():
     with pytest.raises(ValidationError):
         true_complexity(LinearSystem(2, 4, forms))  # cs is 3 > p = 2 at m = 15
     with pytest.raises(ValidationError, match="only bounded"):
-        # the budget refuses the search; the bound 11 exceeds p = 2
-        true_complexity(LinearSystem(2, 4, forms[:13]), budget=100)
+        # the powers take 13 * (4 + 10 + 20) = 442 points, what is left
+        # refuses the search, and the bound 11 exceeds p = 2
+        with budget(1000):
+            true_complexity(LinearSystem(2, 4, forms[:13]))
 
 
 def _conic(p):
@@ -191,10 +197,11 @@ def _conic(p):
 
 
 def test_true_complexity_past_the_cap_when_the_bound_proves_the_regime():
-    # 1,000 points refuse the 8,544-point search over the 8 forms of the conic
-    # at p = 7 but cover its tensor powers (8 * C(6, 2) = 120 at most); the cs
-    # bound 6 <= p = 7 then proves the regime
-    report = true_complexity(_conic(7), budget=1000)
+    # 1,000 points cover the tensor powers of the 8 forms of the conic at
+    # p = 7 (272 in all), charged first, but leave too little for the
+    # 8,544-point partition search; the cs bound 6 <= p = 7 proves the regime
+    with budget(1000):
+        report = true_complexity(_conic(7))
     assert (report.value, report.certificate) == (3, {"cs_bound": 6})
     assert true_complexity(_conic(7)).certificate == {"cs": 3}
 
@@ -262,14 +269,18 @@ def test_cs_search_charge():
     # checks (2 * 3 + 4 * 3 = 18), and no branch is left that could do with
     # fewer: 72 over the four targets.
     ap4 = arithmetic_progression_system(5, 4)
-    assert not cs_complexity(ap4, budget=72).bound_only
-    report = cs_complexity(ap4, budget=71)
+    with budget(72):
+        assert not cs_complexity(ap4).bound_only
+    with budget(71):
+        report = cs_complexity(ap4)
     assert (report.value, report.bound_only) == (2, True)
     # 13 nonzero forms of F_2^4, whose classes grow to rank 3
     forms = [f for f in __import__("itertools").product(range(2), repeat=4) if any(f)]
     system = LinearSystem(2, 4, forms[:13])
-    assert cs_complexity(system, budget=32_688).value == 2
-    assert cs_complexity(system, budget=32_687).bound_only
+    with budget(32_688):
+        assert cs_complexity(system).value == 2
+    with budget(32_687):
+        assert cs_complexity(system).bound_only
 
 
 @given(st.integers(0, 10_000))
@@ -352,13 +363,14 @@ def test_isomorphism_decided_within_the_budget():
     ]
     for a, S, charge in cases:
         b = _permuted_image(a, S, np.random.default_rng(a.m).permutation(a.m))
-        with pytest.raises(BudgetExceededError) as exc:
-            are_isomorphic(a, b, budget=charge - 1)
+        with pytest.raises(BudgetExceededError) as exc, budget(charge - 1):
+            are_isomorphic(a, b)
         assert (exc.value.cost, exc.value.budget) == (charge, charge - 1)
         report = are_isomorphic(a, b)
         assert report.isomorphic and sorted(report.mapping) == list(range(a.m))
         assert _is_isomorphism(a, b, report.mapping)
-        assert are_isomorphic(a, b, budget=charge).mapping == report.mapping
+        with budget(charge):
+            assert are_isomorphic(a, b).mapping == report.mapping
 
 
 def test_isomorphism_refused_above_the_budget():
@@ -372,7 +384,8 @@ def test_isomorphism_refused_above_the_budget():
     with pytest.raises(BudgetExceededError) as exc:
         are_isomorphic(free, free)
     assert exc.value.cost == math.factorial(10) * 10 == 36_288_000
-    report = are_isomorphic(free, free, budget=2**26)
+    with budget(2**26):
+        report = are_isomorphic(free, free)
     assert report.isomorphic and report.mapping == tuple(range(10))
 
 
@@ -384,7 +397,8 @@ def test_isomorphism_invariants_need_no_budget():
         LinearSystem(2, 3, [(1, 0, 0), (0, 1, 0)]),
         LinearSystem(2, 3, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]),
     ):
-        assert not are_isomorphic(a, b, budget=1).isomorphic
+        with budget(1):
+            assert not are_isomorphic(a, b).isomorphic
 
 
 @st.composite

@@ -51,6 +51,17 @@ def test_string_exponent_key_refused():
         Polynomial(3, 2, {(1, 0): 1, "20": 2})
 
 
+def test_fractional_integers_refused():
+    # 1.9 is not truncated to the exponent 1, nor 1.5 to the coefficient 1
+    with pytest.raises(ValidationError, match="exponent tuple"):
+        Polynomial(2, 2, {(1.9, 0): 1})
+    with pytest.raises(ValidationError, match="coefficient"):
+        Polynomial(2, 2, {(1, 0): 1.5})
+    # a number equal to an integer is that integer
+    assert Polynomial(2, 2, {(1.0, 0): 3.0}) == Polynomial(2, 2, {(1, 0): 1})
+    assert Polynomial(2, 2, {(np.int64(1), 0): np.uint8(3)}) == Polynomial(2, 2, {(1, 0): 1})
+
+
 def test_immutability():
     P = Polynomial(3, 2, {(1, 0): 1})
     with pytest.raises(AttributeError):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpuniform import polyrank
+from fpuniform.config import budget
 from fpuniform.errors import ValidationError
 from fpuniform.linalg import rank as mat_rank, row_reduce
 from fpuniform.field import enumerate_vectors, index_add
@@ -96,7 +97,7 @@ def test_conflict_masks_match_pairwise_loop(p, n, dmax):
         for j in range(i + 1, len(points))
         if vals[i] != vals[j]
     ]
-    monos, packed = _conflict_masks(P.value_table(), p, n, dmax, None)
+    monos, packed = _conflict_masks(P.value_table(), p, n, dmax)
     assert monos == monomials_up_to(p, n, dmax)
     assert packed.shape[1] == -(-len(pairs) // 64)
     masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
@@ -118,7 +119,7 @@ def test_conflict_masks_do_not_depend_on_the_block(monkeypatch, p, n, dmax):
     results = []
     for rows in (1, 7, count):
         monkeypatch.setattr(polyrank, "_CHUNK", rows * p**n)
-        results.append(_conflict_masks(vals, p, n, dmax, None))
+        results.append(_conflict_masks(vals, p, n, dmax))
     for monos, masks in results[1:]:
         assert monos == results[0][0] and np.array_equal(masks, results[0][1])
 
@@ -237,8 +238,10 @@ def test_quadratic_certificate_past_64_points():
     check_certificate(report, [P])
     # the certificate costs N · (r + 1) points and is left out past the budget
     charge = 256 * (report.value + 1)
-    assert polynomial_rank(P, r_max=2, budget=charge).certificate == report.certificate
-    bare = polynomial_rank(P, r_max=2, budget=charge - 1)
+    with budget(charge):
+        assert polynomial_rank(P, r_max=2).certificate == report.certificate
+    with budget(charge - 1):
+        bare = polynomial_rank(P, r_max=2)
     assert (bare.value, bare.certificate) == (report.value, None)
 
 
@@ -317,7 +320,8 @@ def test_linear_poly_never_expressible():
         report.rank_exceeds(3)
     # affine combinations refute every r at once, with no charge
     pair = [Polynomial(2, 3, {(1, 0, 0): 1, (0, 1, 0): 1}), Polynomial(2, 3, {(0, 0, 1): 1})]
-    report = polynomial_rank(pair, r_max=10**12, budget=1)
+    with budget(1):
+        report = polynomial_rank(pair, r_max=10**12)
     assert (report.value, report.refuted_up_to) == (None, 10**12)
 
 
@@ -328,16 +332,19 @@ def test_lower_bound_only_past_the_budget():
     # for the certificate.
     P = Polynomial(2, 3, {(1, 1, 1): 1, (1, 0, 0): 1})
     masks, r1, r2, cert = 2944, 64, 2016, 24
-    for budget, refuted in ((masks - 1, 0), (masks + r1 - 1, 0), (masks + r1 + r2 - 1, 1)):
-        report = polynomial_rank(P, r_max=5, method="exhaustive", budget=budget)
+    for limit, refuted in ((masks - 1, 0), (masks + r1 - 1, 0), (masks + r1 + r2 - 1, 1)):
+        with budget(limit):
+            report = polynomial_rank(P, r_max=5, method="exhaustive")
         assert (report.kind, report.value, report.certificate) == ("lower-bound-only", None, None)
-        assert report.refuted_up_to == refuted, budget
+        assert report.refuted_up_to == refuted, limit
         assert report.rank_exceeds(refuted)
         with pytest.raises(ValidationError):
             report.rank_exceeds(refuted + 1)
-    report = polynomial_rank(P, r_max=5, method="exhaustive", budget=masks + r1 + r2)
+    with budget(masks + r1 + r2):
+        report = polynomial_rank(P, r_max=5, method="exhaustive")
     assert (report.kind, report.value, report.certificate) == ("exact-exhaustive", 2, None)
-    report = polynomial_rank(P, r_max=5, method="exhaustive", budget=masks + r1 + r2 + cert)
+    with budget(masks + r1 + r2 + cert):
+        report = polynomial_rank(P, r_max=5, method="exhaustive")
     assert report.value == 2
     check_certificate(report, [P])
 
@@ -352,8 +359,9 @@ def test_space_past_the_budget_is_refused_before_evaluation(monkeypatch):
 
     monkeypatch.setattr("fpuniform.polyrank.digit_table", no_table)
     monkeypatch.setattr("fpuniform.polynomials.digit_table", no_table)
-    for budget in (None, 2**60):
-        report = polynomial_rank(P, budget=budget)
+    for limit in (None, 2**60):
+        with budget(limit):
+            report = polynomial_rank(P)
         assert (report.kind, report.value, report.refuted_up_to) == ("lower-bound-only", None, 0)
 
 
@@ -363,8 +371,10 @@ def test_explicit_budget_bounds_the_evaluation(monkeypatch):
     monkeypatch.setattr("fpuniform.config.DEFAULT_BUDGET", 8)
     cubic = Polynomial(2, 4, {(1, 1, 1, 0): 1})
     quad = Polynomial(2, 4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1})
-    cubic_report = polynomial_rank(cubic, budget=10**6)
-    quad_report = polynomial_rank(quad, r_max=4, budget=10**6)
+    with budget(10**6):
+        cubic_report = polynomial_rank(cubic)
+    with budget(10**6):
+        quad_report = polynomial_rank(quad, r_max=4)
     monkeypatch.undo()  # the replay below enumerates at the default budget
     assert (cubic_report.kind, cubic_report.value) == ("exact-exhaustive", 2)
     check_certificate(cubic_report, [cubic])
@@ -380,10 +390,12 @@ def test_search_charge_counts_mask_words():
     spent = 18432
     for r in range(1, 6):
         search = comb(32, r) * 4
-        report = polynomial_rank(P, r_max=5, method="exhaustive", budget=spent + search - 1)
+        with budget(spent + search - 1):
+            report = polynomial_rank(P, r_max=5, method="exhaustive")
         assert (report.kind, report.refuted_up_to) == ("lower-bound-only", r - 1)
         spent += search
-    report = polynomial_rank(P, r_max=5, method="exhaustive", budget=spent + 32 * 6)
+    with budget(spent + 32 * 6):
+        report = polynomial_rank(P, r_max=5, method="exhaustive")
     assert (report.kind, report.value, report.refuted_up_to) == ("exact-exhaustive", 5, 4)
     check_certificate(report, [P])
 

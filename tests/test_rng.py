@@ -14,6 +14,7 @@ import pytest
 
 from fpuniform import rng as rng_module
 from fpuniform.analysis import gowers_norm, linear_form_average
+from fpuniform.config import budget
 from fpuniform.errors import BudgetExceededError, ValidationError
 from fpuniform.linear_forms import LinearSystem, cube_system
 from fpuniform.rng import derive_seed, mc_mean
@@ -98,15 +99,16 @@ def test_mc_mean_checks_the_count():
 
 
 def test_mc_mean_charges_the_draws_before_the_first():
-    # count * points is checked against the budget before draw is called
+    # count * points is charged before draw is called
     def never(rng, size):
         raise AssertionError("drew past the budget")
 
-    for count, points, budget in ((10, 3, 29), (10**22, 1, None), (1, 2**71, 2**70)):
-        with pytest.raises(BudgetExceededError) as exc:
-            mc_mean(never, count, 0, "samples", points, budget)
+    for count, points, limit in ((10, 3, 29), (10**22, 1, None), (1, 2**71, 2**70)):
+        with pytest.raises(BudgetExceededError) as exc, budget(limit):
+            mc_mean(never, count, 0, "samples", points)
         assert exc.value.cost == count * points
-    assert mc_mean(lambda rng, size: np.ones(size), 10, 0, "samples", 3, 30) == (1.0, 0.0)
+    with budget(30):
+        assert mc_mean(lambda rng, size: np.ones(size), 10, 0, "samples", 3) == (1.0, 0.0)
 
 
 def test_equal_draws_have_zero_stderr():

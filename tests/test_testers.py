@@ -189,6 +189,18 @@ def test_tester_spec_validation():
         spec.q = 7
 
 
+def test_tester_spec_refuses_fractional_points():
+    # [0.7, 1.2] is not truncated to the point [0, 1]
+    with pytest.raises(ValidationError, match="support point"):
+        TesterSpec(2, 1, [0, 1], base_support=[([[0.7, 1.2]], 1.0)])
+    for ragged in ([0, 1], [[0, 1], [1]], "01"):
+        with pytest.raises(ValidationError, match="q query vectors"):
+            TesterSpec(2, 2, [0, 1, 1, 0], base_support=[(ragged, 1.0)])
+    # numbers equal to integers are those integers, reduced mod p
+    spec = TesterSpec(3, 1, [0, 1, 1], base_support=[([[4.0, np.int64(-1)]], 1.0)])
+    assert spec.base_support[0][0].tolist() == [[1, 2]]
+
+
 def test_uniformity_spec_shape():
     spec = uniformity_tester_spec(2, 3, 1)
     assert spec.q == 4
