@@ -315,7 +315,11 @@ def _best_in_part(values, p: int, pts, upper, free: bool, skip_zero: bool):
     least coefficient vector over the sorted monomials, the order in which the
     part is listed; `skip_zero` leaves the zero polynomial out.  A pair
     survives only if it scores above every pair listed before it, so the
-    first survivor within tolerance of any larger maximum is its winner."""
+    first survivor within tolerance of any larger maximum is its winner.
+
+    A block holds _CHUNK // (4 N) rows: at p = 2 its float64 rows, and their
+    transform, take 64 KB, under glibc's 128 KB mmap threshold, so blocks
+    reuse the heap rather than grow it."""
     from .polynomials import Polynomial, twisted_rows
 
     N, n = pts.shape
@@ -324,7 +328,7 @@ def _best_in_part(values, p: int, pts, upper, free: bool, skip_zero: bool):
     order = sorted(range(len(monos)), key=monos.__getitem__)
     count = p ** len(upper)
     twisted = twisted_rows(values, p, pts, upper)
-    block = max(1, _CHUNK // N)
+    block = max(1, _CHUNK // (4 * N))
     top = -1.0
     keys, vals = np.empty((0, len(monos)), dtype=np.int64), np.empty(0)
     for lo in range(0, count, block):

@@ -619,7 +619,7 @@ def test_scorer_survivors_from_several_blocks(free, seed, monkeypatch):
     nudge = 1 + 1e-13 * random_real_table(2, n, seed=seed + 100).values.real
     f = FunctionTable(2, n, signs * nudge, codomain="real")
     want = part_survivors(f, upper, free, not free)
-    monkeypatch.setattr(analysis, "_CHUNK", 4 * 2**n)
+    monkeypatch.setattr(analysis, "_CHUNK", 16 * 2**n)  # blocks of _CHUNK // (4 N) = 4
     got = _best_in_part(np.ascontiguousarray(f.values.real), 2, digit_table(2, n), upper,
                         free, not free)
     assert [g for _, g in got] == [g for _, g in want]
