@@ -384,7 +384,8 @@ def correlation_with_family(
     from .polynomials import priced_family
 
     p, n = f.p, f.n
-    parts = priced_family(p, n, degree, homogeneous, charge)[0]
+    parts, cost, what = priced_family(p, n, degree, homogeneous)
+    charge(cost, what)
     pts, values = digit_table(p, n), _real_at_two(f.values, p)
     candidates = [
         pair for upper, free in parts

@@ -73,7 +73,7 @@ def charge(cost: int, what: str = "enumeration") -> None:
     ledger = _ledger()
     total = ledger[1] + cost
     if total > ledger[0]:
-        raise BudgetExceededError(total, ledger[0], what)
+        raise BudgetExceededError(total, ledger[0], what, ledger[1])
     ledger[1] = total
 
 

@@ -45,15 +45,16 @@ def reported_count(count: int | None) -> int | str | None:
 
 
 class BudgetExceededError(FpuniformError):
-    """An exact enumeration would exceed the configured point budget."""
+    """An exact enumeration would exceed the configured point budget.  `cost`
+    is the command's total with the refused step, `spent` its total before."""
 
-    def __init__(self, cost: int, limit: int, what: str = "enumeration"):
+    def __init__(self, cost: int, limit: int, what: str = "enumeration", spent: int = 0):
         self.cost = cost
         self.budget = limit
-        super().__init__(
-            f"{what} needs {reported_count(cost)} points but the budget is "
-            f"{reported_count(limit)}"
-        )
+        step = f"{what} needs {reported_count(cost - spent)} points"
+        if spent:
+            step += f", bringing the command to {reported_count(cost)},"
+        super().__init__(f"{step} but the budget is {reported_count(limit)}")
 
 
 class RetryLimitError(FpuniformError):

@@ -135,7 +135,8 @@ def decompose(
     p, n = f.p, f.n
     if not 0 <= delta < float("inf"):
         raise ValidationError(f"delta must be finite and >= 0, got {delta}")
-    search = priced_family(p, n, d, homogeneous_only, check)[1]
+    _, search, what = priced_family(p, n, d, homogeneous_only)
+    check(search, what)
     factor = PolynomialFactor(p, n, ())
     atoms = factor.atom_count()
     history = []

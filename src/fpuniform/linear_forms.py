@@ -237,13 +237,6 @@ def _min_partition(forms: list[list[int]], target: int, p: int) -> list[list[int
     return best
 
 
-def _refuse_proportional(system: LinearSystem) -> None:
-    p, forms = system.p, system.forms
-    lines = {tuple(a * pow(next(filter(None, f)), -1, p) % p for a in f) for f in forms}
-    if len(lines) < len(forms):
-        raise ValidationError("complexity is undefined when two forms are proportional")
-
-
 @budget()
 def cs_complexity(system: LinearSystem) -> ComplexityReport:
     """Least s such that, for every form, the remaining forms split into s+1
@@ -253,8 +246,9 @@ def cs_complexity(system: LinearSystem) -> ComplexityReport:
     singleton partitions, flagged bound-only.
     """
     p, m = system.p, system.m
-    _refuse_proportional(system)
     forms = system.as_array().tolist()
+    if len({tuple(a * pow(next(filter(None, f)), -1, p) % p for a in f) for f in forms}) < m:
+        raise ValidationError("complexity is undefined when two forms are proportional")
     try:
         certificate = {i: _min_partition(forms, i, p) for i in range(m)}
     except BudgetExceededError:
@@ -264,7 +258,6 @@ def cs_complexity(system: LinearSystem) -> ComplexityReport:
     return ComplexityReport(kind="cs", value=value, certificate=certificate)
 
 
-@budget()
 def true_complexity(system: LinearSystem) -> ComplexityReport:
     """Least d such that the (d+1)-fold tensor powers of the forms are
     linearly independent.  Valid as an invariant in the regime where the
@@ -275,36 +268,31 @@ def true_complexity(system: LinearSystem) -> ComplexityReport:
     A tensor power's entries at the positions that hold one multiset of
     coordinates are equal, so the rank and the dependency witness come from
     one column per monomial of degree d + 1 in the k coordinates,
-    C(d + k, k - 1) of them.  Each power's m such columns are charged before
-    the partition search, which a refusal leaves with the budget spent.
+    C(d + k, k - 1) of them.  Each power's m such columns are an allocation
+    checked against the limit, so a refused search leaves them payable.
     """
+    cs = cs_complexity(system)
+    if cs.value > system.p:
+        bounded = "only bounded by " if cs.bound_only else ""
+        raise ValidationError(
+            f"partition complexity {bounded}{cs.value} exceeds p = {system.p}; "
+            "the tensor criterion does not apply"
+        )
+    certificate = {"cs_bound" if cs.bound_only else "cs": cs.value}
     p, m, k = system.p, system.m, system.k
-    _refuse_proportional(system)
     forms = system.as_array()
     witness = None
     for d in range(m + 1):
         columns = math.comb(d + k, k - 1)
-        charge(m * columns, "tensor powers")
+        check(m * columns, "tensor powers")
         powers = np.ones((m, columns), dtype=np.int64)
         for factor in np.array(list(combinations_with_replacement(range(k), d + 1))).T:
             powers = powers * forms[:, factor] % p
         if mat_rank(powers, p) == m:
-            break
+            return ComplexityReport(kind="true", value=d, certificate=certificate, witness=witness)
         witness = nullspace(powers.T, p)
         witness = witness[0] if len(witness) else None
-    else:
-        d = None
-    cs = cs_complexity(system)
-    if cs.value > p:
-        bounded = "only bounded by " if cs.bound_only else ""
-        raise ValidationError(
-            f"partition complexity {bounded}{cs.value} exceeds p = {p}; "
-            "the tensor criterion does not apply"
-        )
-    if d is None:
-        raise ValidationError("tensor powers never became independent")
-    certificate = {"cs_bound" if cs.bound_only else "cs": cs.value}
-    return ComplexityReport(kind="true", value=d, certificate=certificate, witness=witness)
+    raise ValidationError("tensor powers never became independent")
 
 
 @dataclass

@@ -301,11 +301,11 @@ def family_size(p: int, n: int, d: int) -> int:
     return p ** len(monomials_up_to(p, n, d))
 
 
-def priced_family(p: int, n: int, degree: int, homogeneous: bool, settle):
+def priced_family(p: int, n: int, degree: int, homogeneous: bool):
     """The parts of a Poly_d family on F_p^n as correlation_with_family scores
-    them, and the cost of scoring them all, the sum over parts of
-    p^(#enumerated monomials) * p^n points, once settle(cost, what) has
-    passed it: config.charge to score them, config.check to price them."""
+    them, the cost of scoring them all, the sum over parts of
+    p^(#enumerated monomials) * p^n points, and the family's name for a
+    budget message."""
     if degree < 1:
         raise ValidationError("degree must be >= 1")
     if degree > n * (p - 1):
@@ -320,5 +320,4 @@ def priced_family(p: int, n: int, degree: int, homogeneous: bool, settle):
         parts = [([e for e in monos if sum(e) >= 2], True)]
     what = "homogeneous phase family" if homogeneous else "polynomial phase family"
     cost = sum(p ** len(upper) for upper, _ in parts) * space_size(p, n)
-    settle(cost, what)
-    return parts, cost
+    return parts, cost, what

@@ -224,7 +224,8 @@ def test_interior_isomorphism_budget_exit_66(files, capsys):
 def test_budget_covers_the_whole_command(files, capsys):
     # per trial, the boundary functions of {x}, the triangle and the square on
     # F_2^1 charge 2 + 14 + 18 = 34 points, each within the budget; three
-    # trials (none passes the threshold) charge 102 to the one ledger
+    # trials (none passes the threshold) charge 102 to the one ledger, the
+    # last step the square's 18
     systems = [
         LinearSystem(2, 1, [(1,)]),
         LinearSystem(2, 2, [(1, 0), (0, 1), (1, 1)]),
@@ -239,7 +240,7 @@ def test_budget_covers_the_whole_command(files, capsys):
     assert rc == 66 and out == ""
     diag = json.loads(err)
     assert diag["type"] == "budget" and (diag["cost"], diag["budget"]) == (102, 101)
-    assert "boundary function needs 102 points" in diag["error"]
+    assert "boundary function needs 18 points, bringing the command to 102," in diag["error"]
     rc, out, _ = run(argv + ["--budget", "102"], capsys)
     assert rc == 0 and json.loads(out)["trials_run"] == 3
 

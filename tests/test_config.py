@@ -18,7 +18,7 @@ def test_nested_budget_joins_the_open_ledger():
             with pytest.raises(BudgetExceededError) as exc:
                 charge(5, "second")
             assert (exc.value.cost, exc.value.budget) == (11, 10)
-            assert "second needs 11 points" in str(exc.value)
+            assert "second needs 5 points, bringing the command to 11," in str(exc.value)
             charge(4)  # the refused charge recorded nothing
         assert not fits(1)
         with budget(3):  # a limit opens a ledger of its own

@@ -145,14 +145,13 @@ def test_true_complexity_matches_the_full_tensor_powers(p, k, data):
 
 
 def test_true_complexity_charges_one_column_per_monomial():
-    # the 8 forms of the conic at p = 7 on F_7^3: the powers of degree d + 1
-    # charge 8 * C(d + 3, 2), 24, 48, 80, then 120 at d = 3, 272 in all; the
-    # rest cannot pay the partition search (the bound 6 proves the regime)
-    powers = sum(8 * math.comb(d + 3, 2) for d in range(4))
-    with pytest.raises(BudgetExceededError) as exc, budget(powers - 1):
+    # the 8 forms of the conic at p = 7 on F_7^3: 100 points refuse the
+    # partition search (the bound 6 proves the regime), and the powers of
+    # degree d + 1 check 8 * C(d + 3, 2): 24, 48, 80, then 120 at d = 3
+    with pytest.raises(BudgetExceededError) as exc, budget(100):
         true_complexity(_conic(7))
-    assert exc.value.cost == powers == 272
-    with budget(powers):
+    assert exc.value.cost == 8 * math.comb(3 + 3, 2)
+    with budget(120):
         assert true_complexity(_conic(7)).value == 3
 
 
@@ -185,9 +184,8 @@ def test_true_complexity_rejects_unverified_regime():
     with pytest.raises(ValidationError):
         true_complexity(LinearSystem(2, 4, forms))  # cs is 3 > p = 2 at m = 15
     with pytest.raises(ValidationError, match="only bounded"):
-        # the powers take 13 * (4 + 10 + 20) = 442 points, what is left
-        # refuses the search, and the bound 11 exceeds p = 2
-        with budget(1000):
+        # the budget refuses the search; the bound 11 exceeds p = 2
+        with budget(100):
             true_complexity(LinearSystem(2, 4, forms[:13]))
 
 
@@ -197,9 +195,9 @@ def _conic(p):
 
 
 def test_true_complexity_past_the_cap_when_the_bound_proves_the_regime():
-    # 1,000 points cover the tensor powers of the 8 forms of the conic at
-    # p = 7 (272 in all), charged first, but leave too little for the
-    # 8,544-point partition search; the cs bound 6 <= p = 7 proves the regime
+    # 1,000 points refuse the 8,544-point search over the 8 forms of the conic
+    # at p = 7 but cover its tensor powers (8 * C(6, 2) = 120 at most); the cs
+    # bound 6 <= p = 7 then proves the regime
     with budget(1000):
         report = true_complexity(_conic(7))
     assert (report.value, report.certificate) == (3, {"cs_bound": 6})
